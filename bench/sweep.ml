@@ -28,10 +28,11 @@ type t = {
 let profile_names = List.map Profile.name Profile.all_71
 
 (** Run the full sweep.  [checkpoint] streams completed points to an
-    append-only file and (unless [resume] is false) skips cells already
-    recorded there, so an interrupted campaign continues where it
-    stopped.  Failed cells land in [quarantined]; more than
-    [failure_budget] of them aborts with {!Harness.Budget_exceeded}.
+    append-only file and skips cells already recorded there, so an
+    interrupted campaign continues where it stopped ([resume = false]
+    discards the file's rows instead).  Failed cells land in
+    [quarantined]; more than [failure_budget] of them aborts with
+    {!Harness.Budget_exceeded}.
     [jobs] worker domains execute cells in parallel (results are
     identical at any job count); [cache] shares compiled artifacts
     across profiles, backends of a codegen family, and — with a

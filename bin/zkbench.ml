@@ -351,7 +351,7 @@ let sweepall_cmd =
   let fresh_arg =
     Arg.(value & flag
          & info [ "fresh" ]
-             ~doc:"Ignore an existing checkpoint (default is to resume)")
+             ~doc:"Discard an existing checkpoint (default is to resume)")
   in
   let budget_arg =
     Arg.(value & opt int 32
@@ -694,7 +694,7 @@ let fuzz_cmd =
   let fresh_arg =
     Arg.(value & flag
          & info [ "fresh" ]
-             ~doc:"Ignore an existing checkpoint (default is to resume)")
+             ~doc:"Discard an existing checkpoint (default is to resume)")
   in
   let budget_arg =
     Arg.(value & opt (some int) None
@@ -880,7 +880,7 @@ let tune_cmd =
   let fresh_arg =
     Arg.(value & flag
          & info [ "fresh" ]
-             ~doc:"Ignore an existing checkpoint (default is to resume)")
+             ~doc:"Discard an existing checkpoint (default is to resume)")
   in
   let profile_out_arg =
     Arg.(value & opt (some string) None

@@ -3,7 +3,8 @@
 # test suite, seeded smoke runs of the differential fuzzers, the
 # profiler-overhead gate (dev/profcheck.ml), and an in-sandbox sweepall
 # checkpoint/resume smoke.  The out-of-sandbox sweep below additionally
-# exercises the real CLI with a checkpoint on disk.
+# drives the real CLI over checkpoints on disk: a resumed run must match
+# an uninterrupted one, and --fresh must discard the old rows.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -16,8 +17,22 @@ echo "== dune build @smoke =="
 dune build @smoke
 
 echo "== sweepall resume smoke (CLI) =="
-ckpt="$tmpdir/sweep.ckpt"
-dune exec bin/zkbench.exe -- sweepall --quick --limit 3 --checkpoint "$ckpt" > /dev/null
-dune exec bin/zkbench.exe -- sweepall --quick --limit 3 --checkpoint "$ckpt"
+sweep() { dune exec bin/zkbench.exe -- sweepall --quick "$@" > /dev/null; }
+fail() { echo "check.sh: $*" >&2; exit 1; }
+resumed="$tmpdir/resumed.ckpt"
+straight="$tmpdir/straight.ckpt"
+# two time slices of 3 cells must give the rows of one 6-cell run
+sweep --limit 3 --checkpoint "$resumed"
+sweep --limit 3 --checkpoint "$resumed"
+sweep --limit 6 --checkpoint "$straight"
+sort "$resumed" > "$tmpdir/resumed.sorted"
+sort "$straight" > "$tmpdir/straight.sorted"
+cmp "$tmpdir/resumed.sorted" "$tmpdir/straight.sorted" \
+  || fail "resumed rows differ from an uninterrupted run"
+# --fresh discards the old rows: the header plus exactly 3 new rows
+sweep --fresh --limit 3 --checkpoint "$resumed"
+[ "$(head -n 1 "$resumed")" = zkopt-ckpt-v2 ] || fail "--fresh lost the header"
+[ "$(wc -l < "$resumed")" -eq 4 ] \
+  || fail "--fresh left $(wc -l < "$resumed") lines, want header + 3 rows"
 
 echo "check.sh: all green"

@@ -39,6 +39,7 @@
 
 open Zkopt_passes
 module Pool = Zkopt_exec.Pool
+module Rowlog = Zkopt_exec.Rowlog
 module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
 module Error = Zkopt_harness.Error
@@ -459,37 +460,39 @@ let row_of_child ~gen ~idx (g : genome) (v : verdict) : string =
 let row_of_generation ~gen ~evals ~best : string =
   Printf.sprintf "G\t%d\t%d\t%d\t." gen evals best
 
+let ( let* ) = Option.bind
+
+let parse_score part =
+  match (String.index_opt part '=', String.rindex_opt part ':') with
+  | Some ei, Some ci when ei < ci ->
+    let* scycles =
+      int_of_string_opt (String.sub part (ci + 1) (String.length part - ci - 1))
+    in
+    Some
+      {
+        starget = String.sub part 0 ei;
+        sfp = String.sub part (ei + 1) (ci - ei - 1);
+        scycles;
+      }
+  | _ -> None
+
+(** Total: [None] for anything but a whole [A] row; never raises. *)
 let parse_child_row (line : string) :
     (int * int * char * int * genome * score list) option =
   match String.split_on_char '\t' line with
-  | [ "A"; gen; idx; kind; fitness; genome; details; "." ] -> (
-    try
-      let kind = if String.length kind = 1 then kind.[0] else raise Exit in
-      let scores =
-        if String.equal details "-" then []
-        else
-          List.map
-            (fun part ->
-              match (String.index_opt part '=', String.rindex_opt part ':') with
-              | Some ei, Some ci when ei < ci ->
-                {
-                  starget = String.sub part 0 ei;
-                  sfp = String.sub part (ei + 1) (ci - ei - 1);
-                  scycles =
-                    int_of_string
-                      (String.sub part (ci + 1) (String.length part - ci - 1));
-                }
-              | _ -> raise Exit)
-            (String.split_on_char ';' details)
-      in
-      Some
-        ( int_of_string gen,
-          int_of_string idx,
-          kind,
-          int_of_string fitness,
-          String.split_on_char ',' genome,
-          scores )
-    with _ -> None)
+  | [ "A"; gen; idx; kind; fitness; genome; details; "." ]
+    when String.length kind = 1 ->
+    let* scores =
+      if String.equal details "-" then Some []
+      else
+        let parts = String.split_on_char ';' details in
+        let scores = List.filter_map parse_score parts in
+        if List.compare_lengths scores parts = 0 then Some scores else None
+    in
+    let* gen = int_of_string_opt gen in
+    let* idx = int_of_string_opt idx in
+    let* fitness = int_of_string_opt fitness in
+    Some (gen, idx, kind.[0], fitness, String.split_on_char ',' genome, scores)
   | _ -> None
 
 let parse_generation_row (line : string) : int option =
@@ -498,32 +501,20 @@ let parse_generation_row (line : string) : int option =
   | _ -> None
 
 (** Replay tables from a row log: completed generations (those with a
-    [G] row) and child verdicts keyed by [(gen, idx)], keep-last.
-    Undecodable lines — a torn tail from a kill — are skipped. *)
-let load_checkpoint (path : string) :
+    [G] row) and child verdicts keyed by [(gen, idx)], keep-last. *)
+let load_replay (path : string) :
     (int, unit) Hashtbl.t * (int * int, char * int * genome * score list) Hashtbl.t
     =
   let greplay = Hashtbl.create 16 in
   let areplay = Hashtbl.create 64 in
-  (if Sys.file_exists path then
-     try
-       let ic = open_in_bin path in
-       Fun.protect
-         ~finally:(fun () -> close_in_noerr ic)
-         (fun () ->
-           try
-             while true do
-               let line = input_line ic in
-               match parse_child_row line with
-               | Some (gen, idx, kind, fitness, genome, scores) ->
-                 Hashtbl.replace areplay (gen, idx) (kind, fitness, genome, scores)
-               | None -> (
-                 match parse_generation_row line with
-                 | Some gen -> Hashtbl.replace greplay gen ()
-                 | None -> ())
-             done
-           with End_of_file -> ())
-     with Sys_error _ -> ());
+  Rowlog.load path ~decode:(fun line ->
+      match parse_child_row line with
+      | Some child -> Some (Either.Left child)
+      | None -> Option.map Either.right (parse_generation_row line))
+  |> List.iter (function
+       | Either.Left (gen, idx, kind, fitness, genome, scores) ->
+         Hashtbl.replace areplay (gen, idx) (kind, fitness, genome, scores)
+       | Either.Right gen -> Hashtbl.replace greplay gen ());
   (greplay, areplay)
 
 (* ------------------------------------------------------------------ *)
@@ -542,10 +533,11 @@ type loop_outcome = {
 
 (** The deterministic coordinator: breeds each generation from the RNG
     stream (consumed only here), hands the batch to [eval_batch], and
-    merges verdicts in index order.  With a [checkpoint] path, rows are
-    appended per generation; with [resume], generations already
-    completed in the log are replayed (same RNG stream, recorded
-    verdicts, no evaluation) before live search resumes. *)
+    merges verdicts in index order.  With a [checkpoint] path, live
+    rows are appended to it as they are emitted; with [resume],
+    generations already completed in the log are replayed (same RNG
+    stream, recorded verdicts, no evaluation) before live search
+    resumes.  Without [resume] the log is truncated first. *)
 let genloop ~seed ~population ~iterations ~(stop : unit -> bool)
     ~(checkpoint : string option) ~(resume : bool)
     ~(on_row : (string -> unit) option)
@@ -555,44 +547,12 @@ let genloop ~seed ~population ~iterations ~(stop : unit -> bool)
   let rng = Random.State.make [| seed; 0x5eed |] in
   let greplay, areplay =
     match checkpoint with
-    | Some path when resume -> load_checkpoint path
+    | Some path when resume -> load_replay path
     | _ -> (Hashtbl.create 1, Hashtbl.create 1)
   in
-  (* the row log is opened lazily at the first live row, so a fully
-     replayed prefix never reopens (or truncates) the file *)
-  let out = ref None in
-  let out_channel path =
-    match !out with
-    | Some oc -> oc
-    | None ->
-      let torn =
-        resume && Sys.file_exists path
-        && (let ic = open_in_bin path in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () ->
-                let n = in_channel_length ic in
-                n > 0
-                && (seek_in ic (n - 1);
-                    input_char ic <> '\n')))
-      in
-      let oc =
-        open_out_gen
-          [ Open_wronly; Open_creat;
-            (if resume then Open_append else Open_trunc) ]
-          0o644 path
-      in
-      if torn then output_char oc '\n';  (* seal a torn tail *)
-      out := Some oc;
-      oc
-  in
+  let log = Option.map (Rowlog.open_ ~fresh:(not resume)) checkpoint in
   let emit ~live row =
-    (match checkpoint with
-    | Some path when live ->
-      let oc = out_channel path in
-      output_string oc row;
-      output_char oc '\n'
-    | _ -> ());
+    (match log with Some l when live -> Rowlog.append l row | _ -> ());
     match on_row with Some f -> f row | None -> ()
   in
   let ind_cmp a b = compare (a.fitness, a.genome) (b.fitness, b.genome) in
@@ -693,11 +653,10 @@ let genloop ~seed ~population ~iterations ~(stop : unit -> bool)
        let best = (List.hd !pop).fitness in
        history := best :: !history;
        emit ~live:(not can_replay) (row_of_generation ~gen:!gen ~evals:!evals ~best);
-       (match !out with Some oc -> flush oc | None -> ());
        incr gen
      done
    with Exit -> ());
-  (match !out with Some oc -> close_out_noerr oc | None -> ());
+  Option.iter Rowlog.close log;
   let lresult =
     match !everyone with
     | [] -> None

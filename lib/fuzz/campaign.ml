@@ -18,18 +18,18 @@
     run.  Cases skipped by the budget write no checkpoint row, so a
     later resume picks them up.
 
-    {b Checkpoint.}  One row per completed case, whole-line writes under
-    a mutex, flushed per line, with a terminal ["."] field so a row
-    truncated by a kill mid-write fails decoding instead of silently
-    decoding short.  Row identity is (source, pipeline spec); rows are
-    deterministic functions of the case, so kill+resume reproduces the
-    uninterrupted run's rows byte-for-byte (modulo arrival order — sort
-    to compare). *)
+    {b Checkpoint.}  One row per completed case, appended to a
+    {!Zkopt_exec.Rowlog} under the {!ckpt_version} header, with a
+    terminal ["."] field so a row is self-delimiting.  Row identity is
+    (source, pipeline spec); rows are deterministic functions of the
+    case, so kill+resume reproduces the uninterrupted run's rows
+    byte-for-byte (modulo arrival order — sort to compare). *)
 
 module Error = Zkopt_harness.Error
 module Faultplan = Zkopt_harness.Faultplan
 module Backend = Zkopt_backend.Backend
 module Pool = Zkopt_exec.Pool
+module Rowlog = Zkopt_exec.Rowlog
 
 (* ---- checkpoint / streaming rows ------------------------------------- *)
 
@@ -54,7 +54,9 @@ type config = {
   backends : Backend.t list;
   jobs : int;
   checkpoint : string option;
-  resume : bool;  (** load [checkpoint] and skip already-done cases *)
+  resume : bool;
+      (** load [checkpoint] and skip already-done cases; [false]
+          discards the file's rows *)
   failure_budget : int option;
   minimize : bool;
   corpus : string option;  (** persist minimized findings under this dir *)
@@ -175,62 +177,6 @@ let decode_row (line : string) : row option =
     Some { src; spec; status; detail }
   | _ -> None
 
-(** Every decodable row in [path]; missing file = none.  Header lines,
-    garbage, and kill-truncated rows are skipped, not fatal. *)
-let load_rows (path : string) : row list =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let rows = ref [] in
-    (try
-       while true do
-         match decode_row (input_line ic) with
-         | Some r -> rows := r :: !rows
-         | None -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !rows
-  end
-
-type writer = { oc : out_channel; mu : Mutex.t }
-
-let open_writer (path : string) : writer =
-  let existed = Sys.file_exists path in
-  (* heal a tail sheared by a kill mid-write: appends must start on a
-     fresh line, or the first new row would fuse with the partial one
-     and both would fail decoding *)
-  if existed then begin
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let sheared =
-      n > 0
-      && begin
-           seek_in ic (n - 1);
-           input_char ic <> '\n'
-         end
-    in
-    close_in ic;
-    if sheared then begin
-      let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 path in
-      output_char oc '\n';
-      close_out oc
-    end
-  end;
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  if not existed then begin
-    output_string oc (ckpt_version ^ "\n");
-    flush oc
-  end;
-  { oc; mu = Mutex.create () }
-
-let write_row (w : writer) (r : row) =
-  Mutex.lock w.mu;
-  output_string w.oc (encode_row r);
-  output_char w.oc '\n';
-  flush w.oc;
-  Mutex.unlock w.mu
-
 (* ---- running --------------------------------------------------------- *)
 
 type finding = {
@@ -332,7 +278,7 @@ let run (cfg : config) : summary =
       (fun path ->
         List.iter
           (fun r -> Hashtbl.replace done_rows (row_key r) r)
-          (load_rows path))
+          (Rowlog.load path ~decode:decode_row))
       cfg.checkpoint;
   let todo, resumed =
     List.partition (fun c -> not (Hashtbl.mem done_rows (case_key c))) cases
@@ -346,7 +292,11 @@ let run (cfg : config) : summary =
           Option.iter f (Hashtbl.find_opt done_rows (case_key c)))
         resumed)
     cfg.on_row;
-  let writer = Option.map open_writer cfg.checkpoint in
+  let log =
+    Option.map
+      (Rowlog.open_ ~header:ckpt_version ~fresh:(not cfg.resume))
+      cfg.checkpoint
+  in
   let mu = Mutex.create () in
   let found = ref 0 in
   let agreed = ref 0 in
@@ -404,7 +354,7 @@ let run (cfg : config) : summary =
              | None -> "")));
       Mutex.unlock mu;
       let row = row_of_verdict c verdict in
-      Option.iter (fun w -> write_row w row) writer;
+      Option.iter (fun l -> Rowlog.append l (encode_row row)) log;
       Option.iter (fun f -> f row) cfg.on_row
     end
   in
@@ -418,12 +368,7 @@ let run (cfg : config) : summary =
     Pool.wait pool;
     if owned_pool then Pool.shutdown pool
   in
-  (match finish () with
-  | () -> ()
-  | exception e ->
-    Option.iter (fun w -> close_out w.oc) writer;
-    raise e);
-  Option.iter (fun w -> close_out w.oc) writer;
+  Fun.protect ~finally:(fun () -> Option.iter Rowlog.close log) finish;
   let findings =
     List.filter_map (fun c -> Hashtbl.find_opt results (case_key c)) cases
   in

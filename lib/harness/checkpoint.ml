@@ -1,12 +1,11 @@
-(** Append-only checkpoint file for the sweep.
+(** The sweep checkpoint's row codec.
 
-    Completed points stream to disk one line each; a resumed sweep loads
-    the file, skips already-done cells, and appends the rest.  The codec
-    is an exact round trip — floats are written in hexadecimal ([%h])
-    notation — so a killed-and-resumed sweep reproduces the uninterrupted
-    run byte for byte.  Undecodable lines (e.g. a final line truncated by
-    a kill mid-write) are skipped on load, which makes resume safe after
-    a crash at any byte offset.
+    Completed points stream to a {!Zkopt_exec.Rowlog} one line each
+    under the {!version} header; a resumed sweep loads the rows, skips
+    already-done cells, and appends the rest.  The codec is an exact
+    round trip — floats are written in hexadecimal ([%h]) notation — so
+    a killed-and-resumed sweep reproduces the uninterrupted run byte for
+    byte.
 
     v2 rows carry a backend count followed by that many metric groups
     (a point measures an arbitrary backend list, not a fixed pair).
@@ -57,36 +56,55 @@ let encode_point (p : Cell.point) : string =
 
 (* field counts: 3 header + 1 count + 11 per zk + 1 "-" | 1 "cpu" + 5 *)
 
+let ( let* ) = Option.bind
+
+let hex64 s = Int64.of_string_opt ("0x" ^ s)
+
 let decode_zk fields =
   match fields with
   | [ vm; cycles; exec; prove; segs; paging; pins; pouts; loads; stores; ev ]
     ->
+    let* cycles = int_of_string_opt cycles in
+    let* exec_time_s = float_of_string_opt exec in
+    let* prove_time_s = float_of_string_opt prove in
+    let* segments = int_of_string_opt segs in
+    let* paging_cycles = int_of_string_opt paging in
+    let* page_ins = int_of_string_opt pins in
+    let* page_outs = int_of_string_opt pouts in
+    let* loads = int_of_string_opt loads in
+    let* stores = int_of_string_opt stores in
+    let* exit_value = hex64 ev in
     Some
       {
         Measure.vm;
-        cycles = int_of_string cycles;
-        exec_time_s = float_of_string exec;
-        prove_time_s = float_of_string prove;
-        segments = int_of_string segs;
-        paging_cycles = int_of_string paging;
-        page_ins = int_of_string pins;
-        page_outs = int_of_string pouts;
-        loads = int_of_string loads;
-        stores = int_of_string stores;
-        exit_value = Int64.of_string ("0x" ^ ev);
+        cycles;
+        exec_time_s;
+        prove_time_s;
+        segments;
+        paging_cycles;
+        page_ins;
+        page_outs;
+        loads;
+        stores;
+        exit_value;
       }
   | _ -> None
 
 let decode_cpu fields =
   match fields with
   | [ cycles; time; mis; misses; ev ] ->
+    let* cpu_cycles = float_of_string_opt cycles in
+    let* cpu_time_s = float_of_string_opt time in
+    let* mispredicts = int_of_string_opt mis in
+    let* cache_misses = int_of_string_opt misses in
+    let* cpu_exit_value = hex64 ev in
     Some
       {
-        Measure.cpu_cycles = float_of_string cycles;
-        cpu_time_s = float_of_string time;
-        mispredicts = int_of_string mis;
-        cache_misses = int_of_string misses;
-        cpu_exit_value = Int64.of_string ("0x" ^ ev);
+        Measure.cpu_cycles;
+        cpu_time_s;
+        mispredicts;
+        cache_misses;
+        cpu_exit_value;
       }
   | _ -> None
 
@@ -98,167 +116,25 @@ let rec take n = function
 let rec drop n l =
   if n = 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
 
+(** Total: [None] for a header, garbage, or a v1 row; never raises.  A
+    row cut inside its final exit-value field still decodes (to a wrong
+    value), which is why {!Zkopt_exec.Rowlog} drops unterminated lines. *)
 let decode_point (line : string) : Cell.point option =
   match String.split_on_char '\t' line with
-  | program :: suite :: profile :: count :: rest -> (
-    try
-      let n = int_of_string count in
-      if n <= 0 || List.length rest < (n * 11) + 1 then None
+  | program :: suite :: profile :: count :: rest ->
+    let rec groups k rest acc =
+      if k = 0 then Some (List.rev acc, rest)
       else
-        let rec groups k rest acc =
-          if k = 0 then Some (List.rev acc, rest)
-          else
-            match decode_zk (take 11 rest) with
-            | Some z -> groups (k - 1) (drop 11 rest) (z :: acc)
-            | None -> None
-        in
-        match groups n rest [] with
-        | None -> None
-        | Some (zk, rest) -> (
-          let cpu =
-            match rest with
-            | [ "-" ] -> Some None
-            | "cpu" :: cpu_fields -> Option.map Option.some (decode_cpu cpu_fields)
-            | _ -> None
-          in
-          match cpu with
-          | Some cpu -> Some { Cell.program; suite; profile; zk; cpu }
-          | None -> None)
-    with _ -> None)
+        let* z = decode_zk (take 11 rest) in
+        groups (k - 1) (drop 11 rest) (z :: acc)
+    in
+    let* n = int_of_string_opt count in
+    let* zk, rest = if n > 0 then groups n rest [] else None in
+    let* cpu =
+      match rest with
+      | [ "-" ] -> Some None
+      | "cpu" :: fields -> Option.map Option.some (decode_cpu fields)
+      | _ -> None
+    in
+    Some { Cell.program; suite; profile; zk; cpu }
   | _ -> None
-
-(** Load every decodable point from [path]; missing file = no points.
-    Corrupt or truncated lines are skipped, not fatal. *)
-let load (path : string) : Cell.point list =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let points = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         match decode_point line with
-         | Some p -> points := p :: !points
-         | None -> () (* header, garbage, or a line truncated by a kill *)
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !points
-  end
-
-type writer = {
-  oc : out_channel;
-  every : int;  (** flush to disk every [every] appended points *)
-  mutable pending : int;
-}
-
-(* A kill can shear the final line.  [load] already skips the torn
-   fragment, but appending straight after it would concatenate the next
-   record onto the garbage and lose that row too — so seal a torn tail
-   with a newline before the first append, turning the fragment into
-   its own (skipped) line and letting resume converge byte-wise. *)
-let seal_torn_tail (path : string) =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let sheared =
-    n > 0
-    && begin
-         seek_in ic (n - 1);
-         input_char ic <> '\n'
-       end
-  in
-  close_in ic;
-  if sheared then begin
-    let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 path in
-    output_char oc '\n';
-    close_out oc
-  end
-
-let create ?(every = 25) (path : string) : writer =
-  let existed = Sys.file_exists path in
-  if existed then seal_torn_tail path;
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-  if not existed then begin
-    output_string oc (version ^ "\n");
-    flush oc
-  end;
-  { oc; every; pending = 0 }
-
-let append (w : writer) (p : Cell.point) =
-  output_string w.oc (encode_point p);
-  output_char w.oc '\n';
-  w.pending <- w.pending + 1;
-  if w.pending >= w.every then begin
-    flush w.oc;
-    w.pending <- 0
-  end
-
-let close (w : writer) =
-  flush w.oc;
-  close_out w.oc
-
-(* ---- single-writer domain -------------------------------------------- *)
-
-(** Serialized checkpoint writer for the parallel sweep.
-
-    Worker domains may complete cells concurrently, but the checkpoint
-    file must stay an append-only sequence of whole lines — interleaved
-    writes from two domains could shear a row.  All appends therefore
-    flow through one dedicated writer domain that drains a queue and
-    owns the [out_channel] exclusively; each queued point becomes one
-    atomic line, so the log is byte-deterministic modulo row order.
-    [async_close] drains the queue before closing, so every point
-    appended before the close reaches disk. *)
-type async_state = {
-  q : Cell.point Queue.t;
-  mu : Mutex.t;
-  cond : Condition.t;  (** new work or close requested *)
-  mutable closing : bool;
-}
-
-type async = { st : async_state; dom : unit Domain.t }
-
-let async ?every (path : string) : async =
-  let st =
-    {
-      q = Queue.create ();
-      mu = Mutex.create ();
-      cond = Condition.create ();
-      closing = false;
-    }
-  in
-  let dom =
-    Domain.spawn (fun () ->
-        let w = create ?every path in
-        let rec loop () =
-          Mutex.lock st.mu;
-          while Queue.is_empty st.q && not st.closing do
-            Condition.wait st.cond st.mu
-          done;
-          let batch = List.rev (Queue.fold (fun acc p -> p :: acc) [] st.q) in
-          Queue.clear st.q;
-          let stop = st.closing in
-          Mutex.unlock st.mu;
-          List.iter (append w) batch;
-          if stop then close w else loop ()
-        in
-        loop ())
-  in
-  { st; dom }
-
-let async_append (a : async) (p : Cell.point) =
-  let st = a.st in
-  Mutex.lock st.mu;
-  Queue.push p st.q;
-  Condition.signal st.cond;
-  Mutex.unlock st.mu
-
-(** Drain outstanding appends, close the file, and join the writer
-    domain.  Call at most once. *)
-let async_close (a : async) =
-  let st = a.st in
-  Mutex.lock st.mu;
-  st.closing <- true;
-  Condition.signal st.cond;
-  Mutex.unlock st.mu;
-  Domain.join a.dom

@@ -29,11 +29,11 @@
       profile-vs-baseline across cells) and each backend's own
       accounting conservation oracle
       ({!Zkopt_backend.Backend.measurement});
-    - completed points stream to an append-only checkpoint file through
-      a single dedicated writer domain — rows are whole lines in
-      completion order, so the log is byte-deterministic modulo row
-      order — and a resumed run skips already-done cells
-      ({!Checkpoint});
+    - completed points stream to an append-only checkpoint
+      ({!Zkopt_exec.Rowlog}, {!Checkpoint} codec): each worker appends
+      its row as one flushed whole line in completion order, so the log
+      is byte-deterministic modulo row order, and a resumed run skips
+      already-done cells;
     - a per-sweep failure budget bounds degradation: exceed it and the
       sweep aborts with a summary ({!Budget_exceeded});
     - graceful degradation: a CPU-model failure downgrades the cell to
@@ -41,6 +41,7 @@
 
 open Zkopt_core
 module Pool = Zkopt_exec.Pool
+module Rowlog = Zkopt_exec.Rowlog
 module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
 module Backend = Zkopt_backend.Backend
@@ -53,8 +54,9 @@ type config = {
   failure_budget : int;
       (** quarantined cells tolerated before the sweep aborts *)
   checkpoint : string option;  (** append-only checkpoint file *)
-  resume : bool;  (** load already-done cells from [checkpoint] *)
-  checkpoint_every : int;  (** flush cadence, in cells *)
+  resume : bool;
+      (** load already-done cells from [checkpoint]; [false] discards
+          the file's rows *)
   retry : Retry.policy;
   faultplan : Faultplan.t;  (** injected faults (testing) *)
   progress : bool;
@@ -94,7 +96,6 @@ let default ~size =
     failure_budget = 32;
     checkpoint = None;
     resume = true;
-    checkpoint_every = 25;
     retry = Retry.default;
     faultplan = Faultplan.none;
     progress = false;
@@ -279,7 +280,7 @@ let run (cfg : config) : outcome =
         (* resumed points stream too, so a subscriber that attaches
            after a restart still sees the full row sequence *)
         Option.iter (fun f -> f p) cfg.on_point)
-      (Checkpoint.load path)
+      (Rowlog.load path ~decode:Checkpoint.decode_point)
   | _ -> ());
   (* Pending cells in the canonical (program-major, profile-minor)
      order.  [limit] slices a deterministic prefix of this order, so a
@@ -304,8 +305,10 @@ let run (cfg : config) : outcome =
     match cfg.cache with Some c -> c | None -> Cache.create ()
   in
   let stats0 = Cache.stats cache in
-  let writer =
-    Option.map (Checkpoint.async ~every:cfg.checkpoint_every) cfg.checkpoint
+  let log =
+    Option.map
+      (Rowlog.open_ ~header:Checkpoint.version ~fresh:(not cfg.resume))
+      cfg.checkpoint
   in
   (* Shared mutable sweep state; [mu] guards all of it plus [points]. *)
   let mu = Mutex.create () in
@@ -399,7 +402,9 @@ let run (cfg : config) : outcome =
           Mutex.lock mu;
           Hashtbl.replace points (wname, pname) p;
           Mutex.unlock mu;
-          Option.iter (fun wr -> Checkpoint.async_append wr p) writer;
+          Option.iter
+            (fun l -> Rowlog.append l (Checkpoint.encode_point p))
+            log;
           Option.iter (fun f -> f p) cfg.on_point)));
     Mutex.lock mu;
     incr executed;
@@ -439,7 +444,7 @@ let run (cfg : config) : outcome =
   in
   let finish () =
     if owned_pool then Pool.shutdown pool;
-    Option.iter Checkpoint.async_close writer
+    Option.iter Rowlog.close log
   in
   (try
      List.iter (fun cell -> Pool.submit pool (process cell)) wave1;

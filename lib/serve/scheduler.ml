@@ -12,9 +12,9 @@
     so results survive the daemon and clients can attach late.
 
     {b Restart contract.}  Submissions append one line to an
-    append-only registry ([jobs.reg], flushed per line, terminal-"."
-    framed like the campaign checkpoint); terminal states append a
-    second line.  A job interrupted by a drain or a kill has no
+    append-only registry ([jobs.reg], a {!Zkopt_exec.Rowlog} with
+    terminal-"." rows like the campaign checkpoint); terminal states
+    append a second line.  A job interrupted by a drain or a kill has no
     terminal line, so the next daemon over the same state directory
     re-enqueues it and the job's harness/campaign checkpoint resumes it
     cell-exactly — the resumed rows are byte-identical to an
@@ -33,6 +33,7 @@ module Cell = Zkopt_harness.Cell
 module Campaign = Zkopt_fuzz.Campaign
 module Case = Zkopt_fuzz.Case
 module Pool = Zkopt_exec.Pool
+module Rowlog = Zkopt_exec.Rowlog
 module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
 module Backend = Zkopt_backend.Backend
@@ -64,7 +65,7 @@ type t = {
   jobs : (string, jobrec) Hashtbl.t;
   mutable order : string list;  (** job ids, newest first *)
   mu : Mutex.t;
-  reg : out_channel;  (** append-only job registry, flushed per line *)
+  reg : Rowlog.t;  (** append-only job registry *)
   spent : (string, int) Hashtbl.t;  (** failure-budget ledger per client *)
   mutable next_id : int;
   mutable draining : bool;
@@ -142,27 +143,6 @@ let decode_line (line : string) : reg_line option =
     Option.map (fun st -> Terminal (id, st)) st
   | _ -> None
 
-let load_registry (path : string) : reg_line list =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    (try
-       while true do
-         match decode_line (input_line ic) with
-         | Some l -> lines := l :: !lines
-         | None -> () (* kill-truncated or foreign line *)
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !lines
-  end
-
-let append_reg t (line : string) =
-  output_string t.reg line;
-  output_char t.reg '\n';
-  flush t.reg
-
 (* ---- construction / restart ------------------------------------------ *)
 
 let mkdir_p path =
@@ -186,11 +166,9 @@ let id_num (id : string) : int =
 let create ~dir ~jobs ?(cache_dir = Some "_zkcache") ?(cache_capacity = 512)
     ~log () : t =
   mkdir_p dir;
-  let lines = load_registry (Filename.concat dir reg_name) in
-  let reg =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644
-      (Filename.concat dir reg_name)
-  in
+  let path = Filename.concat dir reg_name in
+  let lines = Rowlog.load path ~decode:decode_line in
+  let reg = Rowlog.open_ ~fresh:false path in
   let t =
     {
       dir;
@@ -610,7 +588,7 @@ let exec_job t (jr : jobrec) : exec_result =
 let finish_job t (jr : jobrec) (st : Job.state) (summary : Json.t) =
   Mutex.lock t.mu;
   jr.state <- st;
-  append_reg t (encode_terminal jr.job.Job.id st);
+  Rowlog.append t.reg (encode_terminal jr.job.Job.id st);
   let ev =
     match st with
     | Job.Failed msg -> Proto.Err { msg = jr.job.Job.id ^ ": " ^ msg }
@@ -689,7 +667,7 @@ let submit t ~client ?(priority = 10) ?budget (spec : Job.spec) :
     in
     Hashtbl.replace t.jobs id jr;
     t.order <- id :: t.order;
-    append_reg t (encode_submit job);
+    Rowlog.append t.reg (encode_submit job);
     Mutex.unlock t.mu;
     Jobq.push t.q ~priority jr;
     Ok id
@@ -793,7 +771,4 @@ let drain t =
   (match t.dispatcher with Some th -> Thread.join th | None -> ());
   t.dispatcher <- None;
   Pool.shutdown t.pool;
-  Mutex.lock t.mu;
-  (try flush t.reg with Sys_error _ -> ());
-  (try close_out_noerr t.reg with Sys_error _ -> ());
-  Mutex.unlock t.mu
+  Rowlog.close t.reg

@@ -140,7 +140,7 @@ let row_of_report ~(program : string) ~(profile : string) (r : report) :
     ]
 
 (** Decode a row back to its coordinates and report.  The gas breakdown
-    is regenerated from the encoded [log_n] (the model is pure);
+    is regenerated from the encoded [log_n] (the model is pure).  Total:
     undecodable lines — including torn tails — return [None]. *)
 let report_of_row (line : string) : (string * string * report) option =
   match String.split_on_char '\t' line with
@@ -148,40 +148,50 @@ let report_of_row (line : string) : (string * string * report) option =
       seg_bytes; arity; depth; nodes; agg_cycles; agg_total_us;
       agg_wall_us; root_padded; root_bytes; log_n; gas_total; prover_cost;
       agg_cost; gas_cost; settled; "." ] -> (
-    try
-      let i = int_of_string in
-      let gas = Gas.of_root (i log_n) in
-      if gas.Gas.total <> i gas_total then None
+    (* a field that is not an int drops out, so the list is short *)
+    match
+      ( Sparams.find_opt backend,
+        List.filter_map int_of_string_opt
+          [ cycles; segments; prove_us; seg_bytes; arity; depth; nodes;
+            agg_cycles; agg_total_us; agg_wall_us; root_padded; root_bytes;
+            log_n; gas_total; prover_cost; agg_cost; gas_cost; settled ] )
+    with
+    | ( Some params,
+        [ cycles; segments; prove_us; seg_bytes; arity; depth; nodes;
+          agg_cycles; agg_total_us; agg_wall_us; root_padded; root_bytes;
+          log_n; gas_total; prover_cost; agg_cost; gas_cost; settled ] ) ->
+      let gas = Gas.of_root log_n in
+      if gas.Gas.total <> gas_total then None
       else
         Some
           ( program,
             profile,
             {
               backend;
-              family = (Sparams.find backend).Sparams.family;
-              cycles = i cycles;
-              segments = i segments;
-              prove_s = float_of_int (i prove_us) *. 1e-6;
-              seg_proof_bytes = i seg_bytes;
+              family = params.Sparams.family;
+              cycles;
+              segments;
+              prove_s = float_of_int prove_us *. 1e-6;
+              seg_proof_bytes = seg_bytes;
               plan =
                 {
-                  Recursion.arity = i arity;
-                  segments = i segments;
-                  depth = i depth;
-                  nodes = i nodes;
-                  agg_cycles = i agg_cycles;
-                  agg_total_s = float_of_int (i agg_total_us) *. 1e-6;
-                  agg_wall_s = float_of_int (i agg_wall_us) *. 1e-6;
-                  root_padded = i root_padded;
-                  root_proof_bytes = i root_bytes;
+                  Recursion.arity;
+                  segments;
+                  depth;
+                  nodes;
+                  agg_cycles;
+                  agg_total_s = float_of_int agg_total_us *. 1e-6;
+                  agg_wall_s = float_of_int agg_wall_us *. 1e-6;
+                  root_padded;
+                  root_proof_bytes = root_bytes;
                 };
               gas;
-              prover_cost = i prover_cost;
-              agg_cost = i agg_cost;
-              gas_cost = i gas_cost;
-              settled_cost = i settled;
+              prover_cost;
+              agg_cost;
+              gas_cost;
+              settled_cost = settled;
             } )
-    with _ -> None)
+    | _ -> None)
   | _ -> None
 
 let json_of_report ~(program : string) ~(profile : string) (r : report) :

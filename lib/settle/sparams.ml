@@ -92,22 +92,21 @@ let valida =
 let all = [ risc0; sp1; valida ]
 
 (** Parameters for a backend name: exact family match, else the longest
-    family prefix (["sp1-dense"] prices as [sp1]).  Unknown names raise
-    — every backend a settlement report prices must map to a family
-    explicitly, mirroring the fail-loudly rule of the cost configs. *)
-let find (name : string) : t =
-  let prefixed (p : t) =
-    let f = p.family in
-    String.length name > String.length f
-    && String.equal (String.sub name 0 (String.length f)) f
-  in
+    family prefix (["sp1-dense"] prices as [sp1]); [None] if neither. *)
+let find_opt (name : string) : t option =
   match List.find_opt (fun p -> String.equal p.family name) all with
+  | Some p -> Some p
+  | None ->
+    List.find_opt (fun p -> String.starts_with ~prefix:p.family name) all
+
+(** {!find_opt}, but unknown names raise — every backend a settlement
+    report prices must map to a family explicitly, mirroring the
+    fail-loudly rule of the cost configs. *)
+let find (name : string) : t =
+  match find_opt name with
   | Some p -> p
-  | None -> (
-    match List.find_opt prefixed all with
-    | Some p -> p
-    | None ->
-      invalid_arg
-        (Printf.sprintf "no settlement parameters for backend %S (families: %s)"
-           name
-           (String.concat ", " (List.map (fun p -> p.family) all))))
+  | None ->
+    invalid_arg
+      (Printf.sprintf "no settlement parameters for backend %S (families: %s)"
+         name
+         (String.concat ", " (List.map (fun p -> p.family) all)))

@@ -9,16 +9,17 @@
     every earlier cell has emitted, so the stream (and the checkpoint
     built from it) is byte-identical at any [jobs] count.
 
-    The checkpoint is append-only with the standard torn-tail rules: a
-    row is complete iff it decodes ({!Settle.report_of_row}'s terminal
-    ["."] field), a resumed run replays complete rows and re-runs
-    everything after the first gap, and an unterminated final line is
-    sealed with a newline before appending. *)
+    The checkpoint is a headerless {!Zkopt_exec.Rowlog} of
+    {!Settle.row_of_report} rows.  A run over an existing checkpoint
+    replays every cell whose rows are all there and prices the rest.
+    To start over, delete the file (what [zkbench settle --fresh]
+    does). *)
 
 module Backend = Zkopt_backend.Backend
 module Measure = Zkopt_core.Measure
 module Profile = Zkopt_core.Profile
 module Pool = Zkopt_exec.Pool
+module Rowlog = Zkopt_exec.Rowlog
 module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
 
@@ -60,45 +61,6 @@ type outcome = {
   replayed : int;  (** cells replayed from the checkpoint *)
   completed : bool;  (** false iff [stop] drained the sweep early *)
 }
-
-(* ---- checkpoint replay ---------------------------------------------- *)
-
-(* Complete rows keyed by (program, profile, backend). *)
-let load_checkpoint (path : string) : (string * string * string, string) Hashtbl.t =
-  let t = Hashtbl.create 64 in
-  (if Sys.file_exists path then
-     try
-       let ic = open_in_bin path in
-       Fun.protect
-         ~finally:(fun () -> close_in_noerr ic)
-         (fun () ->
-           try
-             while true do
-               let line = input_line ic in
-               match Settle.report_of_row line with
-               | Some (program, profile, r) ->
-                 Hashtbl.replace t (program, profile, r.Settle.backend) line
-               | None -> ()
-             done
-           with End_of_file -> ())
-     with Sys_error _ -> ());
-  t
-
-let open_append (path : string) : out_channel =
-  let torn =
-    Sys.file_exists path
-    && (let ic = open_in_bin path in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let n = in_channel_length ic in
-            n > 0
-            && (seek_in ic (n - 1);
-                input_char ic <> '\n')))
-  in
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path in
-  if torn then output_char oc '\n';
-  oc
 
 (* ---- one cell -------------------------------------------------------- *)
 
@@ -154,9 +116,15 @@ let run (cfg : config) : outcome =
           cfg.profiles)
       cfg.programs
   in
+  (* complete rows keyed by (program, profile, backend), keep-last *)
   let replay =
+    let keyed row =
+      Option.map
+        (fun (program, profile, r) -> ((program, profile, r.Settle.backend), row))
+        (Settle.report_of_row row)
+    in
     match cfg.checkpoint with
-    | Some path -> load_checkpoint path
+    | Some path -> Hashtbl.of_seq (List.to_seq (Rowlog.load path ~decode:keyed))
     | None -> Hashtbl.create 1
   in
   let replayed_rows (program, _, pname, _) =
@@ -168,11 +136,7 @@ let run (cfg : config) : outcome =
     in
     if List.length rows = List.length cfg.backends then Some rows else None
   in
-  let out =
-    match cfg.checkpoint with
-    | Some path -> Some (open_append path)
-    | None -> None
-  in
+  let log = Option.map (Rowlog.open_ ~fresh:false) cfg.checkpoint in
   let slots = Array.make (max 1 (List.length cells)) Pending in
   let mu = Mutex.create () in
   let watermark = ref 0 in
@@ -193,12 +157,7 @@ let run (cfg : config) : outcome =
           (fun row ->
             ordered := row :: !ordered;
             if fresh then begin
-              (match out with
-              | Some oc ->
-                output_string oc row;
-                output_char oc '\n';
-                flush oc
-              | None -> ());
+              Option.iter (fun l -> Rowlog.append l row) log;
               match cfg.on_row with Some f -> f row | None -> ()
             end)
           rows;
@@ -236,7 +195,7 @@ let run (cfg : config) : outcome =
   Fun.protect
     ~finally:(fun () ->
       (match owned with Some p -> Pool.shutdown p | None -> ());
-      match out with Some oc -> close_out_noerr oc | None -> ())
+      Option.iter Rowlog.close log)
     (fun () ->
       match pool with
       | None -> List.iteri (fun i c -> task i c ()) cells

@@ -357,13 +357,6 @@ let submit_collect dir spec =
   | Ok (_id, outcome) -> (List.rev !rows, outcome)
   | Error msg -> Alcotest.failf "submit failed: %s" msg
 
-let rec wait_for ?(tries = 200) (p : unit -> bool) =
-  if tries = 0 then Alcotest.fail "condition never became true"
-  else if not (p ()) then begin
-    Thread.delay 0.05;
-    wait_for ~tries:(tries - 1) p
-  end
-
 let tune_spec =
   Job.Autotune
     {
@@ -388,25 +381,42 @@ let test_service_restart_resumes_byte_identical () =
   | `Done _ -> ()
   | `Failed m -> Alcotest.failf "reference tune failed: %s" m);
   Alcotest.(check bool) "reference streamed rows" true (ref_rows <> []);
-  (* interrupted run: stop the daemon after the first streamed rows *)
+  (* interrupted state, built rather than raced for: run the job to
+     completion, then rewind its state directory to what a kill during
+     generation 1 leaves behind — no terminal registry line, and a row
+     log that ends after generation 0's G row plus a torn fragment of
+     the next row *)
   let dir = fresh_dir () in
   let d1 = Daemon.start ~jobs:2 ~dir () in
-  let seen = Atomic.make 0 in
-  let submitter =
-    Thread.create
-      (fun () ->
-        ignore
-          (Client.with_connection (sock_of dir) (fun c ->
-               Client.submit_and_watch
-                 ~on_event:(function
-                   | Proto.Row _ -> Atomic.incr seen
-                   | _ -> ())
-                 c tune_spec)))
-      ()
+  Fun.protect
+    ~finally:(fun () -> Daemon.stop d1)
+    (fun () -> ignore (submit_collect dir tune_spec));
+  let read_lines path =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
   in
-  wait_for (fun () -> Atomic.get seen >= 5);
-  Daemon.stop ~drain:false d1;
-  Thread.join submitter;
+  let write path s =
+    Out_channel.with_open_bin path (fun oc -> output_string oc s)
+  in
+  let unlines ls = String.concat "" (List.map (fun l -> l ^ "\n") ls) in
+  let reg = Filename.concat dir "jobs.reg" in
+  write reg
+    (unlines
+       (List.filter
+          (fun l -> not (String.starts_with ~prefix:"D\t" l))
+          (read_lines reg)));
+  let ckpt = Filename.concat dir "job-1.ckpt" in
+  let rec split_after_g0 kept = function
+    | l :: rest when String.starts_with ~prefix:"G\t0\t" l ->
+      (List.rev (l :: kept), rest)
+    | l :: rest -> split_after_g0 (l :: kept) rest
+    | [] -> Alcotest.fail "row log has no generation-0 G row"
+  in
+  (match split_after_g0 [] (read_lines ckpt) with
+  | kept, next :: _ ->
+    write ckpt (unlines kept ^ String.sub next 0 (String.length next / 2))
+  | _, [] -> Alcotest.fail "the job ran a single generation");
   (* restart over the same state dir: the registry re-enqueues job-1 and
      its checkpoint replays the finished generations *)
   let d2 = Daemon.start ~jobs:2 ~dir () in

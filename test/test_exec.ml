@@ -2,8 +2,9 @@
     execution, sequential order at [jobs = 1], poison propagation),
     content-addressed cache properties (digest stability under {!Clone},
     digest sensitivity to one-instruction edits, hit/compile metric
-    equality), single-flight compilation, the LRU bound, and the on-disk
-    store (round trip, corruption treated as a miss). *)
+    equality), single-flight compilation, the LRU bound, the on-disk
+    store (round trip, corruption treated as a miss), and the row log's
+    framing under a kill at every byte offset. *)
 
 open Zkopt_ir
 open Zkopt_core
@@ -251,6 +252,59 @@ let test_disk_cache_roundtrip () =
   Alcotest.(check int) "recompiled artifact still equal" (run a1).Measure.cycles
     (run a3).Measure.cycles
 
+(* ---- row log framing ------------------------------------------------ *)
+
+module Rowlog = Zkopt_exec.Rowlog
+
+(* A kill can land at any byte offset.  Shear a log there: [load] must
+   return exactly the rows whose newline came before the cut; resuming
+   and appending the missing rows must give back the full list, none
+   fused or lost; a fresh open must keep only what it appends.  Decoding
+   with [Option.some] tests the framing, not a codec (so a header shows
+   up as a row). *)
+let prop_rowlog_shear =
+  let line =
+    QCheck.Gen.(string_size ~gen:(char_range ' ' '~') (int_bound 10))
+  in
+  let lines n = QCheck.Gen.(list_size (int_bound n) line) in
+  QCheck.Test.make ~name:"row log: shear at every byte, resume, fresh" ~count:40
+    (QCheck.make
+       ~print:QCheck.Print.(triple (option string) (list string) (list string))
+       QCheck.Gen.(triple (opt line) (lines 8) (lines 3)))
+    (fun (header, rows, extra) ->
+      let path = Filename.temp_file "zkopt_rowlog" ".log" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      let write ~fresh rows =
+        let log = Rowlog.open_ ?header ~fresh path in
+        List.iter (Rowlog.append log) rows;
+        Rowlog.close log
+      in
+      let load () = Rowlog.load path ~decode:Option.some in
+      let all = Option.to_list header @ rows in
+      write ~fresh:true rows;
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      let ended cut =
+        let rec go pos = function
+          | l :: tl when pos + String.length l + 1 <= cut ->
+            l :: go (pos + String.length l + 1) tl
+          | _ -> []
+        in
+        go 0 all
+      in
+      let hlen = List.length (Option.to_list header) in
+      List.for_all
+        (fun cut ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (String.sub bytes 0 cut));
+          let kept = ended cut in
+          let sheared = load () = kept in
+          write ~fresh:false
+            (List.filteri (fun i _ -> i >= List.length kept - hlen) rows);
+          let resumed = load () = all in
+          write ~fresh:true extra;
+          sheared && resumed && load () = Option.to_list header @ extra)
+        (List.init (String.length bytes + 1) Fun.id))
+
 let tests =
   [
     Alcotest.test_case "pool runs each task exactly once" `Quick
@@ -270,4 +324,5 @@ let tests =
         prop_one_instr_digest_differs;
         prop_attr_digest_differs;
         prop_cache_hit_matches_fresh_compile;
+        prop_rowlog_shear;
       ]

@@ -163,7 +163,9 @@ let campaign_cfg ~checkpoint =
   }
 
 let sorted_rows path =
-  List.sort compare (List.map Campaign.encode_row (Campaign.load_rows path))
+  List.sort compare
+    (List.map Campaign.encode_row
+       (Zkopt_exec.Rowlog.load path ~decode:Campaign.decode_row))
 
 let test_kill_resume_determinism () =
   let path_a = Filename.temp_file "zkopt_fuzzckpt" ".a" in

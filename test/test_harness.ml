@@ -160,7 +160,7 @@ let test_kill_resume_determinism () =
   let uninterrupted = H.run (subset_cfg ()) in
   (* phase 1: measure only 3 of the 8 cells, then "die" *)
   let cfg = { (subset_cfg ()) with H.checkpoint = Some path } in
-  let partial = H.run { cfg with H.limit = Some 3; checkpoint_every = 1 } in
+  let partial = H.run { cfg with H.limit = Some 3 } in
   Alcotest.(check bool) "stopped early" false partial.H.completed;
   Alcotest.(check int) "3 cells done" 3 (Hashtbl.length partial.H.points);
   (* simulate a kill mid-write: a truncated trailing line must be ignored *)
@@ -176,6 +176,38 @@ let test_kill_resume_determinism () =
     (canonical uninterrupted.H.points)
     (canonical resumed.H.points);
   Sys.remove path
+
+(* A kill inside the last row's final field, the CPU exit value, leaves
+   a prefix that still decodes, to a wrong value.  Resume must drop the
+   unterminated line and measure that cell again. *)
+let test_torn_exit_value_resume () =
+  let path = Filename.temp_file "zkopt_ckpt_torn" ".txt" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  let uninterrupted = H.run (subset_cfg ()) in
+  let cfg = { (subset_cfg ()) with H.checkpoint = Some path } in
+  ignore (H.run { cfg with H.limit = Some 3 });
+  let log = In_channel.with_open_bin path In_channel.input_all in
+  let n = String.length log in
+  let row_start = String.rindex_from log (n - 2) '\n' + 1 in
+  let last_row = String.sub log row_start (n - 1 - row_start) in
+  let exit_at = String.rindex last_row '\t' + 1 in
+  Alcotest.(check bool) "last row ends in a multi-digit CPU exit value" true
+    (Astring_contains.contains last_row "\tcpu\t"
+    && String.length last_row - exit_at >= 2);
+  (* keep the first hex digit of the exit value, drop the rest *)
+  let cut = row_start + exit_at + 1 in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub log 0 cut));
+  Alcotest.(check bool) "the torn row decodes on its own" true
+    (Checkpoint.decode_point (String.sub log row_start (cut - row_start))
+    <> None);
+  let resumed = H.run cfg in
+  Alcotest.(check string) "identical to the uninterrupted run"
+    (canonical uninterrupted.H.points)
+    (canonical resumed.H.points);
+  Alcotest.(check int) "the torn row is not resumed" 2 resumed.H.resumed
 
 (* ---- fault injection, isolation, quarantine ------------------------- *)
 
@@ -390,7 +422,7 @@ let test_parallel_kill_resume () =
   Sys.remove path;
   let uninterrupted = H.run (subset_cfg ()) in
   let cfg = { (subset_cfg ()) with H.checkpoint = Some path; jobs = 3 } in
-  let partial = H.run { cfg with H.limit = Some 3; checkpoint_every = 1 } in
+  let partial = H.run { cfg with H.limit = Some 3 } in
   Alcotest.(check bool) "stopped early" false partial.H.completed;
   Alcotest.(check int) "3 cells done" 3 (Hashtbl.length partial.H.points);
   let resumed = H.run cfg in
@@ -410,6 +442,8 @@ let tests =
     Alcotest.test_case "checkpoint codec round trip" `Quick test_checkpoint_codec;
     Alcotest.test_case "kill/resume determinism" `Quick
       test_kill_resume_determinism;
+    Alcotest.test_case "torn exit value is measured again" `Quick
+      test_torn_exit_value_resume;
     Alcotest.test_case "fault isolation across cells" `Quick test_fault_isolation;
     Alcotest.test_case "miscompile quarantined, sweep survives" `Quick
       test_miscompile_quarantined_not_fatal;

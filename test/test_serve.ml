@@ -11,6 +11,7 @@ module Jobq = Zkopt_serve.Jobq
 module Proto = Zkopt_serve.Proto
 module Daemon = Zkopt_serve.Daemon
 module Client = Zkopt_serve.Client
+module Scheduler = Zkopt_serve.Scheduler
 module Json = Zkopt_report.Json
 
 (* ---- priority queue -------------------------------------------------- *)
@@ -399,6 +400,45 @@ let test_disconnect_cancels_watched_job () =
   Client.close c;
   wait_for (fun () -> String.equal (job_state dir id) "cancelled")
 
+(* A kill mid-write leaves a torn D fragment at the registry's tail.
+   The next record must start on a line of its own: fused onto the
+   fragment it would not decode, and a restart would lose the job. *)
+let test_registry_torn_tail () =
+  let dir = fresh_dir () in
+  let job1 =
+    { Job.id = "job-1"; client = "c"; priority = 10; budget = None;
+      spec = small_sweep }
+  in
+  Out_channel.with_open_bin (Filename.concat dir "jobs.reg") (fun oc ->
+      output_string oc (Scheduler.encode_submit job1 ^ "\n");
+      output_string oc "D\tjob-1\tdo");
+  let create () =
+    Scheduler.create ~dir ~jobs:1 ~cache_dir:None ~log:ignore ()
+  in
+  let s1 = create () in
+  let id =
+    match Scheduler.submit s1 ~client:"c" small_fuzz with
+    | Ok id -> id
+    | Error e -> Alcotest.failf "submit failed: %s" e
+  in
+  Scheduler.drain s1;
+  let s2 = create () in
+  Fun.protect ~finally:(fun () -> Scheduler.drain s2) @@ fun () ->
+  let states =
+    match Json.member "jobs" (Scheduler.status_json s2) with
+    | Some (Json.Arr jobs) ->
+      List.map
+        (fun j ->
+          ( Option.value ~default:"?" (Json.str_member "id" j),
+            Option.value ~default:"?" (Json.str_member "state" j) ))
+        jobs
+    | _ -> []
+  in
+  Alcotest.(check (list (pair string string)))
+    "both jobs survive the restart, still queued"
+    [ ("job-1", "queued"); (id, "queued") ]
+    states
+
 (* stop the daemon mid-job, shear the checkpoint tail (torn-write
    shape), restart over the same directory: the job must resume and the
    final checkpoint must be byte-identical (as a set of lines) to an
@@ -526,6 +566,8 @@ let tests =
       test_jobq_blocking_and_close;
     Alcotest.test_case "jobq remove rebuilds the heap" `Quick test_jobq_remove;
     Alcotest.test_case "decoders never raise" `Quick test_decoders_never_raise;
+    Alcotest.test_case "registry survives a torn tail" `Quick
+      test_registry_torn_tail;
     Alcotest.test_case "two concurrent clients stream disjoint jobs" `Slow
       test_two_clients_interleave;
     Alcotest.test_case "shared cache is warm across clients" `Slow

@@ -2,7 +2,8 @@
     within the 1% reproduction tolerance), gas grows by exactly one
     sumcheck round plus one MSM point per circuit doubling, aggregation
     plans obey the depth law and are monotone in segment count, the
-    settlement row codec roundtrips, and pricing real measurements is
+    settlement row codec roundtrips, the three checkpoint row decoders
+    are total on torn rows, and pricing real measurements is
     deterministic and invariant-clean across every registered backend. *)
 
 open Zkopt_ir
@@ -171,21 +172,114 @@ let qcheck_row_roundtrip =
         && r'.S.gas = r.S.gas
       | None -> false)
 
-let test_row_rejects_torn () =
-  let m =
-    measurement ~vm:"risc0" ~prove_us:1_234_567
-      ~seg_padded:[ 1 lsl 20; 1 lsl 14 ]
-      ~cycles:1_100_000
+(* ---- total row decoders ---------------------------------------------- *)
+
+module Cell = Zkopt_harness.Cell
+module Checkpoint = Zkopt_harness.Checkpoint
+module A = Zkopt_autotune.Autotune
+
+(* The three decoders the row logs load through — sweep points, tuner
+   children, settlement rows — round-trip what their encoders write and
+   return [None] on every proper prefix without raising.  One exception,
+   pinned exactly: a sweep row has no terminal field, so a cut inside its
+   last field (an exit value) still decodes, to a different point.  The
+   log framing drops such a line because it has no newline. *)
+let gen_point : Cell.point QCheck.Gen.t =
+  let open QCheck.Gen in
+  let name = string_size ~gen:(char_range 'a' 'z') (int_range 1 6) in
+  let time = map2 ldexp (float_range 0. 1.) (int_range (-40) 40) in
+  let zk =
+    map3
+      (fun vm ints (exec_time_s, prove_time_s, exit_value) ->
+        match ints with
+        | [ cycles; segments; paging_cycles; page_ins; page_outs; loads;
+            stores ] ->
+          { Measure.vm; cycles; exec_time_s; prove_time_s; segments;
+            paging_cycles; page_ins; page_outs; loads; stores; exit_value }
+        | _ -> assert false)
+      name (list_repeat 7 int) (triple time time ui64)
   in
-  let row =
-    S.row_of_report ~program:"p" ~profile:"baseline"
-      (S.price ~backend:"risc0" m)
+  let cpu =
+    map2
+      (fun (cpu_cycles, cpu_time_s) (mispredicts, cache_misses, cpu_exit_value)
+         ->
+        { Measure.cpu_cycles; cpu_time_s; mispredicts; cache_misses;
+          cpu_exit_value })
+      (pair time time) (triple int int ui64)
   in
-  Alcotest.(check bool) "full row decodes" true (S.report_of_row row <> None);
-  for cut = 1 to String.length row - 1 do
-    if S.report_of_row (String.sub row 0 cut) <> None then
-      Alcotest.failf "torn prefix of length %d decoded" cut
-  done
+  map3
+    (fun (program, suite, profile) zk cpu ->
+      { Cell.program; suite; profile; zk; cpu })
+    (triple name name name)
+    (list_size (int_range 1 3) zk)
+    (opt cpu)
+
+let gen_child =
+  let open QCheck.Gen in
+  let fp = string_size ~gen:(oneofl [ 'a'; 'f'; '0'; '9' ]) (int_range 1 8) in
+  let score =
+    map3
+      (fun starget sfp scycles -> { A.starget; sfp; scycles })
+      (oneofl [ "risc0"; "sp1" ]) fp int
+  in
+  let pass = oneofl [ "licm"; "gvn"; "inline"; "mem2reg" ] in
+  pair
+    (quad int int (oneofl [ 'm'; 'd'; 'p'; 'f' ]) int)
+    (pair (list_size (int_range 1 5) pass) (list_size (int_bound 3) score))
+
+let gen_settle_row =
+  QCheck.Gen.(
+    map
+      (fun ((segs, po2, prove_us, arity), backend) ->
+        let m =
+          measurement ~vm:backend ~prove_us
+            ~seg_padded:
+              (List.init segs (fun i -> 1 lsl (max 13 (po2 - (i mod 3)))))
+            ~cycles:(segs * 100_000)
+        in
+        S.row_of_report ~program:"p" ~profile:"-O2" (S.price ~arity ~backend m))
+      (pair
+         (quad (int_range 1 40) (int_range 13 22) (int_range 0 100_000_000)
+            (int_range 2 12))
+         (oneofl [ "risc0"; "sp1"; "valida" ])))
+
+(* [ok cut torn] judges [torn], the proper prefix of length [cut] *)
+let prefixes_ok row ok =
+  List.for_all
+    (fun cut -> ok cut (String.sub row 0 cut))
+    (List.init (String.length row) Fun.id)
+
+let qcheck_decoders_total =
+  QCheck.Test.make ~name:"row decoders total on torn prefixes" ~count:200
+    (QCheck.make QCheck.Gen.(triple gen_point gen_child gen_settle_row))
+    (fun (p, ((gen, idx, kind, fitness), (genome, scores)), srow) ->
+      let prow = Checkpoint.encode_point p in
+      let last_field = String.rindex prow '\t' + 1 in
+      let sweep =
+        Option.map Checkpoint.encode_point (Checkpoint.decode_point prow)
+        = Some prow
+        && prefixes_ok prow (fun cut torn ->
+               match Checkpoint.decode_point torn with
+               | None -> true
+               | Some q ->
+                 cut > last_field && Checkpoint.encode_point q <> prow)
+      in
+      let arow =
+        A.row_of_child ~gen ~idx genome
+          { A.vkind = kind; vfitness = fitness; vscores = scores }
+      in
+      let tuner =
+        A.parse_child_row arow = Some (gen, idx, kind, fitness, genome, scores)
+        && prefixes_ok arow (fun _ torn -> A.parse_child_row torn = None)
+      in
+      let settle =
+        (match S.report_of_row srow with
+        | Some (program, profile, r) ->
+          S.row_of_report ~program ~profile r = srow
+        | None -> false)
+        && prefixes_ok srow (fun _ torn -> S.report_of_row torn = None)
+      in
+      sweep && tuner && settle)
 
 let qcheck_settled_dominates =
   QCheck.Test.make ~name:"settled cost >= each component" ~count:200
@@ -270,7 +364,7 @@ let tests =
     Alcotest.test_case "single segment needs no aggregation" `Quick
       test_single_segment_plan;
     QCheck_alcotest.to_alcotest qcheck_row_roundtrip;
-    Alcotest.test_case "torn rows never decode" `Quick test_row_rejects_torn;
+    QCheck_alcotest.to_alcotest qcheck_decoders_total;
     QCheck_alcotest.to_alcotest qcheck_settled_dominates;
     Alcotest.test_case "family prefix fallback" `Quick
       test_sparams_prefix_fallback;
