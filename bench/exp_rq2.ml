@@ -71,14 +71,10 @@ let autotune_suites ~size ~iterations ?(jobs = 1) sweep =
      compiled artifacts *)
   let artifacts = Cache.create ~capacity:1024 () in
   let prefixes = Cache.create ~capacity:2048 () in
-  let pool = if jobs > 1 then Some (Zkopt_exec.Pool.create ~jobs) else None in
   let results = ref [] in
   let entries = ref [] in
   let rows =
-    Fun.protect
-      ~finally:(fun () ->
-        match pool with Some p -> Zkopt_exec.Pool.shutdown p | None -> ())
-      (fun () ->
+    Zkopt_exec.Drive.with_pool ~jobs None (fun pool ->
         List.concat_map
           (fun (w : Zkopt_workloads.Workload.t) ->
             List.map
@@ -169,8 +165,8 @@ let subsequences results =
   let nb = List.length best_seqs and nw = List.length worst_seqs in
   let row pass =
     [ pass;
-      Printf.sprintf "%d/%d" (Zkopt_autotune.Autotune.count_containing pass best_seqs) nb;
-      Printf.sprintf "%d/%d" (Zkopt_autotune.Autotune.count_containing pass worst_seqs) nw ]
+      Printf.sprintf "%d/%d" (Zkopt_autotune.Miner.count_containing pass best_seqs) nb;
+      Printf.sprintf "%d/%d" (Zkopt_autotune.Miner.count_containing pass worst_seqs) nw ]
   in
   Report.table ~headers:[ "pass"; "in best-5 seqs"; "in worst-5 seqs" ]
     (List.map row
@@ -178,11 +174,11 @@ let subsequences results =
          "loop-extract"; "dce" ]);
   Report.note "ordered pair (a before b):";
   Report.note "  inline..licm  in best: %d   in worst: %d"
-    (Zkopt_autotune.Autotune.count_ordered_pair "inline" "licm" best_seqs)
-    (Zkopt_autotune.Autotune.count_ordered_pair "inline" "licm" worst_seqs);
+    (Zkopt_autotune.Miner.count_ordered_pair "inline" "licm" best_seqs)
+    (Zkopt_autotune.Miner.count_ordered_pair "inline" "licm" worst_seqs);
   Report.note "  licm..inline  in best: %d   in worst: %d"
-    (Zkopt_autotune.Autotune.count_ordered_pair "licm" "inline" best_seqs)
-    (Zkopt_autotune.Autotune.count_ordered_pair "licm" "inline" worst_seqs);
+    (Zkopt_autotune.Miner.count_ordered_pair "licm" "inline" best_seqs)
+    (Zkopt_autotune.Miner.count_ordered_pair "licm" "inline" worst_seqs);
   let module M = Zkopt_autotune.Miner in
   let take n xs = List.filteri (fun i _ -> i < n) xs in
   Report.note "most frequent ordered pairs mined from best-5 sequences:";

@@ -18,7 +18,6 @@
                                          # aggregation tree, EVM gas
     zkbench fuzz --seeds 1..500 --jobs 4 --minimize --corpus corpus
                                          # differential fuzzing campaign
-    zkbench autotune npb-mg --iters 80   # GA pass-sequence search
     zkbench tune npb-sp --backend risc0 --iterations 1600 --jobs 8
                                          # full-budget parallel search with
                                          # prefix caching and --profile-out
@@ -29,7 +28,6 @@
                                          # queue a job; rows stream back
     zkbench status                       # jobs + shared-cache counters
     zkbench shutdown                     # graceful drain (resumable)
-    zkbench bench                        # cells/sec throughput baseline
     v} *)
 
 open Cmdliner
@@ -809,41 +807,6 @@ let fuzz_cmd =
           $ fresh_arg $ budget_arg $ limit_arg $ minimize_arg $ corpus_arg
           $ verbose_arg)
 
-let autotune_cmd =
-  let iters_arg =
-    Arg.(value & opt int 80 & info [ "iters" ] ~doc:"GA evaluations")
-  in
-  let vm_arg =
-    Arg.(value & opt string "risc0"
-         & info [ "vm" ] ~doc:"Backend to tune for (see `zkbench backends`)")
-  in
-  let run prog quick iters vm =
-    let w = find_workload prog in
-    let build () = w.Zkopt_workloads.Workload.build (size_of_quick quick) in
-    let b = resolve_backend vm in
-    let ga =
-      Zkopt_autotune.Autotune.run ~iterations:iters
-        ~cycles:(Zkopt_autotune.Autotune.backend_cycles ~build b)
-        ()
-    in
-    let best = ga.Zkopt_autotune.Autotune.best in
-    Printf.printf "best (%d cycles): %s\n" best.Zkopt_autotune.Autotune.fitness
-      (String.concat " -> " best.Zkopt_autotune.Autotune.genome);
-    let o3 =
-      Measure.prepare_ir ~build (Profile.Level Zkopt_passes.Catalog.O3)
-    in
-    let c = b.Backend.compile o3 in
-    let o3m = (c.Backend.measure ~vm:b.Backend.name ()).Backend.zk in
-    Printf.printf "-O3 reference: %d cycles (tuned is %+.1f%%)\n"
-      o3m.Measure.cycles
-      ((1.0
-       -. float_of_int best.Zkopt_autotune.Autotune.fitness
-          /. float_of_int o3m.Measure.cycles)
-      *. 100.0)
-  in
-  Cmd.v (Cmd.info "autotune" ~doc:"Genetic pass-sequence search for a program")
-    Term.(const run $ prog_arg $ quick_arg $ iters_arg $ vm_arg)
-
 let tune_cmd =
   let module A = Zkopt_autotune.Autotune in
   let module Tuned = Zkopt_autotune.Tuned in
@@ -1289,145 +1252,6 @@ let shutdown_cmd =
              unfinished resumes when the daemon restarts")
     Term.(const run $ dir_arg $ sock_arg)
 
-(* ---- throughput baseline --------------------------------------------- *)
-
-let bench_cmd =
-  let module H = Zkopt_harness.Harness in
-  let out_arg =
-    Arg.(value & opt (some string) None
-         & info [ "out" ] ~docv:"FILE"
-             ~doc:"Output path (default: BENCH_<date>.json)")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N" ~doc:"Worker domains")
-  in
-  (* the fixed slice: small misc programs x the standard levels, so the
-     baseline is comparable across commits *)
-  let slice_programs = [ "factorial"; "loop-sum"; "sha256"; "tailcall" ] in
-  let slice_profiles = [ "baseline"; "-O1"; "-O2"; "-O3" ] in
-  let run out jobs =
-    let jobs =
-      match jobs with
-      | Some n -> max 1 n
-      | None -> Zkopt_exec.Pool.recommended_jobs ()
-    in
-    let cache = Zkopt_exec.Cache.create ?dir:None () in
-    let profiles = List.map profile_by_name slice_profiles in
-    let phase name =
-      let t0 = Unix.gettimeofday () in
-      let before = Zkopt_exec.Cache.stats cache in
-      let cfg =
-        {
-          (H.default ~size:Zkopt_workloads.Workload.Quick) with
-          H.programs = Some slice_programs;
-          profiles = Some profiles;
-          jobs;
-          cache = Some cache;
-        }
-      in
-      let o = H.run cfg in
-      let dt = Unix.gettimeofday () -. t0 in
-      let cells = Hashtbl.length o.H.points in
-      let s =
-        Zkopt_exec.Cache.sub_stats (Zkopt_exec.Cache.stats cache) before
-      in
-      Printf.printf
-        "%-10s %3d cells in %6.2fs  (%6.2f cells/s, cache %.1f%%)\n" name
-        cells dt
-        (float_of_int cells /. dt)
-        (Zkopt_exec.Cache.hit_rate_pct s);
-      Json.Obj
-        [
-          ("family", Json.Str name);
-          ("cells", Json.Int cells);
-          ("avg_seconds", Json.Float (dt /. float_of_int (max 1 cells)));
-          ("cells_per_second", Json.Float (float_of_int cells /. dt));
-          ("cache_hit_rate_pct", Json.Float (Zkopt_exec.Cache.hit_rate_pct s));
-        ]
-    in
-    let cold = phase "sweep-cold" in
-    let warm = phase "sweep-warm" in
-    (* pure-interpreter throughput: decode each slice program once, then
-       time repeated Machine.run passes.  No compile, no cache, no prover
-       model — this row isolates the decoded-stream executor core, so
-       interpreter wins stay visible independent of cache hit rate. *)
-    let emul =
-      let codes =
-        List.map
-          (fun name ->
-            let w = find_workload name in
-            let build () =
-              w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Quick
-            in
-            let c = Measure.prepare ~build Profile.Baseline in
-            Zkopt_zkvm.Machine.decode Zkopt_zkvm.Config.risc0
-              c.Measure.codegen c.Measure.modul)
-          slice_programs
-      in
-      let t0 = Unix.gettimeofday () in
-      let retired = ref 0 in
-      let passes = ref 0 in
-      while Unix.gettimeofday () -. t0 < 1.0 do
-        List.iter
-          (fun code ->
-            let r = Zkopt_zkvm.Machine.run code in
-            retired := !retired + r.Zkopt_zkvm.Machine.retired)
-          codes;
-        incr passes
-      done;
-      let dt = Unix.gettimeofday () -. t0 in
-      let ips = float_of_int !retired /. dt in
-      Printf.printf "%-10s %3d passes in %6.2fs  (%6.2f M instrs/s)\n" "emul"
-        !passes dt (ips /. 1e6);
-      Json.Obj
-        [
-          ("family", Json.Str "emul");
-          ("programs", Json.Int (List.length codes));
-          ("passes", Json.Int !passes);
-          ("retired", Json.Int !retired);
-          ("instrs_per_second", Json.Float ips);
-        ]
-    in
-    let date =
-      let tm = Unix.localtime (Unix.time ()) in
-      Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
-        (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-    in
-    let doc =
-      Json.Obj
-        [
-          ("schema", Json.Str "zkbench-bench-v1");
-          ("date", Json.Str date);
-          ("machine", Json.Str (Zkopt_exec.Pool.machine_fingerprint ()));
-          ("jobs", Json.Int jobs);
-          ( "slice",
-            Json.Obj
-              [
-                ( "programs",
-                  Json.Arr (List.map (fun p -> Json.Str p) slice_programs) );
-                ( "profiles",
-                  Json.Arr (List.map (fun p -> Json.Str p) slice_profiles) );
-              ] );
-          ("rows", Json.Arr [ cold; warm; emul ]);
-        ]
-    in
-    let path =
-      match out with Some p -> p | None -> "BENCH_" ^ date ^ ".json"
-    in
-    let oc = open_out path in
-    output_string oc (Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n" path
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:"Measure sweep throughput (cells/second) on a fixed slice, \
-             cold and warm compile cache, and emit a BENCH_<date>.json \
-             baseline")
-    Term.(const run $ out_arg $ jobs_arg)
-
 let () =
   let info =
     Cmd.info "zkbench" ~version:"1.0"
@@ -1437,6 +1261,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; passes_cmd; backends_cmd; run_cmd; profile_cmd;
-            sweep_cmd; sweepall_cmd; settle_cmd; fuzz_cmd; autotune_cmd;
-            tune_cmd; asm_cmd; serve_cmd; submit_cmd; status_cmd;
-            shutdown_cmd; bench_cmd ]))
+            sweep_cmd; sweepall_cmd; settle_cmd; fuzz_cmd; tune_cmd;
+            asm_cmd; serve_cmd; submit_cmd; status_cmd; shutdown_cmd ]))

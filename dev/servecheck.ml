@@ -115,9 +115,7 @@ let () =
             | Error e -> failwith e);
           ];
         jobs = 2;
-        on_row =
-          Some
-            (fun r -> oneshot_fuzz_rows := Campaign.encode_row r :: !oneshot_fuzz_rows);
+        on_row = (fun r -> oneshot_fuzz_rows := r :: !oneshot_fuzz_rows);
       }
   in
   let oneshot_fuzz = sorted !oneshot_fuzz_rows in

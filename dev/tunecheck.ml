@@ -33,7 +33,7 @@ let tune ~jobs ~prefixes ~targets =
     {
       (A.default ~seed:7 ~population:4 ~iterations:8 ~jobs ()) with
       A.prefix_cache = Some prefixes;
-      on_row = Some (fun r -> rows := r :: !rows);
+      on_row = (fun r -> rows := r :: !rows);
     }
   in
   let o = A.search cfg ~targets in

@@ -6,14 +6,15 @@
     proving time (§4.1).  The search is generational: each generation
     breeds [population] children from the survivor pool (tournament
     selection, one-point crossover, insert/delete/replace/swap
-    mutations), evaluates the whole batch in parallel over a
-    {!Zkopt_exec.Pool}, and merges results back in submission order.
+    mutations), evaluates the whole batch in parallel with
+    {!Zkopt_exec.Drive.map}, and merges results back in submission
+    order.
 
     Three properties distinguish this engine from a naive GA loop:
 
     - {b Determinism independent of [jobs].}  The RNG stream is consumed
       only on the coordinating domain (breeding), never during
-      evaluation; batch results land in an index-keyed slot array, so
+      evaluation; batch results come back in submission order, so
       survivor selection sees the same verdicts in the same order no
       matter how the pool interleaved the work.  A fixed seed therefore
       produces byte-identical checkpoint rows at any [--jobs].
@@ -39,6 +40,7 @@
 
 open Zkopt_passes
 module Pool = Zkopt_exec.Pool
+module Drive = Zkopt_exec.Drive
 module Rowlog = Zkopt_exec.Rowlog
 module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
@@ -135,34 +137,9 @@ let expected_failure (e : exn) : bool =
     | Error.Miscompile _ | Error.Accounting_violation _ | Error.Uncaught _ ->
       false)
 
-(** Guarded fitness: expected failures score worst, toolchain bugs
-    propagate (see {!expected_failure}). *)
-let evaluate ~(cycles : genome -> int) (g : genome) : int =
-  try cycles g with e when expected_failure e -> max_int
-
 (* ------------------------------------------------------------------ *)
 (* Objective closures                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(** Fitness closure for the classic path: zkVM cycle count under [vm]
-    after applying the genome with the standard cost model. *)
-let zkvm_cycles ?fuel ~(build : unit -> Modul.t)
-    (vm : Zkopt_zkvm.Config.t) (g : genome) : int =
-  let profile = Zkopt_core.Profile.Custom (g, Pass.standard_config) in
-  let c = Zkopt_core.Measure.prepare ~build profile in
-  let m = Zkopt_core.Measure.run_zkvm ?fuel vm c in
-  m.Zkopt_core.Measure.cycles
-
-(** Fitness closure over an arbitrary registered backend: trace
-    rows/cycles of the backend's own cost model, so the GA can tune for
-    a zk-native ISA exactly as it tunes for the RV32 pair. *)
-let backend_cycles ?fuel ~(build : unit -> Modul.t)
-    (b : Backend.t) (g : genome) : int =
-  let profile = Zkopt_core.Profile.Custom (g, Pass.standard_config) in
-  let m = Zkopt_core.Measure.prepare_ir ~build profile in
-  let c = b.Backend.compile m in
-  let r = c.Backend.measure ~vm:b.Backend.name ?fuel () in
-  r.Backend.zk.Zkopt_core.Measure.cycles
 
 (** One measurement axis of the objective.  [tname] identifies the axis
     in score records and checkpoint rows; [pname] salts the prefix cache
@@ -178,6 +155,15 @@ type target = {
   measure : fp:string -> Modul.t -> int;
 }
 
+(* Measure [m] on [b] through the artifact cache. *)
+let measured ?fuel ?cache (b : Backend.t) ~fp m : Backend.measurement =
+  let c = Backend.compile_cached ?cache b ~fp m in
+  let r = c.Backend.measure ~vm:b.Backend.name ?fuel () in
+  (match r.Backend.accounting with
+  | Ok () -> ()
+  | Error msg -> raise (Error.Accounting msg));
+  r
+
 (** A target pricing [program] on backend [b], optionally compiling
     through the shared artifact [cache] (keyed structurally, so two
     genomes producing identical modules share one compiled artifact).
@@ -185,26 +171,8 @@ type target = {
     bug is never a legitimate fitness. *)
 let backend_target ?fuel ?cache ?(weight = 1.0) ~(program : string)
     ~(build : unit -> Modul.t) (b : Backend.t) : target =
-  let compiled ~fp (m : Modul.t) =
-    match cache with
-    | None -> b.Backend.compile m
-    | Some cache ->
-      Cache.get_or_compile cache
-        ~digest:(fp ^ "+" ^ b.Backend.schema)
-        ~codec:
-          {
-            Cache.enc = (fun (c : Backend.compiled) -> c.Backend.encode ());
-            dec = (fun s -> b.Backend.decode m s);
-          }
-        ~compile:(fun () -> b.Backend.compile m)
-  in
   let measure ~fp m =
-    let c = compiled ~fp m in
-    let r = c.Backend.measure ~vm:b.Backend.name ?fuel () in
-    (match r.Backend.accounting with
-    | Ok () -> ()
-    | Error msg -> raise (Error.Accounting msg));
-    r.Backend.zk.Zkopt_core.Measure.cycles
+    (measured ?fuel ?cache b ~fp m).Backend.zk.Zkopt_core.Measure.cycles
   in
   {
     tname = program ^ "@" ^ b.Backend.name;
@@ -224,24 +192,8 @@ let settled_target ?fuel ?cache ?(weight = 1.0) ?arity ?weights
     ~(program : string) ~(build : unit -> Modul.t) (b : Backend.t) : target =
   let base = backend_target ?fuel ?cache ~weight ~program ~build b in
   let measure ~fp m =
-    let c =
-      match cache with
-      | None -> b.Backend.compile m
-      | Some cache ->
-        Cache.get_or_compile cache
-          ~digest:(fp ^ "+" ^ b.Backend.schema)
-          ~codec:
-            {
-              Cache.enc = (fun (c : Backend.compiled) -> c.Backend.encode ());
-              dec = (fun s -> b.Backend.decode m s);
-            }
-          ~compile:(fun () -> b.Backend.compile m)
-    in
-    let r = c.Backend.measure ~vm:b.Backend.name ?fuel () in
-    (match r.Backend.accounting with
-    | Ok () -> ()
-    | Error msg -> raise (Error.Accounting msg));
-    (Zkopt_settle.Settle.price ?arity ?weights ~backend:b.Backend.name r)
+    (Zkopt_settle.Settle.price ?arity ?weights ~backend:b.Backend.name
+       (measured ?fuel ?cache b ~fp m))
       .Zkopt_settle.Settle.settled_cost
   in
   { base with tname = program ^ "@" ^ b.Backend.name ^ "+settled"; measure }
@@ -518,42 +470,86 @@ let load_replay (path : string) :
   (greplay, areplay)
 
 (* ------------------------------------------------------------------ *)
-(* The generational loop                                               *)
+(* The search engine                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type loop_outcome = {
-  lresult : result option;  (** [None] only if no generation ran *)
-  lcompleted : bool;  (** false iff [stop] ended the search early *)
-  lreplayed : int;
-  ldedup : int;
-  lpruned : int;
-  lmeasured : int;
-  lfailed : int;
+type cache_stats = {
+  prefix : Cache.stats;  (** prefix-module cache traffic during this run *)
+  dedup_hits : int;  (** genomes scored entirely from recorded scores *)
+  pruned : int;  (** genomes discarded from a prefix estimate *)
+  measured : int;  (** genomes actually measured *)
+  failed : int;  (** genomes that failed on every path *)
 }
 
-(** The deterministic coordinator: breeds each generation from the RNG
-    stream (consumed only here), hands the batch to [eval_batch], and
-    merges verdicts in index order.  With a [checkpoint] path, live
-    rows are appended to it as they are emitted; with [resume],
-    generations already completed in the log are replayed (same RNG
-    stream, recorded verdicts, no evaluation) before live search
-    resumes.  Without [resume] the log is truncated first. *)
-let genloop ~seed ~population ~iterations ~(stop : unit -> bool)
-    ~(checkpoint : string option) ~(resume : bool)
-    ~(on_row : (string -> unit) option)
-    ~(eval_batch : threshold:int option -> genome list -> verdict list)
-    ~(record : verdict -> unit) : loop_outcome =
-  let population = max 1 population and iterations = max 1 iterations in
-  let rng = Random.State.make [| seed; 0x5eed |] in
+type outcome = {
+  result : result option;  (** [None] iff stopped before any generation *)
+  cache_stats : cache_stats;
+  completed : bool;  (** false iff [stop] ended the search early *)
+  resumed : int;  (** evaluations replayed from the checkpoint *)
+}
+
+type config = {
+  seed : int;
+  population : int;
+  iterations : int;  (** total genome evaluations (the paper uses 1600) *)
+  jobs : int;  (** worker domains when no [pool] is supplied *)
+  pool : Pool.t option;  (** evaluate over this (shared, warm) pool *)
+  prefix_cache : Modul.t Cache.t option;
+      (** share partially-optimized modules across runs *)
+  prune : bool;  (** enable prefix-estimate early exit *)
+  checkpoint : string option;  (** row-log path *)
+  resume : bool;  (** replay completed generations from the row log *)
+  on_row : string -> unit;  (** every row, replayed and live, in order *)
+  stop : unit -> bool;  (** polled at generation boundaries *)
+}
+
+let default ?(seed = 1) ?(population = 16) ?(iterations = 160) ?(jobs = 1) ()
+    : config =
+  {
+    seed;
+    population;
+    iterations;
+    jobs;
+    pool = None;
+    prefix_cache = None;
+    prune = true;
+    checkpoint = None;
+    resume = false;
+    on_row = ignore;
+    stop = (fun () -> false);
+  }
+
+(** Run the full search engine over [targets] (see {!backend_target},
+    {!cells_weighted}).  The coordinator breeds each generation from the
+    RNG stream (consumed only here), evaluates the batch with
+    {!Zkopt_exec.Drive.map}, and merges verdicts in index order, so the
+    search is deterministic at a fixed seed for any [jobs] / [pool].
+    With a [checkpoint] path, live rows are appended to it as they are
+    emitted; with [resume], generations already completed in the log are
+    replayed (same RNG stream, recorded verdicts, no evaluation) before
+    live search resumes.  Without [resume] the log is truncated first. *)
+let search (cfg : config) ~(targets : target list) : outcome =
+  if targets = [] then invalid_arg "Autotune.search: no targets";
+  let pcache =
+    match cfg.prefix_cache with
+    | Some c -> c
+    | None -> Cache.create ~capacity:1024 ()
+  in
+  let stats0 = Cache.stats pcache in
+  (* (target, structural fingerprint) -> cycles; written only between
+     batches, read freely during them *)
+  let scores : (string * string, int) Hashtbl.t = Hashtbl.create 256 in
+  let population = max 1 cfg.population and iterations = max 1 cfg.iterations in
+  let rng = Random.State.make [| cfg.seed; 0x5eed |] in
   let greplay, areplay =
-    match checkpoint with
-    | Some path when resume -> load_replay path
+    match cfg.checkpoint with
+    | Some path when cfg.resume -> load_replay path
     | _ -> (Hashtbl.create 1, Hashtbl.create 1)
   in
-  let log = Option.map (Rowlog.open_ ~fresh:(not resume)) checkpoint in
+  let log = Option.map (Rowlog.open_ ~fresh:(not cfg.resume)) cfg.checkpoint in
   let emit ~live row =
     (match log with Some l when live -> Rowlog.append l row | _ -> ());
-    match on_row with Some f -> f row | None -> ()
+    cfg.on_row row
   in
   let ind_cmp a b = compare (a.fitness, a.genome) (b.fitness, b.genome) in
   let take n l = List.filteri (fun i _ -> i < n) l in
@@ -566,98 +562,102 @@ let genloop ~seed ~population ~iterations ~(stop : unit -> bool)
   let dedup = ref 0 and pruned = ref 0 and measured = ref 0 and failed = ref 0 in
   let completed = ref true in
   let replay_active = ref true in
-  (try
-     while !evals < iterations do
-       if stop () then begin
-         completed := false;
-         raise Exit
-       end;
-       let n = min population (iterations - !evals) in
-       (* breed first, unconditionally: the RNG stream must advance the
-          same way whether this generation replays or runs live *)
-       let genomes =
-         if !gen = 0 then begin
-           let a = Array.make n [] in
-           for i = 0 to n - 1 do
-             a.(i) <- random_genome rng
-           done;
-           Array.to_list a
-         end
-         else begin
-           let parr = Array.of_list !pop in
-           let np = Array.length parr in
-           let tournament () =
-             let a = parr.(Random.State.int rng np)
-             and b = parr.(Random.State.int rng np) in
-             if a.fitness <= b.fitness then a else b
-           in
-           let a = Array.make n [] in
-           for i = 0 to n - 1 do
-             let p1 = tournament () and p2 = tournament () in
-             let g = crossover rng p1.genome p2.genome in
-             a.(i) <- (if Random.State.bool rng then mutate rng g else g)
-           done;
-           Array.to_list a
-         end
-       in
-       let threshold =
-         if !gen = 0 || List.length !pop < population then None
-         else
-           match List.rev !pop with w :: _ -> Some w.fitness | [] -> None
-       in
-       let can_replay =
-         !replay_active
-         && Hashtbl.mem greplay !gen
-         && List.for_all Fun.id
-              (List.mapi
-                 (fun i g ->
-                   match Hashtbl.find_opt areplay (!gen, i) with
-                   | Some (_, _, rg, _) -> rg = g
-                   | None -> false)
-                 genomes)
-       in
-       let verdicts =
-         if can_replay then begin
-           replayed := !replayed + n;
-           List.mapi
-             (fun i _ ->
-               let kind, fitness, _, scores = Hashtbl.find areplay (!gen, i) in
-               { vkind = kind; vfitness = fitness; vscores = scores })
-             genomes
-         end
-         else begin
-           replay_active := false;
-           eval_batch ~threshold genomes
-         end
-       in
-       List.iter record verdicts;
-       List.iter
-         (fun v ->
-           match v.vkind with
-           | 'd' -> incr dedup
-           | 'p' -> incr pruned
-           | 'f' -> incr failed
-           | _ -> incr measured)
-         verdicts;
-       List.iteri
-         (fun i (g, v) ->
-           emit ~live:(not can_replay) (row_of_child ~gen:!gen ~idx:i g v))
-         (List.combine genomes verdicts);
-       evals := !evals + n;
-       let children =
-         List.map2 (fun g v -> { genome = g; fitness = v.vfitness }) genomes
-           verdicts
-       in
-       everyone := children @ !everyone;
-       pop := take population (List.sort ind_cmp (children @ !pop));
-       let best = (List.hd !pop).fitness in
-       history := best :: !history;
-       emit ~live:(not can_replay) (row_of_generation ~gen:!gen ~evals:!evals ~best);
-       incr gen
-     done
-   with Exit -> ());
-  Option.iter Rowlog.close log;
-  let lresult =
+  let generation pool =
+    let n = min population (iterations - !evals) in
+    (* breed first, unconditionally: the RNG stream must advance the
+       same way whether this generation replays or runs live *)
+    let genomes =
+      if !gen = 0 then begin
+        let a = Array.make n [] in
+        for i = 0 to n - 1 do
+          a.(i) <- random_genome rng
+        done;
+        Array.to_list a
+      end
+      else begin
+        let parr = Array.of_list !pop in
+        let np = Array.length parr in
+        let tournament () =
+          let a = parr.(Random.State.int rng np)
+          and b = parr.(Random.State.int rng np) in
+          if a.fitness <= b.fitness then a else b
+        in
+        let a = Array.make n [] in
+        for i = 0 to n - 1 do
+          let p1 = tournament () and p2 = tournament () in
+          let g = crossover rng p1.genome p2.genome in
+          a.(i) <- (if Random.State.bool rng then mutate rng g else g)
+        done;
+        Array.to_list a
+      end
+    in
+    let threshold =
+      if !gen = 0 || List.length !pop < population then None
+      else match List.rev !pop with w :: _ -> Some w.fitness | [] -> None
+    in
+    let can_replay =
+      !replay_active
+      && Hashtbl.mem greplay !gen
+      && List.for_all Fun.id
+           (List.mapi
+              (fun i g ->
+                match Hashtbl.find_opt areplay (!gen, i) with
+                | Some (_, _, rg, _) -> rg = g
+                | None -> false)
+              genomes)
+    in
+    let verdicts =
+      if can_replay then begin
+        replayed := !replayed + n;
+        List.mapi
+          (fun i _ ->
+            let kind, fitness, _, scores = Hashtbl.find areplay (!gen, i) in
+            { vkind = kind; vfitness = fitness; vscores = scores })
+          genomes
+      end
+      else begin
+        replay_active := false;
+        Drive.map pool
+          (eval_child ~pcache ~scores ~prune:cfg.prune ~threshold ~targets)
+          genomes
+      end
+    in
+    List.iter
+      (fun v ->
+        List.iter
+          (fun s -> Hashtbl.replace scores (s.starget, s.sfp) s.scycles)
+          v.vscores;
+        match v.vkind with
+        | 'd' -> incr dedup
+        | 'p' -> incr pruned
+        | 'f' -> incr failed
+        | _ -> incr measured)
+      verdicts;
+    List.iteri
+      (fun i (g, v) ->
+        emit ~live:(not can_replay) (row_of_child ~gen:!gen ~idx:i g v))
+      (List.combine genomes verdicts);
+    evals := !evals + n;
+    let children =
+      List.map2 (fun g v -> { genome = g; fitness = v.vfitness }) genomes
+        verdicts
+    in
+    everyone := children @ !everyone;
+    pop := take population (List.sort ind_cmp (children @ !pop));
+    let best = (List.hd !pop).fitness in
+    history := best :: !history;
+    emit ~live:(not can_replay)
+      (row_of_generation ~gen:!gen ~evals:!evals ~best);
+    incr gen
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter Rowlog.close log)
+    (fun () ->
+      Drive.with_pool ~jobs:cfg.jobs cfg.pool (fun pool ->
+          while !completed && !evals < iterations do
+            if cfg.stop () then completed := false else generation pool
+          done));
+  let result =
     match !everyone with
     | [] -> None
     | all ->
@@ -674,182 +674,15 @@ let genloop ~seed ~population ~iterations ~(stop : unit -> bool)
         }
   in
   {
-    lresult;
-    lcompleted = !completed;
-    lreplayed = !replayed;
-    ldedup = !dedup;
-    lpruned = !pruned;
-    lmeasured = !measured;
-    lfailed = !failed;
-  }
-
-(* Evaluate a batch over an optional pool.  Results land in a slot array
-   keyed by submission index, so the merge order is independent of
-   completion order; [Pool.wait] re-raises the first task exception. *)
-let batch_over (pool : Pool.t option) (eval_one : genome -> verdict)
-    (genomes : genome list) : verdict list =
-  match pool with
-  | None -> List.map eval_one genomes
-  | Some p ->
-    let arr = Array.of_list genomes in
-    let out = Array.make (Array.length arr) None in
-    Array.iteri
-      (fun i g -> Pool.submit p (fun () -> out.(i) <- Some (eval_one g)))
-      arr;
-    Pool.wait p;
-    (* wait returned without raising: every slot is filled *)
-    List.map Option.get (Array.to_list out)
-
-(* ------------------------------------------------------------------ *)
-(* The search engine                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type cache_stats = {
-  prefix : Cache.stats;  (** prefix-module cache traffic during this run *)
-  dedup_hits : int;  (** genomes scored entirely from recorded scores *)
-  pruned : int;  (** genomes discarded from a prefix estimate *)
-  measured : int;  (** genomes actually measured *)
-  failed : int;  (** genomes that failed on every path *)
-}
-
-type outcome = {
-  result : result option;  (** [None] iff stopped before any generation *)
-  cache_stats : cache_stats;
-  completed : bool;
-  resumed : int;  (** evaluations replayed from the checkpoint *)
-}
-
-type config = {
-  seed : int;
-  population : int;
-  iterations : int;  (** total genome evaluations (the paper uses 1600) *)
-  jobs : int;  (** worker domains when no [pool] is supplied *)
-  pool : Pool.t option;  (** evaluate over this (shared, warm) pool *)
-  prefix_cache : Modul.t Cache.t option;
-      (** share partially-optimized modules across runs *)
-  prune : bool;  (** enable prefix-estimate early exit *)
-  checkpoint : string option;  (** row-log path *)
-  resume : bool;  (** replay completed generations from the row log *)
-  on_row : (string -> unit) option;  (** streamed copy of every row *)
-  stop : unit -> bool;  (** polled at generation boundaries *)
-}
-
-let default ?(seed = 1) ?(population = 16) ?(iterations = 160) ?(jobs = 1) ()
-    : config =
-  {
-    seed;
-    population;
-    iterations;
-    jobs;
-    pool = None;
-    prefix_cache = None;
-    prune = true;
-    checkpoint = None;
-    resume = false;
-    on_row = None;
-    stop = (fun () -> false);
-  }
-
-(** Run the full search engine over [targets] (see {!backend_target},
-    {!cells_weighted}).  Deterministic at a fixed seed for any [jobs] /
-    [pool]; see the module doc for the argument. *)
-let search (cfg : config) ~(targets : target list) : outcome =
-  if targets = [] then invalid_arg "Autotune.search: no targets";
-  let pcache =
-    match cfg.prefix_cache with
-    | Some c -> c
-    | None -> Cache.create ~capacity:1024 ()
-  in
-  let stats0 = Cache.stats pcache in
-  (* (target, structural fingerprint) -> cycles; written only between
-     batches (in [record]), read freely during them *)
-  let scores : (string * string, int) Hashtbl.t = Hashtbl.create 256 in
-  let record v =
-    List.iter
-      (fun s -> Hashtbl.replace scores (s.starget, s.sfp) s.scycles)
-      v.vscores
-  in
-  let owned, pool =
-    match cfg.pool with
-    | Some p -> (None, Some p)
-    | None ->
-      if cfg.jobs <= 1 then (None, None)
-      else
-        let p = Pool.create ~jobs:cfg.jobs in
-        (Some p, Some p)
-  in
-  let eval_batch ~threshold genomes =
-    batch_over pool
-      (eval_child ~pcache ~scores ~prune:cfg.prune ~threshold ~targets)
-      genomes
-  in
-  let lo =
-    Fun.protect
-      ~finally:(fun () ->
-        match owned with Some p -> Pool.shutdown p | None -> ())
-      (fun () ->
-        genloop ~seed:cfg.seed ~population:cfg.population
-          ~iterations:cfg.iterations ~stop:cfg.stop ~checkpoint:cfg.checkpoint
-          ~resume:cfg.resume ~on_row:cfg.on_row ~eval_batch ~record)
-  in
-  {
-    result = lo.lresult;
+    result;
     cache_stats =
       {
         prefix = Cache.sub_stats (Cache.stats pcache) stats0;
-        dedup_hits = lo.ldedup;
-        pruned = lo.lpruned;
-        measured = lo.lmeasured;
-        failed = lo.lfailed;
+        dedup_hits = !dedup;
+        pruned = !pruned;
+        measured = !measured;
+        failed = !failed;
       };
-    completed = lo.lcompleted;
-    resumed = lo.lreplayed;
+    completed = !completed;
+    resumed = !replayed;
   }
-
-(** Run the GA over a raw fitness closure — build one with
-    {!zkvm_cycles} or {!backend_cycles}, or pass any [genome -> int].
-    [iterations] counts genome evaluations (the paper uses 160 for the
-    broad sweep and 1600 for the NPB/crypto deep dives).  This is the
-    blind path: no prefix cache, dedup, or pruning — the closure is
-    opaque — but evaluation still batches over [jobs] domains (or a
-    caller-supplied [pool]) with the same any-[jobs] determinism as
-    {!search}. *)
-let run ?(seed = 1) ?(population = 16) ?(iterations = 160) ?(jobs = 1) ?pool
-    ~(cycles : genome -> int) () : result =
-  let eval_one g =
-    let f = evaluate ~cycles g in
-    { vkind = (if f = max_int then 'f' else 'm'); vfitness = f; vscores = [] }
-  in
-  let owned, p =
-    match pool with
-    | Some p -> (None, Some p)
-    | None ->
-      if jobs <= 1 then (None, None)
-      else
-        let p = Pool.create ~jobs in
-        (Some p, Some p)
-  in
-  let lo =
-    Fun.protect
-      ~finally:(fun () ->
-        match owned with Some p -> Pool.shutdown p | None -> ())
-      (fun () ->
-        genloop ~seed ~population ~iterations
-          ~stop:(fun () -> false)
-          ~checkpoint:None ~resume:false ~on_row:None
-          ~eval_batch:(fun ~threshold:_ genomes -> batch_over p eval_one genomes)
-          ~record:(fun _ -> ()))
-  in
-  (* iterations is clamped >= 1, so at least one generation ran *)
-  Option.get lo.lresult
-
-(* ------------------------------------------------------------------ *)
-(* Subsequence mining (RQ2's best/worst sequence analysis)             *)
-(* ------------------------------------------------------------------ *)
-
-(* The original counters now live in {!Miner} alongside the full
-   frequent/maximal-subsequence and contrast mining; re-exported here
-   for existing callers. *)
-
-let count_containing = Miner.count_containing
-let count_ordered_pair = Miner.count_ordered_pair

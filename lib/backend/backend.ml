@@ -92,3 +92,16 @@ type t = {
       (** disk-cache codec, deserialize half: rebind closures around an
           [encode]d artifact and a structurally identical module *)
 }
+
+let compile_cached ?cache (b : t) ~fp (m : Modul.t) : compiled =
+  match cache with
+  | None -> b.compile m
+  | Some cache ->
+    Zkopt_exec.Cache.get_or_compile cache
+      ~digest:(fp ^ "+" ^ b.schema)
+      ~codec:
+        {
+          Zkopt_exec.Cache.enc = (fun (c : compiled) -> c.encode ());
+          dec = b.decode m;
+        }
+      ~compile:(fun () -> b.compile m)

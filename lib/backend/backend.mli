@@ -94,3 +94,10 @@ type t = {
       (** disk-cache codec, deserialize half: rebind closures around an
           [encode]d artifact and a structurally identical module *)
 }
+
+(** [compile_cached ?cache b ~fp m]: [b]'s artifact for [m], whose
+    structural fingerprint is [fp], through the compile cache under the
+    key [fp ^ "+" ^ b.schema] with the [encode]/[decode] codec.  The one
+    artifact lookup every engine shares; without [cache] it compiles. *)
+val compile_cached :
+  ?cache:compiled Zkopt_exec.Cache.t -> t -> fp:string -> Modul.t -> compiled

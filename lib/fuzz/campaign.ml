@@ -1,8 +1,8 @@
 (** The differential fuzzing campaign engine.
 
     A campaign is a finite plan — (source × pipeline) cases over a fixed
-    backend set — executed on a work-stealing domain pool.  Each case
-    runs the full {!Case} oracle stack; divergences are classified,
+    backend set — run as the tasks of a {!Zkopt_exec.Drive} plan.  Each
+    case runs the full {!Case} oracle stack; divergences are classified,
     optionally minimized ({!Minimize}) and persisted ({!Corpus}), and
     every completed case streams one row to an append-only checkpoint so
     a killed campaign resumes without repeating work.
@@ -14,22 +14,22 @@
     one pathological program cannot take down the other workers.
 
     {b Failure budget.}  With [failure_budget = Some n], the campaign
-    stops scheduling new work once [n] divergences have been found this
-    run.  Cases skipped by the budget write no checkpoint row, so a
-    later resume picks them up.
+    starts no new case once [n] divergences have been found this run.
+    Cases skipped by the budget write no checkpoint row, so a later
+    resume picks them up.
 
     {b Checkpoint.}  One row per completed case, appended to a
     {!Zkopt_exec.Rowlog} under the {!ckpt_version} header, with a
     terminal ["."] field so a row is self-delimiting.  Row identity is
     (source, pipeline spec); rows are deterministic functions of the
-    case, so kill+resume reproduces the uninterrupted run's rows
-    byte-for-byte (modulo arrival order — sort to compare). *)
+    case and reach the log in plan order, so kill+resume and any [jobs]
+    reproduce the uninterrupted run's checkpoint byte-for-byte. *)
 
 module Error = Zkopt_harness.Error
 module Faultplan = Zkopt_harness.Faultplan
 module Backend = Zkopt_backend.Backend
 module Pool = Zkopt_exec.Pool
-module Rowlog = Zkopt_exec.Rowlog
+module Drive = Zkopt_exec.Drive
 
 (* ---- checkpoint / streaming rows ------------------------------------- *)
 
@@ -66,14 +66,12 @@ type config = {
   log : string -> unit;
   pool : Pool.t option;
       (** external worker pool to run cases on; [None] = a private pool
-          of [jobs] domains.  A service passes its long-lived pool so
-          campaigns share the warm domains with every other job kind;
-          the campaign never shuts it down. *)
-  on_row : (row -> unit) option;
-      (** streaming hook, called once per completed-case row — rows
-          resumed from the checkpoint first, then rows produced by this
-          run in completion order.  Called from worker domains
-          concurrently; the callback must be thread-safe. *)
+          of [jobs] domains, or inline at [jobs = 1].  A service passes
+          its long-lived pool so campaigns share the warm domains with
+          every other job kind; the campaign never shuts it down. *)
+  on_row : string -> unit;
+      (** streaming hook: every checkpoint line, resumed and new, in
+          plan order, one call at a time *)
   stop : unit -> bool;
       (** cooperative cancellation, polled before each case: once it
           returns [true], remaining cases are skipped (no row), so a
@@ -97,7 +95,7 @@ let default ~backends =
     limit = None;
     log = ignore;
     pool = None;
-    on_row = None;
+    on_row = ignore;
     stop = (fun () -> false);
   }
 
@@ -272,110 +270,82 @@ let shrink_and_persist (cfg : config) (c : Case.t) (d : Case.divergence) :
     entries. *)
 let run (cfg : config) : summary =
   let cases = plan cfg in
-  let done_rows = Hashtbl.create 64 in
-  if cfg.resume then
-    Option.iter
-      (fun path ->
-        List.iter
-          (fun r -> Hashtbl.replace done_rows (row_key r) r)
-          (Rowlog.load path ~decode:decode_row))
-      cfg.checkpoint;
-  let todo, resumed =
-    List.partition (fun c -> not (Hashtbl.mem done_rows (case_key c))) cases
-  in
-  (* resumed rows stream too (in plan order), so a subscriber that
-     attaches after a restart still sees the full row sequence *)
-  Option.iter
-    (fun f ->
-      List.iter
-        (fun c ->
-          Option.iter f (Hashtbl.find_opt done_rows (case_key c)))
-        resumed)
-    cfg.on_row;
-  let log =
-    Option.map
-      (Rowlog.open_ ~header:ckpt_version ~fresh:(not cfg.resume))
-      cfg.checkpoint
-  in
   let mu = Mutex.create () in
   let found = ref 0 in
   let agreed = ref 0 in
-  let ran = ref 0 in
   let budget_hit = ref false in
   let results : (string, finding) Hashtbl.t = Hashtbl.create 16 in
-  let budget_ok () =
-    match cfg.failure_budget with
-    | None -> true
-    | Some n ->
-      if !found >= n then begin
-        budget_hit := true;
-        false
-      end
-      else true
+  let over_budget () =
+    Mutex.protect mu (fun () ->
+        match cfg.failure_budget with
+        | Some n when !found >= n ->
+          budget_hit := true;
+          true
+        | _ -> false)
   in
-  let task (c : Case.t) () =
-    let proceed =
-      Mutex.lock mu;
-      let ok = budget_ok () in
-      Mutex.unlock mu;
-      ok && not (cfg.stop ())
+  let run_case (c : Case.t) () =
+    (* quarantine: Case.run_case classifies everything its stages can
+       raise; this catch-all covers the engine around it so a worker
+       never poisons the pool with a fuzz finding *)
+    let verdict =
+      try Case.run_case ~faultplan:cfg.faultplan ~fuel:cfg.fuel c
+      with e ->
+        Case.Diverged { Case.stage = Case.Base; kind = Error.classify e }
     in
-    if proceed then begin
-      (* quarantine: Case.run_case classifies everything its stages can
-         raise; this catch-all covers the engine around it so a worker
-         never poisons the pool with a fuzz finding *)
-      let verdict =
-        try Case.run_case ~faultplan:cfg.faultplan ~fuel:cfg.fuel c
-        with e ->
-          Case.Diverged { Case.stage = Case.Base; kind = Error.classify e }
-      in
-      let extra =
-        match verdict with
-        | Case.Agree -> None
-        | Case.Diverged d -> Some (d, shrink_and_persist cfg c d)
-      in
-      Mutex.lock mu;
-      incr ran;
-      (match extra with
-      | None ->
-        incr agreed;
-        cfg.log (Printf.sprintf "ok    %s / %s" (Case.source_name c.Case.source)
-                   c.Case.pipeline.Case.spec)
-      | Some (d, (corpus_path, minimized_instrs)) ->
-        incr found;
-        Hashtbl.replace results (case_key c)
-          { case = c; divergence = d; corpus_path; minimized_instrs };
-        cfg.log
-          (Printf.sprintf "FOUND %s / %s -> %s%s"
-             (Case.source_name c.Case.source)
-             c.Case.pipeline.Case.spec (Case.divergence_key d)
-             (match corpus_path with
-             | Some p -> " [" ^ Filename.basename p ^ "]"
-             | None -> "")));
-      Mutex.unlock mu;
-      let row = row_of_verdict c verdict in
-      Option.iter (fun l -> Rowlog.append l (encode_row row)) log;
-      Option.iter (fun f -> f row) cfg.on_row
-    end
+    let extra =
+      match verdict with
+      | Case.Agree -> None
+      | Case.Diverged d -> Some (d, shrink_and_persist cfg c d)
+    in
+    Mutex.protect mu (fun () ->
+        match extra with
+        | None ->
+          incr agreed;
+          cfg.log
+            (Printf.sprintf "ok    %s / %s"
+               (Case.source_name c.Case.source)
+               c.Case.pipeline.Case.spec)
+        | Some (d, (corpus_path, minimized_instrs)) ->
+          incr found;
+          Hashtbl.replace results (case_key c)
+            { case = c; divergence = d; corpus_path; minimized_instrs };
+          cfg.log
+            (Printf.sprintf "FOUND %s / %s -> %s%s"
+               (Case.source_name c.Case.source)
+               c.Case.pipeline.Case.spec (Case.divergence_key d)
+               (match corpus_path with
+               | Some p -> " [" ^ Filename.basename p ^ "]"
+               | None -> "")));
+    [ row_of_verdict c verdict ]
   in
-  let pool, owned_pool =
-    match cfg.pool with
-    | Some p -> (p, false)  (* shared service pool: never shut down *)
-    | None -> (Pool.create ~jobs:(max 1 cfg.jobs), true)
+  let o =
+    Drive.run
+      {
+        Drive.encode = encode_row;
+        decode = decode_row;
+        key = row_key;
+        checkpoint = cfg.checkpoint;
+        header = Some ckpt_version;
+        fresh = not cfg.resume;
+        limit = None;
+        jobs = cfg.jobs;
+        pool = cfg.pool;
+        stop = (fun () -> over_budget () || cfg.stop ());
+        on_row = (fun _ line -> cfg.on_row line);
+      }
+      [
+        List.map
+          (fun c -> { Drive.keys = [ case_key c ]; run = run_case c })
+          cases;
+      ]
   in
-  List.iter (fun c -> Pool.submit pool (task c)) todo;
-  let finish () =
-    Pool.wait pool;
-    if owned_pool then Pool.shutdown pool
-  in
-  Fun.protect ~finally:(fun () -> Option.iter Rowlog.close log) finish;
   let findings =
     List.filter_map (fun c -> Hashtbl.find_opt results (case_key c)) cases
   in
   {
     planned = List.length cases;
-    resumed = List.length resumed;
-    ran = !ran;
+    resumed = o.Drive.replayed;
+    ran = o.Drive.ran;
     agreed = !agreed;
     findings;
     budget_hit = !budget_hit;

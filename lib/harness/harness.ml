@@ -6,12 +6,11 @@
     from the registry), so the engine is generic over ISAs — a zk-native
     backend slots in as a third column, not a new code path:
 
-    - cells execute on a work-stealing domain pool ({!Zkopt_exec.Pool});
-      [jobs = 1] reproduces the old sequential walk exactly, [jobs = N]
-      runs cells concurrently with identical results — cells are
-      independent measurements, the one cross-cell dependency (the
-      baseline-differential oracle) is honored by scheduling every
-      program's baseline cell in a first wave;
+    - cells are the tasks of a {!Zkopt_exec.Drive} plan: [jobs = 1]
+      runs them inline, [jobs = N] on a domain pool with identical
+      results — cells are independent measurements, the one cross-cell
+      dependency (the baseline-differential oracle) is honored by
+      planning every program's baseline cell in a first wave;
     - each structurally distinct compilation happens once: the optimized
       module is digested ({!Zkopt_exec.Fingerprint}) and the assembled
       program fetched from a content-addressed cache
@@ -30,10 +29,9 @@
       accounting conservation oracle
       ({!Zkopt_backend.Backend.measurement});
     - completed points stream to an append-only checkpoint
-      ({!Zkopt_exec.Rowlog}, {!Checkpoint} codec): each worker appends
-      its row as one flushed whole line in completion order, so the log
-      is byte-deterministic modulo row order, and a resumed run skips
-      already-done cells;
+      ({!Zkopt_exec.Rowlog}, {!Checkpoint} codec) in plan order, so the
+      log is byte-identical at any [jobs], and a resumed run replays
+      already-done cells instead of measuring them;
     - a per-sweep failure budget bounds degradation: exceed it and the
       sweep aborts with a summary ({!Budget_exceeded});
     - graceful degradation: a CPU-model failure downgrades the cell to
@@ -41,7 +39,7 @@
 
 open Zkopt_core
 module Pool = Zkopt_exec.Pool
-module Rowlog = Zkopt_exec.Rowlog
+module Drive = Zkopt_exec.Drive
 module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
 module Backend = Zkopt_backend.Backend
@@ -61,9 +59,10 @@ type config = {
   faultplan : Faultplan.t;  (** injected faults (testing) *)
   progress : bool;
   limit : int option;
-      (** measure at most this many new cells, then stop gracefully
-          (time-slicing; the checkpoint keeps the rest resumable) *)
-  jobs : int;  (** worker domains; 1 = sequential cell order *)
+      (** measure at most this many unlogged cells, the first in plan
+          order (baselines first), then stop gracefully (time-slicing;
+          the checkpoint keeps the rest resumable) *)
+  jobs : int;  (** worker domains; 1 = inline *)
   cache : Backend.compiled Cache.t option;
       (** compile cache to use; [None] = a fresh private in-memory
           cache per run.  Pass a shared cache to memoize across runs. *)
@@ -73,14 +72,14 @@ type config = {
           risc0 + sp1 pair from the registry. *)
   pool : Pool.t option;
       (** external worker pool to run cells on; [None] = a private pool
-          of [jobs] domains created and destroyed by this run.  A
-          service passes its long-lived pool so every job shares one
-          warm set of domains; the harness never shuts it down. *)
-  on_point : (Cell.point -> unit) option;
-      (** streaming hook, called once per accepted point — both points
-          resumed from the checkpoint (before any cell runs) and points
-          measured by this run, in completion order.  Called from worker
-          domains concurrently; the callback must be thread-safe. *)
+          of [jobs] domains created and destroyed by this run, or inline
+          at [jobs = 1].  A service passes its long-lived pool so every
+          job shares one warm set of domains; the harness never shuts it
+          down. *)
+  on_row : string -> unit;
+      (** streaming hook: the checkpoint line of every point, resumed and
+          measured, in the order the checkpoint holds them, one call at a
+          time *)
   stop : unit -> bool;
       (** cooperative cancellation, polled before each cell: once it
           returns [true], remaining cells are skipped (no point, no
@@ -104,7 +103,7 @@ let default ~size =
     cache = None;
     backends = None;
     pool = None;
-    on_point = None;
+    on_row = ignore;
     stop = (fun () -> false);
   }
 
@@ -188,18 +187,7 @@ let measure_cell (cfg : config) (cache : Backend.compiled Cache.t)
           match Hashtbl.find_opt arts b.Backend.schema with
           | Some c -> c
           | None ->
-            let codec =
-              {
-                Cache.enc = (fun (c : Backend.compiled) -> c.Backend.encode ());
-                dec = (fun s -> b.Backend.decode m s);
-              }
-            in
-            let c =
-              Cache.get_or_compile cache
-                ~digest:(digest ^ "+" ^ b.Backend.schema)
-                ~codec
-                ~compile:(fun () -> b.Backend.compile m)
-            in
+            let c = Backend.compile_cached ~cache b ~fp:digest m in
             Hashtbl.replace arts b.Backend.schema c;
             c
         in
@@ -254,10 +242,41 @@ let measure_cell (cfg : config) (cache : Backend.compiled Cache.t)
   in
   (point, attempts, degraded)
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
+(* The differential checksum oracles: every backend must agree with the
+   head backend within the cell, and every profile must preserve the
+   program's baseline checksum. *)
+let oracle_failure (coord : Error.coord) ~(baseline : Cell.point option)
+    (p : Cell.point) : Error.t option =
+  let head, others =
+    match p.Cell.zk with h :: t -> (h, t) | [] -> assert false
+  in
+  let miscompile coord ~expected ~got oracle =
+    Some { Error.coord; kind = Error.Miscompile { expected; got; oracle } }
+  in
+  match
+    List.find_opt
+      (fun (z : Measure.zk_metrics) ->
+        not (Int64.equal head.Measure.exit_value z.Measure.exit_value))
+      others
+  with
+  | Some z ->
+    miscompile
+      { coord with Error.vm = z.Measure.vm }
+      ~expected:head.Measure.exit_value ~got:z.Measure.exit_value
+      (head.Measure.vm ^ "-vs-" ^ z.Measure.vm)
+  | None -> (
+    match baseline with
+    | Some (base : Cell.point)
+      when (not (String.equal p.Cell.profile "baseline"))
+           && not
+                (Int64.equal (List.hd base.Cell.zk).Measure.exit_value
+                   head.Measure.exit_value) ->
+      miscompile coord
+        ~expected:(List.hd base.Cell.zk).Measure.exit_value
+        ~got:head.Measure.exit_value "baseline-differential"
+    | _ -> None)
+
+let key ~program ~profile = program ^ "\t" ^ profile
 
 let run (cfg : config) : outcome =
   let all = Zkopt_workloads.Suite.all () in
@@ -269,200 +288,125 @@ let run (cfg : config) : outcome =
   let profiles =
     match cfg.profiles with None -> Profile.all_71 | Some ps -> ps
   in
-  let points = Hashtbl.create 4096 in
-  let resumed = ref 0 in
-  (match cfg.checkpoint with
-  | Some path when cfg.resume ->
-    List.iter
-      (fun (p : Cell.point) ->
-        Hashtbl.replace points (p.Cell.program, p.Cell.profile) p;
-        incr resumed;
-        (* resumed points stream too, so a subscriber that attaches
-           after a restart still sees the full row sequence *)
-        Option.iter (fun f -> f p) cfg.on_point)
-      (Rowlog.load path ~decode:Checkpoint.decode_point)
-  | _ -> ());
-  (* Pending cells in the canonical (program-major, profile-minor)
-     order.  [limit] slices a deterministic prefix of this order, so a
-     limited parallel run measures exactly the cells a limited
-     sequential run would. *)
-  let pending =
-    List.concat_map
-      (fun (w : Zkopt_workloads.Workload.t) ->
-        List.filter_map
-          (fun profile ->
-            let key = (w.Zkopt_workloads.Workload.name, Profile.name profile) in
-            if Hashtbl.mem points key then None else Some (w, profile))
-          profiles)
-      programs
-  in
-  let pending, completed =
-    match cfg.limit with
-    | Some n when List.length pending > n -> (take n pending, false)
-    | _ -> (pending, true)
-  in
   let cache =
     match cfg.cache with Some c -> c | None -> Cache.create ()
   in
   let stats0 = Cache.stats cache in
-  let log =
-    Option.map
-      (Rowlog.open_ ~header:Checkpoint.version ~fresh:(not cfg.resume))
-      cfg.checkpoint
-  in
-  (* Shared mutable sweep state; [mu] guards all of it plus [points]. *)
+  (* [mu] guards the quarantine and the counters *)
   let mu = Mutex.create () in
   let quarantined = ref [] in
   let nquarantined = ref 0 in
   let degraded = ref [] in
   let executed = ref 0 in
   let retries = ref 0 in
+  let emitted = Atomic.make 0 in
   let total = List.length programs * List.length profiles in
+  (* baseline points by program: filled while wave 1 emits, read by the
+     wave-2 cells' baseline-differential oracle *)
+  let baselines = Hashtbl.create 64 in
   let quarantine (err : Error.t) =
-    Mutex.lock mu;
-    quarantined := err :: !quarantined;
-    incr nquarantined;
-    if cfg.progress then
-      Printf.eprintf "  sweep: QUARANTINE %s\n%!" (Error.to_string err);
     let burst =
-      if !nquarantined > cfg.failure_budget then Some (List.rev !quarantined)
-      else None
+      Mutex.protect mu (fun () ->
+          quarantined := err :: !quarantined;
+          incr nquarantined;
+          if cfg.progress then
+            Printf.eprintf "  sweep: QUARANTINE %s\n%!" (Error.to_string err);
+          if !nquarantined > cfg.failure_budget then
+            Some (List.rev !quarantined)
+          else None)
     in
-    Mutex.unlock mu;
-    match burst with
-    | Some errs -> raise (Budget_exceeded errs)
-    | None -> ()
+    Option.iter (fun errs -> raise (Budget_exceeded errs)) burst
   in
-  let stopped = ref false in
-  let process_cell ((w : Zkopt_workloads.Workload.t), profile) =
+  let measure (w : Zkopt_workloads.Workload.t) profile () =
     let wname = w.Zkopt_workloads.Workload.name in
-    let pname = Profile.name profile in
-    let coord = { Error.program = wname; profile = pname; vm = "-" } in
-    let result =
-      Cell.protect ~coord (fun () -> measure_cell cfg cache w profile)
+    let coord =
+      { Error.program = wname; profile = Profile.name profile; vm = "-" }
     in
-    (match result with
-    | Error err -> quarantine err
-    | Ok (p, attempts, deg) -> (
-      Mutex.lock mu;
-      retries := !retries + attempts - 1;
-      Option.iter
-        (fun d ->
-          degraded := ({ coord with Error.vm = "cpu" }, d) :: !degraded)
-        deg;
-      (* the baseline point is stable here: baseline cells all complete
-         in wave 1, before any non-baseline cell runs *)
-      let baseline = Hashtbl.find_opt points (wname, "baseline") in
-      Mutex.unlock mu;
-      (* differential checksum oracles: every backend must agree with
-         the head backend within the cell, and every profile must
-         preserve the program's baseline checksum *)
-      let head, others =
-        match p.Cell.zk with h :: t -> (h, t) | [] -> assert false
-      in
-      let diverging =
-        List.find_opt
-          (fun (z : Measure.zk_metrics) ->
-            not (Int64.equal head.Measure.exit_value z.Measure.exit_value))
-          others
-      in
-      match diverging with
-      | Some z ->
-        quarantine
-          {
-            Error.coord = { coord with Error.vm = z.Measure.vm };
-            kind =
-              Error.Miscompile
-                {
-                  expected = head.Measure.exit_value;
-                  got = z.Measure.exit_value;
-                  oracle = head.Measure.vm ^ "-vs-" ^ z.Measure.vm;
-                };
-          }
-      | None -> (
-        match baseline with
-        | Some (base : Cell.point)
-          when (not (String.equal pname "baseline"))
-               && not
-                    (Int64.equal
-                       (List.hd base.Cell.zk).Measure.exit_value
-                       head.Measure.exit_value) ->
-          quarantine
-            {
-              Error.coord = coord;
-              kind =
-                Error.Miscompile
-                  {
-                    expected = (List.hd base.Cell.zk).Measure.exit_value;
-                    got = head.Measure.exit_value;
-                    oracle = "baseline-differential";
-                  };
-            }
-        | _ ->
-          Mutex.lock mu;
-          Hashtbl.replace points (wname, pname) p;
-          Mutex.unlock mu;
-          Option.iter
-            (fun l -> Rowlog.append l (Checkpoint.encode_point p))
-            log;
-          Option.iter (fun f -> f p) cfg.on_point)));
-    Mutex.lock mu;
-    incr executed;
-    let report =
-      if cfg.progress && !executed mod 200 = 0 then
-        Some (Hashtbl.length points, !executed)
-      else None
+    let rows =
+      match
+        Cell.protect ~coord (fun () -> measure_cell cfg cache w profile)
+      with
+      | Error err ->
+        quarantine err;
+        []
+      | Ok (p, attempts, deg) -> (
+        Mutex.protect mu (fun () ->
+            retries := !retries + attempts - 1;
+            Option.iter
+              (fun d ->
+                degraded := ({ coord with Error.vm = "cpu" }, d) :: !degraded)
+              deg);
+        match
+          oracle_failure coord ~baseline:(Hashtbl.find_opt baselines wname) p
+        with
+        | Some err ->
+          quarantine err;
+          []
+        | None -> [ p ])
     in
-    Mutex.unlock mu;
-    match report with
-    | Some (done_, ex) ->
-      Printf.eprintf "  sweep: %d/%d (this run: %d)\n%!" done_ total ex
-    | None -> ()
+    let ex = Mutex.protect mu (fun () -> incr executed; !executed) in
+    if cfg.progress && ex mod 200 = 0 then
+      Printf.eprintf "  sweep: %d/%d (this run: %d)\n%!" (Atomic.get emitted)
+        total ex;
+    rows
   in
-  (* every queued cell polls the cancellation hook first: a drained run
-     skips the remainder (no rows) so a later resume picks them up *)
-  let process cell () =
-    if cfg.stop () then begin
-      Mutex.lock mu;
-      stopped := true;
-      Mutex.unlock mu
-    end
-    else process_cell cell
+  let wave ps =
+    List.concat_map
+      (fun (w : Zkopt_workloads.Workload.t) ->
+        List.map
+          (fun profile ->
+            {
+              Drive.keys =
+                [ key ~program:w.Zkopt_workloads.Workload.name
+                    ~profile:(Profile.name profile) ];
+              run = measure w profile;
+            })
+          ps)
+      programs
   in
   (* Two waves: baselines first so the baseline-differential oracle sees
      a program's baseline checksum (when measured at all) regardless of
-     how the scheduler interleaves the rest. *)
-  let wave1, wave2 =
-    List.partition
-      (fun (_, profile) -> String.equal (Profile.name profile) "baseline")
-      pending
+     how the pool interleaves the rest. *)
+  let base, rest =
+    List.partition (fun p -> String.equal (Profile.name p) "baseline") profiles
   in
-  let pool, owned_pool =
-    match cfg.pool with
-    | Some p -> (p, false)  (* shared service pool: never shut down *)
-    | None -> (Pool.create ~jobs:cfg.jobs, true)
+  let o =
+    Drive.run
+      {
+        Drive.encode = Checkpoint.encode_point;
+        decode = Checkpoint.decode_point;
+        key =
+          (fun (p : Cell.point) ->
+            key ~program:p.Cell.program ~profile:p.Cell.profile);
+        checkpoint = cfg.checkpoint;
+        header = Some Checkpoint.version;
+        fresh = not cfg.resume;
+        limit = cfg.limit;
+        jobs = cfg.jobs;
+        pool = cfg.pool;
+        stop = cfg.stop;
+        on_row =
+          (fun (p : Cell.point) line ->
+            if String.equal p.Cell.profile "baseline" then
+              Hashtbl.replace baselines p.Cell.program p;
+            Atomic.incr emitted;
+            cfg.on_row line);
+      }
+      [ wave base; wave rest ]
   in
-  let finish () =
-    if owned_pool then Pool.shutdown pool;
-    Option.iter Rowlog.close log
-  in
-  (try
-     List.iter (fun cell -> Pool.submit pool (process cell)) wave1;
-     Pool.wait pool;
-     List.iter (fun cell -> Pool.submit pool (process cell)) wave2;
-     Pool.wait pool
-   with e ->
-     finish ();
-     raise e);
-  finish ();
+  let points = Hashtbl.create 4096 in
+  List.iter
+    (fun (p : Cell.point) ->
+      Hashtbl.replace points (p.Cell.program, p.Cell.profile) p)
+    o.Drive.rows;
   {
     points;
     programs;
     quarantined = List.rev !quarantined;
     degraded = List.rev !degraded;
-    executed = !executed;
-    resumed = !resumed;
+    executed = o.Drive.ran;
+    resumed = o.Drive.replayed;
     retries = !retries;
-    completed = completed && not !stopped;
+    completed = o.Drive.completed;
     cache_stats = Cache.sub_stats (Cache.stats cache) stats0;
   }

@@ -8,7 +8,7 @@
     and executes jobs pulled from a {!Jobq} priority queue on a single
     dispatcher thread.  Jobs run one at a time; {e cells} within a job
     run in parallel on the pool.  Each job's per-cell rows stream to
-    its subscribers as they complete and to a per-job checkpoint file,
+    its subscribers in plan order and to a per-job checkpoint file,
     so results survive the daemon and clients can attach late.
 
     {b Restart contract.}  Submissions append one line to an
@@ -21,11 +21,17 @@
     uninterrupted run's, the same kill-safety contract the one-shot
     sweep has.
 
+    {b One exec.}  Every job kind runs through {!exec}: per kind only
+    the engine config built from the spec and the summary fields
+    differ ({!run_spec}); the budget pre-check, the mapping from
+    outcome to state and the ledger spend are shared.
+
     {b Failure budgets.}  A submission may declare a per-client failure
-    budget.  Quarantined cells (sweeps) and divergences (fuzz) spend
-    from one ledger per client tag; once a client's ledger is
-    exhausted, its queued and future jobs fail fast instead of burning
-    pool time — the harness quarantine generalized across jobs. *)
+    budget.  Quarantined cells (sweeps), divergences (fuzz) and every
+    crashed job spend from one ledger per client tag; once a client's
+    ledger is exhausted, its queued and future jobs fail fast instead of
+    burning pool time — the harness quarantine generalized across
+    jobs. *)
 
 module H = Zkopt_harness.Harness
 module Checkpoint = Zkopt_harness.Checkpoint
@@ -40,6 +46,7 @@ module Backend = Zkopt_backend.Backend
 module Registry = Zkopt_backend.Registry
 module Workload = Zkopt_workloads.Workload
 module Autotune = Zkopt_autotune.Autotune
+module Ssweep = Zkopt_settle.Ssweep
 module Json = Zkopt_report.Json
 open Zkopt_core
 
@@ -301,160 +308,134 @@ let cache_stats_json (s : Cache.stats) ~resident : Json.t =
       ("hit_rate_pct", Json.Float (Cache.hit_rate_pct s));
     ]
 
-let exec_sweep t jr ~programs ~profiles ~quick ~backends ~limit : exec_result =
-  let profiles = Option.map (List.map profile_of_name) profiles in
-  let backends = Option.map (List.map Registry.find) backends in
-  let stats0 = Cache.stats t.cache in
-  let cfg =
-    {
-      (H.default ~size:(size_of_quick quick)) with
-      H.programs;
-      profiles;
-      backends;
-      limit;
-      checkpoint = Some (ckpt_path t jr);
-      resume = true;
-      failure_budget =
-        (match remaining_budget t jr with
-        | Some b -> b
-        | None -> (H.default ~size:Workload.Quick).H.failure_budget);
-      jobs = t.pool_jobs;
-      cache = Some t.cache;
-      pool = Some t.pool;
-      on_point = Some (fun p -> push_row t jr (Checkpoint.encode_point p));
-      stop = stop_for t jr;
-    }
-  in
-  match H.run cfg with
-  | o ->
-    spend t jr (List.length o.H.quarantined);
-    if (not o.H.completed) && stop_for t jr () then interrupted t jr
-    else
-      Completed
-        (Json.Obj
-           [
-             ("points", Json.Int (Hashtbl.length o.H.points));
-             ("resumed", Json.Int o.H.resumed);
-             ("executed", Json.Int o.H.executed);
-             ("quarantined", Json.Int (List.length o.H.quarantined));
-             ("retries", Json.Int o.H.retries);
-             ("completed", Json.Bool o.H.completed);
-             ( "cache",
-               cache_stats_json
-                 (Cache.sub_stats (Cache.stats t.cache) stats0)
-                 ~resident:(Cache.resident t.cache) );
-           ])
-  | exception H.Budget_exceeded errs ->
-    spend t jr (List.length errs);
-    Crashed
-      (Printf.sprintf "failure budget exceeded after %d quarantined cells"
-         (List.length errs))
-  | exception e -> Crashed (Printexc.to_string e)
+(* What one job's engine run reports to {!exec}. *)
+type run = {
+  summary : (string * Json.t) list;
+  completed : bool;  (** false iff the engine left work undone *)
+  spent : int;  (** failure-budget units the run used *)
+}
 
-let exec_profile t jr ~program ~profile ~vm ~quick : exec_result =
-  match
+(* Run [spec]'s engine over the shared pool and caches, streaming every
+   row to [on_row] and resuming from the job's checkpoint. *)
+let run_spec t (jr : jobrec) ~stop ~on_row (spec : Job.spec) : run =
+  match spec with
+  | Job.Sweep { programs; profiles; quick; backends; limit } ->
+    let stats0 = Cache.stats t.cache in
+    let o =
+      H.run
+        {
+          (H.default ~size:(size_of_quick quick)) with
+          H.programs;
+          profiles = Option.map (List.map profile_of_name) profiles;
+          backends = Option.map (List.map Registry.find) backends;
+          limit;
+          checkpoint = Some (ckpt_path t jr);
+          failure_budget =
+            Option.value (remaining_budget t jr)
+              ~default:(H.default ~size:Workload.Quick).H.failure_budget;
+          cache = Some t.cache;
+          pool = Some t.pool;
+          on_row;
+          stop;
+        }
+    in
+    {
+      summary =
+        [
+          ("points", Json.Int (Hashtbl.length o.H.points));
+          ("resumed", Json.Int o.H.resumed);
+          ("executed", Json.Int o.H.executed);
+          ("quarantined", Json.Int (List.length o.H.quarantined));
+          ("retries", Json.Int o.H.retries);
+          ("completed", Json.Bool o.H.completed);
+          ( "cache",
+            cache_stats_json
+              (Cache.sub_stats (Cache.stats t.cache) stats0)
+              ~resident:(Cache.resident t.cache) );
+        ];
+      completed = o.H.completed;
+      spent = List.length o.H.quarantined;
+    }
+  | Job.Profile_cell { program; profile; vm; quick } ->
     let w = Workload.find program in
     let b = Registry.find vm in
     let build () = w.Workload.build (size_of_quick quick) in
     let profile_t = profile_of_name profile in
     let m = Measure.prepare_ir ~build profile_t in
-    let digest = Fingerprint.of_modul m ^ "+" ^ b.Backend.schema in
-    let codec =
-      {
-        Cache.enc = (fun (c : Backend.compiled) -> c.Backend.encode ());
-        dec = (fun s -> b.Backend.decode m s);
-      }
-    in
     let c =
-      Cache.get_or_compile t.cache ~digest ~codec ~compile:(fun () ->
-          b.Backend.compile m)
+      Backend.compile_cached ~cache:t.cache b ~fp:(Fingerprint.of_modul m) m
     in
     let r = c.Backend.measure ~vm:b.Backend.name () in
     (match r.Backend.accounting with
     | Ok () -> ()
     | Error msg -> failwith ("accounting: " ^ msg));
-    let point =
-      {
-        Cell.program = w.Workload.name;
-        suite = w.Workload.suite;
-        profile = Profile.name profile_t;
-        zk = [ r.Backend.zk ];
-        cpu = None;
-      }
-    in
-    push_row t jr (Checkpoint.encode_point point);
-    Json.Obj
-      [
-        ("program", Json.Str program);
-        ("profile", Json.Str (Profile.name profile_t));
-        ("vm", Json.Str vm);
-        ("cycles", Json.Int r.Backend.zk.Measure.cycles);
-        ("segments", Json.Int r.Backend.zk.Measure.segments);
-      ]
-  with
-  | summary -> Completed summary
-  | exception e ->
-    spend t jr 1;
-    Crashed (Printexc.to_string e)
-
-let exec_autotune t jr ~program ~iters ~vm ~quick ~seed ~population :
-    exec_result =
-  match
+    on_row
+      (Checkpoint.encode_point
+         {
+           Cell.program = w.Workload.name;
+           suite = w.Workload.suite;
+           profile = Profile.name profile_t;
+           zk = [ r.Backend.zk ];
+           cpu = None;
+         });
+    {
+      summary =
+        [
+          ("program", Json.Str program);
+          ("profile", Json.Str (Profile.name profile_t));
+          ("vm", Json.Str vm);
+          ("cycles", Json.Int r.Backend.zk.Measure.cycles);
+          ("segments", Json.Int r.Backend.zk.Measure.segments);
+        ];
+      completed = true;
+      spent = 0;
+    }
+  | Job.Autotune { program; iters; vm; quick; seed; population } ->
     let w = Workload.find program in
-    let b = Registry.find vm in
     let build () = w.Workload.build (size_of_quick quick) in
-    (* one target pricing [program] on [vm], compiling through the shared
-       artifact cache; the search engine streams every checkpoint row to
-       subscribers and resumes the row log across daemon restarts *)
-    let target = Autotune.backend_target ~cache:t.cache ~program ~build b in
-    let cfg =
-      {
-        (Autotune.default ~seed ~population ~iterations:iters ()) with
-        Autotune.jobs = t.pool_jobs;
-        pool = Some t.pool;
-        prefix_cache = Some t.tune_cache;
-        checkpoint = Some (ckpt_path t jr);
-        resume = true;
-        on_row = Some (push_row t jr);
-        stop = stop_for t jr;
-      }
+    let target =
+      Autotune.backend_target ~cache:t.cache ~program ~build (Registry.find vm)
     in
-    Autotune.search cfg ~targets:[ target ]
-  with
-  | o -> (
-    if (not o.Autotune.completed) && stop_for t jr () then interrupted t jr
-    else
-      match o.Autotune.result with
-      | None -> Crashed "autotune search produced no result"
-      | Some ga ->
-        let best = ga.Autotune.best in
-        let cs = o.Autotune.cache_stats in
-        Completed
-          (Json.Obj
-             [
-               ("program", Json.Str program);
-               ("vm", Json.Str vm);
-               ("evaluations", Json.Int ga.Autotune.evaluations);
-               ("resumed", Json.Int o.Autotune.resumed);
-               ("generations", Json.Int (List.length ga.Autotune.history));
-               ("best_cycles", Json.Int best.Autotune.fitness);
-               ( "best_genome",
-                 Json.Arr (List.map (fun p -> Json.Str p) best.Autotune.genome)
-               );
-               ("dedup_hits", Json.Int cs.Autotune.dedup_hits);
-               ("pruned", Json.Int cs.Autotune.pruned);
-               ("measured", Json.Int cs.Autotune.measured);
-               ( "prefix_cache",
-                 cache_stats_json cs.Autotune.prefix
-                   ~resident:(Cache.resident t.tune_cache) );
-             ]))
-  | exception e ->
-    spend t jr 1;
-    Crashed (Printexc.to_string e)
-
-let exec_fuzz t jr ~seed_lo ~seed_hi ~pipelines ~backends ~limit : exec_result
-    =
-  match
+    let o =
+      Autotune.search
+        {
+          (Autotune.default ~seed ~population ~iterations:iters ()) with
+          Autotune.pool = Some t.pool;
+          prefix_cache = Some t.tune_cache;
+          checkpoint = Some (ckpt_path t jr);
+          resume = true;
+          on_row;
+          stop;
+        }
+        ~targets:[ target ]
+    in
+    let cs = o.Autotune.cache_stats in
+    {
+      summary =
+        (match o.Autotune.result with
+        | None -> [] (* stopped before the first generation *)
+        | Some ga ->
+          let best = ga.Autotune.best in
+          [
+            ("program", Json.Str program);
+            ("vm", Json.Str vm);
+            ("evaluations", Json.Int ga.Autotune.evaluations);
+            ("resumed", Json.Int o.Autotune.resumed);
+            ("generations", Json.Int (List.length ga.Autotune.history));
+            ("best_cycles", Json.Int best.Autotune.fitness);
+            ( "best_genome",
+              Json.Arr (List.map (fun p -> Json.Str p) best.Autotune.genome) );
+            ("dedup_hits", Json.Int cs.Autotune.dedup_hits);
+            ("pruned", Json.Int cs.Autotune.pruned);
+            ("measured", Json.Int cs.Autotune.measured);
+            ( "prefix_cache",
+              cache_stats_json cs.Autotune.prefix
+                ~resident:(Cache.resident t.tune_cache) );
+          ]);
+      completed = o.Autotune.completed;
+      spent = 0;
+    }
+  | Job.Fuzz { seed_lo; seed_hi; pipelines; backends; limit } ->
     let backends =
       match backends with
       | None -> Registry.all ()
@@ -468,119 +449,102 @@ let exec_fuzz t jr ~seed_lo ~seed_hi ~pipelines ~backends ~limit : exec_result
           | Error e -> failwith e)
         pipelines
     in
+    let s =
+      Campaign.run
+        {
+          (Campaign.default ~backends) with
+          Campaign.sources =
+            List.init (seed_hi - seed_lo + 1) (fun i ->
+                Case.seed (seed_lo + i));
+          pipelines;
+          checkpoint = Some (ckpt_path t jr);
+          resume = true;
+          failure_budget = remaining_budget t jr;
+          limit;
+          pool = Some t.pool;
+          on_row;
+          stop;
+        }
+    in
     {
-      (Campaign.default ~backends) with
-      Campaign.sources =
-        List.init (seed_hi - seed_lo + 1) (fun i -> Case.seed (seed_lo + i));
-      pipelines;
-      jobs = t.pool_jobs;
-      checkpoint = Some (ckpt_path t jr);
-      resume = true;
-      failure_budget = remaining_budget t jr;
-      limit;
-      pool = Some t.pool;
-      on_row =
-        Some (fun r -> push_row t jr (Campaign.encode_row r));
-      stop = stop_for t jr;
+      summary =
+        [
+          ("planned", Json.Int s.Campaign.planned);
+          ("resumed", Json.Int s.Campaign.resumed);
+          ("ran", Json.Int s.Campaign.ran);
+          ("agreed", Json.Int s.Campaign.agreed);
+          ("diverged", Json.Int (List.length s.Campaign.findings));
+          ("budget_hit", Json.Bool s.Campaign.budget_hit);
+        ];
+      completed = s.Campaign.resumed + s.Campaign.ran = s.Campaign.planned;
+      spent = List.length s.Campaign.findings;
     }
-  with
-  | cfg -> (
-    match Campaign.run cfg with
-    | s ->
-      spend t jr (List.length s.Campaign.findings);
-      if stop_for t jr () && s.Campaign.ran < s.Campaign.planned then
-        interrupted t jr
-      else
-        Completed
-          (Json.Obj
-             [
-               ("planned", Json.Int s.Campaign.planned);
-               ("resumed", Json.Int s.Campaign.resumed);
-               ("ran", Json.Int s.Campaign.ran);
-               ("agreed", Json.Int s.Campaign.agreed);
-               ("diverged", Json.Int (List.length s.Campaign.findings));
-               ("budget_hit", Json.Bool s.Campaign.budget_hit);
-             ])
-    | exception e -> Crashed (Printexc.to_string e))
-  | exception e -> Crashed (Printexc.to_string e)
-
-let exec_settle t jr ~programs ~profiles ~quick ~backends ~arity :
-    exec_result =
-  let module Ssweep = Zkopt_settle.Ssweep in
-  match
+  | Job.Settle { programs; profiles; backends; quick; arity } ->
     let size = size_of_quick quick in
-    let program_names =
-      match programs with Some ps -> ps | None -> Workload.names ()
+    let program name =
+      let w = Workload.find name in
+      (name, fun () -> w.Workload.build size)
     in
-    let programs =
-      List.map
-        (fun name ->
-          let w = Workload.find name in
-          (name, fun () -> w.Workload.build size))
-        program_names
-    in
-    let profile_names =
-      match profiles with
-      | Some ps -> ps
-      | None -> [ "baseline"; "O1"; "O2"; "O3"; "Os"; "Oz"; "zk-o3" ]
-    in
-    let profiles =
-      List.map (fun n -> (Profile.name (profile_of_name n), profile_of_name n))
-        profile_names
-    in
-    let backends =
-      match backends with
-      | None -> Registry.all ()
-      | Some ns -> List.map Registry.find ns
+    let profile n = (Profile.name (profile_of_name n), profile_of_name n) in
+    let o =
+      Ssweep.run
+        {
+          (Ssweep.default ()) with
+          Ssweep.programs =
+            List.map program
+              (Option.value programs ~default:(Workload.names ()));
+          profiles =
+            List.map profile
+              (Option.value profiles
+                 ~default:
+                   [ "baseline"; "O1"; "O2"; "O3"; "Os"; "Oz"; "zk-o3" ]);
+          backends =
+            (match backends with
+            | None -> Registry.all ()
+            | Some ns -> List.map Registry.find ns);
+          pool = Some t.pool;
+          cache = Some t.cache;
+          arity = Some arity;
+          checkpoint = Some (ckpt_path t jr);
+          on_row;
+          stop;
+        }
     in
     {
-      (Ssweep.default ~jobs:t.pool_jobs ()) with
-      Ssweep.programs;
-      profiles;
-      backends;
-      pool = Some t.pool;
-      cache = Some t.cache;
-      arity = Some arity;
-      checkpoint = Some (ckpt_path t jr);
-      on_row = Some (push_row t jr);
-      stop = stop_for t jr;
+      summary =
+        [
+          ("rows", Json.Int (List.length o.Ssweep.rows));
+          ("cells", Json.Int o.Ssweep.cells);
+          ("resumed", Json.Int o.Ssweep.replayed);
+          ("completed", Json.Bool o.Ssweep.completed);
+        ];
+      completed = o.Ssweep.completed;
+      spent = 0;
     }
-  with
-  | cfg -> (
-    match Ssweep.run cfg with
-    | o ->
-      if (not o.Ssweep.completed) && stop_for t jr () then interrupted t jr
-      else
-        Completed
-          (Json.Obj
-             [
-               ("rows", Json.Int (List.length o.Ssweep.rows));
-               ("cells", Json.Int o.Ssweep.cells);
-               ("resumed", Json.Int o.Ssweep.replayed);
-               ("completed", Json.Bool o.Ssweep.completed);
-             ])
-    | exception e ->
-      spend t jr 1;
-      Crashed (Printexc.to_string e))
-  | exception e -> Crashed (Printexc.to_string e)
 
-let exec_job t (jr : jobrec) : exec_result =
+(* Run one job and map its outcome to a state.  Every crash spends one
+   unit of the client's ledger, except a sweep over its failure budget,
+   which spends the cells it quarantined. *)
+let exec t (jr : jobrec) : exec_result =
   match remaining_budget t jr with
   | Some b when b <= 0 ->
     Crashed
       (Printf.sprintf "client %S failure budget exhausted" jr.job.Job.client)
   | _ -> (
-    match jr.job.Job.spec with
-    | Job.Sweep { programs; profiles; quick; backends; limit } ->
-      exec_sweep t jr ~programs ~profiles ~quick ~backends ~limit
-    | Job.Profile_cell { program; profile; vm; quick } ->
-      exec_profile t jr ~program ~profile ~vm ~quick
-    | Job.Autotune { program; iters; vm; quick; seed; population } ->
-      exec_autotune t jr ~program ~iters ~vm ~quick ~seed ~population
-    | Job.Fuzz { seed_lo; seed_hi; pipelines; backends; limit } ->
-      exec_fuzz t jr ~seed_lo ~seed_hi ~pipelines ~backends ~limit
-    | Job.Settle { programs; profiles; backends; quick; arity } ->
-      exec_settle t jr ~programs ~profiles ~quick ~backends ~arity)
+    let stop = stop_for t jr in
+    match run_spec t jr ~stop ~on_row:(push_row t jr) jr.job.Job.spec with
+    | r ->
+      spend t jr r.spent;
+      if (not r.completed) && stop () then interrupted t jr
+      else Completed (Json.Obj r.summary)
+    | exception H.Budget_exceeded errs ->
+      spend t jr (List.length errs);
+      Crashed
+        (Printf.sprintf "failure budget exceeded after %d quarantined cells"
+           (List.length errs))
+    | exception e ->
+      spend t jr 1;
+      Crashed (Printexc.to_string e))
 
 (* ---- dispatcher ------------------------------------------------------ *)
 
@@ -624,7 +588,7 @@ let rec dispatch_loop t =
         (Printf.sprintf "serve: running %s (%s, client %s)" jr.job.Job.id
            (Job.kind_name jr.job.Job.spec)
            jr.job.Job.client);
-      (match exec_job t jr with
+      (match exec t jr with
       | Completed summary -> finish_job t jr Job.Finished summary
       | Was_cancelled -> finish_job t jr Job.Cancelled (state_json Job.Cancelled)
       | Crashed msg -> finish_job t jr (Job.Failed msg) (state_json (Job.Failed msg))

@@ -121,7 +121,7 @@ let test_stats () =
   Alcotest.(check (pair int int)) "buckets" (2, 1) (g, l)
 
 let test_autotune_subseq () =
-  let module A = Zkopt_autotune.Autotune in
+  let module A = Zkopt_autotune.Miner in
   let seqs = [ [ "a"; "b"; "c" ]; [ "b"; "a" ]; [ "c" ] ] in
   Alcotest.(check int) "containing" 2 (A.count_containing "b" seqs);
   Alcotest.(check int) "ordered ab" 1 (A.count_ordered_pair "a" "b" seqs);

@@ -1,10 +1,9 @@
-(** Autotune engine tests: genome-operator well-formedness, fixed-seed
-    determinism independent of the job count, failure-taxonomy-aware
-    evaluation, the §4.2 sequence miner against brute-force oracles, the
-    pool-backed search engine's byte-identical rows at any [jobs] with a
-    live prefix cache, engine-level checkpoint resume, and the
-    autotune-as-a-service kill/restart path (mirroring the sweep case in
-    {!Test_serve}). *)
+(** Autotune engine tests: genome-operator well-formedness, the failure
+    taxonomy, a monotone best-so-far history, the §4.2 sequence miner
+    against brute-force oracles, the pool-backed search engine's
+    byte-identical rows at any [jobs] with a live prefix cache,
+    engine-level checkpoint resume, and the autotune-as-a-service
+    kill/restart path (mirroring the sweep case in {!Test_serve}). *)
 
 module A = Zkopt_autotune.Autotune
 module Miner = Zkopt_autotune.Miner
@@ -34,65 +33,53 @@ let qcheck_operators_well_formed =
       && well_formed (A.mutate rng a)
       && well_formed (A.crossover rng a b))
 
-(* ---- evaluate: failure taxonomy --------------------------------------- *)
+(* ---- expected_failure: failure taxonomy ------------------------------ *)
 
-let test_evaluate_classifies_failures () =
+let test_expected_failure_taxonomy () =
   (* expected measurement failures score worst instead of raising *)
   List.iter
     (fun (label, (e : exn)) ->
-      Alcotest.(check int) label max_int
-        (A.evaluate ~cycles:(fun _ -> raise e) [ "dce" ]))
+      Alcotest.(check bool) label true (A.expected_failure e))
     [
-      ("fuel exhaustion scores max_int", Zkopt_ir.Interp.Out_of_fuel);
-      ("ill-formed IR scores max_int", Zkopt_ir.Verify.Ill_formed "bad phi");
-      ("emulator trap scores max_int", Zkopt_riscv.Emulator.Trap "misaligned");
+      ("fuel exhaustion is expected", Zkopt_ir.Interp.Out_of_fuel);
+      ("ill-formed IR is expected", Zkopt_ir.Verify.Ill_formed "bad phi");
+      ("emulator trap is expected", Zkopt_riscv.Emulator.Trap "misaligned");
     ];
   (* harness bugs and oracle violations must propagate *)
-  let propagates label (e : exn) matches =
-    match A.evaluate ~cycles:(fun _ -> raise e) [ "dce" ] with
-    | _ -> Alcotest.failf "%s: exception was swallowed" label
-    | exception e' ->
-      Alcotest.(check bool) label true (matches e')
-  in
-  propagates "Stack_overflow propagates" Stack_overflow (( = ) Stack_overflow);
-  propagates "assertion failure propagates"
-    (Assert_failure ("t", 0, 0))
-    (function Assert_failure _ -> true | _ -> false);
-  propagates "accounting violation propagates"
-    (Zkopt_harness.Error.Accounting "leaked cycles")
-    (function Zkopt_harness.Error.Accounting _ -> true | _ -> false);
-  (* success path is untouched *)
-  Alcotest.(check int) "plain cycles pass through" 42
-    (A.evaluate ~cycles:(fun _ -> 42) [ "dce" ])
+  List.iter
+    (fun (label, (e : exn)) ->
+      Alcotest.(check bool) label false (A.expected_failure e))
+    [
+      ("Stack_overflow propagates", Stack_overflow);
+      ("assertion failure propagates", Assert_failure ("t", 0, 0));
+      ( "accounting violation propagates",
+        Zkopt_harness.Error.Accounting "leaked cycles" );
+    ]
 
-(* ---- blind GA: determinism and history shape -------------------------- *)
+(* ---- search history shape ---------------------------------------------- *)
 
-(* a pure, cheap synthetic objective: deterministic in the genome *)
-let synthetic_cycles (g : A.genome) = Hashtbl.hash g land 0xffff
-
-let test_run_deterministic_across_jobs () =
-  let go jobs =
-    A.run ~seed:11 ~population:8 ~iterations:48 ~jobs
-      ~cycles:synthetic_cycles ()
-  in
-  let r1 = go 1 and r4 = go 4 in
-  Alcotest.(check int) "same best fitness" r1.A.best.A.fitness
-    r4.A.best.A.fitness;
-  Alcotest.(check (list string)) "same best genome" r1.A.best.A.genome
-    r4.A.best.A.genome;
-  Alcotest.(check (list int)) "same per-generation history" r1.A.history
-    r4.A.history;
-  Alcotest.(check int) "same evaluation count" r1.A.evaluations
-    r4.A.evaluations
+(* a cheap synthetic target: cycles are a hash of the module fingerprint *)
+let synthetic_target =
+  {
+    A.tname = "synthetic";
+    pname = "factorial";
+    weight = 1.0;
+    build =
+      (fun () -> (Workload.find "factorial").Workload.build Workload.Quick);
+    measure = (fun ~fp _ -> Hashtbl.hash fp land 0xffff);
+  }
 
 let qcheck_history_monotone =
   QCheck.Test.make ~name:"best-so-far history is monotone non-increasing"
-    ~count:25
+    ~count:10
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let r =
-        A.run ~seed ~population:6 ~iterations:30 ~cycles:synthetic_cycles ()
+      let o =
+        A.search
+          (A.default ~seed ~population:6 ~iterations:30 ())
+          ~targets:[ synthetic_target ]
       in
+      let r = Option.get o.A.result in
       r.A.history <> []
       && fst
            (List.fold_left
@@ -116,7 +103,7 @@ let qcheck_pair_equals_subsequence =
     ~count:300
     (QCheck.make QCheck.Gen.(pair (pair (oneofl [ "a"; "b"; "c" ]) (oneofl [ "a"; "b"; "c" ])) seqs_gen))
     (fun ((a, b), seqs) ->
-      A.count_ordered_pair a b seqs = Miner.count_subsequence [ a; b ] seqs)
+      Miner.count_ordered_pair a b seqs = Miner.count_subsequence [ a; b ] seqs)
 
 let qcheck_pair_table_complete =
   QCheck.Test.make ~name:"pair_table lists every non-zero ordered pair"
@@ -128,7 +115,7 @@ let qcheck_pair_table_complete =
         (fun a ->
           List.for_all
             (fun b ->
-              let c = A.count_ordered_pair a b seqs in
+              let c = Miner.count_ordered_pair a b seqs in
               let listed = List.assoc_opt (a, b) table in
               if c = 0 then listed = None else listed = Some c)
             genes)
@@ -231,7 +218,7 @@ let run_search ?(jobs = 1) ?(iterations = 8) ?checkpoint ?(resume = false)
       A.checkpoint;
       resume;
       stop;
-      on_row = Some record;
+      on_row = record;
     }
   in
   let o = A.search cfg ~targets:[ factorial_target () ] in
@@ -460,10 +447,8 @@ let test_service_restart_resumes_byte_identical () =
 
 let tests =
   [
-    Alcotest.test_case "evaluate classifies failures by taxonomy" `Quick
-      test_evaluate_classifies_failures;
-    Alcotest.test_case "blind GA deterministic at jobs 1 vs 4" `Quick
-      test_run_deterministic_across_jobs;
+    Alcotest.test_case "expected_failure classifies by taxonomy" `Quick
+      test_expected_failure_taxonomy;
     Alcotest.test_case "contrast mining scores best-camp motifs" `Quick
       test_contrast_scores;
     Alcotest.test_case "tuned profiles roundtrip through JSON" `Quick

@@ -3,8 +3,9 @@
     content-addressed cache properties (digest stability under {!Clone},
     digest sensitivity to one-instruction edits, hit/compile metric
     equality), single-flight compilation, the LRU bound, the on-disk
-    store (round trip, corruption treated as a miss), and the row log's
-    framing under a kill at every byte offset. *)
+    store (round trip, corruption treated as a miss), the row log's
+    framing under a kill at every byte offset, and the engine run loop's
+    plan-order emission. *)
 
 open Zkopt_ir
 open Zkopt_core
@@ -305,6 +306,162 @@ let prop_rowlog_shear =
           sheared && resumed && load () = Option.to_list header @ extra)
         (List.init (String.length bytes + 1) Fun.id))
 
+(* ---- engine run loop ------------------------------------------------ *)
+
+module Drive = Zkopt_exec.Drive
+
+let drive_header = "drive-test"
+
+let spin n =
+  let r = ref 0 in
+  for i = 1 to n do
+    r := !r + i
+  done;
+  ignore (Sys.opaque_identity !r)
+
+(* Synthetic tasks: task [i] spins for its work, then returns the rows
+   "t<i>.<j>" for its row count; [on_run i] marks it finished and task
+   [raise_at] fails instead. *)
+let drive_plan ?raise_at ~on_run waves =
+  let next = ref 0 in
+  List.map
+    (List.map (fun (nrows, work) ->
+         let i = !next in
+         incr next;
+         let keys = List.init nrows (Printf.sprintf "t%d.%d" i) in
+         {
+           Drive.keys;
+           run =
+             (fun () ->
+               spin work;
+               if raise_at = Some i then failwith "task failed";
+               on_run i;
+               keys);
+         }))
+    waves
+
+(* Run the loop over [waves] with a fresh, sequential, uninterrupted
+   reference; then the same plan at [jobs], from a reference log cut
+   at a row boundary, and with a drain after [stop_after] polls, at
+   most [limit] live tasks and task [raise_at] failing.  The log must
+   hold exactly the finished rows in plan order, the same bytes at
+   every [jobs] and after a resume, and [on_row] must see every row
+   once, in plan order. *)
+let prop_drive_run =
+  let task = QCheck.Gen.(pair (int_bound 3) (int_bound 50_000)) in
+  let gen =
+    QCheck.Gen.(
+      tup6
+        (list_size (int_range 1 3) (list_size (int_bound 6) task))
+        (int_range 1 4) (opt (int_bound 8)) (opt (int_bound 12))
+        (opt (int_bound 12)) nat)
+  in
+  let print (waves, jobs, stop_after, raise_at, limit, cut) =
+    let opt = function Some n -> string_of_int n | None -> "-" in
+    Printf.sprintf "waves=%s jobs=%d stop_after=%s raise_at=%s limit=%s cut=%d"
+      (String.concat "|"
+         (List.map
+            (fun w ->
+              String.concat ","
+                (List.map (fun (n, work) -> Printf.sprintf "%d/%d" n work) w))
+            waves))
+      jobs (opt stop_after) (opt raise_at) (opt limit) cut
+  in
+  QCheck.Test.make ~name:"drive: plan-order rows at any jobs, cut, stop, raise"
+    ~count:40 (QCheck.make ~print gen)
+    (fun (waves, jobs, stop_after, raise_at, limit, cut) ->
+      let path = Filename.temp_file "zkopt_drive" ".log" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      let bytes () = In_channel.with_open_bin path In_channel.input_all in
+      let go ?(fresh = false) ?(stop = fun () -> false) ?limit ?raise_at
+          ?(on_run = ignore) jobs =
+        let seen = ref [] in
+        let cfg =
+          {
+            Drive.encode = Fun.id;
+            decode =
+              (fun l ->
+                if String.starts_with ~prefix:"t" l then Some l else None);
+            key = Fun.id;
+            checkpoint = Some path;
+            header = Some drive_header;
+            fresh;
+            limit;
+            jobs;
+            pool = None;
+            stop;
+            on_row = (fun _ line -> seen := line :: !seen);
+          }
+        in
+        let o = Drive.run cfg (drive_plan ?raise_at ~on_run waves) in
+        (o, List.rev !seen)
+      in
+      let reference, rows =
+        let o, seen = go ~fresh:true 1 in
+        (bytes (), if seen = o.Drive.rows then o.Drive.rows else [ "!hook" ])
+      in
+      let o_j, seen_j = go ~fresh:true jobs in
+      let same_at_jobs =
+        bytes () = reference && seen_j = rows && o_j.Drive.completed
+      in
+      let lines = drive_header :: rows in
+      let keep = cut mod (List.length lines + 1) in
+      Out_channel.with_open_bin path (fun oc ->
+          List.iteri
+            (fun i l -> if i < keep then output_string oc (l ^ "\n"))
+            lines);
+      let o_r, seen_r = go jobs in
+      let resumed =
+        bytes () = reference && seen_r = rows
+        && o_r.Drive.replayed + o_r.Drive.ran = List.length (List.concat waves)
+      in
+      let ntasks = List.length (List.concat waves) in
+      let finished = Array.make ntasks false in
+      let polls = Atomic.make 0 in
+      let stop () =
+        match stop_after with
+        | Some k -> Atomic.fetch_and_add polls 1 >= k
+        | None -> false
+      in
+      let outcome =
+        match
+          go ~fresh:true ~stop ?limit ?raise_at
+            ~on_run:(fun i -> finished.(i) <- true)
+            jobs
+        with
+        | o, seen -> Ok (o, seen)
+        | exception Failure _ -> Error ()
+      in
+      let expected =
+        List.filter
+          (fun row ->
+            Scanf.sscanf row "t%d.%d" (fun i _ -> finished.(i)))
+          rows
+      in
+      let within_limit =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun i f -> (not f) || i < Option.value limit ~default:max_int)
+             finished)
+      in
+      let partial =
+        Rowlog.load path ~decode:(fun l ->
+            if l = drive_header then None else Some l)
+        = expected
+        && within_limit
+        &&
+        match outcome with
+        | Ok (o, seen) ->
+          let stopped =
+            match stop_after with Some k -> Atomic.get polls > k | None -> false
+          in
+          seen = expected
+          && o.Drive.completed
+             = ((not stopped) && Option.value limit ~default:max_int >= ntasks)
+        | Error () -> raise_at <> None
+      in
+      same_at_jobs && resumed && partial)
+
 let tests =
   [
     Alcotest.test_case "pool runs each task exactly once" `Quick
@@ -325,4 +482,5 @@ let tests =
         prop_attr_digest_differs;
         prop_cache_hit_matches_fresh_compile;
         prop_rowlog_shear;
+        prop_drive_run;
       ]

@@ -363,21 +363,32 @@ let test_parallel_matches_sequential () =
      seeded profiles = 42 cells; a 4-domain run must produce
      cell-for-cell identical metrics to the sequential run *)
   let profiles = seeded_profile_sample ~seed:2026 21 in
-  let cfg jobs =
+  let ckpt jobs =
+    Filename.temp_file (Printf.sprintf "zkopt_ckpt_j%d" jobs) ".txt"
+  in
+  let seq_path = ckpt 1 and par_path = ckpt 4 in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove [ seq_path; par_path ])
+  @@ fun () ->
+  let cfg jobs path =
     {
       (H.default ~size:Zkopt_workloads.Workload.Quick) with
       H.programs = Some subset_programs;
       profiles = Some profiles;
       jobs;
+      checkpoint = Some path;
+      resume = false;
     }
   in
-  let seq = H.run (cfg 1) in
-  let par = H.run (cfg 4) in
+  let seq = H.run (cfg 1 seq_path) in
+  let par = H.run (cfg 4 par_path) in
   Alcotest.(check int) "42 cells" 42 (Hashtbl.length seq.H.points);
   Alcotest.(check (list string)) "nothing quarantined" []
     (List.map Error.to_string par.H.quarantined);
   Alcotest.(check string) "cell-for-cell identical metrics"
     (canonical seq.H.points) (canonical par.H.points);
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "checkpoint byte-identical, unsorted" (read seq_path)
+    (read par_path);
   (* the content-addressed cache dedupes profiles that leave a program
      untouched, and never changes results while doing so *)
   Alcotest.(check bool) "cache deduped some compiles" true

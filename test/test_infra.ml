@@ -62,22 +62,6 @@ let test_report_table () =
   Alcotest.(check string) "pct" "+3.5%" (Zkopt_report.Report.pct 3.5);
   Alcotest.(check string) "neg pct" "-2.0%" (Zkopt_report.Report.pct (-2.0))
 
-let test_autotune_deterministic () =
-  let w = Zkopt_workloads.Workload.find "factorial" in
-  let build () = w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Quick in
-  let run () =
-    (Zkopt_autotune.Autotune.run ~seed:7 ~iterations:10
-       ~cycles:
-         (Zkopt_autotune.Autotune.zkvm_cycles ~build Zkopt_zkvm.Config.sp1)
-       ())
-      .Zkopt_autotune.Autotune.best
-  in
-  let a = run () and b = run () in
-  Alcotest.(check int) "same fitness" a.Zkopt_autotune.Autotune.fitness
-    b.Zkopt_autotune.Autotune.fitness;
-  Alcotest.(check (list string)) "same genome" a.Zkopt_autotune.Autotune.genome
-    b.Zkopt_autotune.Autotune.genome
-
 let test_zkvm_deterministic () =
   let w = Zkopt_workloads.Workload.find "npb-is" in
   let build () = w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Quick in
@@ -96,7 +80,6 @@ let tests =
       test_measure_checksum_stable;
     Alcotest.test_case "asm listing" `Quick test_asm_listing;
     Alcotest.test_case "report rendering" `Quick test_report_table;
-    Alcotest.test_case "autotune deterministic" `Quick test_autotune_deterministic;
     Alcotest.test_case "zkvm accounting deterministic" `Quick
       test_zkvm_deterministic;
   ]

@@ -256,6 +256,31 @@ let submit_collect ?priority ?budget dir spec :
   | Ok (_id, outcome) -> (List.rev !rows, outcome)
   | Error msg -> Alcotest.failf "submit failed: %s" msg
 
+(* Watch job [id] to its terminal event; its rows in arrival order. *)
+let watch_collect dir id : string list * [ `Done of Json.t | `Failed of string ]
+    =
+  let rows = ref [] in
+  match
+    Client.with_connection (sock_of dir) (fun c ->
+        match Client.send c (Proto.Watch id) with
+        | Error e -> Error e
+        | Ok () ->
+          let rec loop () =
+            match Client.recv c with
+            | Ok (Proto.Row { data; _ }) ->
+              rows := data :: !rows;
+              loop ()
+            | Ok (Proto.Done { summary; _ }) -> Ok (`Done summary)
+            | Ok (Proto.Err { msg }) -> Ok (`Failed msg)
+            | Ok _ -> loop ()
+            | Error `Eof -> Error "eof mid-watch"
+            | Error (`Bad m) -> Error m
+          in
+          loop ())
+  with
+  | Ok outcome -> (List.rev !rows, outcome)
+  | Error e -> ([], `Failed e)
+
 let small_sweep =
   Job.Sweep
     {
@@ -511,35 +536,7 @@ let test_restart_resumes_byte_identical () =
      job-1 and its checkpoint resumes it *)
   let d2 = start_daemon dir in
   Fun.protect ~finally:(fun () -> Daemon.stop d2) @@ fun () ->
-  let final = ref ([], `Failed "not run") in
-  let watcher =
-    Thread.create
-      (fun () ->
-        let rows = ref [] in
-        match
-          Client.with_connection (sock_of dir) (fun c ->
-              match Client.send c (Proto.Watch "job-1") with
-              | Error e -> Error e
-              | Ok () ->
-                let rec loop () =
-                  match Client.recv c with
-                  | Ok (Proto.Row { data; _ }) ->
-                    rows := data :: !rows;
-                    loop ()
-                  | Ok (Proto.Done { summary; _ }) -> Ok (`Done summary)
-                  | Ok (Proto.Err { msg }) -> Ok (`Failed msg)
-                  | Ok _ -> loop ()
-                  | Error `Eof -> Error "eof mid-watch"
-                  | Error (`Bad m) -> Error m
-                in
-                loop ())
-        with
-        | Ok outcome -> final := (List.rev !rows, outcome)
-        | Error e -> final := ([], `Failed e))
-      ()
-  in
-  Thread.join watcher;
-  let rows, outcome = !final in
+  let rows, outcome = watch_collect dir "job-1" in
   (match outcome with
   | `Done _ -> ()
   | `Failed m -> Alcotest.failf "resumed job failed: %s" m);
@@ -560,6 +557,115 @@ let test_restart_resumes_byte_identical () =
   Alcotest.(check int) "checkpoint holds every cell" (List.length ref_rows)
     (List.length ck_points)
 
+(* The state a kill leaves, built for every resumable kind: run the job
+   to completion, drop its D line from the registry and keep the first
+   half of its checkpoint.  After a restart, a watcher on the job must
+   see every row of the uninterrupted run, replayed ones included. *)
+let test_restart_streams_every_row () =
+  let kinds =
+    [
+      ("sweep", small_sweep);
+      ("fuzz", small_fuzz);
+      ( "tune",
+        Job.Autotune
+          {
+            program = "factorial";
+            iters = 8;
+            vm = "risc0";
+            quick = true;
+            seed = 7;
+            population = 4;
+          } );
+      ( "settle",
+        Job.Settle
+          {
+            programs = Some [ "factorial"; "loop-sum" ];
+            profiles = Some [ "baseline"; "O1" ];
+            backends = Some [ "risc0"; "sp1"; "valida" ];
+            quick = true;
+            arity = 2;
+          } );
+    ]
+  in
+  let lines path =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let write path ls =
+    Out_channel.with_open_bin path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) ls)
+  in
+  List.iter
+    (fun (kind, spec) ->
+      let dir = fresh_dir () in
+      let d = start_daemon dir in
+      let ref_rows =
+        match
+          Fun.protect
+            ~finally:(fun () -> Daemon.stop d)
+            (fun () -> submit_collect dir spec)
+        with
+        | rows, `Done _ -> rows
+        | _, `Failed m -> Alcotest.failf "%s reference run failed: %s" kind m
+      in
+      let reg = Filename.concat dir "jobs.reg" in
+      write reg
+        (List.filter
+           (fun l -> not (String.starts_with ~prefix:"D\t" l))
+           (lines reg));
+      let ckpt = Filename.concat dir "job-1.ckpt" in
+      let kept = lines ckpt in
+      write ckpt (List.filteri (fun i _ -> i < List.length kept / 2) kept);
+      let d2 = start_daemon dir in
+      Fun.protect ~finally:(fun () -> Daemon.stop d2) @@ fun () ->
+      match watch_collect dir "job-1" with
+      | rows, `Done _ ->
+        Alcotest.(check (slist string compare))
+          (kind ^ ": the watcher sees every row") ref_rows rows
+      | _, `Failed m -> Alcotest.failf "%s resumed run failed: %s" kind m)
+    kinds
+
+(* Every crash spends one unit of the client's ledger, whatever the job
+   kind: once a sweep over an unknown program has crashed, the client's
+   next job with budget 1 fails fast. *)
+let test_crash_spends_ledger () =
+  let dir = fresh_dir () in
+  let d = start_daemon dir in
+  Fun.protect ~finally:(fun () -> Daemon.stop d) @@ fun () ->
+  let bad =
+    Job.Sweep
+      {
+        programs = Some [ "no-such-program" ];
+        profiles = Some [ "baseline" ];
+        quick = true;
+        backends = None;
+        limit = None;
+      }
+  in
+  let first, second =
+    match
+      Client.with_connection (sock_of dir) (fun c ->
+          let submit spec = Client.submit_and_watch ~budget:1 c spec in
+          match submit bad with
+          | Error e -> Error e
+          | Ok (_, first) ->
+            Result.map
+              (fun (_, second) -> (first, second))
+              (submit small_sweep))
+    with
+    | Ok outcomes -> outcomes
+    | Error e -> Alcotest.failf "submit failed: %s" e
+  in
+  (match first with
+  | `Failed _ -> ()
+  | `Done _ -> Alcotest.fail "a sweep over an unknown program completed");
+  match second with
+  | `Failed msg ->
+    Alcotest.(check bool) "fails on the exhausted budget" true
+      (Astring_contains.contains msg "failure budget exhausted")
+  | `Done _ -> Alcotest.fail "the crash did not spend from the ledger"
+
 let tests =
   [
     Alcotest.test_case "jobq blocking pop and close" `Quick
@@ -576,6 +682,10 @@ let tests =
       test_disconnect_cancels_watched_job;
     Alcotest.test_case "restart resumes byte-identically" `Slow
       test_restart_resumes_byte_identical;
+    Alcotest.test_case "restart streams every row of every kind" `Slow
+      test_restart_streams_every_row;
+    Alcotest.test_case "a crash spends one ledger unit" `Slow
+      test_crash_spends_ledger;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
