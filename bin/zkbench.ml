@@ -4,12 +4,12 @@
     zkbench list                         # all 58 programs
     zkbench passes                       # the 64 swept passes
     zkbench backends                     # the registered zkVM backends
-    zkbench run fibonacci -O3            # measure one program
+    zkbench run fibonacci --level O3     # measure one program
     zkbench run npb-lu --pass licm       # one pass vs baseline
     zkbench profile npb-lu --profile baseline --out base.prof
     zkbench profile npb-lu --pass licm --diff base.prof
                                          # where did licm's cycles go?
-    zkbench sweep --program fibonacci    # all 71 profiles on one program
+    zkbench sweep fibonacci              # all 71 profiles on one program
     zkbench sweepall --quick --checkpoint sweep.ckpt
                                          # fault-tolerant full-matrix sweep;
                                          # re-run the same command to resume
@@ -22,72 +22,42 @@
                                          # full-budget parallel search with
                                          # prefix caching and --profile-out
     zkbench sweepall --tuned tuned.json  # tuned profiles join the matrix
-    zkbench asm fibonacci -O3            # dump the RV32 assembly
+    zkbench asm fibonacci --level O3     # dump the RV32 assembly
     zkbench serve --dir _zkserve &       # persistent sweep service
     zkbench submit sweep --programs factorial,sha256 --quick
                                          # queue a job; rows stream back
     zkbench status                       # jobs + shared-cache counters
     zkbench shutdown                     # graceful drain (resumable)
-    v} *)
+    v}
+
+    The engine commands ([sweepall], [settle], [fuzz], [tune]) and
+    [submit <kind>] are two doors onto one {!Zkopt_serve.Job.spec}: both
+    parse a kind's flags with the same terms below, and {!Job} turns the
+    spec into its engine config.  A bad name is a usage error (exit 124)
+    that names the value. *)
 
 open Cmdliner
 open Zkopt_core
 module Json = Zkopt_report.Json
 module Backend = Zkopt_backend.Backend
 module Registry = Zkopt_backend.Registry
+module Workload = Zkopt_workloads.Workload
+module Cache = Zkopt_exec.Cache
+module Case = Zkopt_fuzz.Case
+module Job = Zkopt_serve.Job
 
 (* the valida backend registers itself at module init; force linkage *)
 let () = Zkopt_valida.Vbackend.ensure ()
 
-(** The one [--vm NAME] resolution point: every subcommand goes through
-    the registry, and a mistyped name lists what is registered. *)
-let resolve_backend name =
-  try Registry.find name with Invalid_argument msg -> failwith msg
-
-let find_workload name =
-  Zkopt_workloads.Suite.check_composition ();
-  Zkopt_workloads.Workload.find name
-
-let size_of_quick quick =
-  if quick then Zkopt_workloads.Workload.Quick else Zkopt_workloads.Workload.Full
-
-let comma_list s =
-  List.filter (fun x -> x <> "") (String.split_on_char ',' s)
+(* [prog]'s fresh-module builder; the name was checked by {!program_c}. *)
+let builder prog quick =
+  let w = Job.get (Job.workload prog) in
+  fun () -> w.Workload.build (Job.size quick)
 
 let show_metrics (zk : Measure.zk_metrics) =
   Printf.printf "  %-6s %10d cycles  exec %8.4fs  prove %8.2fs  %2d seg  paging %8d\n"
     zk.Measure.vm zk.Measure.cycles zk.Measure.exec_time_s zk.Measure.prove_time_s
     zk.Measure.segments zk.Measure.paging_cycles
-
-let profile_of ~level ~pass ~zk_o3 =
-  match (level, pass, zk_o3) with
-  | _, Some p, _ -> Profile.Single_pass p
-  | Some l, _, _ ->
-    let lvl =
-      match l with
-      | "-O0" | "O0" -> Zkopt_passes.Catalog.O0
-      | "-O1" | "O1" -> Zkopt_passes.Catalog.O1
-      | "-O2" | "O2" -> Zkopt_passes.Catalog.O2
-      | "-O3" | "O3" -> Zkopt_passes.Catalog.O3
-      | "-Os" | "Os" -> Zkopt_passes.Catalog.Os
-      | "-Oz" | "Oz" -> Zkopt_passes.Catalog.Oz
-      | other -> failwith ("unknown level " ^ other)
-    in
-    Profile.Level lvl
-  | _, _, true -> Profile.Zkvm_o3
-  | None, None, false -> Profile.Baseline
-
-(** Resolve a generic [--profile NAME]: "baseline", a level, the
-    zkVM-aware -O3, or any swept pass by name. *)
-let profile_by_name = function
-  | "baseline" -> Profile.Baseline
-  | "zk-o3" | "zkvm-o3" | "-O3(zkvm)" -> Profile.Zkvm_o3
-  | ("O0" | "-O0" | "O1" | "-O1" | "O2" | "-O2" | "O3" | "-O3" | "Os" | "-Os"
-    | "Oz" | "-Oz") as l ->
-    profile_of ~level:(Some l) ~pass:None ~zk_o3:false
-  | p ->
-    ignore (Zkopt_passes.Pass.find p) (* errors early on unknown names *);
-    Profile.Single_pass p
 
 let json_of_zk (zk : Measure.zk_metrics) : Json.t =
   Json.Obj
@@ -113,18 +83,258 @@ let json_of_cpu (cpu : Measure.cpu_metrics) : Json.t =
       ("cache_misses", Json.Int cpu.Measure.cache_misses);
     ]
 
+(* ---- one converter per name ------------------------------------------- *)
+
+(* A name keeps the form it was given in once [check] resolves it; a bad
+   name is a usage error naming the value. *)
+let name_c ~docv check =
+  Arg.conv' ~docv
+    ((fun s -> Result.map (fun _ -> s) (check s)), Format.pp_print_string)
+
+let program_c = name_c ~docv:"PROGRAM" Job.workload
+let profile_c = name_c ~docv:"PROFILE" Profile.of_name
+let pipeline_c = name_c ~docv:"SPEC" Case.pipeline_of_spec
+
+let backend_c ~fuzz =
+  name_c ~docv:"BACKEND" (if fuzz then Job.fuzz_backend else Job.backend)
+
+(* A profile-name converter that accepts only the profiles [pick] keeps. *)
+let profile_kind_c ~docv ~what ~hint pick =
+  Arg.conv' ~docv
+    ( (fun s ->
+        match Profile.of_name s with
+        | Ok p when pick p -> Ok p
+        | _ -> Error (Printf.sprintf "unknown %s %S (%s)" what s hint)),
+      fun ppf p -> Format.pp_print_string ppf (Profile.name p) )
+
+let seeds_c =
+  Arg.conv' ~docv:"A..B"
+    ( (fun s ->
+        Option.to_result
+          ~none:(Printf.sprintf "bad seed range %S (expected N or A..B)" s)
+          (Zkopt_devutil.Seedfmt.range_of_string s)),
+      fun ppf (lo, hi) -> Format.fprintf ppf "%d..%d" lo hi )
+
+(* ---- one term per flag ------------------------------------------------ *)
+
+let prog_arg =
+  Arg.(required & pos 0 (some program_c) None & info [] ~docv:"PROGRAM")
+
+let program_opt =
+  Arg.(required & opt (some program_c) None
+       & info [ "program" ] ~docv:"NAME" ~doc:"Program to run")
+
+let quick_arg =
+  Arg.(value & flag & info [ "quick" ] ~doc:"Use reduced (test) input sizes")
+
+let json_arg ?(doc = "Emit machine-readable JSON instead of tables") () =
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+(* --pass, else --level, else --zk-o3, else the baseline *)
+let profile_sel_arg =
+  let level =
+    Arg.(value
+         & opt
+             (some
+                (profile_kind_c ~docv:"LEVEL" ~what:"level"
+                   ~hint:"O0..O3, Os or Oz" (function
+                  | Profile.Level _ -> true
+                  | _ -> false)))
+             None
+         & info [ "O"; "level" ] ~docv:"LEVEL"
+             ~doc:"Optimization level (O0..O3, Os, Oz)")
+  in
+  let pass =
+    Arg.(value
+         & opt
+             (some
+                (profile_kind_c ~docv:"PASS" ~what:"pass"
+                   ~hint:"see `zkbench passes`" (function
+                  | Profile.Single_pass _ -> true
+                  | _ -> false)))
+             None
+         & info [ "pass" ] ~docv:"PASS"
+             ~doc:"Run a single pass instead of a level")
+  in
+  let zk_o3 =
+    Arg.(value & flag
+         & info [ "zk-o3" ] ~doc:"Use the zkVM-aware modified -O3 pipeline")
+  in
+  let pick level pass zk_o3 =
+    match (pass, level) with
+    | Some p, _ | None, Some p -> p
+    | None, None -> if zk_o3 then Profile.Zkvm_o3 else Profile.Baseline
+  in
+  Term.(const pick $ level $ pass $ zk_o3)
+
+let profile_name_arg ~absent =
+  Arg.(value & opt (some profile_c) None
+       & info [ "profile" ] ~docv:"NAME" ~absent
+           ~doc:"Profile by name: baseline, a level (O0..Oz), zk-o3, or any \
+                 swept pass")
+
+let jobs_arg ~doc =
+  let jobs =
+    Arg.(value & opt (some int) None
+         & info [ "jobs"; "j" ] ~docv:"N"
+             ~doc:(doc ^ " (default: the recommended domain count of this \
+                          machine)"))
+  in
+  Term.(const (function
+          | Some n -> max 1 n
+          | None -> Zkopt_exec.Pool.recommended_jobs ())
+        $ jobs)
+
+let checkpoint_arg ?default ~doc () =
+  Arg.(value & opt (some string) default
+       & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+
+let fresh_arg =
+  Arg.(value & flag
+       & info [ "fresh" ]
+           ~doc:"Discard an existing checkpoint (default is to resume)")
+
+let failure_budget_arg ~doc =
+  Arg.(value & opt (some int) None & info [ "failure-budget" ] ~docv:"N" ~doc)
+
+(* --cache-dir and --no-disk-cache: the compile cache of a one-shot run *)
+let cache_arg =
+  let dir =
+    Arg.(value & opt string "_zkcache"
+         & info [ "cache-dir" ] ~docv:"DIR"
+             ~doc:"On-disk compile-cache directory, shared across runs and \
+                   versioned by schema tag")
+  in
+  let no_disk =
+    Arg.(value & flag
+         & info [ "no-disk-cache" ]
+             ~doc:"Keep the compile cache in memory only (no $(b,--cache-dir))")
+  in
+  Term.(const (fun dir no_disk ->
+            Cache.create ?dir:(if no_disk then None else Some dir) ())
+        $ dir $ no_disk)
+
+let programs_arg ~doc =
+  Arg.(value & opt (some (list program_c)) None
+       & info [ "programs" ] ~docv:"NAMES" ~doc)
+
+let profiles_arg ~doc =
+  Arg.(value & opt (some (list profile_c)) None
+       & info [ "profiles" ] ~docv:"NAMES" ~doc)
+
+let backends_arg ?(fuzz = false) ~doc () =
+  Arg.(value & opt (some (list (backend_c ~fuzz))) None
+       & info [ "backends" ] ~docv:"NAMES" ~doc)
+
+let limit_arg ~doc =
+  Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N" ~doc)
+
+let vm_arg ~doc =
+  Arg.(value & opt (backend_c ~fuzz:false) Job.default_vm
+       & info [ "backend"; "vm" ] ~docv:"NAME"
+           ~doc:(doc ^ " (see `zkbench backends`)"))
+
+(* ---- one term per spec kind, shared by both doors ---------------------- *)
+
+let sweep_spec : Job.sweep Term.t =
+  let make programs profiles quick backends limit : Job.sweep =
+    { programs; profiles; quick; backends; limit }
+  in
+  Term.(const make
+        $ programs_arg ~doc:"Comma-separated programs (default: the full suite)"
+        $ profiles_arg ~doc:"Comma-separated profiles (default: all 71)"
+        $ quick_arg
+        $ backends_arg
+            ~doc:"Comma-separated backend columns to measure (default: \
+                  risc0,sp1; see `zkbench backends`)" ()
+        $ limit_arg
+            ~doc:"Measure at most N new cells then stop (the checkpoint \
+                  keeps the rest resumable)")
+
+let profile_cell_spec : Job.profile_cell Term.t =
+  let make program profile vm quick : Job.profile_cell =
+    { program; profile = Option.value profile ~default:Job.default_profile;
+      vm; quick }
+  in
+  Term.(const make $ program_opt
+        $ profile_name_arg ~absent:Job.default_profile
+        $ vm_arg ~doc:"Backend to measure" $ quick_arg)
+
+let autotune_spec program : Job.autotune Term.t =
+  let iters =
+    Arg.(value & opt int Job.default_iters
+         & info [ "iterations"; "iters" ] ~docv:"N"
+             ~doc:"Genome evaluations (the paper's deep dives use 1600)")
+  in
+  let seed =
+    Arg.(value & opt int Job.default_seed
+         & info [ "seed" ] ~docv:"N" ~doc:"Search seed")
+  in
+  let population =
+    Arg.(value & opt int Job.default_population
+         & info [ "population" ] ~docv:"N" ~doc:"Genomes per generation")
+  in
+  let make program iters vm quick seed population : Job.autotune =
+    { program; iters; vm; quick; seed; population }
+  in
+  Term.(const make $ program $ iters $ vm_arg ~doc:"Backend objective"
+        $ quick_arg $ seed $ population)
+
+let fuzz_spec : Job.fuzz Term.t =
+  let seeds =
+    Arg.(value & opt seeds_c Job.default_seeds
+         & info [ "seeds" ] ~docv:"A..B"
+             ~doc:"Random-program seed range; \"N\" means 1..N")
+  in
+  let pipelines =
+    Arg.(value & opt (list pipeline_c) Job.default_pipelines
+         & info [ "pipelines" ] ~docv:"SPECS"
+             ~doc:"Comma-separated pipeline specs: baseline, a level (O3 or \
+                   -O3), zk-o3, a pass name, or a;b;c / zk:a;b;c sequences")
+  in
+  let make (seed_lo, seed_hi) pipelines backends limit : Job.fuzz =
+    { seed_lo; seed_hi; pipelines; backends; limit }
+  in
+  Term.(const make $ seeds $ pipelines
+        $ backends_arg ~fuzz:true
+            ~doc:"Comma-separated differential columns (default: every \
+                  registered backend; \"sp1-dense\" adds the dense-shard \
+                  \xc2\xa74.2 reproduction config)" ()
+        $ limit_arg
+            ~doc:"Cap the campaign at N cases (the checkpoint keeps the \
+                  rest resumable)")
+
+let settle_spec : Job.settle Term.t =
+  let arity =
+    Arg.(value & opt int Job.default_arity
+         & info [ "arity" ] ~docv:"N"
+             ~doc:"Aggregation fan-in of the recursion tree")
+  in
+  let make programs profiles backends quick arity : Job.settle =
+    { programs; profiles; backends; quick; arity }
+  in
+  Term.(const make
+        $ programs_arg
+            ~doc:"Comma-separated programs to price (default: the full suite)"
+        $ profiles_arg
+            ~doc:("Comma-separated profiles (default: "
+                 ^ String.concat "," (List.map Profile.name Job.settle_profiles)
+                 ^ ")")
+        $ backends_arg
+            ~doc:"Comma-separated backends to price (default: every \
+                  registered backend)" ()
+        $ quick_arg $ arity)
+
 (* ---- subcommands --------------------------------------------------- *)
 
 let list_cmd =
   let run () =
     Zkopt_workloads.Suite.check_composition ();
     List.iter
-      (fun (w : Zkopt_workloads.Workload.t) ->
-        Printf.printf "%-28s %-10s%s\n" w.Zkopt_workloads.Workload.name
-          w.Zkopt_workloads.Workload.suite
-          (if w.Zkopt_workloads.Workload.uses_precompiles then "  [precompiles]"
-           else ""))
-      (Zkopt_workloads.Workload.all ())
+      (fun (w : Workload.t) ->
+        Printf.printf "%-28s %-10s%s\n" w.Workload.name w.Workload.suite
+          (if w.Workload.uses_precompiles then "  [precompiles]" else ""))
+      (Workload.all ())
   in
   Cmd.v (Cmd.info "list" ~doc:"List the 58 benchmark programs")
     Term.(const run $ const ())
@@ -140,62 +350,21 @@ let passes_cmd =
   Cmd.v (Cmd.info "passes" ~doc:"List the 64 swept optimization passes")
     Term.(const run $ const ())
 
-let prog_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"PROGRAM")
-
-let quick_arg =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Use reduced (test) input sizes")
-
-let level_arg =
-  Arg.(value & opt (some string) None
-       & info [ "O"; "level" ] ~docv:"LEVEL" ~doc:"Optimization level (O0..O3, Os, Oz)")
-
-let pass_arg =
-  Arg.(value & opt (some string) None
-       & info [ "pass" ] ~docv:"PASS" ~doc:"Run a single pass instead of a level")
-
-let zk_o3_arg =
-  Arg.(value & flag
-       & info [ "zk-o3" ] ~doc:"Use the zkVM-aware modified -O3 pipeline")
-
-let json_arg =
-  Arg.(value & flag
-       & info [ "json" ] ~doc:"Emit machine-readable JSON instead of tables")
-
-(** Compile once per codegen family: backends sharing a schema share the
-    artifact, exactly like the sweep harness's compile cache. *)
-let compiled_family () =
-  let arts : (string, Backend.compiled) Hashtbl.t = Hashtbl.create 4 in
-  fun (m : Zkopt_ir.Modul.t) (b : Backend.t) ->
-    match Hashtbl.find_opt arts b.Backend.schema with
-    | Some c -> c
-    | None ->
-      let c = b.Backend.compile m in
-      Hashtbl.add arts b.Backend.schema c;
-      c
-
 let run_cmd =
-  let run prog quick level pass zk_o3 json =
-    let w = find_workload prog in
-    let build () = w.Zkopt_workloads.Workload.build (size_of_quick quick) in
-    let profile = profile_of ~level ~pass ~zk_o3 in
-    let m = Measure.prepare_ir ~build profile in
-    let compiled_for = compiled_family () in
+  let run prog quick profile json =
+    let m = Measure.prepare_ir ~build:(builder prog quick) profile in
+    let cache = Cache.create () and fp = Zkopt_exec.Fingerprint.of_modul m in
+    let compiled b = Backend.compile_cached ~cache b ~fp m in
     let backends = Registry.all () in
     let zks =
       List.map
         (fun (b : Backend.t) ->
-          let c = compiled_for m b in
-          (c.Backend.measure ~vm:b.Backend.name ()).Backend.zk)
+          ((compiled b).Backend.measure ~vm:b.Backend.name ()).Backend.zk)
         backends
     in
-    let static_instrs =
-      (compiled_for m (List.hd backends)).Backend.static_instrs
-    in
+    let static_instrs = (compiled (List.hd backends)).Backend.static_instrs in
     let cpu =
-      List.find_map
-        (fun (b : Backend.t) -> (compiled_for m b).Backend.measure_cpu)
-        backends
+      List.find_map (fun b -> (compiled b).Backend.measure_cpu) backends
       |> Option.map (fun f -> f ?fuel:None ?sink:None ())
     in
     if json then
@@ -226,22 +395,9 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Measure one program under a profile on every registered backend")
-    Term.(const run $ prog_arg $ quick_arg $ level_arg $ pass_arg $ zk_o3_arg
-          $ json_arg)
+    Term.(const run $ prog_arg $ quick_arg $ profile_sel_arg $ json_arg ())
 
 let profile_cmd =
-  let named_arg =
-    Arg.(value & opt (some string) None
-         & info [ "profile" ] ~docv:"NAME"
-             ~doc:"Profile by name: baseline, a level (O0..Oz), zk-o3, or \
-                   any swept pass")
-  in
-  let vm_arg =
-    Arg.(value & opt string "risc0"
-         & info [ "vm" ] ~docv:"VM"
-             ~doc:"Backend to attribute (any registered backend; see \
-                   `zkbench backends`)")
-  in
   let top_arg =
     Arg.(value & opt int 20 & info [ "top" ] ~docv:"N" ~doc:"Rows per table")
   in
@@ -260,16 +416,14 @@ let profile_cmd =
          & info [ "out" ] ~docv:"FILE"
              ~doc:"Save the profile to FILE for a later --diff")
   in
-  let run prog quick level pass zk_o3 named vm top diff folded out json =
-    let w = find_workload prog in
-    let build () = w.Zkopt_workloads.Workload.build (size_of_quick quick) in
+  let run prog quick selected named vm top diff folded out json =
     let profile =
       match named with
-      | Some n -> profile_by_name n
-      | None -> profile_of ~level ~pass ~zk_o3
+      | Some n -> Job.get (Profile.of_name n)
+      | None -> selected
     in
-    let b = resolve_backend vm in
-    let m = Measure.prepare_ir ~build profile in
+    let b = Job.get (Job.backend vm) in
+    let m = Measure.prepare_ir ~build:(builder prog quick) profile in
     let c = b.Backend.compile m in
     let label = Profile.name profile in
     let metrics, prof = Zkopt_prof.Driver.profile_backend ~label b c in
@@ -315,14 +469,14 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Attribute every zkVM cycle (exec, paging, padding, CPU model) \
              to the IR site that caused it; optionally diff two profiles")
-    Term.(const run $ prog_arg $ quick_arg $ level_arg $ pass_arg $ zk_o3_arg
-          $ named_arg $ vm_arg $ top_arg $ diff_arg $ folded_arg $ out_arg
-          $ json_arg)
+    Term.(const run $ prog_arg $ quick_arg $ profile_sel_arg
+          $ profile_name_arg ~absent:"the --pass/--level/--zk-o3 choice"
+          $ vm_arg ~doc:"Backend to attribute" $ top_arg
+          $ diff_arg $ folded_arg $ out_arg $ json_arg ())
 
 let sweep_cmd =
   let run prog quick =
-    let w = find_workload prog in
-    let build () = w.Zkopt_workloads.Workload.build (size_of_quick quick) in
+    let build = builder prog quick in
     let base = Measure.prepare ~build Profile.Baseline in
     let b0 = Measure.run_zkvm Zkopt_zkvm.Config.risc0 base in
     Printf.printf "%-28s %12s %9s\n" "profile" "r0 cycles" "vs base";
@@ -340,103 +494,37 @@ let sweep_cmd =
     Term.(const run $ prog_arg $ quick_arg)
 
 let sweepall_cmd =
-  let ckpt_arg =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Stream completed cells to an append-only checkpoint file; \
-                   rerunning with the same file resumes the sweep")
-  in
-  let fresh_arg =
-    Arg.(value & flag
-         & info [ "fresh" ]
-             ~doc:"Discard an existing checkpoint (default is to resume)")
-  in
-  let budget_arg =
-    Arg.(value & opt int 32
-         & info [ "failure-budget" ] ~docv:"N"
-             ~doc:"Quarantined cells tolerated before aborting")
-  in
-  let limit_arg =
-    Arg.(value & opt (some int) None
-         & info [ "limit" ] ~docv:"N"
-             ~doc:"Measure at most N new cells then stop (the checkpoint \
-                   keeps the rest resumable)")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker domains executing sweep cells in parallel \
-                   (default: the recommended domain count of this \
-                   machine; results are identical at any job count)")
-  in
-  let cache_dir_arg =
-    Arg.(value & opt (some string) (Some "_zkcache")
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"On-disk compile-cache directory, shared across runs \
-                   and versioned by schema tag (default: _zkcache)")
-  in
-  let no_disk_cache_arg =
-    Arg.(value & flag
-         & info [ "no-disk-cache" ]
-             ~doc:"Keep the compile cache in memory only (no _zkcache)")
-  in
-  let backends_arg =
-    Arg.(value & opt (some string) None
-         & info [ "backends" ] ~docv:"NAMES"
-             ~doc:"Comma-separated backend columns to measure (default: \
-                   risc0,sp1; see `zkbench backends`)")
-  in
+  let module H = Zkopt_harness.Harness in
+  let module Tuned = Zkopt_autotune.Tuned in
   let tuned_arg =
     Arg.(value & opt (some string) None
          & info [ "tuned" ] ~docv:"FILE"
-             ~doc:"Add the tuned profiles from a `zkbench tune \
-                   --profile-out` JSON file as extra matrix columns")
+             ~doc:"Append the tuned profiles from a `zkbench tune \
+                   --profile-out` JSON file to the matrix columns")
   in
-  let run quick ckpt fresh budget limit jobs cache_dir no_disk_cache backends
-      tuned =
-    let module H = Zkopt_harness.Harness in
-    let size = size_of_quick quick in
+  let run spec ckpt fresh budget jobs cache tuned =
+    let cfg = Job.sweep_config spec in
     let profiles =
       match tuned with
-      | None -> None
+      | None -> cfg.H.profiles
       | Some file -> (
-        match Zkopt_autotune.Tuned.load file with
+        match Tuned.load file with
         | Ok entries ->
           Some
-            (Profile.all_71
-            @ List.map Zkopt_autotune.Tuned.to_profile entries)
+            (Option.value cfg.H.profiles ~default:Profile.all_71
+            @ List.map Tuned.to_profile entries)
         | Error msg -> failwith (Printf.sprintf "--tuned %s: %s" file msg))
-    in
-    let backends =
-      Option.map
-        (fun s ->
-          List.map resolve_backend
-            (List.filter
-               (fun n -> n <> "")
-               (String.split_on_char ',' s)))
-        backends
-    in
-    let jobs =
-      match jobs with
-      | Some n -> max 1 n
-      | None -> Zkopt_exec.Pool.recommended_jobs ()
-    in
-    let cache =
-      let dir = if no_disk_cache then None else cache_dir in
-      Zkopt_exec.Cache.create ?dir ()
     in
     let cfg =
       {
-        (H.default ~size) with
+        cfg with
         H.progress = true;
         profiles;
         checkpoint = ckpt;
         resume = not fresh;
-        failure_budget = budget;
-        limit;
+        failure_budget = Option.value budget ~default:cfg.H.failure_budget;
         jobs;
         cache = Some cache;
-        backends;
       }
     in
     match H.run cfg with
@@ -448,9 +536,7 @@ let sweepall_cmd =
       let s = o.H.cache_stats in
       Printf.printf
         "compile cache: %d mem + %d disk hits, %d compiles (%.1f%% hit rate)\n"
-        s.Zkopt_exec.Cache.hits s.Zkopt_exec.Cache.disk_hits
-        s.Zkopt_exec.Cache.misses
-        (Zkopt_exec.Cache.hit_rate_pct s);
+        s.Cache.hits s.Cache.disk_hits s.Cache.misses (Cache.hit_rate_pct s);
       List.iter
         (fun ((c : Zkopt_harness.Error.coord), msg) ->
           Printf.printf "degraded: %s/%s: CPU model failed (%s); zkVM \
@@ -472,137 +558,42 @@ let sweepall_cmd =
        ~doc:"Fault-tolerant full-matrix sweep (all programs x all profiles) \
              with multicore execution, a content-addressed compile cache, \
              quarantine, retry, and checkpoint/resume")
-    Term.(const run $ quick_arg $ ckpt_arg $ fresh_arg $ budget_arg
-          $ limit_arg $ jobs_arg $ cache_dir_arg $ no_disk_cache_arg
-          $ backends_arg $ tuned_arg)
+    Term.(const run $ sweep_spec
+          $ checkpoint_arg
+              ~doc:"Stream completed cells to an append-only checkpoint \
+                    file; rerunning with the same file resumes the sweep" ()
+          $ fresh_arg
+          $ failure_budget_arg
+              ~doc:
+                (Printf.sprintf
+                   "Quarantined cells tolerated before aborting (default: %d)"
+                   (H.default ~size:Workload.Quick).H.failure_budget)
+          $ jobs_arg
+              ~doc:"Worker domains executing sweep cells in parallel; \
+                    results are identical at any job count"
+          $ cache_arg $ tuned_arg)
 
 let settle_cmd =
   let module S = Zkopt_settle.Settle in
   let module Ssweep = Zkopt_settle.Ssweep in
-  let programs_arg =
-    Arg.(value & opt (some string) None
-         & info [ "programs" ] ~docv:"NAMES"
-             ~doc:"Comma-separated programs to price (default: the full \
-                   suite)")
+  let weight name ~doc =
+    Arg.(value & opt float 1.0 & info [ name ] ~docv:"W" ~doc)
   in
-  let profiles_arg =
-    Arg.(value & opt (some string) None
-         & info [ "profiles" ] ~docv:"NAMES"
-             ~doc:"Comma-separated profiles (default: \
-                   baseline,O1,O2,O3,Os,Oz,zk-o3)")
-  in
-  let backends_arg =
-    Arg.(value & opt (some string) None
-         & info [ "backends" ] ~docv:"NAMES"
-             ~doc:"Comma-separated backends to price (default: every \
-                   registered backend)")
-  in
-  let arity_arg =
-    Arg.(value & opt int 8
-         & info [ "arity" ] ~docv:"N"
-             ~doc:"Aggregation fan-in of the recursion tree")
-  in
-  let w_prove_arg =
-    Arg.(value & opt float 1.0
-         & info [ "w-prove" ] ~docv:"W"
-             ~doc:"Weight on segment proving seconds")
-  in
-  let w_agg_arg =
-    Arg.(value & opt float 1.0
-         & info [ "w-agg" ] ~docv:"W"
-             ~doc:"Weight on aggregation proving seconds")
-  in
-  let w_gas_arg =
-    Arg.(value & opt float 1.0
-         & info [ "w-gas" ] ~docv:"W" ~doc:"Weight on verification gas")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker domains pricing cells in parallel (default: the \
-                   recommended domain count; the row stream is \
-                   byte-identical at any job count)")
-  in
-  let ckpt_arg =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Stream completed rows to an append-only checkpoint \
-                   file; rerunning with the same file resumes the sweep")
-  in
-  let fresh_arg =
-    Arg.(value & flag
-         & info [ "fresh" ]
-             ~doc:"Discard an existing checkpoint (default is to resume)")
-  in
-  let cache_dir_arg =
-    Arg.(value & opt (some string) (Some "_zkcache")
-         & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"On-disk compile-cache directory (default: _zkcache)")
-  in
-  let no_disk_cache_arg =
-    Arg.(value & flag
-         & info [ "no-disk-cache" ]
-             ~doc:"Keep the compile cache in memory only")
-  in
-  let run quick programs profiles backends arity w_prove w_agg w_gas jobs
-      ckpt fresh cache_dir no_disk_cache json =
-    let size = size_of_quick quick in
-    Zkopt_workloads.Suite.check_composition ();
-    let program_names =
-      match programs with
-      | Some s -> comma_list s
-      | None -> Zkopt_workloads.Workload.names ()
-    in
-    let programs =
-      List.map
-        (fun n ->
-          let w = Zkopt_workloads.Workload.find n in
-          (n, fun () -> w.Zkopt_workloads.Workload.build size))
-        program_names
-    in
-    let profile_names =
-      match profiles with
-      | Some s -> comma_list s
-      | None -> [ "baseline"; "O1"; "O2"; "O3"; "Os"; "Oz"; "zk-o3" ]
-    in
-    let profiles =
-      List.map
-        (fun n ->
-          let p = profile_by_name n in
-          (Profile.name p, p))
-        profile_names
-    in
-    let backends =
-      match backends with
-      | Some s -> List.map resolve_backend (comma_list s)
-      | None -> Registry.all ()
-    in
-    let jobs =
-      match jobs with
-      | Some n -> max 1 n
-      | None -> Zkopt_exec.Pool.recommended_jobs ()
-    in
+  let run spec w_prove w_agg w_gas jobs ckpt fresh cache json =
     (if fresh then
        match ckpt with
        | Some p when Sys.file_exists p -> Sys.remove p
        | _ -> ());
-    let cache =
-      let dir = if no_disk_cache then None else cache_dir in
-      Zkopt_exec.Cache.create ?dir ()
+    let o =
+      Ssweep.run
+        {
+          (Job.settle_config spec) with
+          Ssweep.jobs;
+          weights = { S.w_prove; w_agg; w_gas };
+          cache = Some cache;
+          checkpoint = ckpt;
+        }
     in
-    let cfg =
-      {
-        (Ssweep.default ~jobs ()) with
-        Ssweep.programs;
-        profiles;
-        backends;
-        arity = Some arity;
-        weights = { S.w_prove; w_agg; w_gas };
-        cache = Some cache;
-        checkpoint = ckpt;
-      }
-    in
-    let o = Ssweep.run cfg in
     let reports = List.filter_map S.report_of_row o.Ssweep.rows in
     if json then
       List.iter
@@ -634,37 +625,25 @@ let settle_cmd =
              matrix through the settlement models — segment proof sizes, \
              the recursion/aggregation tree, and the EVM verification-gas \
              model — and report the settled cost per cell")
-    Term.(const run $ quick_arg $ programs_arg $ profiles_arg
-          $ backends_arg $ arity_arg $ w_prove_arg $ w_agg_arg $ w_gas_arg
-          $ jobs_arg $ ckpt_arg $ fresh_arg $ cache_dir_arg
-          $ no_disk_cache_arg $ json_arg)
+    Term.(const run $ settle_spec
+          $ weight "w-prove" ~doc:"Weight on segment proving seconds"
+          $ weight "w-agg" ~doc:"Weight on aggregation proving seconds"
+          $ weight "w-gas" ~doc:"Weight on verification gas"
+          $ jobs_arg
+              ~doc:"Worker domains pricing cells in parallel; the row \
+                    stream is byte-identical at any job count"
+          $ checkpoint_arg
+              ~doc:"Stream completed rows to an append-only checkpoint \
+                    file; rerunning with the same file resumes the sweep" ()
+          $ fresh_arg $ cache_arg $ json_arg ())
 
 let fuzz_cmd =
-  let module Case = Zkopt_fuzz.Case in
   let module Campaign = Zkopt_fuzz.Campaign in
-  let seeds_arg =
-    Arg.(value & opt string "1..100"
-         & info [ "seeds" ] ~docv:"A..B"
-             ~doc:"Random-program seed range; \"N\" means 1..N")
-  in
   let workloads_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (list program_c) []
          & info [ "workloads" ] ~docv:"NAMES"
              ~doc:"Also fuzz these suite programs (comma-separated, quick \
                    input sizes)")
-  in
-  let backends_arg =
-    Arg.(value & opt (some string) None
-         & info [ "backends" ] ~docv:"NAMES"
-             ~doc:"Comma-separated differential columns (default: every \
-                   registered backend; \"sp1-dense\" adds the dense-shard \
-                   \xc2\xa74.2 reproduction config)")
-  in
-  let pipelines_arg =
-    Arg.(value & opt string "baseline,O3,zk-o3"
-         & info [ "pipelines" ] ~docv:"SPECS"
-             ~doc:"Comma-separated pipeline specs: baseline, O0..Oz, zk-o3, \
-                   a pass name, or a;b;c / zk:a;b;c sequences")
   in
   let random_arg =
     Arg.(value & opt int 0
@@ -672,38 +651,9 @@ let fuzz_cmd =
              ~doc:"Additional random pass sequences per source \
                    (deterministic in the seed)")
   in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker domains running cases in parallel (default: the \
-                   recommended domain count)")
-  in
-  let ckpt_arg =
-    Arg.(value & opt string "fuzz.ckpt"
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Append-only campaign checkpoint; rerunning with the same \
-                   file resumes where the previous run stopped (default: \
-                   fuzz.ckpt)")
-  in
   let no_ckpt_arg =
     Arg.(value & flag
          & info [ "no-checkpoint" ] ~doc:"Run without a checkpoint file")
-  in
-  let fresh_arg =
-    Arg.(value & flag
-         & info [ "fresh" ]
-             ~doc:"Discard an existing checkpoint (default is to resume)")
-  in
-  let budget_arg =
-    Arg.(value & opt (some int) None
-         & info [ "failure-budget" ] ~docv:"N"
-             ~doc:"Stop scheduling new cases after N divergences")
-  in
-  let limit_arg =
-    Arg.(value & opt (some int) None
-         & info [ "limit" ] ~docv:"N"
-             ~doc:"Cap the campaign at N cases (checkpoint keeps the rest \
-                   resumable)")
   in
   let minimize_arg =
     Arg.(value & flag
@@ -720,61 +670,21 @@ let fuzz_cmd =
     Arg.(value & flag
          & info [ "verbose" ] ~doc:"Log every case, not just findings")
   in
-  let run seeds workloads backends pipelines random_seqs jobs ckpt no_ckpt
-      fresh budget limit minimize corpus verbose =
-    let split s = List.filter (fun x -> x <> "") (String.split_on_char ',' s) in
-    let lo, hi =
-      match Zkopt_devutil.Seedfmt.range_of_string seeds with
-      | Some r -> r
-      | None -> failwith (Printf.sprintf "bad --seeds %S (expected N or A..B)" seeds)
-    in
-    let backends =
-      match backends with
-      | None -> Registry.all ()
-      | Some s ->
-        List.map
-          (fun n ->
-            try Case.resolve_backend n
-            with Invalid_argument msg -> failwith msg)
-          (split s)
-    in
-    let pipelines =
-      List.map
-        (fun spec ->
-          match Case.pipeline_of_spec spec with
-          | Ok p -> p
-          | Error e -> failwith e)
-        (split pipelines)
-    in
-    let sources =
-      List.init (hi - lo + 1) (fun i -> Case.seed (lo + i))
-      @ (match workloads with
-        | None -> []
-        | Some s ->
-          List.map
-            (fun w ->
-              ignore (find_workload w);
-              Case.Workload w)
-            (split s))
-    in
-    let jobs =
-      match jobs with
-      | Some n -> max 1 n
-      | None -> Zkopt_exec.Pool.recommended_jobs ()
-    in
+  let run spec workloads random_seqs jobs ckpt no_ckpt fresh budget minimize
+      corpus verbose =
+    let cfg = Job.fuzz_config spec in
     let cfg =
       {
-        (Campaign.default ~backends) with
-        Campaign.sources;
-        pipelines;
+        cfg with
+        Campaign.sources =
+          cfg.Campaign.sources @ List.map (fun w -> Case.Workload w) workloads;
         random_seqs;
         jobs;
-        checkpoint = (if no_ckpt then None else Some ckpt);
+        checkpoint = (if no_ckpt then None else ckpt);
         resume = not fresh;
         failure_budget = budget;
         minimize;
         corpus;
-        limit;
         log =
           (fun line ->
             if verbose || not (String.length line >= 2 && line.[0] = 'o') then
@@ -802,49 +712,19 @@ let fuzz_cmd =
              workloads run across backends and pass pipelines; divergences \
              are classified, minimized, and persisted to a replayable \
              corpus")
-    Term.(const run $ seeds_arg $ workloads_arg $ backends_arg
-          $ pipelines_arg $ random_arg $ jobs_arg $ ckpt_arg $ no_ckpt_arg
-          $ fresh_arg $ budget_arg $ limit_arg $ minimize_arg $ corpus_arg
-          $ verbose_arg)
+    Term.(const run $ fuzz_spec $ workloads_arg $ random_arg
+          $ jobs_arg ~doc:"Worker domains running cases in parallel"
+          $ checkpoint_arg ~default:"fuzz.ckpt"
+              ~doc:"Append-only campaign checkpoint; rerunning with the \
+                    same file resumes where the previous run stopped" ()
+          $ no_ckpt_arg $ fresh_arg
+          $ failure_budget_arg
+              ~doc:"Stop scheduling new cases after N divergences"
+          $ minimize_arg $ corpus_arg $ verbose_arg)
 
 let tune_cmd =
   let module A = Zkopt_autotune.Autotune in
   let module Tuned = Zkopt_autotune.Tuned in
-  let vm_arg =
-    Arg.(value & opt string "risc0"
-         & info [ "backend"; "vm" ] ~docv:"NAME"
-             ~doc:"Backend objective (see `zkbench backends`)")
-  in
-  let iters_arg =
-    Arg.(value & opt int 160
-         & info [ "iterations"; "iters" ] ~docv:"N"
-             ~doc:"Genome evaluations (the paper's deep dives use 1600)")
-  in
-  let population_arg =
-    Arg.(value & opt int 16
-         & info [ "population" ] ~docv:"N" ~doc:"Genomes per generation")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Search seed")
-  in
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker domains evaluating a generation in parallel \
-                   (default: the recommended domain count; results are \
-                   identical at any job count)")
-  in
-  let ckpt_arg =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ] ~docv:"FILE"
-             ~doc:"Append per-generation rows to FILE; rerunning with the \
-                   same file resumes the search")
-  in
-  let fresh_arg =
-    Arg.(value & flag
-         & info [ "fresh" ]
-             ~doc:"Discard an existing checkpoint (default is to resume)")
-  in
   let profile_out_arg =
     Arg.(value & opt (some string) None
          & info [ "profile-out" ] ~docv:"FILE"
@@ -858,36 +738,27 @@ let tune_cmd =
                    non-deduped genome)")
   in
   let objective_arg =
-    Arg.(value & opt string "cycles"
+    Arg.(value
+         & opt
+             (enum
+                [ ("cycles", (false, "cycles"));
+                  ("settled", (true, "settled micro-units")) ])
+             (false, "cycles")
          & info [ "objective" ] ~docv:"NAME"
              ~doc:"Fitness the search minimizes: \"cycles\" (the backend's \
                    cycle count) or \"settled\" (end-to-end settlement \
                    micro-cost: prover + aggregation + verification gas)")
   in
-  let run prog quick vm iters population seed jobs ckpt fresh profile_out
-      no_prune objective =
-    let w = find_workload prog in
-    let build () = w.Zkopt_workloads.Workload.build (size_of_quick quick) in
-    let b = resolve_backend vm in
-    let jobs =
-      match jobs with
-      | Some n -> max 1 n
-      | None -> Zkopt_exec.Pool.recommended_jobs ()
-    in
-    let artifacts = Zkopt_exec.Cache.create () in
-    let target, unit_name =
-      match objective with
-      | "cycles" ->
-        (A.backend_target ~cache:artifacts ~program:prog ~build b, "cycles")
-      | "settled" ->
-        ( A.settled_target ~cache:artifacts ~program:prog ~build b,
-          "settled micro-units" )
-      | o -> failwith ("unknown --objective " ^ o ^ " (cycles | settled)")
+  let run (spec : Job.autotune) jobs ckpt fresh profile_out no_prune
+      (settled, unit_name) =
+    let cfg, target =
+      Job.autotune_config ~cache:(Cache.create ()) ~settled spec
     in
     let cfg =
       {
-        (A.default ~seed ~population ~iterations:iters ~jobs ()) with
-        A.prune = not no_prune;
+        cfg with
+        A.jobs;
+        prune = not no_prune;
         checkpoint = ckpt;
         resume = not fresh;
       }
@@ -901,7 +772,7 @@ let tune_cmd =
       let best = ga.A.best in
       Printf.printf "tuned %s@%s: %d %s after %d evaluations (%d \
                      generations%s)\n"
-        prog b.Backend.name best.A.fitness unit_name ga.A.evaluations
+        spec.program spec.vm best.A.fitness unit_name ga.A.evaluations
         (List.length ga.A.history)
         (if o.A.resumed > 0 then
            Printf.sprintf ", %d resumed from checkpoint" o.A.resumed
@@ -912,15 +783,15 @@ let tune_cmd =
         "engine: %d measured, %d deduped, %d pruned, %d failed; prefix \
          cache %d hits / %d compiles (%.1f%% hit rate; %d jobs)\n"
         cs.A.measured cs.A.dedup_hits cs.A.pruned cs.A.failed
-        cs.A.prefix.Zkopt_exec.Cache.hits cs.A.prefix.Zkopt_exec.Cache.misses
-        (Zkopt_exec.Cache.hit_rate_pct cs.A.prefix)
+        cs.A.prefix.Cache.hits cs.A.prefix.Cache.misses
+        (Cache.hit_rate_pct cs.A.prefix)
         jobs;
       (match profile_out with
       | None -> ()
       | Some path -> (
         let e =
-          Tuned.entry ~program:prog ~vm:b.Backend.name ~cycles:best.A.fitness
-            best.A.genome
+          Tuned.entry ~program:spec.program ~vm:spec.vm
+            ~cycles:best.A.fitness best.A.genome
         in
         match Tuned.save path [ e ] with
         | Ok () -> Printf.printf "wrote %s (profile %S)\n" path e.Tuned.name
@@ -932,9 +803,14 @@ let tune_cmd =
              evaluation over a domain pool, prefix-cached compilation, \
              dedup/pruning, checkpoint/resume, and named-profile output \
              for the sweep matrix")
-    Term.(const run $ prog_arg $ quick_arg $ vm_arg $ iters_arg
-          $ population_arg $ seed_arg $ jobs_arg $ ckpt_arg $ fresh_arg
-          $ profile_out_arg $ no_prune_arg $ objective_arg)
+    Term.(const run $ autotune_spec prog_arg
+          $ jobs_arg
+              ~doc:"Worker domains evaluating a generation in parallel; \
+                    results are identical at any job count"
+          $ checkpoint_arg
+              ~doc:"Append per-generation rows to FILE; rerunning with the \
+                    same file resumes the search" ()
+          $ fresh_arg $ profile_out_arg $ no_prune_arg $ objective_arg)
 
 let backends_cmd =
   let run () =
@@ -950,11 +826,8 @@ let backends_cmd =
     Term.(const run $ const ())
 
 let asm_cmd =
-  let run prog quick level pass zk_o3 =
-    let w = find_workload prog in
-    let build () = w.Zkopt_workloads.Workload.build (size_of_quick quick) in
-    let profile = profile_of ~level ~pass ~zk_o3 in
-    let m = build () in
+  let run prog quick profile =
+    let m = builder prog quick () in
     Zkopt_runtime.Runtime.link m;
     Profile.apply profile m;
     ignore (Zkopt_passes.Pass.run_one "globaldce" m);
@@ -965,11 +838,10 @@ let asm_cmd =
       m.Zkopt_ir.Modul.funcs
   in
   Cmd.v (Cmd.info "asm" ~doc:"Dump the generated RV32 assembly")
-    Term.(const run $ prog_arg $ quick_arg $ level_arg $ pass_arg $ zk_o3_arg)
+    Term.(const run $ prog_arg $ quick_arg $ profile_sel_arg)
 
 (* ---- the sweep service ----------------------------------------------- *)
 
-module Serve_job = Zkopt_serve.Job
 module Serve_proto = Zkopt_serve.Proto
 module Serve_client = Zkopt_serve.Client
 
@@ -988,18 +860,7 @@ let sock_of ~dir ~sock =
   match sock with Some p -> p | None -> Filename.concat dir "zkbench.sock"
 
 let serve_cmd =
-  let jobs_arg =
-    Arg.(value & opt (some int) None
-         & info [ "jobs"; "j" ] ~docv:"N"
-             ~doc:"Worker domains shared by every job (default: the \
-                   recommended domain count of this machine)")
-  in
   let run dir sock jobs =
-    let jobs =
-      match jobs with
-      | Some n -> max 1 n
-      | None -> Zkopt_exec.Pool.recommended_jobs ()
-    in
     Zkopt_serve.Daemon.run ~jobs ?sock ~log:print_endline ~dir ()
   in
   Cmd.v
@@ -1008,69 +869,10 @@ let serve_cmd =
              one warm domain pool and compile cache, streaming rows to \
              clients over a unix socket; SIGTERM drains and a restart \
              resumes every unfinished job from its checkpoint")
-    Term.(const run $ dir_arg $ sock_arg $ jobs_arg)
+    Term.(const run $ dir_arg $ sock_arg
+          $ jobs_arg ~doc:"Worker domains shared by every job")
 
 let submit_cmd =
-  let kind_arg =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"KIND"
-             ~doc:"Job kind: sweep | profile | autotune | fuzz | settle")
-  in
-  let programs_arg =
-    Arg.(value & opt (some string) None
-         & info [ "programs" ] ~docv:"NAMES"
-             ~doc:"Comma-separated programs (sweep; default: full suite)")
-  in
-  let profiles_arg =
-    Arg.(value & opt (some string) None
-         & info [ "profiles" ] ~docv:"NAMES"
-             ~doc:"Comma-separated profiles (sweep; default: all 71)")
-  in
-  let backends_arg =
-    Arg.(value & opt (some string) None
-         & info [ "backends" ] ~docv:"NAMES"
-             ~doc:"Comma-separated backends (default: per-kind default)")
-  in
-  let program_arg =
-    Arg.(value & opt (some string) None
-         & info [ "program" ] ~docv:"NAME"
-             ~doc:"Program (profile/autotune kinds)")
-  in
-  let profile_arg =
-    Arg.(value & opt string "baseline"
-         & info [ "profile" ] ~docv:"NAME" ~doc:"Profile (profile kind)")
-  in
-  let vm_arg =
-    Arg.(value & opt string "risc0"
-         & info [ "vm" ] ~docv:"NAME"
-             ~doc:"Backend (profile/autotune kinds)")
-  in
-  let iters_arg =
-    Arg.(value & opt int 80
-         & info [ "iters" ] ~docv:"N" ~doc:"GA evaluations (autotune kind)")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1
-         & info [ "seed" ] ~docv:"N" ~doc:"GA seed (autotune kind)")
-  in
-  let population_arg =
-    Arg.(value & opt int 16
-         & info [ "population" ] ~docv:"N"
-             ~doc:"Genomes per generation (autotune kind)")
-  in
-  let seeds_arg =
-    Arg.(value & opt string "1..25"
-         & info [ "seeds" ] ~docv:"LO..HI" ~doc:"Seed range (fuzz kind)")
-  in
-  let pipelines_arg =
-    Arg.(value & opt string "baseline,O2,O3"
-         & info [ "pipelines" ] ~docv:"SPECS"
-             ~doc:"Comma-separated pipeline specs (fuzz kind)")
-  in
-  let limit_arg =
-    Arg.(value & opt (some int) None
-         & info [ "limit" ] ~docv:"N" ~doc:"Stop after N new cells/cases")
-  in
   let priority_arg =
     Arg.(value & opt int 10
          & info [ "priority" ] ~docv:"N"
@@ -1089,57 +891,7 @@ let submit_cmd =
              ~doc:"Fire and forget: do not stream rows back (the job also \
                    survives this client disconnecting)")
   in
-  let arity_arg =
-    Arg.(value & opt int 8
-         & info [ "arity" ] ~docv:"N"
-             ~doc:"Aggregation fan-in (settle kind)")
-  in
-  let run dir sock kind programs profiles backends program profile vm iters
-      seed population seeds pipelines limit priority budget no_watch arity
-      quick =
-    let spec =
-      match kind with
-      | "sweep" ->
-        Serve_job.Sweep
-          {
-            programs = Option.map comma_list programs;
-            profiles = Option.map comma_list profiles;
-            quick;
-            backends = Option.map comma_list backends;
-            limit;
-          }
-      | "profile" -> (
-        match program with
-        | Some program -> Serve_job.Profile_cell { program; profile; vm; quick }
-        | None -> failwith "profile jobs need --program")
-      | "autotune" -> (
-        match program with
-        | Some program ->
-          Serve_job.Autotune { program; iters; vm; quick; seed; population }
-        | None -> failwith "autotune jobs need --program")
-      | "fuzz" -> (
-        match Zkopt_devutil.Seedfmt.range_of_string seeds with
-        | Some (seed_lo, seed_hi) ->
-          Serve_job.Fuzz
-            {
-              seed_lo;
-              seed_hi;
-              pipelines = comma_list pipelines;
-              backends = Option.map comma_list backends;
-              limit;
-            }
-        | None -> failwith ("bad --seeds range: " ^ seeds))
-      | "settle" ->
-        Serve_job.Settle
-          {
-            programs = Option.map comma_list programs;
-            profiles = Option.map comma_list profiles;
-            backends = Option.map comma_list backends;
-            quick;
-            arity;
-          }
-      | k -> failwith ("unknown job kind " ^ k)
-    in
+  let submit dir sock priority budget no_watch spec =
     let sock = sock_of ~dir ~sock in
     let result =
       Serve_client.with_connection sock (fun c ->
@@ -1161,21 +913,30 @@ let submit_cmd =
       Printf.eprintf "submit: %s\n" msg;
       exit 1
   in
-  Cmd.v
+  let kind name ~doc spec =
+    Cmd.v (Cmd.info name ~doc)
+      Term.(const submit $ dir_arg $ sock_arg $ priority_arg $ budget_arg
+            $ no_watch_arg $ spec)
+  in
+  Cmd.group
     (Cmd.info "submit"
-       ~doc:"Submit a job (sweep | profile | autotune | fuzz | settle) to \
-             a running `zkbench serve` daemon and stream its rows back")
-    Term.(const run $ dir_arg $ sock_arg $ kind_arg $ programs_arg
-          $ profiles_arg $ backends_arg $ program_arg $ profile_arg $ vm_arg
-          $ iters_arg $ seed_arg $ population_arg $ seeds_arg $ pipelines_arg
-          $ limit_arg $ priority_arg $ budget_arg $ no_watch_arg $ arity_arg
-          $ quick_arg)
+       ~doc:"Submit a job to a running `zkbench serve` daemon and stream \
+             its rows back; each kind takes the flags and defaults of its \
+             one-shot command")
+    [
+      kind "sweep" ~doc:"A slice of the sweep matrix (as `zkbench sweepall`)"
+        Term.(const (fun s -> Job.Sweep s) $ sweep_spec);
+      kind "profile" ~doc:"One (program, profile, backend) cell"
+        Term.(const (fun c -> Job.Profile_cell c) $ profile_cell_spec);
+      kind "autotune" ~doc:"A pass-sequence search (as `zkbench tune`)"
+        Term.(const (fun a -> Job.Autotune a) $ autotune_spec program_opt);
+      kind "fuzz" ~doc:"A differential fuzzing campaign (as `zkbench fuzz`)"
+        Term.(const (fun f -> Job.Fuzz f) $ fuzz_spec);
+      kind "settle" ~doc:"A settlement-cost sweep (as `zkbench settle`)"
+        Term.(const (fun s -> Job.Settle s) $ settle_spec);
+    ]
 
 let status_cmd =
-  let json_flag =
-    Arg.(value & flag
-         & info [ "json" ] ~doc:"Print the raw status JSON")
-  in
   let run dir sock json =
     let sock = sock_of ~dir ~sock in
     let result =
@@ -1224,7 +985,8 @@ let status_cmd =
     (Cmd.info "status"
        ~doc:"Show a running daemon's jobs and shared compile-cache \
              hit/miss/evict counters")
-    Term.(const run $ dir_arg $ sock_arg $ json_flag)
+    Term.(const run $ dir_arg $ sock_arg
+          $ json_arg ~doc:"Print the raw status JSON" ())
 
 let shutdown_cmd =
   let run dir sock =

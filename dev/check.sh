@@ -5,14 +5,19 @@
 # checkpoint/resume smoke.  The out-of-sandbox sweep below additionally
 # drives the real CLI over checkpoints on disk: a resumed run and a
 # --jobs 2 run must match an uninterrupted --jobs 1 run byte for byte,
-# and --fresh must discard the old rows.
+# and --fresh must discard the old rows.  Then the front door: a bad
+# name or a flag of another kind is a usage error (exit 124) naming the
+# value, and `submit sweep` through a live daemon streams the rows the
+# one-shot `sweepall` writes.
 set -e
 cd "$(dirname "$0")/.."
 
 # all scratch state lives in one private directory; no fixed /tmp names,
 # no mktemp/rm window where another instance can grab the same path
 tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT INT TERM
+serve_pid=
+trap '[ -z "$serve_pid" ] || kill "$serve_pid" 2>/dev/null; rm -rf "$tmpdir"' \
+  EXIT INT TERM
 
 echo "== dune build @smoke =="
 dune build @smoke
@@ -39,5 +44,47 @@ sweep --fresh --limit 3 --checkpoint "$resumed"
 [ "$(head -n 1 "$resumed")" = zkopt-ckpt-v2 ] || fail "--fresh lost the header"
 [ "$(wc -l < "$resumed")" -eq 4 ] \
   || fail "--fresh left $(wc -l < "$resumed") lines, want header + 3 rows"
+
+echo "== bad names are usage errors (CLI) =="
+# the built binary, not `dune exec`: the daemon below is killed on
+# failure, and killing a dune wrapper can leave dune's build lock held
+zk=_build/default/bin/zkbench.exe
+usage_error() {
+  bad=$1
+  shift
+  code=0
+  "$zk" "$@" > "$tmpdir/usage.out" 2>&1 || code=$?
+  [ "$code" -eq 124 ] || fail "zkbench $*: exit $code, want 124"
+  grep -qF -- "$bad" "$tmpdir/usage.out" \
+    || fail "zkbench $*: the message does not name $bad"
+}
+usage_error nosuchprog run nosuchprog --quick
+usage_error nosuch sweepall --quick --backends nosuch
+usage_error nosuch settle --quick --profiles nosuch
+usage_error nosuch fuzz --pipelines nosuch --no-checkpoint
+usage_error --seeds submit sweep --seeds 1..5
+"$zk" fuzz --seeds 1 --pipelines='-O3(zkvm)' --no-checkpoint > /dev/null \
+  || fail "fuzz rejected the profile name -O3(zkvm)"
+
+echo "== both doors give the same rows (CLI + daemon) =="
+"$zk" serve --dir "$tmpdir/serve" > "$tmpdir/serve.log" 2>&1 &
+serve_pid=$!
+tries=0
+until [ -S "$tmpdir/serve/zkbench.sock" ]; do
+  tries=$((tries + 1))
+  [ "$tries" -le 100 ] || fail "the daemon never opened its socket"
+  sleep 0.1
+done
+"$zk" submit sweep --quick --limit 6 --dir "$tmpdir/serve" > "$tmpdir/submit.out"
+tail -n 1 "$tmpdir/submit.out" | grep -q '^job-1 done:' \
+  || fail "submit sweep did not end with the job's summary"
+sed '$d' "$tmpdir/submit.out" > "$tmpdir/daemon.rows"
+sweep --limit 6 --checkpoint "$tmpdir/cli.ckpt"
+tail -n +2 "$tmpdir/cli.ckpt" > "$tmpdir/cli.rows"
+cmp "$tmpdir/daemon.rows" "$tmpdir/cli.rows" \
+  || fail "submit sweep rows differ from sweepall's checkpoint"
+"$zk" shutdown --dir "$tmpdir/serve" > /dev/null
+wait "$serve_pid"
+serve_pid=
 
 echo "check.sh: all green"

@@ -13,9 +13,6 @@ type t = {
   depth : int;           (* 1 = outermost *)
 }
 
-let body_labels cfg loop =
-  List.map (fun i -> Cfg.label cfg i) (Intset.elements loop.body)
-
 (* Collect the body of the loop with the given header/latch back edges. *)
 let loop_body (cfg : Cfg.t) header latches =
   let body = ref (Intset.singleton header) in

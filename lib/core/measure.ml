@@ -109,11 +109,3 @@ let run_cpu ?fuel ?sink (c : compiled) : cpu_metrics =
     cache_misses = r.Zkopt_cpu.Timing.cache_misses;
     cpu_exit_value = exit64 r.Zkopt_cpu.Timing.exit_value;
   }
-
-(** Convenience: metrics on both zkVMs for one profile, with a checksum
-    cross-check against the interpreter-free baseline expectation. *)
-let measure_profile ?fuel ~build profile =
-  let c = prepare ~build profile in
-  let risc0 = run_zkvm ?fuel Zkopt_zkvm.Config.risc0 c in
-  let sp1 = run_zkvm ?fuel Zkopt_zkvm.Config.sp1 c in
-  (c, risc0, sp1)

@@ -84,10 +84,3 @@ val run_zkvm :
 
 (** The RQ3 traditional-CPU contrast model over the same RV32 image. *)
 val run_cpu : ?fuel:int -> ?sink:Zkopt_zkvm.Machine.sink -> compiled -> cpu_metrics
-
-(** Convenience: metrics on both zkVMs for one profile. *)
-val measure_profile :
-  ?fuel:int ->
-  build:(unit -> Modul.t) ->
-  Profile.t ->
-  compiled * zk_metrics * zk_metrics

@@ -25,6 +25,30 @@ let name = function
   | Tuned { tname; _ } -> tname
   | Zkvm_o3 -> "-O3(zkvm)"
 
+(** The one profile-name parser: ["baseline"], a level with or without
+    its leading ["-"] (["O3"], ["-O3"]), the zkVM-aware -O3 under any of
+    its names (["zk-o3"], ["zkvm-o3"], ["-O3(zkvm)"]), or any pass
+    {!Pass.find} knows.  [of_name (name p) = Ok p] for the 71 profiles
+    and [Zkvm_o3]. *)
+let of_name (s : string) : (t, string) result =
+  let level l =
+    let n = Catalog.level_name l in
+    String.equal s n || String.equal ("-" ^ s) n
+  in
+  match (s, List.find_opt level Catalog.all_levels) with
+  | "baseline", _ -> Ok Baseline
+  | ("zk-o3" | "zkvm-o3" | "-O3(zkvm)"), _ -> Ok Zkvm_o3
+  | _, Some l -> Ok (Level l)
+  | _, None -> (
+    match Pass.find s with
+    | _ -> Ok (Single_pass s)
+    | exception Invalid_argument _ ->
+      Error
+        (Printf.sprintf
+           "unknown profile %S (baseline, O0..O3, Os, Oz, zk-o3 or a pass \
+            name)"
+           s))
+
 (** The paper's 71 profiles. *)
 let all_71 =
   (Baseline :: List.map (fun p -> Single_pass p) Catalog.swept_passes)

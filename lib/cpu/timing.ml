@@ -185,8 +185,3 @@ let run ?(params = default_params) ?(fuel = 500_000_000)
     mispredicts = pred.Predictor.mispredicts;
     exit_value = emu.Emulator.exit_value;
   }
-
-(** Compile and run through the CPU model. *)
-let compile_and_run ?params ?fuel (m : Zkopt_ir.Modul.t) : result =
-  let cg = Codegen.compile m in
-  run ?params ?fuel cg m

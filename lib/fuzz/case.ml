@@ -111,10 +111,10 @@ let build_source : source -> Modul.t = function
 
 (* ---- pipelines ------------------------------------------------------ *)
 
-(** A pass pipeline under a canonical spec string:
-    ["baseline"], a level (["O0"]..["Oz"]), ["zk-o3"], a single pass
-    name, or a custom sequence ["a;b;c"] (standard cost model) /
-    ["zk:a;b;c"] (zkVM-aware cost model). *)
+(** A pass pipeline under a canonical spec string: a profile name
+    ({!Profile.of_name}: ["baseline"], a level such as ["O2"], ["zk-o3"],
+    a single pass name), or a custom sequence ["a;b;c"] (standard cost
+    model) / ["zk:a;b;c"] (zkVM-aware cost model). *)
 type pipeline = { spec : string; profile : Profile.t }
 
 let baseline = { spec = "baseline"; profile = Profile.Baseline }
@@ -127,51 +127,28 @@ let custom ?(zk = false) (passes : string list) : pipeline =
   let spec = (if zk then "zk:" else "") ^ String.concat ";" passes in
   { spec; profile = Profile.Custom (passes, config) }
 
+(** Parse a spec.  A profile name keeps the form it was given in, except
+    that the zkVM-aware -O3 is always ["zk-o3"]; a sequence is
+    canonicalized by {!custom}. *)
 let pipeline_of_spec (spec : string) : (pipeline, string) result =
-  let strip_prefix p s =
-    if String.length s >= String.length p
-       && String.equal (String.sub s 0 (String.length p)) p
-    then Some (String.sub s (String.length p) (String.length s - String.length p))
-    else None
-  in
-  let validate passes =
-    match
-      List.find_opt
-        (fun p ->
-          match Zkopt_passes.Pass.find p with
-          | _ -> false
-          | exception Invalid_argument _ -> true)
-        passes
-    with
-    | Some bad -> Error (Printf.sprintf "unknown pass %S in %S" bad spec)
-    | None -> Ok ()
-  in
-  match spec with
-  | "baseline" -> Ok baseline
-  | "zk-o3" | "zkvm-o3" -> Ok { spec = "zk-o3"; profile = Profile.Zkvm_o3 }
-  | "O0" -> Ok { spec; profile = Profile.Level Zkopt_passes.Catalog.O0 }
-  | "O1" -> Ok { spec; profile = Profile.Level Zkopt_passes.Catalog.O1 }
-  | "O2" -> Ok { spec; profile = Profile.Level Zkopt_passes.Catalog.O2 }
-  | "O3" -> Ok { spec; profile = Profile.Level Zkopt_passes.Catalog.O3 }
-  | "Os" -> Ok { spec; profile = Profile.Level Zkopt_passes.Catalog.Os }
-  | "Oz" -> Ok { spec; profile = Profile.Level Zkopt_passes.Catalog.Oz }
-  | _ -> (
-    let zk, body =
-      match strip_prefix "zk:" spec with
-      | Some body -> (true, body)
-      | None -> (false, spec)
-    in
+  let zk = String.starts_with ~prefix:"zk:" spec in
+  if not (zk || String.contains spec ';') then
+    match Profile.of_name spec with
+    | Ok Profile.Zkvm_o3 -> Ok { spec = "zk-o3"; profile = Profile.Zkvm_o3 }
+    | Ok profile -> Ok { spec; profile }
+    | Error e -> Error e
+  else
+    let body = if zk then String.sub spec 3 (String.length spec - 3) else spec in
     let passes = List.filter (fun p -> p <> "") (String.split_on_char ';' body) in
-    match passes with
-    | [] -> Error (Printf.sprintf "empty pipeline spec %S" spec)
-    | [ p ] when not zk && not (String.contains spec ';') -> (
-      match validate [ p ] with
-      | Error e -> Error e
-      | Ok () -> Ok { spec; profile = Profile.Single_pass p })
-    | passes -> (
-      match validate passes with
-      | Error e -> Error e
-      | Ok () -> Ok (custom ~zk passes)))
+    let unknown p =
+      match Zkopt_passes.Pass.find p with
+      | _ -> false
+      | exception Invalid_argument _ -> true
+    in
+    match (passes, List.find_opt unknown passes) with
+    | [], _ -> Error (Printf.sprintf "empty pipeline spec %S" spec)
+    | _, Some bad -> Error (Printf.sprintf "unknown pass %S in %S" bad spec)
+    | passes, None -> Ok (custom ~zk passes)
 
 (* ---- backends ------------------------------------------------------- *)
 

@@ -21,10 +21,13 @@
     uninterrupted run's, the same kill-safety contract the one-shot
     sweep has.
 
-    {b One exec.}  Every job kind runs through {!exec}: per kind only
-    the engine config built from the spec and the summary fields
-    differ ({!run_spec}); the budget pre-check, the mapping from
-    outcome to state and the ledger spend are shared.
+    {b One exec.}  Every job kind runs through {!exec}.  {!Job} builds
+    each kind's engine config from the spec, as it does for the one-shot
+    CLI; per kind {!run_spec} adds only the daemon's environment (shared
+    pool and caches, the job's checkpoint, [stop], [on_row], the
+    client's remaining budget) and the summary fields.  The budget
+    pre-check, the mapping from outcome to state and the ledger spend
+    are shared.
 
     {b Failure budgets.}  A submission may declare a per-client failure
     budget.  Quarantined cells (sweeps), divergences (fuzz) and every
@@ -37,13 +40,11 @@ module H = Zkopt_harness.Harness
 module Checkpoint = Zkopt_harness.Checkpoint
 module Cell = Zkopt_harness.Cell
 module Campaign = Zkopt_fuzz.Campaign
-module Case = Zkopt_fuzz.Case
 module Pool = Zkopt_exec.Pool
 module Rowlog = Zkopt_exec.Rowlog
 module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
 module Backend = Zkopt_backend.Backend
-module Registry = Zkopt_backend.Registry
 module Workload = Zkopt_workloads.Workload
 module Autotune = Zkopt_autotune.Autotune
 module Ssweep = Zkopt_settle.Ssweep
@@ -247,22 +248,6 @@ let push_row t (jr : jobrec) (data : string) =
 
 (* ---- job execution --------------------------------------------------- *)
 
-let profile_of_name (name : string) : Profile.t =
-  match name with
-  | "baseline" -> Profile.Baseline
-  | "zk-o3" | "zkvm-o3" | "-O3(zkvm)" -> Profile.Zkvm_o3
-  | "O0" | "-O0" -> Profile.Level Zkopt_passes.Catalog.O0
-  | "O1" | "-O1" -> Profile.Level Zkopt_passes.Catalog.O1
-  | "O2" | "-O2" -> Profile.Level Zkopt_passes.Catalog.O2
-  | "O3" | "-O3" -> Profile.Level Zkopt_passes.Catalog.O3
-  | "Os" | "-Os" -> Profile.Level Zkopt_passes.Catalog.Os
-  | "Oz" | "-Oz" -> Profile.Level Zkopt_passes.Catalog.Oz
-  | p ->
-    ignore (Zkopt_passes.Pass.find p) (* errors early on unknown names *);
-    Profile.Single_pass p
-
-let size_of_quick quick = if quick then Workload.Quick else Workload.Full
-
 (* Remaining failure budget for this job, given what its client already
    spent, or [None] when the job declared none. *)
 let remaining_budget t (jr : jobrec) : int option =
@@ -316,23 +301,21 @@ type run = {
 }
 
 (* Run [spec]'s engine over the shared pool and caches, streaming every
-   row to [on_row] and resuming from the job's checkpoint. *)
+   row to [on_row] and resuming from the job's checkpoint: {!Job} builds
+   the engine config, this adds the daemon's environment. *)
 let run_spec t (jr : jobrec) ~stop ~on_row (spec : Job.spec) : run =
+  let checkpoint = Some (ckpt_path t jr) in
   match spec with
-  | Job.Sweep { programs; profiles; quick; backends; limit } ->
+  | Job.Sweep s ->
+    let cfg = Job.sweep_config s in
     let stats0 = Cache.stats t.cache in
     let o =
       H.run
         {
-          (H.default ~size:(size_of_quick quick)) with
-          H.programs;
-          profiles = Option.map (List.map profile_of_name) profiles;
-          backends = Option.map (List.map Registry.find) backends;
-          limit;
-          checkpoint = Some (ckpt_path t jr);
+          cfg with
+          H.checkpoint;
           failure_budget =
-            Option.value (remaining_budget t jr)
-              ~default:(H.default ~size:Workload.Quick).H.failure_budget;
+            Option.value (remaining_budget t jr) ~default:cfg.H.failure_budget;
           cache = Some t.cache;
           pool = Some t.pool;
           on_row;
@@ -356,16 +339,14 @@ let run_spec t (jr : jobrec) ~stop ~on_row (spec : Job.spec) : run =
       completed = o.H.completed;
       spent = List.length o.H.quarantined;
     }
-  | Job.Profile_cell { program; profile; vm; quick } ->
-    let w = Workload.find program in
-    let b = Registry.find vm in
-    let build () = w.Workload.build (size_of_quick quick) in
-    let profile_t = profile_of_name profile in
-    let m = Measure.prepare_ir ~build profile_t in
-    let c =
+  | Job.Profile_cell c ->
+    let w, profile, b = Job.cell_config c in
+    let build () = w.Workload.build (Job.size c.quick) in
+    let m = Measure.prepare_ir ~build profile in
+    let compiled =
       Backend.compile_cached ~cache:t.cache b ~fp:(Fingerprint.of_modul m) m
     in
-    let r = c.Backend.measure ~vm:b.Backend.name () in
+    let r = compiled.Backend.measure ~vm:b.Backend.name () in
     (match r.Backend.accounting with
     | Ok () -> ()
     | Error msg -> failwith ("accounting: " ^ msg));
@@ -374,35 +355,31 @@ let run_spec t (jr : jobrec) ~stop ~on_row (spec : Job.spec) : run =
          {
            Cell.program = w.Workload.name;
            suite = w.Workload.suite;
-           profile = Profile.name profile_t;
+           profile = Profile.name profile;
            zk = [ r.Backend.zk ];
            cpu = None;
          });
     {
       summary =
         [
-          ("program", Json.Str program);
-          ("profile", Json.Str (Profile.name profile_t));
-          ("vm", Json.Str vm);
+          ("program", Json.Str c.program);
+          ("profile", Json.Str (Profile.name profile));
+          ("vm", Json.Str c.vm);
           ("cycles", Json.Int r.Backend.zk.Measure.cycles);
           ("segments", Json.Int r.Backend.zk.Measure.segments);
         ];
       completed = true;
       spent = 0;
     }
-  | Job.Autotune { program; iters; vm; quick; seed; population } ->
-    let w = Workload.find program in
-    let build () = w.Workload.build (size_of_quick quick) in
-    let target =
-      Autotune.backend_target ~cache:t.cache ~program ~build (Registry.find vm)
-    in
+  | Job.Autotune a ->
+    let cfg, target = Job.autotune_config ~cache:t.cache a in
     let o =
       Autotune.search
         {
-          (Autotune.default ~seed ~population ~iterations:iters ()) with
+          cfg with
           Autotune.pool = Some t.pool;
           prefix_cache = Some t.tune_cache;
-          checkpoint = Some (ckpt_path t jr);
+          checkpoint;
           resume = true;
           on_row;
           stop;
@@ -417,8 +394,8 @@ let run_spec t (jr : jobrec) ~stop ~on_row (spec : Job.spec) : run =
         | Some ga ->
           let best = ga.Autotune.best in
           [
-            ("program", Json.Str program);
-            ("vm", Json.Str vm);
+            ("program", Json.Str a.program);
+            ("vm", Json.Str a.vm);
             ("evaluations", Json.Int ga.Autotune.evaluations);
             ("resumed", Json.Int o.Autotune.resumed);
             ("generations", Json.Int (List.length ga.Autotune.history));
@@ -435,32 +412,14 @@ let run_spec t (jr : jobrec) ~stop ~on_row (spec : Job.spec) : run =
       completed = o.Autotune.completed;
       spent = 0;
     }
-  | Job.Fuzz { seed_lo; seed_hi; pipelines; backends; limit } ->
-    let backends =
-      match backends with
-      | None -> Registry.all ()
-      | Some ns -> List.map Case.resolve_backend ns
-    in
-    let pipelines =
-      List.map
-        (fun spec ->
-          match Case.pipeline_of_spec spec with
-          | Ok p -> p
-          | Error e -> failwith e)
-        pipelines
-    in
+  | Job.Fuzz f ->
     let s =
       Campaign.run
         {
-          (Campaign.default ~backends) with
-          Campaign.sources =
-            List.init (seed_hi - seed_lo + 1) (fun i ->
-                Case.seed (seed_lo + i));
-          pipelines;
-          checkpoint = Some (ckpt_path t jr);
+          (Job.fuzz_config f) with
+          Campaign.checkpoint;
           resume = true;
           failure_budget = remaining_budget t jr;
-          limit;
           pool = Some t.pool;
           on_row;
           stop;
@@ -479,33 +438,14 @@ let run_spec t (jr : jobrec) ~stop ~on_row (spec : Job.spec) : run =
       completed = s.Campaign.resumed + s.Campaign.ran = s.Campaign.planned;
       spent = List.length s.Campaign.findings;
     }
-  | Job.Settle { programs; profiles; backends; quick; arity } ->
-    let size = size_of_quick quick in
-    let program name =
-      let w = Workload.find name in
-      (name, fun () -> w.Workload.build size)
-    in
-    let profile n = (Profile.name (profile_of_name n), profile_of_name n) in
+  | Job.Settle s ->
     let o =
       Ssweep.run
         {
-          (Ssweep.default ()) with
-          Ssweep.programs =
-            List.map program
-              (Option.value programs ~default:(Workload.names ()));
-          profiles =
-            List.map profile
-              (Option.value profiles
-                 ~default:
-                   [ "baseline"; "O1"; "O2"; "O3"; "Os"; "Oz"; "zk-o3" ]);
-          backends =
-            (match backends with
-            | None -> Registry.all ()
-            | Some ns -> List.map Registry.find ns);
-          pool = Some t.pool;
+          (Job.settle_config s) with
+          Ssweep.pool = Some t.pool;
           cache = Some t.cache;
-          arity = Some arity;
-          checkpoint = Some (ckpt_path t jr);
+          checkpoint;
           on_row;
           stop;
         }

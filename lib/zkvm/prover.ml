@@ -40,14 +40,3 @@ let prove (cfg : Config.t) (exec : Executor.result) : result =
   in
   { time_s = ns *. 1e-9; segments = List.length exec.Executor.segments;
     padded_cycles_total = padded_total }
-
-(** Simulated verification: checks the (modelled) proof's claimed exit
-    value.  Deliberately mirrors the soundness gap of the injected SP1
-    bug — a proof produced by a silently-halted execution still verifies,
-    because the verifier sees a well-formed trace that ends in a halt. *)
-let verify (_cfg : Config.t) (exec : Executor.result) (_p : result) : bool =
-  (* A real verifier checks trace constraints; our model has no way to be
-     unsound except via the injected fault, which by construction yields
-     a "valid" truncated trace. *)
-  ignore exec;
-  true

@@ -31,11 +31,6 @@ let measure ?fault ?fuel ?sink (cfg : Config.t) (cg : Codegen.t)
     exec;
   }
 
-(** Compile [m] and measure it on [cfg]. *)
-let compile_and_measure ?fault ?fuel (cfg : Config.t) (m : Modul.t) : metrics =
-  let cg = Codegen.compile m in
-  measure ?fault ?fuel cfg cg m
-
 (** Accounting conservation oracles over a raw executor result.  In a
     healthy executor both identities hold exactly:
 

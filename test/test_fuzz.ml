@@ -48,6 +48,24 @@ let test_pipeline_spec () =
   Alcotest.(check string) "single pass" "licm" (ok "licm");
   Alcotest.(check string) "sequence" "inline;licm" (ok "inline;licm");
   Alcotest.(check string) "zk sequence" "zk:inline;licm" (ok "zk:inline;licm");
+  (* every profile name: the spec keeps its form and parses back to the
+     same profile; the zkVM-aware -O3 is always "zk-o3" *)
+  let parses_back spec =
+    match Case.pipeline_of_spec spec with
+    | Error e -> Alcotest.fail e
+    | Ok p ->
+      Alcotest.(check bool) (spec ^ " parses back") true
+        (match Case.pipeline_of_spec p.Case.spec with
+        | Ok p' -> p'.Case.profile = p.Case.profile
+        | Error _ -> false)
+  in
+  List.iter parses_back [ "-O3"; "-O3(zkvm)" ];
+  Alcotest.(check string) "dashed level keeps its form" "-O3" (ok "-O3");
+  Alcotest.(check string) "-O3(zkvm)" "zk-o3" (ok "-O3(zkvm)");
+  Alcotest.(check string) "zkvm-o3" "zk-o3" (ok "zkvm-o3");
+  List.iter
+    (fun l -> Alcotest.(check string) l l (ok l))
+    [ "O0"; "O1"; "O2"; "O3"; "Os"; "Oz" ];
   (match Case.pipeline_of_spec "nosuchpass" with
   | Ok _ -> Alcotest.fail "unknown pass accepted"
   | Error _ -> ());

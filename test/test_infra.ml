@@ -14,6 +14,32 @@ let test_profile_names () =
   let names = List.map Profile.name Profile.all_71 in
   Alcotest.(check int) "unique" 71 (List.length (List.sort_uniq compare names))
 
+(* every profile name parses back to its profile, the aliases resolve
+   as the CLI and the service always accepted them, and an unknown name
+   is an error that names it *)
+let test_profile_of_name () =
+  List.iter
+    (fun p ->
+      if Profile.of_name (Profile.name p) <> Ok p then
+        Alcotest.failf "of_name %S does not give the profile back"
+          (Profile.name p))
+    (Profile.all_71 @ [ Profile.Zkvm_o3 ]);
+  let o3 = Ok (Profile.Level Zkopt_passes.Catalog.O3) in
+  List.iter
+    (fun (alias, want) ->
+      Alcotest.(check bool) alias true (Profile.of_name alias = want))
+    [
+      ("O3", o3);
+      ("-O3", o3);
+      ("zk-o3", Ok Profile.Zkvm_o3);
+      ("zkvm-o3", Ok Profile.Zkvm_o3);
+    ];
+  match Profile.of_name "nosuch" with
+  | Ok _ -> Alcotest.fail "unknown profile accepted"
+  | Error msg ->
+    Alcotest.(check bool) "the error names the value" true
+      (Astring_contains.contains msg "\"nosuch\"")
+
 let test_randprog_deterministic () =
   (* label numbering is process-global, so compare behaviour, not text *)
   let checksum seed =
@@ -75,6 +101,7 @@ let test_zkvm_deterministic () =
 let tests =
   [
     Alcotest.test_case "profile catalog" `Quick test_profile_names;
+    Alcotest.test_case "profile names parse back" `Quick test_profile_of_name;
     Alcotest.test_case "randprog deterministic" `Quick test_randprog_deterministic;
     Alcotest.test_case "checksums stable across profiles" `Quick
       test_measure_checksum_stable;

@@ -116,6 +116,26 @@ let qcheck_spec_roundtrip =
     (QCheck.make spec_gen)
     (fun spec -> Job.spec_of_json (Job.spec_to_json spec) = Ok spec)
 
+(* a client that sends only the required fields gets the one default of
+   every other field, the same value the CLI flag defaults to *)
+let test_spec_defaults () =
+  let decode text =
+    match Json.of_string text with
+    | Error e -> Alcotest.fail e
+    | Ok j -> (
+      match Job.spec_of_json j with
+      | Ok spec -> spec
+      | Error e -> Alcotest.fail e)
+  in
+  (match decode {|{"kind":"fuzz","seed_lo":1,"seed_hi":2}|} with
+  | Job.Fuzz f ->
+    Alcotest.(check (list string))
+      "fuzz pipelines" [ "baseline"; "O3"; "zk-o3" ] f.pipelines
+  | _ -> Alcotest.fail "not a fuzz spec");
+  match decode {|{"kind":"autotune","program":"fibonacci"}|} with
+  | Job.Autotune a -> Alcotest.(check int) "autotune iterations" 160 a.iters
+  | _ -> Alcotest.fail "not an autotune spec"
+
 let request_gen : Proto.request QCheck.Gen.t =
   let open QCheck.Gen in
   oneof
@@ -672,6 +692,8 @@ let tests =
       test_jobq_blocking_and_close;
     Alcotest.test_case "jobq remove rebuilds the heap" `Quick test_jobq_remove;
     Alcotest.test_case "decoders never raise" `Quick test_decoders_never_raise;
+    Alcotest.test_case "spec JSON gets the shared defaults" `Quick
+      test_spec_defaults;
     Alcotest.test_case "registry survives a torn tail" `Quick
       test_registry_torn_tail;
     Alcotest.test_case "two concurrent clients stream disjoint jobs" `Slow
