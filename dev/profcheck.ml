@@ -1,11 +1,14 @@
-(* Profiler-overhead gate: the attribution hooks in the zkVM executor
-   must be free when no sink is installed.
+(* Overhead gates for the decoded machine, bechamel-timed on loop-sum.
 
-   The reference below is the executor hot loop exactly as it was before
-   attribution landed (no [attr] checks, no current-pc tracking, dirty
-   pages as a set rather than page->pc).  We bechamel both over the same
-   workload and fail if the live executor's disabled-hooks path is more
-   than ZKOPT_PROFCHECK_MAX percent slower (default 5%). *)
+   1. The attribution hooks and the CPU mode must cost the no-sink zkVM
+      loop nothing.  The reference below is the executor hot loop exactly
+      as it was before attribution landed (no [attr] checks, no
+      current-pc tracking, dirty pages as a set rather than page->pc).
+      Fail if the live executor's no-sink path is more than
+      ZKOPT_PROFCHECK_MAX percent slower (default 5%).
+   2. The CPU timing model runs on the machine's CPU mode: fail if
+      [Measure.run_cpu] costs more than [max_cpu_ratio] times the
+      no-sink [Executor.run] of the same image. *)
 
 open Bechamel
 open Toolkit
@@ -14,6 +17,10 @@ open Zkopt_zkvm
 module Seedfmt = Zkopt_devutil.Seedfmt
 
 let tool = "profcheck"
+
+(* The CPU model folds one extra stream over the same instructions; on
+   the boxed emulator it cost about 4x the executor. *)
+let max_cpu_ratio = 2.5
 
 let reference_run ?(fuel = 500_000_000) (cfg : Config.t) (cg : Codegen.t)
     (m : Zkopt_ir.Modul.t) : int =
@@ -126,4 +133,16 @@ let () =
   if pct > max_pct then
     Seedfmt.fail ~tool
       "disabled-hooks executor regressed %+.1f%%, budget %.1f%%" pct max_pct;
+  let t_cpu =
+    ns_per_run
+      (Test.make ~name:"cpu"
+         (Staged.stage (fun () -> ignore (Zkopt_core.Measure.run_cpu c))))
+  in
+  let ratio = t_cpu /. t_live in
+  Printf.printf
+    "profcheck: CPU model %.0f ns/run = %.2fx the no-sink executor (limit %.1fx)\n"
+    t_cpu ratio max_cpu_ratio;
+  if ratio > max_cpu_ratio then
+    Seedfmt.fail ~tool "CPU model costs %.2fx the executor, limit %.1fx" ratio
+      max_cpu_ratio;
   Seedfmt.finish tool

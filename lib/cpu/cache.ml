@@ -2,9 +2,9 @@
     lines — an L1d in the class of the paper's EPYC testbed). *)
 
 type t = {
-  sets : int;
   ways : int;
-  line_bytes : int;
+  line_shift : int;            (* log2 line_bytes *)
+  set_shift : int;             (* log2 sets *)
   tags : int array array;      (* [set].[way] = tag, -1 empty *)
   ages : int array array;      (* LRU stamps *)
   mutable clock : int;
@@ -18,12 +18,19 @@ type t = {
   mutable prefetches : int;
 }
 
+(* [n] = 2^k, or [Invalid_argument]: the hot path divides by shifting *)
+let log2_exact what n =
+  if n <= 0 || n land (n - 1) <> 0 then
+    invalid_arg (Printf.sprintf "Cache.create: %s = %d is not a power of two" what n);
+  let rec go k = if 1 lsl k = n then k else go (k + 1) in
+  go 0
+
 let create ?(size_bytes = 32 * 1024) ?(ways = 8) ?(line_bytes = 64) () =
   let sets = size_bytes / (ways * line_bytes) in
   {
-    sets;
     ways;
-    line_bytes;
+    line_shift = log2_exact "line_bytes" line_bytes;
+    set_shift = log2_exact "sets" sets;
     tags = Array.init sets (fun _ -> Array.make ways (-1));
     ages = Array.init sets (fun _ -> Array.make ways 0);
     clock = 0;
@@ -33,14 +40,17 @@ let create ?(size_bytes = 32 * 1024) ?(ways = 8) ?(line_bytes = 64) () =
     prefetches = 0;
   }
 
+(* the way holding [tag], or -1 *)
+let rec find tags tag w ways =
+  if w >= ways then -1
+  else if Array.unsafe_get tags w = tag then w
+  else find tags tag (w + 1) ways
+
 let fill t line =
-  let set = line mod t.sets in
-  let tag = line / t.sets in
+  let set = line land ((1 lsl t.set_shift) - 1) in
+  let tag = line lsr t.set_shift in
   let tags = t.tags.(set) and ages = t.ages.(set) in
-  let rec present w =
-    if w >= t.ways then false else tags.(w) = tag || present (w + 1)
-  in
-  if not (present 0) then begin
+  if find tags tag 0 t.ways < 0 then begin
     let victim = ref 0 in
     for w = 1 to t.ways - 1 do
       if ages.(w) < ages.(!victim) then victim := w
@@ -49,22 +59,20 @@ let fill t line =
     ages.(!victim) <- t.clock
   end
 
-(** Access [addr]; returns [true] on hit.  Misses fill the LRU way and
-    may trigger the stream prefetcher. *)
-let access t (addr : int32) : bool =
-  let a = Int32.to_int addr land 0xFFFF_FFFF in
-  let line = a / t.line_bytes in
-  let set = line mod t.sets in
-  let tag = line / t.sets in
+(** Access unsigned address [a]; returns [true] on hit.  Misses fill the
+    LRU way and may trigger the stream prefetcher. *)
+let access t (a : int) : bool =
+  let line = a lsr t.line_shift in
+  let set = line land ((1 lsl t.set_shift) - 1) in
+  let tag = line lsr t.set_shift in
   t.clock <- t.clock + 1;
-  let tags = t.tags.(set) and ages = t.ages.(set) in
-  let rec find w = if w >= t.ways then None else if tags.(w) = tag then Some w else find (w + 1) in
-  match find 0 with
-  | Some w ->
-    ages.(w) <- t.clock;
+  let w = find t.tags.(set) tag 0 t.ways in
+  if w >= 0 then begin
+    t.ages.(set).(w) <- t.clock;
     t.hits <- t.hits + 1;
     true
-  | None ->
+  end
+  else begin
     t.misses <- t.misses + 1;
     fill t line;
     if line > t.last_miss_line && line - t.last_miss_line <= 5 then begin
@@ -76,3 +84,4 @@ let access t (addr : int32) : bool =
     end;
     t.last_miss_line <- line;
     false
+  end

@@ -10,15 +10,14 @@ type t = {
 let create ?(entries = 4096) () =
   { table = Array.make entries 1; mask = entries - 1; correct = 0; mispredicts = 0 }
 
-let index t (pc : int32) = (Int32.to_int pc lsr 2) land t.mask
-
-(** Predict and update; returns [true] if the prediction was correct. *)
-let access t (pc : int32) ~(taken : bool) : bool =
-  let i = index t pc in
+(** Predict and update the branch at unsigned address [pc]; returns
+    [true] if the prediction was correct. *)
+let access t (pc : int) ~(taken : bool) : bool =
+  let i = (pc lsr 2) land t.mask in
   let counter = t.table.(i) in
   let predicted = counter >= 2 in
-  if taken then t.table.(i) <- min 3 (counter + 1)
-  else t.table.(i) <- max 0 (counter - 1);
+  if taken then t.table.(i) <- (if counter < 3 then counter + 1 else 3)
+  else t.table.(i) <- (if counter > 0 then counter - 1 else 0);
   if predicted = taken then begin
     t.correct <- t.correct + 1;
     true

@@ -20,7 +20,10 @@
       {!run} entry.  Without a sink the loop performs zero per-instruction
       indirect calls; with one, retires are delivered in batches and every
       non-retire event is ordered exactly as the reference executor
-      ordered its attribution callbacks.
+      ordered its attribution callbacks;
+    - the CPU mode ({!cpu}), also chosen at {!run} entry, executes the
+      same semantics with nothing priced and reports each retire's one
+      dynamic fact to the CPU timing model.
 
     Equivalence with the reference path ({!Executor.run_reference}) —
     exit value, retired count, cycle/paging/segment accounting, event
@@ -457,31 +460,50 @@ let pc_out_of_range pc =
     (Emulator.Trap
        (Printf.sprintf "pc out of range: 0x%08lx" (Int32.of_int pc)))
 
-(* Extern precompiles speak the int32 memory interface; accesses touch
-   pages for paging costs but do not count as load/store instructions. *)
-let extern_mem st sink =
+(* Extern precompiles speak the int32 memory interface; [note] sees each
+   word's unsigned address before it is accessed. *)
+let extern_mem st (note : write:bool -> int -> unit) =
   {
     Extern.load32 =
       (fun a ->
-        touch_data st sink ~write:false (Int32.to_int a land u32);
+        note ~write:false (Int32.to_int a land u32);
         Memory.load32 st.mem a);
     store32 =
       (fun a v ->
-        touch_data st sink ~write:true (Int32.to_int a land u32);
+        note ~write:true (Int32.to_int a land u32);
         Memory.store32 st.mem a v);
   }
 
-let do_ecall st sink =
+(* The syscall in a7: halt (and return -1), or return the index of the
+   precompile to run; an unknown number traps. *)
+let syscall st =
   let id = rget st Isa.a7 in
   if id = Emulator.syscall_halt then begin
     st.halted <- true;
-    st.exit_value <- rget st Isa.a0
+    st.exit_value <- rget st Isa.a0;
+    -1
   end
   else begin
     let i = id - Emulator.syscall_precompile_base in
     if i < 0 || i >= Array.length Emulator.precompile_signatures then
       raise (Emulator.Trap (Printf.sprintf "unknown syscall %d" id));
-    let name, arity = Array.unsafe_get Emulator.precompile_signatures i in
+    i
+  end
+
+(* Run precompile [i] over [mem]: arguments from a0.., result to a0. *)
+let run_precompile st i mem =
+  let name, arity = Array.unsafe_get Emulator.precompile_signatures i in
+  let args =
+    Array.init arity (fun k -> Int64.of_int (rget st (Isa.a0 + k) land u32))
+  in
+  match Extern.run name mem args with
+  | Some v -> rset st Isa.a0 (sext32 (Int64.to_int v))
+  | None -> ()
+
+let do_ecall st sink =
+  let i = syscall st in
+  if i >= 0 then begin
+    let name = fst (Array.unsafe_get Emulator.precompile_signatures i) in
     st.precompiles <- st.precompiles + 1;
     let cost =
       let c = st.c.pre_cost.(i) in
@@ -493,13 +515,147 @@ let do_ecall st sink =
       flush st s;
       s.on_precompile ~pc:(Int32.of_int st.cur_pc) ~name ~cost
     | None -> ());
-    let args =
-      Array.init arity (fun k -> Int64.of_int (rget st (Isa.a0 + k) land u32))
-    in
-    match Extern.run name (extern_mem st sink) args with
-    | Some v -> rset st Isa.a0 (sext32 (Int64.to_int v))
-    | None -> ()
+    (* extern accesses touch pages for paging costs but do not count as
+       load/store instructions *)
+    run_precompile st i
+      (extern_mem st (fun ~write a -> touch_data st sink ~write a))
   end
+
+(* Instruction semantics shared by the zk step and the CPU step; inlined,
+   so neither loop pays a call for them. *)
+
+(* register-register ALU *)
+let[@inline] alu_rr st c idx op =
+  let a = rget st (Array.unsafe_get c.x2 idx) in
+  let b = rget st (Array.unsafe_get c.x3 idx) in
+  let v =
+    match op with
+    | 0 (* ADD *) -> sext32 (a + b)
+    | 1 (* SUB *) -> sext32 (a - b)
+    | 2 (* SLL *) -> sext32 (a lsl (b land 31))
+    | 3 (* SLT *) -> if a < b then 1 else 0
+    | 4 (* SLTU *) -> if a land u32 < b land u32 then 1 else 0
+    | 5 (* XOR *) -> a lxor b
+    | 6 (* SRL *) -> sext32 ((a land u32) lsr (b land 31))
+    | 7 (* SRA *) -> a asr (b land 31)
+    | 8 (* OR *) -> a lor b
+    | 9 (* AND *) -> a land b
+    | 10 (* MUL *) -> sext32 (a * b)
+    | 11 (* MULH *) ->
+      Int64.to_int
+        (Int64.shift_right (Int64.mul (Int64.of_int a) (Int64.of_int b)) 32)
+    | 12 (* MULHSU *) ->
+      Int64.to_int
+        (Int64.shift_right
+           (Int64.mul (Int64.of_int a) (Int64.of_int (b land u32)))
+           32)
+    | 13 (* MULHU *) ->
+      sext32
+        (Int64.to_int
+           (Int64.shift_right_logical
+              (Int64.mul (Int64.of_int (a land u32)) (Int64.of_int (b land u32)))
+              32))
+    | 14 (* DIV *) ->
+      if b = 0 then -1
+      else if a = -0x8000_0000 && b = -1 then -0x8000_0000
+      else a / b
+    | 15 (* DIVU *) ->
+      if b = 0 then -1 else sext32 ((a land u32) / (b land u32))
+    | 16 (* REM *) ->
+      if b = 0 then a
+      else if a = -0x8000_0000 && b = -1 then 0
+      else a mod b
+    | _ (* REMU *) ->
+      if b = 0 then a else sext32 ((a land u32) mod (b land u32))
+  in
+  rset st (Array.unsafe_get c.x1 idx) v
+
+(* register-immediate ALU; imm is pre-sign-extended at decode *)
+let[@inline] alu_ri st c idx op =
+  let a = rget st (Array.unsafe_get c.x2 idx) in
+  let imm = Array.unsafe_get c.x3 idx in
+  let v =
+    match op - op_base_ri with
+    | 0 (* ADDI *) -> sext32 (a + imm)
+    | 1 (* SLTI *) -> if a < imm then 1 else 0
+    | 2 (* SLTIU *) -> if a land u32 < imm land u32 then 1 else 0
+    | 3 (* XORI *) -> a lxor imm
+    | 4 (* ORI *) -> a lor imm
+    | 5 (* ANDI *) -> a land imm
+    | 6 (* SLLI *) -> sext32 (a lsl (imm land 31))
+    | 7 (* SRLI *) -> sext32 ((a land u32) lsr (imm land 31))
+    | _ (* SRAI *) -> a asr (imm land 31)
+  in
+  rset st (Array.unsafe_get c.x1 idx) v
+
+(* Lui, Auipc, Jal, Jalr: write rd and move the pc *)
+let[@inline] upper_or_jump st c idx op pc =
+  let next = pc + 4 in
+  match op with
+  | 27 (* Lui *) ->
+    rset st (Array.unsafe_get c.x1 idx) (Array.unsafe_get c.x3 idx);
+    st.pc <- next
+  | 28 (* Auipc *) ->
+    rset st (Array.unsafe_get c.x1 idx)
+      (sext32 (pc + Array.unsafe_get c.x3 idx));
+    st.pc <- next
+  | 29 (* Jal *) ->
+    rset st (Array.unsafe_get c.x1 idx) (sext32 next);
+    st.pc <- (pc + Array.unsafe_get c.x3 idx) land u32
+  | _ (* 30 Jalr *) ->
+    let target =
+      (rget st (Array.unsafe_get c.x2 idx) + Array.unsafe_get c.x3 idx)
+      land 0xFFFF_FFFE
+    in
+    rset st (Array.unsafe_get c.x1 idx) (sext32 next);
+    if target = 0 then begin
+      (* return past main: halt with a0; pc deliberately unchanged *)
+      st.halted <- true;
+      st.exit_value <- rget st Isa.a0
+    end
+    else st.pc <- target
+
+(* whether the conditional branch at [idx] is taken *)
+let[@inline] taken st c idx op =
+  let a = rget st (Array.unsafe_get c.x1 idx) in
+  let b = rget st (Array.unsafe_get c.x2 idx) in
+  match op - op_base_branch with
+  | 0 (* BEQ *) -> a = b
+  | 1 (* BNE *) -> a <> b
+  | 2 (* BLT *) -> a < b
+  | 3 (* BGE *) -> a >= b
+  | 4 (* BLTU *) -> a land u32 < b land u32
+  | _ (* BGEU *) -> a land u32 >= b land u32
+
+(* unsigned effective address of the load or store at [idx] *)
+let[@inline] mem_addr st c idx =
+  (rget st (Array.unsafe_get c.x2 idx) + Array.unsafe_get c.x3 idx) land u32
+
+let[@inline] load st c idx op addr =
+  let v =
+    match op - op_base_load with
+    | 0 (* LB *) -> (Memory.get8 st.mem addr lxor 0x80) - 0x80
+    | 1 (* LH *) ->
+      let lo = Memory.get8 st.mem addr in
+      let hi = Memory.get8 st.mem ((addr + 1) land u32) in
+      (((hi lsl 8) lor lo) lxor 0x8000) - 0x8000
+    | 2 (* LW *) -> Memory.get32s st.mem addr
+    | 3 (* LBU *) -> Memory.get8 st.mem addr
+    | _ (* LHU *) ->
+      let lo = Memory.get8 st.mem addr in
+      let hi = Memory.get8 st.mem ((addr + 1) land u32) in
+      (hi lsl 8) lor lo
+  in
+  rset st (Array.unsafe_get c.x1 idx) v
+
+let[@inline] store st c idx op addr =
+  let v = rget st (Array.unsafe_get c.x1 idx) in
+  match op - op_base_store with
+  | 0 (* SB *) -> Memory.set8 st.mem addr v
+  | 1 (* SH *) ->
+    Memory.set8 st.mem addr v;
+    Memory.set8 st.mem ((addr + 1) land u32) (v lsr 8)
+  | _ (* SW *) -> Memory.set32 st.mem addr v
 
 let step st sink fault_silent =
   let c = st.c in
@@ -544,158 +700,111 @@ let step st sink fault_silent =
   let op = Array.unsafe_get c.ops idx in
   let next = pc + 4 in
   if op < op_base_ri then begin
-    (* register-register ALU *)
-    let rd = Array.unsafe_get c.x1 idx in
-    let a = rget st (Array.unsafe_get c.x2 idx) in
-    let b = rget st (Array.unsafe_get c.x3 idx) in
-    let v =
-      match op with
-      | 0 (* ADD *) -> sext32 (a + b)
-      | 1 (* SUB *) -> sext32 (a - b)
-      | 2 (* SLL *) -> sext32 (a lsl (b land 31))
-      | 3 (* SLT *) -> if a < b then 1 else 0
-      | 4 (* SLTU *) -> if a land u32 < b land u32 then 1 else 0
-      | 5 (* XOR *) -> a lxor b
-      | 6 (* SRL *) -> sext32 ((a land u32) lsr (b land 31))
-      | 7 (* SRA *) -> a asr (b land 31)
-      | 8 (* OR *) -> a lor b
-      | 9 (* AND *) -> a land b
-      | 10 (* MUL *) -> sext32 (a * b)
-      | 11 (* MULH *) ->
-        Int64.to_int
-          (Int64.shift_right (Int64.mul (Int64.of_int a) (Int64.of_int b)) 32)
-      | 12 (* MULHSU *) ->
-        Int64.to_int
-          (Int64.shift_right
-             (Int64.mul (Int64.of_int a) (Int64.of_int (b land u32)))
-             32)
-      | 13 (* MULHU *) ->
-        sext32
-          (Int64.to_int
-             (Int64.shift_right_logical
-                (Int64.mul (Int64.of_int (a land u32)) (Int64.of_int (b land u32)))
-                32))
-      | 14 (* DIV *) ->
-        if b = 0 then -1
-        else if a = -0x8000_0000 && b = -1 then -0x8000_0000
-        else a / b
-      | 15 (* DIVU *) ->
-        if b = 0 then -1 else sext32 ((a land u32) / (b land u32))
-      | 16 (* REM *) ->
-        if b = 0 then a
-        else if a = -0x8000_0000 && b = -1 then 0
-        else a mod b
-      | _ (* REMU *) ->
-        if b = 0 then a else sext32 ((a land u32) mod (b land u32))
-    in
-    rset st rd v;
+    alu_rr st c idx op;
     st.pc <- next
   end
   else if op < op_lui then begin
-    (* register-immediate ALU; imm is pre-sign-extended at decode *)
-    let rd = Array.unsafe_get c.x1 idx in
-    let a = rget st (Array.unsafe_get c.x2 idx) in
-    let imm = Array.unsafe_get c.x3 idx in
-    let v =
-      match op - op_base_ri with
-      | 0 (* ADDI *) -> sext32 (a + imm)
-      | 1 (* SLTI *) -> if a < imm then 1 else 0
-      | 2 (* SLTIU *) -> if a land u32 < imm land u32 then 1 else 0
-      | 3 (* XORI *) -> a lxor imm
-      | 4 (* ORI *) -> a lor imm
-      | 5 (* ANDI *) -> a land imm
-      | 6 (* SLLI *) -> sext32 (a lsl (imm land 31))
-      | 7 (* SRLI *) -> sext32 ((a land u32) lsr (imm land 31))
-      | _ (* SRAI *) -> a asr (imm land 31)
-    in
-    rset st rd v;
+    alu_ri st c idx op;
     st.pc <- next
   end
   else
     match op with
-    | 27 (* Lui *) ->
-      rset st (Array.unsafe_get c.x1 idx) (Array.unsafe_get c.x3 idx);
-      st.pc <- next
-    | 28 (* Auipc *) ->
-      rset st (Array.unsafe_get c.x1 idx)
-        (sext32 (pc + Array.unsafe_get c.x3 idx));
-      st.pc <- next
-    | 29 (* Jal *) ->
-      rset st (Array.unsafe_get c.x1 idx) (sext32 next);
-      st.pc <- (pc + Array.unsafe_get c.x3 idx) land u32
-    | 30 (* Jalr *) ->
-      let target =
-        (rget st (Array.unsafe_get c.x2 idx) + Array.unsafe_get c.x3 idx)
-        land 0xFFFF_FFFE
-      in
-      rset st (Array.unsafe_get c.x1 idx) (sext32 next);
-      if target = 0 then begin
-        (* return past main: halt with a0; pc deliberately unchanged *)
-        st.halted <- true;
-        st.exit_value <- rget st Isa.a0
-      end
-      else st.pc <- target
+    | 27 | 28 | 29 | 30 -> upper_or_jump st c idx op pc
     | 31 | 32 | 33 | 34 | 35 | 36 ->
-      let a = rget st (Array.unsafe_get c.x1 idx) in
-      let b = rget st (Array.unsafe_get c.x2 idx) in
-      let taken =
-        match op - op_base_branch with
-        | 0 (* BEQ *) -> a = b
-        | 1 (* BNE *) -> a <> b
-        | 2 (* BLT *) -> a < b
-        | 3 (* BGE *) -> a >= b
-        | 4 (* BLTU *) -> a land u32 < b land u32
-        | _ (* BGEU *) -> a land u32 >= b land u32
-      in
       st.pc <-
-        (if taken then (pc + Array.unsafe_get c.x3 idx) land u32 else next)
+        (if taken st c idx op then (pc + Array.unsafe_get c.x3 idx) land u32
+         else next)
     | 37 | 38 | 39 | 40 | 41 ->
-      let addr =
-        (rget st (Array.unsafe_get c.x2 idx) + Array.unsafe_get c.x3 idx)
-        land u32
-      in
+      let addr = mem_addr st c idx in
       (* paging is charged to the page of [addr] even for multi-byte
          accesses, exactly as the reference executor's hook did *)
       touch_data st sink ~write:false addr;
-      let v =
-        match op - op_base_load with
-        | 0 (* LB *) -> (Memory.get8 st.mem addr lxor 0x80) - 0x80
-        | 1 (* LH *) ->
-          let lo = Memory.get8 st.mem addr in
-          let hi = Memory.get8 st.mem ((addr + 1) land u32) in
-          (((hi lsl 8) lor lo) lxor 0x8000) - 0x8000
-        | 2 (* LW *) -> Memory.get32s st.mem addr
-        | 3 (* LBU *) -> Memory.get8 st.mem addr
-        | _ (* LHU *) ->
-          let lo = Memory.get8 st.mem addr in
-          let hi = Memory.get8 st.mem ((addr + 1) land u32) in
-          (hi lsl 8) lor lo
-      in
-      rset st (Array.unsafe_get c.x1 idx) v;
+      load st c idx op addr;
       st.pc <- next
     | 42 | 43 | 44 ->
-      let addr =
-        (rget st (Array.unsafe_get c.x2 idx) + Array.unsafe_get c.x3 idx)
-        land u32
-      in
+      let addr = mem_addr st c idx in
       touch_data st sink ~write:true addr;
-      let v = rget st (Array.unsafe_get c.x1 idx) in
-      (match op - op_base_store with
-      | 0 (* SB *) -> Memory.set8 st.mem addr v
-      | 1 (* SH *) ->
-        Memory.set8 st.mem addr v;
-        Memory.set8 st.mem ((addr + 1) land u32) (v lsr 8)
-      | _ (* SW *) -> Memory.set32 st.mem addr v);
+      store st c idx op addr;
       st.pc <- next
     | _ (* 45 Ecall *) ->
       do_ecall st sink;
       st.pc <- next
 
 (* ------------------------------------------------------------------ *)
+(* CPU mode                                                            *)
+(* ------------------------------------------------------------------ *)
+
+type cpu = {
+  on_retire : int -> int -> unit;
+  on_extern : write:bool -> int -> unit;
+}
+
+(* The zk step's semantics with nothing priced: no cost words, paging or
+   segments, so the run is the same under every config.  Each retire is
+   reported after it executes, with its one dynamic fact. *)
+let step_cpu st (cpu : cpu) =
+  let c = st.c in
+  let pc = st.pc in
+  let idx = sext32 (pc - c.base) / 4 in
+  if idx < 0 || idx >= c.n then pc_out_of_range pc;
+  st.retired <- st.retired + 1;
+  let op = Array.unsafe_get c.ops idx in
+  let next = pc + 4 in
+  if op < op_base_ri then begin
+    alu_rr st c idx op;
+    st.pc <- next;
+    cpu.on_retire idx 0
+  end
+  else if op < op_lui then begin
+    alu_ri st c idx op;
+    st.pc <- next;
+    cpu.on_retire idx 0
+  end
+  else
+    match op with
+    | 27 | 28 | 29 | 30 ->
+      upper_or_jump st c idx op pc;
+      cpu.on_retire idx 0
+    | 31 | 32 | 33 | 34 | 35 | 36 ->
+      if taken st c idx op then begin
+        st.pc <- (pc + Array.unsafe_get c.x3 idx) land u32;
+        cpu.on_retire idx 1
+      end
+      else begin
+        st.pc <- next;
+        cpu.on_retire idx 0
+      end
+    | 37 | 38 | 39 | 40 | 41 ->
+      let addr = mem_addr st c idx in
+      load st c idx op addr;
+      st.pc <- next;
+      cpu.on_retire idx addr
+    | 42 | 43 | 44 ->
+      let addr = mem_addr st c idx in
+      store st c idx op addr;
+      st.pc <- next;
+      cpu.on_retire idx addr
+    | _ (* 45 Ecall *) ->
+      let i = syscall st in
+      if i >= 0 then run_precompile st i (extern_mem st cpu.on_extern);
+      st.pc <- next;
+      cpu.on_retire idx i
+
+let cpu_loop st cpu fuel =
+  let budget = ref fuel in
+  while not st.halted do
+    if !budget <= 0 then raise (Emulator.Out_of_fuel fuel);
+    decr budget;
+    step_cpu st cpu
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_state (c : code) : st =
+(* Only the mode chosen at entry gets its state: the page directories
+   when pricing (not in the CPU mode), the retire buffer with a sink. *)
+let fresh_state ~priced ~buffered (c : code) : st =
   let mem = Memory.create () in
   Memory.store_image mem c.base c.image;
   List.iter (fun (addr, init) -> Memory.init_global mem addr init) c.globals;
@@ -710,7 +819,11 @@ let fresh_state (c : code) : st =
     end
     else -1
   in
-  let top = ((u32 / page_bytes) + 1 + (prow_size - 1)) / prow_size in
+  let top =
+    if priced then ((u32 / page_bytes) + 1 + (prow_size - 1)) / prow_size
+    else 0
+  in
+  let buf = if buffered then buf_cap else 0 in
   {
     c; mem; regs; pc = c.entry; halted = false; exit_value = 0; retired = 0;
     user = 0; paging = 0; total_user = 0; total_paging = 0;
@@ -724,7 +837,7 @@ let fresh_state (c : code) : st =
     tep = Array.make top no_prow; dep = Array.make top no_prow; epoch = 1;
     dirty_pcs = Array.make 256 0; dirty_n = 0;
     code_lo = 1; code_hi = 0; data_page = -1; data_dirty = false;
-    buf_idx = Array.make buf_cap 0; buf_cost = Array.make buf_cap 0;
+    buf_idx = Array.make buf 0; buf_cost = Array.make buf 0;
     buf_n = 0;
   }
 
@@ -742,15 +855,21 @@ let exec_loop st sink fault fuel =
   done;
   close_segment ~fault ~final:true st sink
 
-(** Execute pre-decoded [c].  The sink is selected here, once: without
-    one the loop makes zero per-instruction indirect calls; with one,
+(** Execute pre-decoded [c].  The mode is selected here, once: without a
+    sink the loop makes zero per-instruction indirect calls; with one,
     retires arrive batched and every other event is delivered in the
-    reference executor's order. *)
-let run ?(fault = No_fault) ?(fuel = 500_000_000) ?sink (c : code) : result =
-  let st = fresh_state c in
-  (match sink with
-  | None -> exec_loop st None fault fuel
-  | Some s -> (
+    reference executor's order; with [cpu] the machine runs its CPU loop
+    instead. *)
+let run ?(fault = No_fault) ?(fuel = 500_000_000) ?sink ?cpu (c : code) :
+    result =
+  let st =
+    fresh_state ~priced:(Option.is_none cpu) ~buffered:(Option.is_some sink) c
+  in
+  (match (cpu, sink) with
+  | Some cpu, None when fault = No_fault -> cpu_loop st cpu fuel
+  | Some _, _ -> invalid_arg "Machine.run: the CPU mode takes no sink or fault"
+  | None, None -> exec_loop st None fault fuel
+  | None, Some s -> (
     (* deliver buffered retires even when the guest traps or runs out of
        fuel: the reference path reported events eagerly, so a consumer
        observing a partial run must still see every retired instruction *)

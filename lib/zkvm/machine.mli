@@ -6,7 +6,8 @@
     words in [int] arrays), then executed ({!run}) with untagged
     native-int registers, unsigned-int addressing and epoch-stamped page
     residency — no [Int32] allocation and no hashing anywhere in the hot
-    loop.  Accounting is bit-for-bit identical to the reference path
+    loop.  A {!cpu} mode runs the same semantics unpriced for the CPU
+    timing model.  Accounting is bit-for-bit identical to the reference path
     ({!Executor.run_reference}); [test/test_machine.ml] enforces the
     equivalence, including under every injected {!fault}. *)
 
@@ -81,7 +82,9 @@ type retire_batch =
     page; page-outs to the pc that first dirtied the page in the segment;
     segment events to the pc retiring when the segment closed.
     [on_cpu_retire] is the CPU timing model's channel (float cost in
-    model cycles); zkVM machines never call it. *)
+    model cycles): [Zkopt_cpu.Timing.run] calls it once per retire, and
+    once more for the trailing memory drain, while it folds a {!cpu}
+    stream; the zk loops never call it. *)
 type sink = {
   on_retires : retire_batch -> unit;
   on_precompile : pc:int32 -> name:string -> cost:int -> unit;
@@ -119,8 +122,39 @@ type code
     [Zkopt_riscv.Emulator.Trap] when the program has no [main]. *)
 val decode : Config.t -> Codegen.t -> Modul.t -> code
 
+(** {1 The CPU mode} *)
+
+(** The stream the CPU timing model folds ([Zkopt_cpu.Timing.run]).
+
+    [on_retire idx fact] follows every retired instruction, after it has
+    executed.  [idx] is its index in the decoded image; [fact] is the one
+    dynamic fact the model needs: the unsigned effective address of a
+    load or store, 1 if a conditional branch was taken and 0 if not, for
+    an [ecall] the index of the precompile it ran
+    ({!Zkopt_riscv.Emulator.precompile_signatures}) or -1 for a halt, and
+    0 for everything else.
+
+    [on_extern ~write addr] reports each word a precompile's extern code
+    reads or writes at unsigned [addr], in program order, before its
+    [ecall]'s [on_retire]. *)
+type cpu = {
+  on_retire : int -> int -> unit;
+  on_extern : write:bool -> int -> unit;
+}
+
+(** {1 Run} *)
+
 (** Execute pre-decoded code on a fresh machine.  Accounting, trap
     messages and fault behavior are bit-for-bit those of
     {!Executor.run_reference}; a sink observes them without perturbing
-    them. *)
-val run : ?fault:fault -> ?fuel:int -> ?sink:sink -> code -> result
+    them.
+
+    [cpu] selects the CPU mode, once, at entry: the machine executes the
+    same instructions and raises the same traps and [Out_of_fuel], but
+    prices nothing — no cost words, paging or segments, so neither the
+    run nor its stream depends on the config [c] was decoded under — and
+    reports each retire to [cpu].  Its result carries only [exit_value]
+    and [retired]; every other count is zero.  The CPU mode takes no
+    [sink] and no [fault] ([Invalid_argument]). *)
+val run :
+  ?fault:fault -> ?fuel:int -> ?sink:sink -> ?cpu:cpu -> code -> result

@@ -7,6 +7,7 @@ let () =
       ("passes", Test_passes.tests);
       ("zkvm", Test_zkvm.tests);
       ("machine", Test_machine.tests);
+      ("cpu", Test_cpu.tests);
       ("crypto", Test_crypto.tests);
       ("infra", Test_infra.tests);
       ("workloads", Test_workloads.tests);

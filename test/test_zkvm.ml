@@ -196,14 +196,14 @@ let test_cache_and_predictor () =
   let cache = Zkopt_cpu.Cache.create () in
   (* sequential accesses: high hit rate after the first line touch *)
   for i = 0 to 4095 do
-    ignore (Zkopt_cpu.Cache.access cache (Int32.of_int (4 * i)))
+    ignore (Zkopt_cpu.Cache.access cache (4 * i))
   done;
   Alcotest.(check bool) "mostly hits" true
     (cache.Zkopt_cpu.Cache.hits > 8 * cache.Zkopt_cpu.Cache.misses);
   let p = Zkopt_cpu.Predictor.create () in
   (* a always-taken branch becomes predictable *)
   for _ = 1 to 100 do
-    ignore (Zkopt_cpu.Predictor.access p 0x1000l ~taken:true)
+    ignore (Zkopt_cpu.Predictor.access p 0x1000 ~taken:true)
   done;
   Alcotest.(check bool) "learns" true (p.Zkopt_cpu.Predictor.mispredicts <= 2)
 
