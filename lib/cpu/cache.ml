@@ -14,7 +14,7 @@ type t = {
      stream and pulls the following lines in.  One tracker only, so
      interleaved streams defeat it -- the mechanism that makes loop
      fission profitable on the CPU model (paper Fig. 2b). *)
-  mutable last_miss_line : int;
+  mutable last_miss_line : int;  (* min_int until the first miss *)
   mutable prefetches : int;
 }
 
@@ -75,7 +75,11 @@ let access t (a : int) : bool =
   else begin
     t.misses <- t.misses + 1;
     fill t line;
-    if line > t.last_miss_line && line - t.last_miss_line <= 5 then begin
+    (* a stream starts on a miss at most five lines above the previous
+       one; [line - 5] cannot wrap, while [line - t.last_miss_line]
+       would against the [min_int] sentinel, so the first miss of a
+       run starts no stream *)
+    if line > t.last_miss_line && line - 5 <= t.last_miss_line then begin
       (* sequential stream detected: run ahead *)
       for k = 1 to 4 do
         fill t (line + k)

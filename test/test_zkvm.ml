@@ -200,6 +200,13 @@ let test_cache_and_predictor () =
   done;
   Alcotest.(check bool) "mostly hits" true
     (cache.Zkopt_cpu.Cache.hits > 8 * cache.Zkopt_cpu.Cache.misses);
+  (* only a second sequential miss starts a prefetch stream *)
+  let fresh = Zkopt_cpu.Cache.create () in
+  Alcotest.(check bool) "line 0 misses" false (Zkopt_cpu.Cache.access fresh 0);
+  Alcotest.(check bool) "the first miss prefetches nothing" false
+    (Zkopt_cpu.Cache.access fresh 64);
+  Alcotest.(check bool) "the second sequential miss prefetched line 2" true
+    (Zkopt_cpu.Cache.access fresh 128);
   let p = Zkopt_cpu.Predictor.create () in
   (* a always-taken branch becomes predictable *)
   for _ = 1 to 100 do
