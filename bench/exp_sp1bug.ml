@@ -39,7 +39,7 @@ let run ~size () =
         let c = Measure.prepare ~build profile in
         let faulty =
           Measure.run_zkvm
-            ~fault:Zkopt_zkvm.Executor.Silent_halt_on_boundary_jalr buggy_cfg c
+            ~fault:Zkopt_zkvm.Machine.Silent_halt_on_boundary_jalr buggy_cfg c
         in
         if faulty.Measure.exit_value <> reference.Measure.exit_value then begin
           found := true;

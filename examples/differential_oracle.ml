@@ -36,7 +36,7 @@ let () =
         let c = Measure.prepare ~build profile in
         let r =
           Measure.run_zkvm
-            ~fault:Zkopt_zkvm.Executor.Silent_halt_on_boundary_jalr buggy_vm c
+            ~fault:Zkopt_zkvm.Machine.Silent_halt_on_boundary_jalr buggy_vm c
         in
         Printf.printf "sequence [%-28s] checksum %Lx, %7d cycles -> %s\n"
           (String.concat ";" seq) r.Measure.exit_value r.Measure.cycles
@@ -71,6 +71,6 @@ let () =
       | Ok () -> Printf.printf "  %-24s accounting reconciles\n" name
       | Error msg -> Printf.printf "  %-24s CAUGHT: %s\n" name msg)
     [ ("healthy", None);
-      ("dropped-page-out", Some Zkopt_zkvm.Executor.Dropped_page_out);
+      ("dropped-page-out", Some Zkopt_zkvm.Machine.Dropped_page_out);
       ("truncated-final-segment",
-       Some Zkopt_zkvm.Executor.Truncated_final_segment) ]
+       Some Zkopt_zkvm.Machine.Truncated_final_segment) ]

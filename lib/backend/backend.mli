@@ -56,7 +56,7 @@ type compiled = {
           register-pair-spilling mechanism has nowhere to exist *)
   measure :
     vm:string ->
-    ?fault:Zkopt_zkvm.Executor.fault ->
+    ?fault:Zkopt_zkvm.Machine.fault ->
     ?fuel:int ->
     ?sink:Zkopt_zkvm.Machine.sink ->
     unit ->

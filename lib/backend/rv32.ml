@@ -24,21 +24,19 @@ let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
       match config with Some cfg -> cfg | None -> Config.by_name vm
     in
     let raw = Measure.run ?fault ?fuel ?sink cfg c in
-    (* mirror the prover's per-segment padding exactly: the settlement
-       models must price the trace the prover actually commits *)
-    let floor = 1 lsl cfg.Config.min_po2 in
+    (* pad each segment as the prover does: the settlement models must
+       price the trace the prover actually commits *)
     let seg_padded =
       List.map
-        (fun (s : Zkopt_zkvm.Executor.segment) ->
-          Zkopt_zkvm.Prover.next_pow2
-            (max floor
-               (s.Zkopt_zkvm.Executor.user_cycles + s.paging_cycles)))
-        raw.Zkopt_zkvm.Vm.exec.Zkopt_zkvm.Executor.segments
+        (fun (s : Zkopt_zkvm.Machine.segment) ->
+          Zkopt_zkvm.Prover.padded ~min_po2:cfg.Config.min_po2
+            (s.Zkopt_zkvm.Machine.user_cycles + s.paging_cycles))
+        raw.Zkopt_zkvm.Vm.exec.Zkopt_zkvm.Machine.segments
     in
     {
       Backend.zk = Measure.zk_of_vm raw;
       accounting = Zkopt_zkvm.Vm.check_accounting cfg raw;
-      faulted = raw.Zkopt_zkvm.Vm.exec.Zkopt_zkvm.Executor.faulted;
+      faulted = raw.Zkopt_zkvm.Vm.exec.Zkopt_zkvm.Machine.faulted;
       seg_padded;
     }
   in
@@ -86,8 +84,7 @@ let backend ?(fixed = false) (cfg : Config.t) ~doc : Backend.t =
     zk_native = false;
     schema = (if fixed then schema ^ "@" ^ cfg.Config.name else schema);
     segment_pad =
-      (fun n ->
-        Zkopt_zkvm.Prover.next_pow2 (max (1 lsl cfg.Config.min_po2) n) - n);
+      (fun n -> Zkopt_zkvm.Prover.padded ~min_po2:cfg.Config.min_po2 n - n);
     compile = compile ?config;
     decode = decode ?config;
   }

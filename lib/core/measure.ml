@@ -90,10 +90,10 @@ let zk_of_vm (r : Zkopt_zkvm.Vm.metrics) : zk_metrics =
     prove_time_s = r.Zkopt_zkvm.Vm.prove_time_s;
     segments = r.Zkopt_zkvm.Vm.segments;
     paging_cycles = r.Zkopt_zkvm.Vm.paging_cycles;
-    page_ins = e.Zkopt_zkvm.Executor.page_ins;
-    page_outs = e.Zkopt_zkvm.Executor.page_outs;
-    loads = e.Zkopt_zkvm.Executor.loads;
-    stores = e.Zkopt_zkvm.Executor.stores;
+    page_ins = e.Zkopt_zkvm.Machine.page_ins;
+    page_outs = e.Zkopt_zkvm.Machine.page_outs;
+    loads = e.Zkopt_zkvm.Machine.loads;
+    stores = e.Zkopt_zkvm.Machine.stores;
     exit_value = exit64 r.Zkopt_zkvm.Vm.exit_value;
   }
 

@@ -60,7 +60,7 @@ val prepare :
     the full {!Zkopt_zkvm.Vm} result including the per-segment executor
     trace. *)
 val run :
-  ?fault:Zkopt_zkvm.Executor.fault ->
+  ?fault:Zkopt_zkvm.Machine.fault ->
   ?fuel:int ->
   ?sink:Zkopt_zkvm.Machine.sink ->
   Zkopt_zkvm.Config.t ->
@@ -76,7 +76,7 @@ val exit64 : int32 -> int64
 val zk_of_vm : Zkopt_zkvm.Vm.metrics -> zk_metrics
 
 val run_zkvm :
-  ?fault:Zkopt_zkvm.Executor.fault ->
+  ?fault:Zkopt_zkvm.Machine.fault ->
   ?fuel:int ->
   Zkopt_zkvm.Config.t ->
   compiled ->

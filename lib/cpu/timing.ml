@@ -20,7 +20,7 @@
     a precompile index).  Per-instruction tables — use and def
     registers, latency class, base latency — are built once per run, and
     the fold over the stream allocates nothing per instruction.
-    [test/cpu_reference.ml] keeps the historical driver, the boxed
+    [test/oracle/ref_cpu.ml] keeps the historical driver, the boxed
     emulator under closure hooks, as the oracle [test/test_cpu.ml] holds
     this fold to, bit for bit. *)
 

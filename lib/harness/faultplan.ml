@@ -39,15 +39,15 @@ let all_kinds =
 let kind_of_name name =
   List.find_opt (fun k -> String.equal (kind_name k) name) all_kinds
 
-let to_executor_fault : kind -> Zkopt_zkvm.Executor.fault = function
+let to_executor_fault : kind -> Zkopt_zkvm.Machine.fault = function
   | Silent_halt_on_boundary_jalr ->
-    Zkopt_zkvm.Executor.Silent_halt_on_boundary_jalr
-  | Dropped_page_out -> Zkopt_zkvm.Executor.Dropped_page_out
-  | Truncated_final_segment -> Zkopt_zkvm.Executor.Truncated_final_segment
-  | Corrupt_exit_value -> Zkopt_zkvm.Executor.Corrupt_exit_value
+    Zkopt_zkvm.Machine.Silent_halt_on_boundary_jalr
+  | Dropped_page_out -> Zkopt_zkvm.Machine.Dropped_page_out
+  | Truncated_final_segment -> Zkopt_zkvm.Machine.Truncated_final_segment
+  | Corrupt_exit_value -> Zkopt_zkvm.Machine.Corrupt_exit_value
 
 (** The fault (if any) this plan injects at one measurement site. *)
-let executor_fault t ~program ~profile ~vm : Zkopt_zkvm.Executor.fault option =
+let executor_fault t ~program ~profile ~vm : Zkopt_zkvm.Machine.fault option =
   List.find_map
     (fun (s, k) ->
       if

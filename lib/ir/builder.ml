@@ -53,8 +53,6 @@ let start_block b label =
   b.cur <- blk;
   b.sealed <- false
 
-let current_label b = b.cur.Block.label
-
 (* ------------------------------------------------------------------ *)
 (* Terminators                                                         *)
 (* ------------------------------------------------------------------ *)

@@ -185,8 +185,6 @@ let signatures =
   ; ("bigint_mulmod", 4)     (* out_ptr(8w), a_ptr(8w), b_ptr(8w), mod_ptr(8w) *)
   ]
 
-let is_precompile name = List.mem_assoc name signatures
-
 let read_words mem ptr n =
   List.init n (fun i -> mem.load32 (Int32.add ptr (Int32.of_int (4 * i))))
 

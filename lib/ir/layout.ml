@@ -8,9 +8,6 @@ let code_base = 0x0000_1000l
 let globals_base = 0x0002_0000l
 let stack_top = 0x0FF0_0000l
 
-(** zkVM page granularity (RISC Zero uses 1 KB pages; paper §5). *)
-let zk_page_bytes = 1024
-
 let align_up n a = (n + a - 1) / a * a
 
 (** Assign an address to every global, in declaration order, 16-aligned.

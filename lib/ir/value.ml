@@ -17,7 +17,6 @@ type t =
 let reg r = Reg r
 let imm i = Imm (Int64.of_int i)
 let imm64 i = Imm i
-let glob name = Glob name
 
 let equal a b =
   match a, b with
@@ -25,8 +24,6 @@ let equal a b =
   | Imm i1, Imm i2 -> Int64.equal i1 i2
   | Glob g1, Glob g2 -> String.equal g1 g2
   | (Reg _ | Imm _ | Glob _), _ -> false
-
-let is_const = function Imm _ | Glob _ -> true | Reg _ -> false
 
 let to_string = function
   | Reg r -> Printf.sprintf "%%r%d" r

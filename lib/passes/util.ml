@@ -28,10 +28,6 @@ let rewrite_instrs (f : Func.t) fn =
       b.Block.instrs <- out);
   !changed
 
-(** Fold a value through known constants: returns [Some imm] if [v] is an
-    immediate. *)
-let const_of = function Value.Imm i -> Some i | _ -> None
-
 (** Delete blocks unreachable from the entry, fixing nothing else (no
     branch can target them, by definition). *)
 let remove_unreachable_blocks (f : Func.t) =

@@ -14,7 +14,7 @@ let collector c profile =
   Collect.of_program c.Measure.codegen.Zkopt_riscv.Codegen.program profile
 
 let rv32_segment_pad (cfg : Zkopt_zkvm.Config.t) n =
-  Zkopt_zkvm.Prover.next_pow2 (max (1 lsl cfg.Zkopt_zkvm.Config.min_po2) n) - n
+  Zkopt_zkvm.Prover.padded ~min_po2:cfg.Zkopt_zkvm.Config.min_po2 n - n
 
 (** Profile one zkVM run.  [label] names the profile (e.g. the profile /
     pass under test); the vm name is taken from [cfg]. *)

@@ -67,14 +67,6 @@ let dim_name = function
   | Segment -> "padding"
   | Cpu -> "cpu"
 
-let dim_of_name = function
-  | "exec" -> Some Exec
-  | "page-in" | "pagein" -> Some Paging_in
-  | "page-out" | "pageout" -> Some Paging_out
-  | "padding" | "segment" -> Some Segment
-  | "cpu" -> Some Cpu
-  | _ -> None
-
 let get dim (c : counters) =
   match dim with
   | Exec -> float_of_int c.exec

@@ -99,11 +99,3 @@ let compile (m : Modul.t) : t =
   let globals, data_end = Layout.place_globals m in
   let program = Asm.assemble ~globals ~data_end (List.map fst lowered) in
   { program; stats = List.map snd lowered }
-
-(** Compile and run under the plain emulator (no cost model); returns the
-    exit value and retired instruction count. *)
-let run ?hooks ?fuel (m : Modul.t) : int32 * int =
-  let cg = compile m in
-  let emu = Emulator.create ?hooks cg.program m in
-  let exit_value = Emulator.run ?fuel emu in
-  (exit_value, emu.Emulator.retired)

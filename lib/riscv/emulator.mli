@@ -1,14 +1,6 @@
-(** RV32IM reference emulator.
-
-    The *semantics oracle* of the system: a boxed, hook-observed
-    interpreter over {!Asm.program} whose behavior defines what the
-    raw-speed decoded-stream machine ({!Zkopt_zkvm.Machine}) must
-    reproduce bit-for-bit.  The CPU timing model also drives this
-    interpreter, because its float cost sequence is order-sensitive and
-    pinned by recorded checkpoints.
-
-    Cost models observe execution through [hooks]; the emulator itself
-    is purely functional semantics.
+(** The RV32 guest ABI shared by the decoded machine
+    ({!Zkopt_zkvm.Machine}), the CPU timing model, Valida and the
+    harness: the run-failure exceptions and the syscall convention.
 
     Syscall convention (register a7):
     - 0: halt; a0 = exit value
@@ -23,26 +15,6 @@ exception Trap of string
     genuine faults without string matching. *)
 exception Out_of_fuel of int
 
-type hooks = {
-  mutable on_instr : pc:int32 -> Isa.t -> unit;
-  mutable on_mem : write:bool -> int32 -> int -> unit;  (* addr, bytes *)
-  mutable on_branch : pc:int32 -> taken:bool -> int32 -> unit;
-  mutable on_precompile : string -> unit;
-}
-
-val no_hooks : unit -> hooks
-
-type t = {
-  prog : Asm.program;
-  mem : Zkopt_ir.Memory.t;
-  regs : int32 array;
-  mutable pc : int32;
-  mutable halted : bool;
-  mutable exit_value : int32;
-  mutable retired : int;
-  hooks : hooks;
-}
-
 val syscall_halt : int
 val syscall_precompile_base : int
 
@@ -53,28 +25,3 @@ val precompile_signatures : (string * int) array
 (** Syscall id of a precompile name; raises [Invalid_argument] on
     unknown names. *)
 val precompile_syscall_id : string -> int
-
-(** [(name, arity)] of a precompile syscall id; raises {!Trap} on
-    unknown ids. *)
-val precompile_of_syscall : int -> string * int
-
-(** Install the code image and globals and position the machine at
-    [main]. *)
-val create : ?hooks:hooks -> Asm.program -> Zkopt_ir.Modul.t -> t
-
-val reg_get : t -> Isa.reg -> int32
-val reg_set : t -> Isa.reg -> int32 -> unit
-
-(** Reference ALU/branch semantics, shared with tests and equivalence
-    harnesses. *)
-val alu_op : Isa.rop -> int32 -> int32 -> int32
-
-val alu_opi : Isa.iop -> int32 -> int -> int32
-val branch_taken : Isa.bcond -> int32 -> int32 -> bool
-
-(** Execute one instruction (fires [hooks.on_instr] first). *)
-val step : t -> unit
-
-(** Run until halt, raising [Out_of_fuel fuel] after [fuel] retired
-    instructions. *)
-val run : ?fuel:int -> t -> int32

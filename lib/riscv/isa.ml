@@ -42,9 +42,6 @@ type t =
   | Opi of iop * reg * reg * int       (* rd, rs1, imm *)
   | Ecall
 
-let is_branch = function Branch _ | Jal _ | Jalr _ -> true | _ -> false
-let is_mem = function Load _ | Store _ -> true | _ -> false
-
 (* Dense sub-opcode indexes.  Pre-decoded executors (lib/zkvm's machine)
    number the whole instruction space contiguously from these so dispatch
    compiles to a jump table over small ints instead of a variant match

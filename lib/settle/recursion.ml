@@ -46,7 +46,7 @@ let node (p : Sparams.t) ~(children : int) ~(child_bytes : int) =
     (p.Sparams.recur_base_cycles * children)
     + (p.Sparams.recur_cycles_per_byte * child_bytes)
   in
-  let padded = P.next_pow2 (max (1 lsl p.Sparams.min_po2) cycles) in
+  let padded = P.padded ~min_po2:p.Sparams.min_po2 cycles in
   let seconds =
     ((float_of_int padded *. P.log2f padded *. p.Sparams.prove_ns_per_cycle)
     +. (float_of_int cycles *. p.Sparams.prove_witgen_ns_per_cycle)

@@ -37,8 +37,7 @@ let of_program (p : Visa.program) : Backend.compiled =
     let r = Vexec.run ?fault ?fuel ?sink cfg p in
     (* per-segment committed area = the sum of the three chips' padded
        tables, exactly as {!Vprover.prove} prices them *)
-    let floor = 1 lsl cfg.Vconfig.min_po2 in
-    let pad rows = Zkopt_zkvm.Prover.next_pow2 (max floor rows) in
+    let pad = Zkopt_zkvm.Prover.padded ~min_po2:cfg.Vconfig.min_po2 in
     let seg_padded =
       List.map
         (fun (s : Vexec.segment) ->

@@ -19,7 +19,7 @@
     costs nothing beyond the per-segment prover overhead, which is the
     structural difference [bench/exp_isa.ml] measures against RV32.
 
-    Fault injection mirrors {!Zkopt_zkvm.Executor.fault} so the harness
+    Fault injection mirrors {!Zkopt_zkvm.Machine.fault} so the harness
     exercises the same oracle classes on every backend:
     - [Silent_halt_on_boundary_jalr]: a segment boundary on a [Ret]
       silently drops the rest of the run (checksum oracle);
@@ -248,7 +248,7 @@ let step st =
     next ());
   (ins, !alu, !memr, !memw, !prec)
 
-let close_segment ?(fault = Zkopt_zkvm.Executor.No_fault) ?(final = false) ?sink
+let close_segment ?(fault = Zkopt_zkvm.Machine.No_fault) ?(final = false) ?sink
     ~at_pc st =
   let seg = { cpu_rows = st.seg_cpu; alu_rows = st.seg_alu; mem_rows = st.seg_mem } in
   st.segs <- seg :: st.segs;
@@ -260,10 +260,10 @@ let close_segment ?(fault = Zkopt_zkvm.Executor.No_fault) ?(final = false) ?sink
   | None -> ());
   let cpu, alu, mem =
     match fault with
-    | Zkopt_zkvm.Executor.Truncated_final_segment when final && segment_rows seg > 1 ->
+    | Zkopt_zkvm.Machine.Truncated_final_segment when final && segment_rows seg > 1 ->
       st.faulted <- true;
       (seg.cpu_rows / 2, seg.alu_rows / 2, seg.mem_rows / 2)
-    | Zkopt_zkvm.Executor.Dropped_page_out when seg.mem_rows > 1 ->
+    | Zkopt_zkvm.Machine.Dropped_page_out when seg.mem_rows > 1 ->
       (* multi-chip analogue of the write-back accounting bug: half the
          memory chip's rows vanish from the totals at segment close *)
       st.faulted <- true;
@@ -280,7 +280,7 @@ let close_segment ?(fault = Zkopt_zkvm.Executor.No_fault) ?(final = false) ?sink
 (** Execute a lowered program under configuration [cfg].  The optional
     [sink] receives every accounted row with its synthetic pc (see
     {!shadow}); [fault] injects the cross-backend bug family. *)
-let run ?(fault = Zkopt_zkvm.Executor.No_fault) ?(fuel = 500_000_000) ?sink
+let run ?(fault = Zkopt_zkvm.Machine.No_fault) ?(fuel = 500_000_000) ?sink
     (cfg : Vconfig.t) (p : Visa.program) : result =
   let st =
     {
@@ -342,7 +342,7 @@ let run ?(fault = Zkopt_zkvm.Executor.No_fault) ?(fuel = 500_000_000) ?sink
     then begin
       close_segment ~fault ?sink ~at_pc:(pc32 idx) st;
       match (fault, ins) with
-      | Zkopt_zkvm.Executor.Silent_halt_on_boundary_jalr, Visa.Ret _ ->
+      | Zkopt_zkvm.Machine.Silent_halt_on_boundary_jalr, Visa.Ret _ ->
         (* the continuation boundary landed on a return: the buggy
            executor stops mid-run yet reports a verifying trace *)
         st.faulted <- true;
@@ -353,7 +353,7 @@ let run ?(fault = Zkopt_zkvm.Executor.No_fault) ?(fuel = 500_000_000) ?sink
   close_segment ~fault ~final:true ?sink ~at_pc:(pc32 st.pc) st;
   let exit_value =
     match fault with
-    | Zkopt_zkvm.Executor.Corrupt_exit_value ->
+    | Zkopt_zkvm.Machine.Corrupt_exit_value ->
       st.faulted <- true;
       Int64.logxor st.exit_value 0x5A5A_5A5AL
     | _ -> st.exit_value

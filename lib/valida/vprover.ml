@@ -1,7 +1,7 @@
 (** Multi-chip STARK prover model.
 
     Each segment commits each chip's table independently: a table of [n]
-    real rows is padded to [next_pow2 (max (2^min_po2, n))] and costs
+    real rows is padded to [Prover.padded ~min_po2 n] and costs
     [padded * log2(padded) * prove_ns_per_row] for LDE/commitment plus
     [n * prove_witgen_ns_per_row] for witness generation.  The key
     geometric consequence (vs. the RV32 single-table model): a segment's
@@ -17,9 +17,8 @@ type result = {
 
 let prove (cfg : Vconfig.t) (exec : Vexec.result) : result =
   let module P = Zkopt_zkvm.Prover in
-  let floor_rows = 1 lsl cfg.Vconfig.min_po2 in
   let table rows =
-    let padded = P.next_pow2 (max floor_rows rows) in
+    let padded = P.padded ~min_po2:cfg.Vconfig.min_po2 rows in
     ( padded,
       (float_of_int padded *. P.log2f padded *. cfg.Vconfig.prove_ns_per_row)
       +. (float_of_int rows *. cfg.Vconfig.prove_witgen_ns_per_row) )
@@ -45,4 +44,4 @@ let prove (cfg : Vconfig.t) (exec : Vexec.result) : result =
 
 (** Rows of padding a table of [n] rows pays under this config. *)
 let table_pad (cfg : Vconfig.t) n =
-  Zkopt_zkvm.Prover.next_pow2 (max (1 lsl cfg.Vconfig.min_po2) n) - n
+  Zkopt_zkvm.Prover.padded ~min_po2:cfg.Vconfig.min_po2 n - n

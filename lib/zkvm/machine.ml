@@ -1,11 +1,15 @@
-(** The decoded-stream zkVM machine: the raw-speed interpreter core.
+(** The decoded-stream zkVM machine: the library's one RV32
+    interpreter.  Every RISC Zero and SP1 cycle, paging and segment
+    count, and the CPU timing model's instruction stream, come from
+    here.
 
-    {!Executor.run} historically replayed the boxed reference emulator
-    ({!Zkopt_riscv.Emulator}) under accounting hooks: every instruction
-    re-matched a variant with boxed [int32] operands, every memory access
-    hashed into page [Hashtbl]s, and every observer was an indirect call.
-    This module replaces that hot path while reproducing its accounting
-    bit-for-bit:
+    Paging model (RISC Zero-style, parameterized): guest memory is split
+    into [page_bytes] pages.  Within a segment, the first touch of a page
+    charges [page_in_cost]; at segment close, every dirtied page charges
+    [page_out_cost] and the touched-set resets (the next segment must
+    page everything in again).  Instruction fetch touches the code page.
+
+    What keeps it fast:
 
     - the program is pre-decoded once ({!decode}) into flat [int] arrays —
       a dense opcode, three operand slots and a packed cost/kind word per
@@ -25,10 +29,11 @@
       same semantics with nothing priced and reports each retire's one
       dynamic fact to the CPU timing model.
 
-    Equivalence with the reference path ({!Executor.run_reference}) —
+    The boxed reference emulator and the hook-driven reference executor
+    live in the test-only oracle library ([test/oracle/]).
+    [test/test_machine.ml] pins this machine to [Ref_executor.run] —
     exit value, retired count, cycle/paging/segment accounting, event
-    totals, trap messages, and behavior under every injected {!fault} —
-    is enforced by [test/test_machine.ml]. *)
+    totals, trap messages, and behavior under every injected {!fault}. *)
 
 open Zkopt_ir
 open Zkopt_riscv

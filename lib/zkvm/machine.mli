@@ -7,9 +7,10 @@
     native-int registers, unsigned-int addressing and epoch-stamped page
     residency — no [Int32] allocation and no hashing anywhere in the hot
     loop.  A {!cpu} mode runs the same semantics unpriced for the CPU
-    timing model.  Accounting is bit-for-bit identical to the reference path
-    ({!Executor.run_reference}); [test/test_machine.ml] enforces the
-    equivalence, including under every injected {!fault}. *)
+    timing model.  It is the library's one RV32 interpreter.  Accounting
+    is bit-for-bit identical to the test-only reference executor
+    ([Ref_executor.run] in [test/oracle/]); [test/test_machine.ml]
+    enforces the equivalence, including under every injected {!fault}. *)
 
 open Zkopt_ir
 open Zkopt_riscv
@@ -52,8 +53,8 @@ type result = {
 
 (** {1 The sink interface}
 
-    One closed observation surface replaces the old trio of emulator
-    hooks, [Executor.attr] records and CPU-model callbacks.  A sink is
+    One closed observation surface for the zkVM profiler, the CPU timing
+    model and the tests.  A sink is
     selected once at run entry; with none installed the machine's loop
     performs zero per-instruction indirect calls. *)
 
@@ -145,9 +146,9 @@ type cpu = {
 (** {1 Run} *)
 
 (** Execute pre-decoded code on a fresh machine.  Accounting, trap
-    messages and fault behavior are bit-for-bit those of
-    {!Executor.run_reference}; a sink observes them without perturbing
-    them.
+    messages and fault behavior are bit-for-bit those of the reference
+    executor ([Ref_executor.run] in [test/oracle/]); a sink observes them
+    without perturbing them.
 
     [cpu] selects the CPU mode, once, at entry: the machine executes the
     same instructions and raises the same traps and [Out_of_fuel], but

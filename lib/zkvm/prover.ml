@@ -14,18 +14,21 @@ type result = {
   padded_cycles_total : int;
 }
 
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
 let log2f n = log (float_of_int n) /. log 2.0
 
-let prove (cfg : Config.t) (exec : Executor.result) : result =
-  let min_cycles = 1 lsl cfg.Config.min_po2 in
-  let segment_time (s : Executor.segment) =
-    let actual = s.Executor.user_cycles + s.paging_cycles in
-    let cycles = max min_cycles actual in
-    let padded = next_pow2 cycles in
+(** Rows a trace of [n] real rows is padded to: the smallest power of
+    two that is at least [n] and at least [2^min_po2].  Every model that
+    prices committed trace area (the RV32 and Valida provers, recursion,
+    settlement, the profiler's padding dimension) pads through here, so
+    they all price what the prover commits. *)
+let padded ~min_po2 n =
+  let rec go p = if p >= n then p else go (p * 2) in
+  go (1 lsl min_po2)
+
+let prove (cfg : Config.t) (exec : Machine.result) : result =
+  let segment_time (s : Machine.segment) =
+    let actual = s.Machine.user_cycles + s.paging_cycles in
+    let padded = padded ~min_po2:cfg.Config.min_po2 actual in
     ( padded,
       (float_of_int padded *. log2f padded *. cfg.Config.prove_ns_per_cycle)
       +. (float_of_int actual *. cfg.Config.prove_witgen_ns_per_cycle)
@@ -36,7 +39,7 @@ let prove (cfg : Config.t) (exec : Executor.result) : result =
       (fun (p, t) s ->
         let padded, time = segment_time s in
         (p + padded, t +. time))
-      (0, 0.0) exec.Executor.segments
+      (0, 0.0) exec.Machine.segments
   in
-  { time_s = ns *. 1e-9; segments = List.length exec.Executor.segments;
+  { time_s = ns *. 1e-9; segments = List.length exec.Machine.segments;
     padded_cycles_total = padded_total }

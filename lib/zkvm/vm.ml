@@ -13,21 +13,27 @@ type metrics = {
   segments : int;
   paging_cycles : int;
   exit_value : int32;
-  exec : Executor.result;
+  exec : Machine.result;
 }
+
+(** Simulated executor wall-clock time in seconds. *)
+let exec_time_s (cfg : Config.t) (r : Machine.result) =
+  ((float_of_int r.total_cycles *. cfg.Config.exec_ns_per_cycle)
+  +. cfg.Config.exec_overhead_ns)
+  *. 1e-9
 
 let measure ?fault ?fuel ?sink (cfg : Config.t) (cg : Codegen.t)
     (m : Modul.t) : metrics =
-  let exec = Executor.run ?fault ?fuel ?sink cfg cg m in
+  let exec = Machine.run ?fault ?fuel ?sink (Machine.decode cfg cg m) in
   let prove = Prover.prove cfg exec in
   {
     vm = cfg.Config.name;
-    cycles = exec.Executor.total_cycles;
-    exec_time_s = Executor.exec_time_s cfg exec;
+    cycles = exec.Machine.total_cycles;
+    exec_time_s = exec_time_s cfg exec;
     prove_time_s = prove.Prover.time_s;
     segments = prove.Prover.segments;
-    paging_cycles = exec.Executor.paging_cycles;
-    exit_value = exec.Executor.exit_value;
+    paging_cycles = exec.Machine.paging_cycles;
+    exit_value = exec.Machine.exit_value;
     exec;
   }
 
@@ -39,31 +45,31 @@ let measure ?fault ?fuel ?sink (cfg : Config.t) (cg : Codegen.t)
 
     A violation means the executor produced a trace whose cost totals do
     not reconcile with its own event journal — the accounting-bug shape
-    of zkVM soundness failures (e.g. {!Executor.fault}'s
+    of zkVM soundness failures (e.g. {!Machine.fault}'s
     [Dropped_page_out] and [Truncated_final_segment]). *)
 let check_accounting (cfg : Config.t) (r : metrics) : (unit, string) result =
   let e = r.exec in
   let expected_paging =
-    (e.Executor.page_ins * cfg.Config.page_in_cost)
-    + (e.Executor.page_outs * cfg.Config.page_out_cost)
+    (e.Machine.page_ins * cfg.Config.page_in_cost)
+    + (e.Machine.page_outs * cfg.Config.page_out_cost)
   in
-  if e.Executor.paging_cycles <> expected_paging then
+  if e.Machine.paging_cycles <> expected_paging then
     Error
       (Printf.sprintf
          "paging cycles %d do not reconcile with events (%d ins * %d + %d \
           outs * %d = %d)"
-         e.Executor.paging_cycles e.Executor.page_ins cfg.Config.page_in_cost
-         e.Executor.page_outs cfg.Config.page_out_cost expected_paging)
+         e.Machine.paging_cycles e.Machine.page_ins cfg.Config.page_in_cost
+         e.Machine.page_outs cfg.Config.page_out_cost expected_paging)
   else
     let seg_total =
       List.fold_left
-        (fun acc (s : Executor.segment) ->
-          acc + s.Executor.user_cycles + s.Executor.paging_cycles)
-        0 e.Executor.segments
+        (fun acc (s : Machine.segment) ->
+          acc + s.Machine.user_cycles + s.Machine.paging_cycles)
+        0 e.Machine.segments
     in
-    if seg_total <> e.Executor.total_cycles then
+    if seg_total <> e.Machine.total_cycles then
       Error
         (Printf.sprintf
            "segment trace sums to %d cycles but the executor reported %d"
-           seg_total e.Executor.total_cycles)
+           seg_total e.Machine.total_cycles)
     else Ok ()

@@ -1,8 +1,8 @@
 (** The historical CPU timing driver, kept as the oracle for
     {!Zkopt_cpu.Timing.run}.
 
-    It replays the boxed reference emulator ({!Zkopt_riscv.Emulator})
-    under closure hooks, collecting each step's memory, branch and
+    It replays the boxed reference emulator ({!Ref_emulator}) under
+    closure hooks, collecting each step's memory, branch and
     precompile events in lists and timing the instruction after it
     steps.  It shares {!Zkopt_cpu.Timing.params}, {!Zkopt_cpu.Cache} and
     {!Zkopt_cpu.Predictor} with the library, so [test/test_cpu.ml] pins
@@ -30,7 +30,7 @@ let run ?(params = Timing.default_params) ?(fuel = 500_000_000)
   let fetch_stall = ref 0.0 in  (* earliest next issue due to mispredicts *)
   let div_busy_until = ref 0.0 in  (* the divider is not pipelined *)
   let mem_busy_until = ref 0.0 in  (* one outstanding cache miss at a time *)
-  let hooks = Emulator.no_hooks () in
+  let hooks = Ref_emulator.no_hooks () in
   (* events recorded during the step, consumed when timing it *)
   let mem_events = ref [] in
   let branch_event = ref None in
@@ -38,7 +38,7 @@ let run ?(params = Timing.default_params) ?(fuel = 500_000_000)
   hooks.on_mem <- (fun ~write addr bytes -> mem_events := (write, addr, bytes) :: !mem_events);
   hooks.on_branch <- (fun ~pc ~taken target -> branch_event := Some (pc, taken, target));
   hooks.on_precompile <- (fun name -> precompile_event := Some name);
-  let emu = Emulator.create ~hooks cg.Codegen.program m in
+  let emu = Ref_emulator.create ~hooks cg.Codegen.program m in
   let time_instr idx (i : Isa.t) =
     let issue_gap = 1.0 /. params.Timing.issue_width in
     let srcs = uses_of.(idx) in
@@ -90,14 +90,14 @@ let run ?(params = Timing.default_params) ?(fuel = 500_000_000)
   in
   let budget = ref fuel in
   let last = ref None in
-  while not emu.Emulator.halted do
+  while not emu.Ref_emulator.halted do
     if !budget <= 0 then raise (Emulator.Out_of_fuel fuel);
     decr budget;
-    let pc = emu.Emulator.pc in
+    let pc = emu.Ref_emulator.pc in
     let idx =
       Int32.to_int (Int32.sub pc cg.Codegen.program.Asm.base) / 4
     in
-    Emulator.step emu;
+    Ref_emulator.step emu;
     (* looked up once the step has succeeded, so a pc outside the image
        raises the emulator's [Trap] rather than an index error here *)
     let ins = code.(idx) in
@@ -117,9 +117,9 @@ let run ?(params = Timing.default_params) ?(fuel = 500_000_000)
   {
     Timing.cycles;
     time_s = cycles /. (params.Timing.ghz *. 1e9);
-    retired = emu.Emulator.retired;
+    retired = emu.Ref_emulator.retired;
     cache_hits = cache.Cache.hits;
     cache_misses = cache.Cache.misses;
     mispredicts = pred.Predictor.mispredicts;
-    exit_value = emu.Emulator.exit_value;
+    exit_value = emu.Ref_emulator.exit_value;
   }

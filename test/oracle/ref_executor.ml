@@ -1,5 +1,5 @@
-(** The zkVM executor: replays a guest binary while accounting cycles,
-    paging events and segmentation under a {!Config.t}.
+(** The hook-driven reference zkVM executor: {!Ref_emulator} replayed
+    under accounting hooks, with page residency in [Hashtbl]s.
 
     Paging model (RISC Zero-style, parameterized): guest memory is split
     into [page_bytes] pages.  Within a segment, the first touch of a page
@@ -7,64 +7,14 @@
     [page_out_cost] and the touched-set resets (the next segment must
     page everything in again).  Instruction fetch touches the code page.
 
-    {!run} executes on the decoded-stream machine ({!Machine}); the
-    historical implementation — the boxed reference emulator replayed
-    under accounting hooks — survives verbatim as {!run_reference}, the
-    semantics oracle the machine is differentially tested against.
-
-    The optional [fault] injects one of a family of executor soundness /
-    accounting bugs (see {!Machine.fault}).
-    [Silent_halt_on_boundary_jalr] is the silent-halt soundness bug the
-    paper found in SP1 (§4.2): when a segment boundary lands exactly on
-    an indirect jump, the executor stops mid-run but still reports
-    success — the differential oracle in
-    [examples/differential_oracle.ml] and the [sp1bug] bench catch it.
-    The other faults model the same *class* of bug (a wrong-but-verifying
-    trace) and are caught by the harness's accounting and checksum
-    oracles ([lib/harness]). *)
+    Slow but independently trustworthy: [test/test_machine.ml] pins
+    {!Zkopt_zkvm.Machine.run} to {!run} bit for bit, under every
+    injected {!Zkopt_zkvm.Machine.fault} and with or without a sink. *)
 
 open Zkopt_ir
 open Zkopt_riscv
-
-type fault = Machine.fault =
-  | No_fault
-  | Silent_halt_on_boundary_jalr
-  | Dropped_page_out
-  | Truncated_final_segment
-  | Corrupt_exit_value
-
-type segment = Machine.segment = {
-  user_cycles : int;
-  paging_cycles : int;
-}
-
-type result = Machine.result = {
-  exit_value : int32;
-  total_cycles : int;
-  user_cycles : int;
-  paging_cycles : int;
-  page_ins : int;
-  page_outs : int;
-  segments : segment list;
-  retired : int;
-  loads : int;
-  stores : int;
-  branches : int;
-  precompile_calls : int;
-  faulted : bool;
-}
-
-(** Execute module [m] (already compiled to [cg]) under configuration
-    [cfg] on the decoded-stream machine.  [sink] optionally observes
-    every accounted event (see {!Machine.sink}); without it the machine
-    runs its indirect-call-free loop. *)
-let run ?fault ?fuel ?sink (cfg : Config.t) (cg : Codegen.t) (m : Modul.t) :
-    result =
-  Machine.run ?fault ?fuel ?sink (Machine.decode cfg cg m)
-
-(* ------------------------------------------------------------------ *)
-(* Reference path                                                      *)
-(* ------------------------------------------------------------------ *)
+module Config = Zkopt_zkvm.Config
+module Machine = Zkopt_zkvm.Machine
 
 type state = {
   cfg : Config.t;
@@ -74,7 +24,7 @@ type state = {
   mutable total_paging : int;
   mutable page_ins : int;
   mutable page_outs : int;
-  mutable segs : segment list;
+  mutable segs : Machine.segment list;
   touched : (int, unit) Hashtbl.t;
   dirty : (int, int32) Hashtbl.t;   (* page -> pc that first dirtied it *)
   mutable cur_pc : int32;           (* pc of the currently retiring instr *)
@@ -85,8 +35,8 @@ type state = {
   mutable faulted : bool;
 }
 
-(* the no-sink fast path: the hot-loop body the executor always ran
-   (the 0l dirty marker is a static constant — no per-write allocation) *)
+(* the no-sink path (the 0l dirty marker is a static constant — no
+   per-write allocation) *)
 let touch st ~write addr =
   let page = Int32.to_int addr land 0xFFFF_FFFF / st.cfg.Config.page_bytes in
   if not (Hashtbl.mem st.touched page) then begin
@@ -108,12 +58,12 @@ let touch_attr (s : Machine.sink) st ~write addr =
   if write && not (Hashtbl.mem st.dirty page) then
     Hashtbl.replace st.dirty page st.cur_pc
 
-let close_segment ?(fault = No_fault) ?(final = false) ?sink st =
+let close_segment ?(fault = Machine.No_fault) ?(final = false) ?sink st =
   let outs = Hashtbl.length st.dirty in
   let out_cost = st.cfg.Config.page_out_cost in
   let charged =
     match fault with
-    | Dropped_page_out ->
+    | Machine.Dropped_page_out ->
       let charged = (outs + 1) / 2 in
       if charged < outs then st.faulted <- true;
       charged
@@ -139,9 +89,10 @@ let close_segment ?(fault = No_fault) ?(final = false) ?sink st =
   | Some (s : Machine.sink) ->
     s.Machine.on_segment ~pc:st.cur_pc ~user:st.user ~paging:st.paging
   | None -> ());
-  st.segs <- { user_cycles = st.user; paging_cycles = st.paging } :: st.segs;
+  st.segs <-
+    { Machine.user_cycles = st.user; paging_cycles = st.paging } :: st.segs;
   (match fault with
-  | Truncated_final_segment when final && st.user > 1 ->
+  | Machine.Truncated_final_segment when final && st.user > 1 ->
     st.faulted <- true;
     st.total_user <- st.total_user + (st.user / 2)
   | _ -> st.total_user <- st.total_user + st.user);
@@ -151,13 +102,11 @@ let close_segment ?(fault = No_fault) ?(final = false) ?sink st =
   Hashtbl.reset st.touched;
   Hashtbl.reset st.dirty
 
-(** The historical executor: the boxed reference emulator
-    ({!Zkopt_riscv.Emulator}) replayed under accounting hooks, with page
-    residency in [Hashtbl]s.  Kept verbatim as the oracle the machine
-    path is differentially tested against ([test/test_machine.ml]); slow
-    but independently trustworthy. *)
-let run_reference ?(fault = No_fault) ?(fuel = 500_000_000) ?sink
-    (cfg : Config.t) (cg : Codegen.t) (m : Modul.t) : result =
+(** Execute module [m] (already compiled to [cg]) under configuration
+    [cfg].  Same contract as
+    [Machine.run ?fault ?fuel ?sink (Machine.decode cfg cg m)]. *)
+let run ?(fault = Machine.No_fault) ?(fuel = 500_000_000) ?sink
+    (cfg : Config.t) (cg : Codegen.t) (m : Modul.t) : Machine.result =
   let st =
     {
       cfg;
@@ -178,14 +127,14 @@ let run_reference ?(fault = No_fault) ?(fuel = 500_000_000) ?sink
       faulted = false;
     }
   in
-  let hooks = Emulator.no_hooks () in
+  let hooks = Ref_emulator.no_hooks () in
   let boundary_pending = ref false in
   let silent_halt = ref false in
   let boundary ins =
     if st.user >= cfg.Config.segment_limit then begin
       boundary_pending := true;
       match (fault, ins) with
-      | Silent_halt_on_boundary_jalr, Isa.Jalr _ ->
+      | Machine.Silent_halt_on_boundary_jalr, Isa.Jalr _ ->
         (* the shard boundary landed on an indirect jump (a function
            return): the buggy executor drops the rest of the execution
            on the floor yet still emits a provable, verifying trace *)
@@ -195,8 +144,7 @@ let run_reference ?(fault = No_fault) ?(fuel = 500_000_000) ?sink
     end
   in
   (* the sink is selected once, here: with no sink installed, the hook
-     closures below are the pre-attribution ones — the disabled path
-     does not test [sink] per event *)
+     closures below never test [sink] per event *)
   (match sink with
   | None ->
     hooks.on_instr <-
@@ -235,12 +183,12 @@ let run_reference ?(fault = No_fault) ?(fuel = 500_000_000) ?sink
         let cost = Config.precompile_cost cfg name in
         st.user <- st.user + cost;
         s.Machine.on_precompile ~pc:st.cur_pc ~name ~cost));
-  let emu = Emulator.create ~hooks cg.Codegen.program m in
+  let emu = Ref_emulator.create ~hooks cg.Codegen.program m in
   let budget = ref fuel in
-  while (not emu.Emulator.halted) && not !silent_halt do
+  while (not emu.Ref_emulator.halted) && not !silent_halt do
     if !budget <= 0 then raise (Emulator.Out_of_fuel fuel);
     decr budget;
-    Emulator.step emu;
+    Ref_emulator.step emu;
     if !boundary_pending && not !silent_halt then begin
       boundary_pending := false;
       close_segment ~fault ?sink st
@@ -249,29 +197,23 @@ let run_reference ?(fault = No_fault) ?(fuel = 500_000_000) ?sink
   close_segment ~fault ~final:true ?sink st;
   let exit_value =
     match fault with
-    | Corrupt_exit_value ->
+    | Machine.Corrupt_exit_value ->
       st.faulted <- true;
-      Int32.logxor emu.Emulator.exit_value 0x5A5A5A5Al
-    | _ -> emu.Emulator.exit_value
+      Int32.logxor emu.Ref_emulator.exit_value 0x5A5A5A5Al
+    | _ -> emu.Ref_emulator.exit_value
   in
   {
-    exit_value;
+    Machine.exit_value;
     total_cycles = st.total_user + st.total_paging;
     user_cycles = st.total_user;
     paging_cycles = st.total_paging;
     page_ins = st.page_ins;
     page_outs = st.page_outs;
     segments = List.rev st.segs;
-    retired = emu.Emulator.retired;
+    retired = emu.Ref_emulator.retired;
     loads = st.loads;
     stores = st.stores;
     branches = st.branches;
     precompile_calls = st.precompiles;
     faulted = st.faulted;
   }
-
-(** Simulated executor wall-clock time in seconds. *)
-let exec_time_s (cfg : Config.t) (r : result) =
-  ((float_of_int r.total_cycles *. cfg.Config.exec_ns_per_cycle)
-  +. cfg.Config.exec_overhead_ns)
-  *. 1e-9

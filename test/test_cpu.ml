@@ -4,7 +4,7 @@
     ({!Zkopt_zkvm.Machine.cpu}) over per-instruction tables.  Its
     contract is that every result field and every cost it attributes is
     bit-for-bit that of the historical driver, the boxed emulator under
-    closure hooks, kept as {!Cpu_reference.run}.  These tests push
+    closure hooks, kept as {!Zkopt_oracle.Ref_cpu.run}.  These tests push
     random {!Randprog} programs, hand-assembled trapping programs and
     every suite program that calls a precompile through both; check that
     the machine's CPU stream does not depend on the config the code was
@@ -16,11 +16,10 @@ open Zkopt_riscv
 module Timing = Zkopt_cpu.Timing
 module Machine = Zkopt_zkvm.Machine
 module Config = Zkopt_zkvm.Config
-module Executor = Zkopt_zkvm.Executor
 module Workload = Zkopt_workloads.Workload
 
 let model ?fuel ?sink cg m = Timing.run ?fuel ?sink cg m
-let oracle ?fuel ?sink cg m = Cpu_reference.run ?fuel ?sink cg m
+let oracle ?fuel ?sink cg m = Zkopt_oracle.Ref_cpu.run ?fuel ?sink cg m
 
 (* Both drivers share exception types; capture them so starvation and
    traps compare alongside normal completion. *)
@@ -196,7 +195,10 @@ let test_precompile_programs () =
           in
           Option.iter Alcotest.fail (disagreement what c);
           Alcotest.(check bool) (what ^ ": unpriced zk run fails") true
-            (match Executor.run unpriced c.Measure.codegen c.Measure.modul with
+            (match
+               Machine.run
+                 (Machine.decode unpriced c.Measure.codegen c.Measure.modul)
+             with
             | _ -> false
             | exception Invalid_argument _ -> true);
           let risc0 = stream Config.risc0 c in

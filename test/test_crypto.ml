@@ -107,7 +107,7 @@ let test_syscall_ids_roundtrip () =
   List.iter
     (fun (name, _arity) ->
       let id = Zkopt_riscv.Emulator.precompile_syscall_id name in
-      let name', _ = Zkopt_riscv.Emulator.precompile_of_syscall id in
+      let name', _ = Zkopt_oracle.Ref_emulator.precompile_of_syscall id in
       Alcotest.(check string) "roundtrip" name name')
     Extern.signatures
 

@@ -290,12 +290,12 @@ let test_accounting_oracle () =
   Alcotest.(check bool) "healthy run reconciles" true
     (Cell.check_accounting cfg healthy = Ok ());
   let dropped =
-    Measure.run ~fault:Zkopt_zkvm.Executor.Dropped_page_out cfg c
+    Measure.run ~fault:Zkopt_zkvm.Machine.Dropped_page_out cfg c
   in
   Alcotest.(check bool) "dropped page-out caught" true
     (Result.is_error (Cell.check_accounting cfg dropped));
   let truncated =
-    Measure.run ~fault:Zkopt_zkvm.Executor.Truncated_final_segment
+    Measure.run ~fault:Zkopt_zkvm.Machine.Truncated_final_segment
       cfg c
   in
   Alcotest.(check bool) "truncated final segment caught" true

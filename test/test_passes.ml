@@ -230,7 +230,7 @@ let test_globaldce_keeps_runtime () =
   Alcotest.(check bool) "sha soft dropped" true
     (Modul.find_func m "sha256_compress_soft" = None);
   (* and the program still compiles and runs *)
-  let got, _ = Zkopt_riscv.Codegen.run m in
+  let got, _ = Zkopt_oracle.Ref_emulator.run_module m in
   check Alcotest.int64 "runs" (Interp.checksum m)
     (Eval.norm32 (Int64.of_int32 got))
 
@@ -276,7 +276,7 @@ let prop_pipeline_matches_machine =
       let m = Clone.modul base in
       Catalog.run_level (List.nth Catalog.all_levels lvl_idx) m;
       Verify.check m;
-      let got, _ = Zkopt_riscv.Codegen.run m in
+      let got, _ = Zkopt_oracle.Ref_emulator.run_module m in
       Int64.equal (Eval.norm32 (Int64.of_int32 got)) expected)
 
 let prop_encode_decode =

@@ -41,16 +41,16 @@ let prop_zk_conservation =
         List.fold_left (fun a (_, v) -> a + v) 0 (P.folded_lines p)
       in
       let prove = Zkopt_zkvm.Prover.prove cfg e in
-      exec_sum = e.Zkopt_zkvm.Executor.user_cycles
+      exec_sum = e.Zkopt_zkvm.Machine.user_cycles
       && folded_sum = exec_sum
       && pin_sum
-         = e.Zkopt_zkvm.Executor.page_ins * cfg.Zkopt_zkvm.Config.page_in_cost
+         = e.Zkopt_zkvm.Machine.page_ins * cfg.Zkopt_zkvm.Config.page_in_cost
       && pout_sum
-         = e.Zkopt_zkvm.Executor.page_outs * cfg.Zkopt_zkvm.Config.page_out_cost
-      && pin_sum + pout_sum = e.Zkopt_zkvm.Executor.paging_cycles
+         = e.Zkopt_zkvm.Machine.page_outs * cfg.Zkopt_zkvm.Config.page_out_cost
+      && pin_sum + pout_sum = e.Zkopt_zkvm.Machine.paging_cycles
       && residue_sum
          = prove.Zkopt_zkvm.Prover.padded_cycles_total
-           - e.Zkopt_zkvm.Executor.total_cycles)
+           - e.Zkopt_zkvm.Machine.total_cycles)
 
 let prop_cpu_conservation =
   QCheck.Test.make ~name:"attributed CPU cycles sum to the model's total"

@@ -4,6 +4,7 @@
 
 open Zkopt_ir
 open Zkopt_riscv
+module Ref_emulator = Zkopt_oracle.Ref_emulator
 module B = Builder
 
 let check = Alcotest.check
@@ -42,18 +43,18 @@ let test_branch_relaxation () =
   let prog = Asm.assemble ~globals ~data_end:0x20000l [ unit_ ] in
   (* it must execute correctly: x5 = 0 so the branch is taken *)
   let m = Modul.create () in
-  let emu = Emulator.create prog m in
-  ignore (Emulator.run emu);
+  let emu = Ref_emulator.create prog m in
+  ignore (Ref_emulator.run emu);
   (* the relaxed form executes 2 instructions for the taken branch
      (inverted short branch + jal), then li a7 and ecall *)
-  Alcotest.(check int) "filler skipped" 4 emu.Emulator.retired
+  Alcotest.(check int) "filler skipped" 4 emu.Ref_emulator.retired
 
 let test_emulator_arith () =
   (* spot-check a few alu ops against Eval *)
   List.iter
     (fun (op, iop) ->
       let a = 0xDEADBEEFl and b = 37l in
-      let got = Emulator.alu_op op a b in
+      let got = Ref_emulator.alu_op op a b in
       let expect =
         Eval.binop Ty.I32 iop
           (Eval.norm32 (Int64.of_int32 a))
@@ -81,7 +82,7 @@ let test_regalloc_spilling () =
          B.ret b (Some sum)));
   Verify.check m;
   let expected = Interp.checksum m in
-  let got, _ = Codegen.run m in
+  let got, _ = Ref_emulator.run_module m in
   check Alcotest.int64 "spill-correct" expected
     (Eval.norm32 (Int64.of_int32 got));
   (* and it genuinely spilled *)
@@ -105,7 +106,7 @@ let test_values_survive_calls () =
          B.ret b (Some (B.add b a (B.add b r1 r2)))));
   Verify.check m;
   let expected = Interp.checksum m in
-  let got, _ = Codegen.run m in
+  let got, _ = Ref_emulator.run_module m in
   check Alcotest.int64 "live across calls" expected
     (Eval.norm32 (Int64.of_int32 got))
 
@@ -118,7 +119,7 @@ let test_fallthrough_elision () =
          let r = B.var b Ty.I32 (B.imm 0) in
          B.if_ b c ~then_:(fun () -> B.set b Ty.I32 r (B.imm 7)) ();
          B.ret b (Some (Value.Reg r))));
-  let got, _ = Codegen.run m in
+  let got, _ = Ref_emulator.run_module m in
   check Alcotest.int32 "fallthrough" 7l got
 
 let tests =

@@ -76,7 +76,7 @@ let test_fault_injection_oracle () =
     { Zkopt_zkvm.Config.sp1 with Zkopt_zkvm.Config.segment_limit = 1 lsl 12 }
   in
   let faulty =
-    Measure.run_zkvm ~fault:Zkopt_zkvm.Executor.Silent_halt_on_boundary_jalr
+    Measure.run_zkvm ~fault:Zkopt_zkvm.Machine.Silent_halt_on_boundary_jalr
       dense c
   in
   (* if the fault fired, the checksum differs and the cycle count shrank *)
@@ -117,23 +117,23 @@ let test_cpu_div_expensive () =
 
 (* ---- prover padding properties (qcheck) ---------------------------- *)
 
-module Exec = Zkopt_zkvm.Executor
+module Machine = Zkopt_zkvm.Machine
 module Prover = Zkopt_zkvm.Prover
 module Config = Zkopt_zkvm.Config
 
 (* a synthetic executor result with the given per-segment user cycles:
    the prover model only reads the segment list *)
-let synth_exec segs : Exec.result =
+let synth_exec segs : Machine.result =
   let total = List.fold_left ( + ) 0 segs in
   {
-    Exec.exit_value = 0l;
+    Machine.exit_value = 0l;
     total_cycles = total;
     user_cycles = total;
     paging_cycles = 0;
     page_ins = 0;
     page_outs = 0;
     segments =
-      List.map (fun c -> { Exec.user_cycles = c; paging_cycles = 0 }) segs;
+      List.map (fun c -> { Machine.user_cycles = c; paging_cycles = 0 }) segs;
     retired = total;
     loads = 0;
     stores = 0;
