@@ -45,19 +45,24 @@ let run_adce (_config : Pass.config) (m : Modul.t) =
           Queue.add r work
         end
       in
-      (* roots: effectful instructions' operands, terminator operands *)
+      (* one walk indexes every register's defining instructions and marks
+         the roots: effectful instructions' operands, terminator operands *)
+      let defs_of = Hashtbl.create 64 in
       Func.iter_blocks f (fun b ->
           List.iter
             (fun i ->
+              Option.iter (fun d -> Hashtbl.add defs_of d i) (Instr.def i);
               if not (Instr.has_no_side_effect i) then
                 List.iter mark_reg (Instr.uses i))
             b.Block.instrs;
           List.iter mark_reg (Instr.term_uses b.Block.term));
-      (* propagate: all defs of a live reg are live; their operands too *)
+      (* propagate: all defs of a live reg are live; their operands too.
+         A pop visits only its register's defs; the live set is a
+         closure, so pop order cannot change it. *)
       while not (Queue.is_empty work) do
-        let r = Queue.pop work in
-        Func.iter_instrs f (fun _ i ->
-            if Instr.def i = Some r then List.iter mark_reg (Instr.uses i))
+        List.iter
+          (fun i -> List.iter mark_reg (Instr.uses i))
+          (Hashtbl.find_all defs_of (Queue.pop work))
       done;
       Func.iter_blocks f (fun b ->
           let keep =

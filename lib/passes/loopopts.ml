@@ -66,83 +66,80 @@ let defs_used_outside (cfg : Cfg.t) (loop : Loops.t) =
 (* licm                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Hoist invariant instructions from [loop] to the end of [preheader], at
+   most [licm_max_hoist] of them.  The cap makes the hoisted set depend on
+   the order: each hoist takes the first candidate in (body block index,
+   instruction) order, rescanning from the start.  Returns whether
+   anything moved. *)
+let hoist_invariants (config : Pass.config) (defs : Defs.t) (cfg : Cfg.t)
+    (loop : Loops.t) (preheader : Block.t) =
+  let has_mem = Util.loop_has_memory_effects cfg loop in
+  let inv = Util.loop_invariance cfg defs loop in
+  let invariant = Util.loop_invariant_value inv in
+  let can_hoist i =
+    match Instr.def i with
+    | Some d when Defs.is_single_def defs d ->
+      (hoistable i
+      || (match i with
+         | Instr.Load { addr; _ } -> (not has_mem) && invariant addr
+         | _ -> false))
+      && List.for_all (fun v -> invariant (Value.Reg v)) (Instr.uses i)
+    | _ -> false
+  in
+  let next_candidate () =
+    Seq.find_map
+      (fun bi ->
+        let b = Cfg.block cfg bi in
+        Option.map (fun i -> (b, i)) (List.find_opt can_hoist b.Block.instrs))
+      (Intset.to_seq loop.Loops.body)
+  in
+  let rec hoist n =
+    if n >= config.Pass.licm_max_hoist then n
+    else
+      match next_candidate () with
+      | None -> n
+      | Some (b, i) ->
+        b.Block.instrs <- List.filter (fun j -> j != i) b.Block.instrs;
+        preheader.Block.instrs <- preheader.Block.instrs @ [ i ];
+        Option.iter (Util.hoisted_out inv) (Instr.def i);
+        hoist (n + 1)
+  in
+  hoist 0 > 0
+
 let run_licm (config : Pass.config) (m : Modul.t) =
   let changed = ref false in
   List.iter
     (fun (f : Func.t) ->
-      (* process loops by header label, innermost first; the CFG is
-         recomputed after each structural change *)
-      let initial = Loops.find (Cfg.of_func f) in
+      (* a hoist moves an instruction between blocks: it changes no def
+         count, def instruction or edge, so [defs] holds for the whole
+         function, and the CFG and its loops go stale only when a
+         preheader is inserted *)
+      let defs = Defs.compute f in
+      let cfg = ref (Cfg.of_func f) in
+      let loops = ref (Loops.find !cfg) in
+      let find header_label =
+        List.find_opt
+          (fun l -> String.equal (Cfg.label !cfg l.Loops.header) header_label)
+          !loops
+      in
+      (* process loops by header label, innermost first *)
       let order =
-        List.map
-          (fun l -> ((Cfg.block (Cfg.of_func f) l.Loops.header).Block.label, l.Loops.depth))
-          initial
+        List.map (fun l -> (Cfg.label !cfg l.Loops.header, l.Loops.depth)) !loops
         |> List.sort (fun (_, d1) (_, d2) -> compare d2 d1)
       in
       List.iter
         (fun (header_label, _) ->
-          let cfg = Cfg.of_func f in
-          match
-            List.find_opt
-              (fun l ->
-                String.equal (Cfg.label cfg l.Loops.header) header_label)
-              (Loops.find cfg)
-          with
+          match find header_label with
           | None -> ()
           | Some loop ->
-            let preheader_label = Util.ensure_preheader f cfg loop in
-            let cfg = Cfg.of_func f in
-            let loop =
-              List.find
-                (fun l -> String.equal (Cfg.label cfg l.Loops.header) header_label)
-                (Loops.find cfg)
-            in
+            let preheader_label, inserted = Util.ensure_preheader f !cfg loop in
+            if inserted then begin
+              cfg := Cfg.of_func f;
+              loops := Loops.find !cfg
+            end;
+            let loop = if inserted then Option.get (find header_label) else loop in
             let preheader = Func.find_block_exn f preheader_label in
-            let has_mem = Util.loop_has_memory_effects cfg loop in
-            let hoisted = ref 0 in
-            let progress = ref true in
-            while !progress && !hoisted < config.Pass.licm_max_hoist do
-              progress := false;
-              let defs = Defs.compute f in
-              (try
-                 Intset.iter
-                   (fun bi ->
-                     let b = Cfg.block cfg bi in
-                     List.iter
-                       (fun i ->
-                         let invariant_operands () =
-                           List.for_all
-                             (fun v ->
-                               Util.loop_invariant_value cfg defs loop
-                                 (Value.Reg v))
-                             (Instr.uses i)
-                         in
-                         let can_hoist =
-                           match Instr.def i with
-                           | Some d when Defs.is_single_def defs d ->
-                             (hoistable i
-                             || (match i with
-                                | Instr.Load { addr; _ } ->
-                                  (not has_mem)
-                                  && Util.loop_invariant_value cfg defs loop addr
-                                | _ -> false))
-                             && invariant_operands ()
-                           | _ -> false
-                         in
-                         if can_hoist then begin
-                           b.Block.instrs <-
-                             List.filter (fun j -> not (j == i)) b.Block.instrs;
-                           preheader.Block.instrs <-
-                             preheader.Block.instrs @ [ i ];
-                           incr hoisted;
-                           changed := true;
-                           progress := true;
-                           raise Exit
-                         end)
-                       b.Block.instrs)
-                   loop.Loops.body
-               with Exit -> ())
-            done)
+            if hoist_invariants config defs !cfg loop preheader then changed := true)
         order)
     m.Modul.funcs;
   !changed
@@ -247,7 +244,7 @@ let run_unroll_once (config : Pass.config) (m : Modul.t) =
                  (* full unroll: chain n forced copies, then fall into the
                     original header whose compare now fails *)
                  let header_label = Cfg.label cfg loop.Loops.header in
-                 let preheader_label = Util.ensure_preheader f cfg loop in
+                 let preheader_label, _ = Util.ensure_preheader f cfg loop in
                  let cfg = Cfg.of_func f in
                  let next = ref header_label in
                  for k = n downto 1 do
@@ -288,7 +285,7 @@ let run_unroll_once (config : Pass.config) (m : Modul.t) =
                      match c.Loops.bound with Value.Imm b -> b | _ -> assert false
                    in
                    let header_label = Cfg.label cfg loop.Loops.header in
-                   let preheader_label = Util.ensure_preheader f cfg loop in
+                   let preheader_label, _ = Util.ensure_preheader f cfg loop in
                    let cfg = Cfg.of_func f in
                    (* main loop: new header checks iv < bound-(F-1) *)
                    let mh_label = Func.fresh_label f "unroll.header" in
@@ -398,7 +395,7 @@ let run_loop_rotate (_config : Pass.config) (m : Modul.t) =
                then begin
                  (* duplicate the header's compare into the preheader and
                     the latch; the loop becomes bottom-tested *)
-                 let preheader_label = Util.ensure_preheader f cfg loop in
+                 let preheader_label, _ = Util.ensure_preheader f cfg loop in
                  let preheader = Func.find_block_exn f preheader_label in
                  let latch = Cfg.block cfg c.Loops.latch in
                  let clone_into (b : Block.t) =
@@ -516,7 +513,8 @@ let run_indvars (_config : Pass.config) (m : Modul.t) =
           | Some c when Ty.equal c.Loops.iv_ty Ty.I32 -> begin
             match iv_init cfg defs c with
             | Some init ->
-              let preheader_label = Util.ensure_preheader f cfg loop in
+              let preheader_label, _ = Util.ensure_preheader f cfg loop in
+              let inv = Util.loop_invariance cfg defs loop in
               let budget = ref 4 in
               (* edits to the preheader and latch are deferred: the latch
                  is usually also the block being rewritten *)
@@ -532,7 +530,7 @@ let run_indvars (_config : Pass.config) (m : Modul.t) =
                         | Instr.Addr
                             { dst; base; index = Value.Reg idx; scale; offset }
                           when idx = c.Loops.iv && !budget > 0 && scale <> 0
-                               && Util.loop_invariant_value cfg defs loop base ->
+                               && Util.loop_invariant_value inv base ->
                           decr budget;
                           changed := true;
                           let ptr = Func.fresh_reg f in
@@ -588,6 +586,7 @@ let run_prefetch (config : Pass.config) (m : Modul.t) =
           (fun loop ->
             match Loops.as_counted cfg defs loop with
             | Some c -> begin
+              let inv = Util.loop_invariance cfg defs loop in
               let budget = ref 2 in
               Intset.iter
                 (fun bi ->
@@ -604,7 +603,7 @@ let run_prefetch (config : Pass.config) (m : Modul.t) =
                                  { base; index = Value.Reg idx; scale; offset;
                                    _ })
                             when idx = c.Loops.iv
-                                 && Util.loop_invariant_value cfg defs loop base
+                                 && Util.loop_invariant_value inv base
                             ->
                             decr budget;
                             changed := true;

@@ -12,6 +12,7 @@ open Zkopt_analysis
    an invariant base indexed exactly by the induction variable. *)
 let elementwise_accesses (cfg : Cfg.t) (defs : Defs.t) (loop : Loops.t)
     (c : Loops.counted) (body : Block.t) =
+  let inv = Util.loop_invariance cfg defs loop in
   let ok = ref true in
   let bases = ref [] in
   List.iter
@@ -21,8 +22,7 @@ let elementwise_accesses (cfg : Cfg.t) (defs : Defs.t) (loop : Loops.t)
         | Value.Reg a -> begin
           match Defs.def_of defs a with
           | Some (Instr.Addr { base; index = Value.Reg idx; _ })
-            when idx = c.Loops.iv
-                 && Util.loop_invariant_value cfg defs loop base ->
+            when idx = c.Loops.iv && Util.loop_invariant_value inv base ->
             Some base
           | _ -> None
         end
@@ -489,13 +489,15 @@ let run_loop_idiom (_config : Pass.config) (m : Modul.t) =
                        Some (Value.Imm init),
                        Value.Imm bound )
                      when ad2 = ad && idx = c.Loops.iv
-                          && Util.loop_invariant_value cfg defs loop base
-                          && Util.loop_invariant_value cfg defs loop src ->
+                          && List.for_all
+                               (Util.loop_invariant_value
+                                  (Util.loop_invariance cfg defs loop))
+                               [ base; src ] ->
                      let count = Loops.trip_count c ~init:(Some init) in
                      (match count with
                      | Some n when n >= 0 ->
                        ignore bound;
-                       let preheader_label = Util.ensure_preheader f cfg loop in
+                       let preheader_label, _ = Util.ensure_preheader f cfg loop in
                        let pre = Func.find_block_exn f preheader_label in
                        let start = Func.fresh_reg f in
                        pre.Block.instrs <-

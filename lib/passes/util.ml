@@ -166,44 +166,23 @@ let clone_blocks ?(rename_regs = true) ?(locals_only = false)
   (label_map, cloned, reg_map)
 
 (** Ensure the loop has a dedicated preheader block (single edge into the
-    header from outside).  Returns its label, creating the block if
-    needed.  This is the useful half of LLVM's loop-simplify. *)
-let ensure_preheader (f : Func.t) (cfg : Cfg.t) (loop : Loops.t) : string =
+    header from outside).  Returns its label and whether a block was
+    inserted: only an insertion makes [cfg], and the loops found on it,
+    stale.  This is the useful half of LLVM's loop-simplify. *)
+let ensure_preheader (f : Func.t) (cfg : Cfg.t) (loop : Loops.t) : string * bool =
+  let header_label = Cfg.label cfg loop.Loops.header in
+  (* reuse only when it branches unconditionally to the header *)
+  let reusable p =
+    match (Cfg.block cfg p).Block.term with
+    | Instr.Br l -> String.equal l header_label
+    | _ -> false
+  in
   match Loops.preheader cfg loop with
-  | Some p ->
-    (* reuse only when it branches unconditionally to the header *)
-    let pb = Cfg.block cfg p in
-    let header_label = Cfg.label cfg loop.Loops.header in
-    (match pb.Block.term with
-    | Instr.Br l when String.equal l header_label -> pb.Block.label
-    | _ ->
-      let label = Func.fresh_label f "preheader" in
-      let nb = Block.create ~term:(Instr.Br header_label) label in
-      (* redirect only out-of-loop edges *)
-      Func.iter_blocks f (fun b ->
-          let in_loop =
-            match Cfg.index_of cfg b.Block.label with
-            | Some i -> Intset.mem i loop.Loops.body
-            | None -> false
-          in
-          if not in_loop then
-            b.Block.term <-
-              Instr.map_term_labels
-                (fun l -> if String.equal l header_label then label else l)
-                b.Block.term);
-      (* place before the header *)
-      let rec ins = function
-        | [] -> [ nb ]
-        | (b : Block.t) :: tl when String.equal b.Block.label header_label ->
-          nb :: b :: tl
-        | b :: tl -> b :: ins tl
-      in
-      f.Func.blocks <- ins f.Func.blocks;
-      label)
-  | None ->
-    let header_label = Cfg.label cfg loop.Loops.header in
+  | Some p when reusable p -> (Cfg.label cfg p, false)
+  | Some _ | None ->
     let label = Func.fresh_label f "preheader" in
     let nb = Block.create ~term:(Instr.Br header_label) label in
+    (* redirect only out-of-loop edges *)
     Func.iter_blocks f (fun b ->
         let in_loop =
           match Cfg.index_of cfg b.Block.label with
@@ -215,6 +194,7 @@ let ensure_preheader (f : Func.t) (cfg : Cfg.t) (loop : Loops.t) : string =
             Instr.map_term_labels
               (fun l -> if String.equal l header_label then label else l)
               b.Block.term);
+    (* place before the header *)
     let rec ins = function
       | [] -> [ nb ]
       | (b : Block.t) :: tl when String.equal b.Block.label header_label ->
@@ -222,34 +202,36 @@ let ensure_preheader (f : Func.t) (cfg : Cfg.t) (loop : Loops.t) : string =
       | b :: tl -> b :: ins tl
     in
     f.Func.blocks <- ins f.Func.blocks;
-    label
+    (label, true)
 
-(** Is [v] invariant with respect to [loop]: constant, or a register whose
-    single definition lies outside the loop body (multi-def registers are
-    never invariant). *)
-let loop_invariant_value (cfg : Cfg.t) (defs : Defs.t) (loop : Loops.t) v =
+(** What {!loop_invariant_value} knows about one loop: the function's
+    [Defs] and the registers the loop body defines, read once from the
+    body blocks.  Build one per loop; a pass that moves a def out of the
+    body reports it with {!hoisted_out}. *)
+type invariance = { defs : Defs.t; inside : (Value.reg, unit) Hashtbl.t }
+
+let loop_invariance (cfg : Cfg.t) (defs : Defs.t) (loop : Loops.t) =
+  let inside = Hashtbl.create 32 in
+  Intset.iter
+    (fun bi ->
+      List.iter
+        (fun i -> Option.iter (fun d -> Hashtbl.replace inside d ()) (Instr.def i))
+        (Cfg.block cfg bi).Block.instrs)
+    loop.Loops.body;
+  { defs; inside }
+
+(** [r]'s only definition has left the loop body. *)
+let hoisted_out (inv : invariance) r = Hashtbl.remove inv.inside r
+
+(** Is [v] invariant with respect to the loop: constant, or a register
+    that has a definition (a parameter counts) and none inside the loop
+    body.  An outer induction variable is multi-def yet perfectly
+    invariant with respect to an inner loop. *)
+let loop_invariant_value (inv : invariance) v =
   match v with
   | Value.Imm _ | Value.Glob _ -> true
   | Value.Reg r ->
-    if Defs.is_param defs r && Defs.is_stable defs (Value.Reg r) then true
-    else begin
-      (* invariant iff no definition of [r] lies inside the loop: an outer
-         induction variable is multi-def yet perfectly invariant with
-         respect to an inner loop *)
-      let defined_inside = ref false in
-      let has_def = ref (Defs.is_param defs r) in
-      Array.iteri
-        (fun i (b : Block.t) ->
-          List.iter
-            (fun ins ->
-              if Instr.def ins = Some r then begin
-                has_def := true;
-                if Intset.mem i loop.Loops.body then defined_inside := true
-              end)
-            b.Block.instrs)
-        cfg.Cfg.blocks;
-      !has_def && not !defined_inside
-    end
+    Hashtbl.mem inv.defs.Defs.counts r && not (Hashtbl.mem inv.inside r)
 
 (** Does the loop body contain any store, call or precompile?  (Barrier
     for load hoisting and several loop transforms.) *)

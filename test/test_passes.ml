@@ -250,6 +250,159 @@ let test_mergefunc () =
   check Alcotest.int64 "semantics" expected (Interp.checksum m);
   Alcotest.(check int) "one copy left" 2 (List.length m.Modul.funcs)
 
+(* ---- licm and adce against their quadratic references --------------- *)
+
+module Ref = Zkopt_oracle.Ref_passes
+
+(* the registered licm: loop-simplify and lcssa, then the hoisting core *)
+let ref_licm config m =
+  let a = Loopopts.run_loop_simplify config m in
+  let b = Loopopts.run_lcssa config m in
+  let c = Ref.run_licm config m in
+  a || b || c
+
+let reference = function
+  | "licm" -> ref_licm
+  | "adce" -> Ref.run_adce
+  | p -> invalid_arg ("no reference for " ^ p)
+
+(* Run the library pass on [m] in place and its reference on a copy of
+   [m]: both must report the same change and print the same IR.  The
+   checksum property below cannot see a change of hoist order under the
+   cap; this can.  Equal functions print equal IR, so the printer runs
+   only when they differ. *)
+let matches_reference config pass m =
+  let theirs = Clone.modul m in
+  let c1 = Pass.run_one ~config pass m in
+  let c2 = reference pass config theirs in
+  c1 = c2
+  && (m.Modul.funcs = theirs.Modul.funcs
+     || String.equal (Printer.modul m) (Printer.modul theirs))
+
+(* The cap decides what licm hoists from [m]: lifting it changes the IR. *)
+let cap_binds config m =
+  let run config =
+    let m = Clone.modul m in
+    ignore (Pass.run_one ~config "licm" m);
+    Printer.modul m
+  in
+  not (String.equal (run config) (run { config with Pass.licm_max_hoist = max_int }))
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"licm and adce print the reference passes' IR"
+    ~count:40
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let m = Randprog.generate ~seed () in
+      Zkopt_runtime.Runtime.link m;
+      List.for_all
+        (fun config ->
+          List.for_all
+            (fun pass -> matches_reference config pass (Clone.modul m))
+            [ "licm"; "adce" ])
+        [ Pass.standard_config; Pass.zkvm_config ])
+
+(* Every module a suite program at Quick gives licm and adce: its baseline
+   module, and the module each of the six levels and -O3(zkvm) passes to
+   its first licm and to its first adce.  Both passes treat each function
+   on its own and read no config field but the cap, and the linked
+   runtime is most of every module, so a function already checked under
+   the same pass and cap is skipped. *)
+let test_suite_matches_reference () =
+  let pipelines =
+    List.map
+      (fun l -> (Catalog.level_name l, Catalog.level_config l, Catalog.pipeline l))
+      Catalog.all_levels
+    @ [ ("-O3(zkvm)", Pass.zkvm_config, Catalog.zkvm_o3_pipeline) ]
+  in
+  let differ = ref [] and capped = ref false in
+  let checked = Hashtbl.create 256 in
+  let check what config pass (m : Modul.t) =
+    if String.equal pass "licm" && not !capped then capped := cap_binds config m;
+    let key f = (pass, config.Pass.licm_max_hoist, f) in
+    let fresh = List.filter (fun f -> not (Hashtbl.mem checked (key f))) m.Modul.funcs in
+    List.iter (fun f -> Hashtbl.replace checked (key (Clone.func f)) ()) fresh;
+    if not (matches_reference config pass (Clone.modul { m with Modul.funcs = fresh }))
+    then differ := Printf.sprintf "%s: %s" what pass :: !differ
+  in
+  List.iter
+    (fun (w : Zkopt_workloads.Workload.t) ->
+      let name = w.Zkopt_workloads.Workload.name in
+      let base = w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Quick in
+      Zkopt_runtime.Runtime.link base;
+      List.iter (fun pass -> check (name ^ " baseline") cfg pass base) [ "licm"; "adce" ];
+      List.iter
+        (fun (what, config, passes) ->
+          let m = Clone.modul base in
+          let rec walk todo = function
+            | p :: rest when todo <> [] ->
+              if List.mem p todo then check (name ^ " " ^ what) config p m;
+              let todo = List.filter (fun q -> not (String.equal q p)) todo in
+              if todo <> [] then begin
+                ignore (Pass.run_one ~config p m);
+                walk todo rest
+              end
+            | _ -> ()
+          in
+          walk (List.filter (fun p -> List.mem p passes) [ "licm"; "adce" ]) passes)
+        pipelines)
+    (Zkopt_workloads.Suite.all ());
+  Alcotest.(check (list string)) "differs from the reference" [] !differ;
+  Alcotest.(check bool) "some case reaches licm_max_hoist" true !capped
+
+(* ---- work counts ------------------------------------------------------ *)
+
+(* Minor words one run of [pass] allocates: a count that repeats exactly,
+   so a quadratic pass shows without timing noise. *)
+let pass_words pass m =
+  let before = Gc.minor_words () in
+  ignore (Pass.run_one ~config:cfg pass m);
+  Gc.minor_words () -. before
+
+(* a live chain of [n] adds *)
+let add_chain n =
+  let m = Modul.create () in
+  ignore
+    (B.define m "main" ~params:[] ~ret:Ty.I32 (fun b _ ->
+         let v = ref (B.imm 1) in
+         for _ = 1 to n do
+           v := B.add b !v (B.imm 1)
+         done;
+         B.ret b (Some !v)));
+  m
+
+(* a 4-trip loop whose body has [n] adds on the induction variable ahead
+   of 8 invariant multiplies: every rescan for the next hoist walks the
+   adds first *)
+let invariants_last n =
+  let m = Modul.create () in
+  ignore
+    (B.define m "main" ~params:[] ~ret:Ty.I32 (fun b _ ->
+         let base = B.var b Ty.I32 (B.imm 12345) in
+         let s = B.var b Ty.I32 (B.imm 0) in
+         B.for_ b ~from:(B.imm 0) ~bound:(B.imm 4) (fun i ->
+             for k = 1 to n do
+               ignore (B.add b i (B.imm k))
+             done;
+             for k = 1 to 8 do
+               let inv = B.mul b (Value.Reg base) (B.imm k) in
+               B.set b Ty.I32 s (B.add b (Value.Reg s) inv)
+             done);
+         B.ret b (Some (Value.Reg s))));
+  m
+
+let test_linear_work () =
+  List.iter
+    (fun (pass, shape) ->
+      let w500 = pass_words pass (shape 500) in
+      let w1000 = pass_words pass (shape 1000) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f -> %.0f minor words (x%.2f) when n doubles" pass
+           w500 w1000 (w1000 /. w500))
+        true
+        (w1000 < 3. *. w500))
+    [ ("adce", add_chain); ("licm", invariants_last) ]
+
 (* ---- property tests ------------------------------------------------- *)
 
 let prop_pass_preserves_semantics pass_name =
@@ -293,7 +446,7 @@ let prop_encode_decode =
 
 let property_tests =
   List.map QCheck_alcotest.to_alcotest
-    (prop_pipeline_matches_machine :: prop_encode_decode
+    (prop_pipeline_matches_machine :: prop_encode_decode :: prop_matches_reference
     :: List.map prop_pass_preserves_semantics
          [ "inline"; "licm"; "loop-unroll"; "simplifycfg"; "gvn"; "sccp";
            "strength-reduction"; "mem2reg"; "reg2mem"; "jump-threading";
@@ -314,5 +467,9 @@ let tests =
     Alcotest.test_case "loop-idiom memset" `Quick test_loop_idiom_memset;
     Alcotest.test_case "globaldce keeps runtime" `Quick test_globaldce_keeps_runtime;
     Alcotest.test_case "mergefunc" `Quick test_mergefunc;
+    Alcotest.test_case "licm and adce = reference on the suite" `Quick
+      test_suite_matches_reference;
+    Alcotest.test_case "adce and licm work is linear in size" `Quick
+      test_linear_work;
   ]
   @ property_tests
