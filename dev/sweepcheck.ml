@@ -4,12 +4,16 @@
       reproduce the sequential run cell-for-cell;
    2. memoization — re-running the same cells through a shared compile
       cache must serve >90% of lookups without compiling (in practice
-      100%: every digest is resident after the first pass). *)
+      100%: every digest is resident after the first pass), and must
+      execute no guest: every cached artifact keeps its measurements.
+      The cold 2-domain pass may race two domains onto one artifact, so
+      only the warm pass's count is gated. *)
 
 open Zkopt_core
 module H = Zkopt_harness.Harness
 module Checkpoint = Zkopt_harness.Checkpoint
 module Cache = Zkopt_exec.Cache
+module Backend = Zkopt_backend.Backend
 module Seedfmt = Zkopt_devutil.Seedfmt
 
 let tool = "sweepcheck"
@@ -17,6 +21,31 @@ let tool = "sweepcheck"
 let canonical (points : (string * string, Zkopt_harness.Cell.point) Hashtbl.t) =
   Hashtbl.fold (fun _ p acc -> Checkpoint.encode_point p :: acc) points []
   |> List.sort compare |> String.concat "\n"
+
+(* [b] with every execution of its artifacts (zkVM and CPU model)
+   counted in [runs], beneath the memo the compile cache adds *)
+let counting runs (b : Backend.t) : Backend.t =
+  let wrap (c : Backend.compiled) =
+    let measure ~vm ?fault ?fuel ?sink () =
+      Atomic.incr runs;
+      c.Backend.measure ~vm ?fault ?fuel ?sink ()
+    in
+    let measure_cpu =
+      match c.Backend.measure_cpu with
+      | None -> None
+      | Some run ->
+        Some
+          (fun ?fuel ?sink () ->
+            Atomic.incr runs;
+            run ?fuel ?sink ())
+    in
+    { c with Backend.measure; measure_cpu }
+  in
+  {
+    b with
+    Backend.compile = (fun m -> wrap (b.Backend.compile m));
+    decode = (fun m s -> Option.map wrap (b.Backend.decode m s));
+  }
 
 let () =
   let programs = [ "fibonacci"; "factorial"; "loop-sum" ] in
@@ -33,14 +62,21 @@ let () =
       Profile.Level Zkopt_passes.Catalog.O3;
     ]
   in
-  let cfg jobs cache =
+  let runs = Atomic.make 0 in
+  let cfg ?backends jobs cache =
     {
       (H.default ~size:Zkopt_workloads.Workload.Quick) with
       H.programs = Some programs;
       profiles = Some profiles;
       jobs;
       cache;
+      backends;
     }
+  in
+  let counted =
+    List.map
+      (fun vm -> counting runs (Zkopt_backend.Registry.find vm))
+      [ "risc0"; "sp1" ]
   in
   let cells = List.length programs * List.length profiles in
   let seq = H.run (cfg 1 None) in
@@ -48,19 +84,24 @@ let () =
     Seedfmt.fail ~tool "sequential run measured %d of %d cells"
       (Hashtbl.length seq.H.points) cells;
   let shared = Cache.create () in
-  let par = H.run (cfg 2 (Some shared)) in
+  let par = H.run (cfg ~backends:counted 2 (Some shared)) in
   if not (String.equal (canonical seq.H.points) (canonical par.H.points)) then
     Seedfmt.fail ~tool "2-domain sweep diverged from the sequential run";
   (* second pass over the same cells: the shared cache is warm, so
-     (almost) nothing may compile *)
-  let again = H.run (cfg 2 (Some shared)) in
+     (almost) nothing may compile, and no guest may run *)
+  Atomic.set runs 0;
+  let again = H.run (cfg ~backends:counted 2 (Some shared)) in
   if not (String.equal (canonical seq.H.points) (canonical again.H.points)) then
     Seedfmt.fail ~tool "warm-cache sweep diverged from the sequential run";
   let rate = Cache.hit_rate_pct again.H.cache_stats in
   if rate <= 90.0 then
     Seedfmt.fail ~tool "warm-cache hit rate %.1f%% (need >90%%)" rate;
+  let warm_runs = Atomic.get runs in
+  if warm_runs <> 0 then
+    Seedfmt.fail ~tool "warm-cache sweep executed %d guest runs (need 0)"
+      warm_runs;
   Printf.printf
     "sweepcheck: %d cells, 2-domain run deterministic, warm-cache hit rate \
-     %.1f%%\n"
-    cells rate;
+     %.1f%%, %d warm guest runs\n"
+    cells rate warm_runs;
   Seedfmt.finish tool

@@ -93,6 +93,40 @@ type t = {
           [encode]d artifact and a structurally identical module *)
 }
 
+(* [c] with a measurement memo: a completed run with no fault and no
+   sink is kept, keyed by [(vm, fuel)] for [measure] and by [fuel] for
+   [measure_cpu], and an equal call is served from the table.  Faulted
+   and sinked calls always execute, and a run that raises stores
+   nothing.  No run holds the lock: two domains racing on one key may
+   both run it, and store the same result. *)
+let memoized (c : compiled) : compiled =
+  let mu = Mutex.create () in
+  let zk = Hashtbl.create 2 and cpu = Hashtbl.create 1 in
+  let remember tbl key run =
+    match Mutex.protect mu (fun () -> Hashtbl.find_opt tbl key) with
+    | Some r -> r
+    | None ->
+      let r = run () in
+      Mutex.protect mu (fun () -> Hashtbl.replace tbl key r);
+      r
+  in
+  let measure ~vm ?fault ?fuel ?sink () =
+    match (fault, sink) with
+    | None, None -> remember zk (vm, fuel) (fun () -> c.measure ~vm ?fuel ())
+    | _ -> c.measure ~vm ?fault ?fuel ?sink ()
+  in
+  let measure_cpu =
+    match c.measure_cpu with
+    | None -> None
+    | Some run ->
+      Some
+        (fun ?fuel ?sink () ->
+          match sink with
+          | None -> remember cpu fuel (fun () -> run ?fuel ())
+          | Some _ -> run ?fuel ?sink ())
+  in
+  { c with measure; measure_cpu }
+
 let compile_cached ?cache (b : t) ~fp (m : Modul.t) : compiled =
   match cache with
   | None -> b.compile m
@@ -102,6 +136,6 @@ let compile_cached ?cache (b : t) ~fp (m : Modul.t) : compiled =
       ~codec:
         {
           Zkopt_exec.Cache.enc = (fun (c : compiled) -> c.encode ());
-          dec = b.decode m;
+          dec = (fun s -> Option.map memoized (b.decode m s));
         }
-      ~compile:(fun () -> b.compile m)
+      ~compile:(fun () -> memoized (b.compile m))

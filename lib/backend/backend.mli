@@ -98,6 +98,17 @@ type t = {
 (** [compile_cached ?cache b ~fp m]: [b]'s artifact for [m], whose
     structural fingerprint is [fp], through the compile cache under the
     key [fp ^ "+" ^ b.schema] with the [encode]/[decode] codec.  The one
-    artifact lookup every engine shares; without [cache] it compiles. *)
+    artifact lookup every engine shares; without [cache] it compiles.
+
+    Every artifact the cache holds, compiled or decoded from disk,
+    carries a measurement memo, so each distinct artifact runs once per
+    backend and fuel: its [measure] keeps each completed run made with
+    no [fault] and no [sink], keyed by [vm] and the exact [fuel] option,
+    and its [measure_cpu] likewise keyed by [fuel]; an equal call
+    returns the kept result without executing.  A faulted or sinked
+    call always executes and is never kept, and a run that raises keeps
+    nothing, so it raises again when called again.  The memo lives and
+    is evicted with its artifact.  Without [cache] every call
+    executes. *)
 val compile_cached :
   ?cache:compiled Zkopt_exec.Cache.t -> t -> fp:string -> Modul.t -> compiled

@@ -16,7 +16,8 @@
       program fetched from a content-addressed cache
       ({!Zkopt_exec.Cache}) shared by every backend of a codegen family,
       by profiles that leave a program untouched, and (with a disk
-      store) by successive runs;
+      store) by successive runs; the cached artifact also keeps its
+      unfaulted runs, so it executes once per backend and fuel;
     - every cell runs under an exception barrier ({!Cell.protect}) and
       either yields a point or lands in a quarantine list with a typed
       {!Error.t} — one miscompile no longer kills the remaining ~8,000
@@ -162,9 +163,13 @@ exception Budget_exceeded of Error.t list
 (** Measure one cell under the harness policies.  Compilation goes
     through the content-addressed [cache], keyed by module digest plus
     the backend's codegen-schema tag — backends sharing a codegen family
-    (risc0/sp1) share one artifact per cell; execution is always fresh.
-    Returns the point, the attempts consumed, and an optional
-    degradation note (CPU model failed; zkVM metrics kept). *)
+    (risc0/sp1) share one artifact per cell.  The cached artifact keeps
+    each completed unfaulted run ({!Backend.compile_cached}), so a cell
+    whose artifact repeats an earlier cell's reuses its measurements at
+    the same fuel; a faulted backend, a starved attempt and a failing
+    run always execute.  Returns the point, the attempts consumed, and
+    an optional degradation note (CPU model failed; zkVM metrics
+    kept). *)
 let measure_cell (cfg : config) (cache : Backend.compiled Cache.t)
     (w : Zkopt_workloads.Workload.t) (profile : Profile.t) :
     Cell.point * int * string option =

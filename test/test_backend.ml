@@ -177,6 +177,82 @@ let test_unpriced_precompile_raises () =
   | _ -> Alcotest.fail "valida config must raise on an unpriced precompile"
   | exception Invalid_argument _ -> ()
 
+(* ---- the measurement memo of cached artifacts ------------------------ *)
+
+(* factorial's RV32 artifact through a fresh compile cache, and a lookup
+   that returns the same cached artifact again *)
+let cached_factorial () =
+  let w = Zkopt_workloads.Workload.find "factorial" in
+  let build () =
+    w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Quick
+  in
+  let m = Measure.prepare_ir ~build Profile.Baseline in
+  let cache = Zkopt_exec.Cache.create () in
+  let lookup () =
+    Backend.compile_cached ~cache (Registry.find "risc0")
+      ~fp:(Zkopt_exec.Fingerprint.of_modul m) m
+  in
+  (lookup (), lookup)
+
+let test_memo_keys_on_exact_fuel () =
+  let c, lookup = cached_factorial () in
+  let cpu = Option.get c.Backend.measure_cpu in
+  let zk = c.Backend.measure ~vm:"risc0" () and cycles = cpu () in
+  let again = lookup () in
+  let cpu_again = Option.get again.Backend.measure_cpu in
+  Alcotest.(check bool) "an equal call is served from the memo" true
+    (again.Backend.measure ~vm:"risc0" () == zk && cpu_again () == cycles);
+  (* a starved call has another key: it runs, and runs out *)
+  let starves name run =
+    match run () with
+    | _ -> Alcotest.failf "%s at fuel 100 must run out of fuel" name
+    | exception Zkopt_riscv.Emulator.Out_of_fuel _ -> ()
+  in
+  starves "measure" (fun () ->
+      ignore (again.Backend.measure ~vm:"risc0" ~fuel:100 ()));
+  starves "measure_cpu" (fun () -> ignore (cpu_again ~fuel:100 ()))
+
+let test_memo_never_serves_a_sink () =
+  let c, _ = cached_factorial () in
+  let cpu = Option.get c.Backend.measure_cpu in
+  let plain =
+    List.map (fun vm -> c.Backend.measure ~vm ()) [ "risc0"; "sp1" ]
+  in
+  let cpu_cycles = (cpu ()).Measure.cpu_cycles in
+  List.iter
+    (fun (r : Backend.measurement) ->
+      let z = r.Backend.zk in
+      let user = ref 0 and paging = ref 0 in
+      let sink =
+        Zkopt_zkvm.Machine.sink
+          ~on_retires:
+            (Zkopt_zkvm.Machine.iter_retires (fun ~pc:_ _ ~cost ->
+                 user := !user + cost))
+          ~on_precompile:(fun ~pc:_ ~name:_ ~cost -> user := !user + cost)
+          ~on_page_in:(fun ~pc:_ ~cost -> paging := !paging + cost)
+          ~on_page_out:(fun ~pc:_ ~cost -> paging := !paging + cost)
+          ()
+      in
+      let vm = z.Measure.vm in
+      let seen = c.Backend.measure ~vm ~sink () in
+      Alcotest.(check bool) (vm ^ " pages") true (z.Measure.paging_cycles > 0);
+      Alcotest.(check int) (vm ^ ": retire + precompile costs")
+        (z.Measure.cycles - z.Measure.paging_cycles) !user;
+      Alcotest.(check int) (vm ^ ": page-in + page-out costs")
+        z.Measure.paging_cycles !paging;
+      Alcotest.(check bool) (vm ^ ": same metrics as the kept run") true
+        (seen.Backend.zk = z))
+    plain;
+  let total = ref 0.0 in
+  let sink =
+    Zkopt_zkvm.Machine.sink
+      ~on_cpu_retire:(fun ~pc:_ _ ~cost -> total := !total +. cost)
+      ()
+  in
+  ignore (cpu ~sink ());
+  Alcotest.(check int64) "on_cpu_retire costs sum to cpu_cycles"
+    (Int64.bits_of_float cpu_cycles) (Int64.bits_of_float !total)
+
 let tests =
   [
     Alcotest.test_case "registry contents and schemas" `Quick
@@ -189,4 +265,8 @@ let tests =
       test_valida_never_spills;
     Alcotest.test_case "unpriced precompile raises" `Quick
       test_unpriced_precompile_raises;
+    Alcotest.test_case "memo keys on the exact fuel" `Quick
+      test_memo_keys_on_exact_fuel;
+    Alcotest.test_case "memo never serves a sinked call" `Quick
+      test_memo_never_serves_a_sink;
   ]

@@ -11,6 +11,9 @@ module Error = Zkopt_harness.Error
 module Retry = Zkopt_harness.Retry
 module Checkpoint = Zkopt_harness.Checkpoint
 module Faultplan = Zkopt_harness.Faultplan
+module Backend = Zkopt_backend.Backend
+module Cache = Zkopt_exec.Cache
+module Fingerprint = Zkopt_exec.Fingerprint
 module B = Builder
 
 let coord = { Error.program = "p"; profile = "prof"; vm = "-" }
@@ -32,6 +35,14 @@ let subset_cfg () =
     H.programs = Some subset_programs;
     profiles = Some subset_profiles;
   }
+
+(** The fingerprint the harness keys a quick-size cell's artifact on. *)
+let cell_fp program profile =
+  let w = Zkopt_workloads.Workload.find program in
+  let build () =
+    w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Quick
+  in
+  Fingerprint.of_modul (Measure.prepare_ir ~build profile)
 
 (** Canonical byte representation of an outcome's point set: one encoded
     line per point, sorted.  Two runs are "the same" iff these match. *)
@@ -137,7 +148,17 @@ let test_sweep_retries_fuel () =
   let unconstrained = H.run { cfg with H.retry = Retry.default } in
   Alcotest.(check string) "same point either way"
     (canonical unconstrained.H.points)
-    (canonical o.H.points)
+    (canonical o.H.points);
+  (* over a cache a default-fuel sweep has warmed, the kept complete
+     runs must not answer the starved attempts *)
+  let cache = Some (Cache.create ()) in
+  ignore (H.run { cfg with H.retry = Retry.default; cache });
+  let warm = H.run { cfg with H.cache = cache } in
+  Alcotest.(check bool) "fuel escalated over a warm cache" true
+    (warm.H.retries > 0);
+  Alcotest.(check string) "same point over a warm cache"
+    (canonical unconstrained.H.points)
+    (canonical warm.H.points)
 
 (* ---- checkpoint codec + kill/resume --------------------------------- *)
 
@@ -212,6 +233,12 @@ let test_torn_exit_value_resume () =
 (* ---- fault injection, isolation, quarantine ------------------------- *)
 
 let test_fault_isolation () =
+  (* factorial's licm module is its baseline's, so the faulted
+     factorial/licm/sp1 call lands on an artifact whose clean sp1 run the
+     baseline cell has already kept: the fault must still execute *)
+  Alcotest.(check string) "factorial/licm repeats the baseline's artifact"
+    (cell_fp "factorial" Profile.Baseline)
+    (cell_fp "factorial" (Profile.Single_pass "licm"));
   let clean = H.run (subset_cfg ()) in
   let plan =
     Faultplan.inject
@@ -445,6 +472,92 @@ let test_parallel_kill_resume () =
     (canonical resumed.H.points);
   Sys.remove path
 
+(* ---- guest executions per cell -------------------------------------- *)
+
+(* [b] with every execution of its artifacts counted, beneath any memo
+   the compile cache adds around them: zkVM runs in [zk], CPU-model
+   runs in [cpu] *)
+let counting ~zk ~cpu (b : Backend.t) : Backend.t =
+  let wrap (c : Backend.compiled) =
+    let measure ~vm ?fault ?fuel ?sink () =
+      incr zk;
+      c.Backend.measure ~vm ?fault ?fuel ?sink ()
+    in
+    let measure_cpu =
+      match c.Backend.measure_cpu with
+      | None -> None
+      | Some run ->
+        Some
+          (fun ?fuel ?sink () ->
+            incr cpu;
+            run ?fuel ?sink ())
+    in
+    { c with Backend.measure; measure_cpu }
+  in
+  {
+    b with
+    Backend.compile = (fun m -> wrap (b.Backend.compile m));
+    decode = (fun m s -> Option.map wrap (b.Backend.decode m s));
+  }
+
+let test_each_artifact_runs_once () =
+  let programs = [ "fibonacci"; "factorial"; "loop-sum" ] in
+  let profiles =
+    Profile.Baseline
+    :: List.map
+         (fun p -> Profile.Single_pass p)
+         [ "licm"; "mem2reg"; "gvn"; "inline"; "simplifycfg"; "adce" ]
+    @ [ Profile.Level Zkopt_passes.Catalog.O1 ]
+  in
+  (* the distinct artifacts among all cells, and among the CPU cells *)
+  let distinct cells =
+    List.map (fun (p, prof) -> cell_fp p prof) cells
+    |> List.sort_uniq compare |> List.length
+  in
+  let cells =
+    List.concat_map (fun prog -> List.map (fun p -> (prog, p)) profiles) programs
+  in
+  let cpu_cells =
+    List.filter
+      (fun (_, p) ->
+        match p with
+        | Profile.Baseline | Profile.Single_pass _ -> true
+        | _ -> false)
+      cells
+  in
+  let zk = ref 0 and cpu = ref 0 in
+  let vms = [ "risc0"; "sp1" ] in
+  let cfg =
+    {
+      (H.default ~size:Zkopt_workloads.Workload.Quick) with
+      H.programs = Some programs;
+      profiles = Some profiles;
+      cache = Some (Cache.create ());
+      backends =
+        Some
+          (List.map
+             (fun vm -> counting ~zk ~cpu (Zkopt_backend.Registry.find vm))
+             vms);
+    }
+  in
+  let first = H.run cfg in
+  Alcotest.(check int) "every cell measured" (List.length cells)
+    (Hashtbl.length first.H.points);
+  Alcotest.(check bool) "some cells repeat an earlier cell's artifact" true
+    (distinct cells < List.length cells);
+  Alcotest.(check int) "guest runs = distinct artifacts x VMs"
+    (distinct cells * List.length vms)
+    !zk;
+  Alcotest.(check int) "CPU-model runs = distinct artifacts among CPU cells"
+    (distinct cpu_cells) !cpu;
+  zk := 0;
+  cpu := 0;
+  let second = H.run cfg in
+  Alcotest.(check int) "a second sweep on the same cache runs no guest" 0
+    (!zk + !cpu);
+  Alcotest.(check string) "and reports the same points"
+    (canonical first.H.points) (canonical second.H.points)
+
 let tests =
   [
     Alcotest.test_case "error taxonomy classification" `Quick test_classification;
@@ -467,4 +580,6 @@ let tests =
       test_parallel_faults_exactly_once;
     Alcotest.test_case "parallel kill/resume determinism" `Quick
       test_parallel_kill_resume;
+    Alcotest.test_case "each distinct artifact runs once per VM" `Quick
+      test_each_artifact_runs_once;
   ]
