@@ -202,8 +202,8 @@ let cache_arg =
   let dir =
     Arg.(value & opt string "_zkcache"
          & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"On-disk compile-cache directory, shared across runs and \
-                   versioned by schema tag")
+             ~doc:"On-disk compile-cache directory, shared across runs; a \
+                   build reads only what the same library sources wrote")
   in
   let no_disk =
     Arg.(value & flag
@@ -354,7 +354,7 @@ let run_cmd =
   let run prog quick profile json =
     let m = Measure.prepare_ir ~build:(builder prog quick) profile in
     let cache = Cache.create () and fp = Zkopt_exec.Fingerprint.of_modul m in
-    let compiled b = Backend.compile_cached ~cache b ~fp m in
+    let compiled b = Backend.compile_cached ~cache b ~fp (Lazy.from_val m) in
     let backends = Registry.all () in
     let zks =
       List.map
@@ -535,8 +535,10 @@ let sweepall_cmd =
         (Hashtbl.length o.H.points) o.H.resumed o.H.executed o.H.retries jobs;
       let s = o.H.cache_stats in
       Printf.printf
-        "compile cache: %d mem + %d disk hits, %d compiles (%.1f%% hit rate)\n"
-        s.Cache.hits s.Cache.disk_hits s.Cache.misses (Cache.hit_rate_pct s);
+        "compile cache: %d mem + %d disk hits, %d compiles (%.1f%% hit rate), \
+         %d pass pipelines\n"
+        s.Cache.hits s.Cache.disk_hits s.Cache.misses (Cache.hit_rate_pct s)
+        o.H.prepared;
       List.iter
         (fun ((c : Zkopt_harness.Error.coord), msg) ->
           Printf.printf "degraded: %s/%s: CPU model failed (%s); zkVM \

@@ -80,6 +80,12 @@ let submit_collect dir spec : string list * Json.t =
 
 let mkdir d = try Sys.mkdir d 0o755 with Sys_error _ -> ()
 
+(* A daemon over the state directory [dir] with its own compile-cache
+   store there, so the interrupted run below reads no store the
+   reference run warmed. *)
+let start dir =
+  Daemon.start ~jobs:2 ~cache_dir:(Some (Filename.concat dir "zkcache")) ~dir ()
+
 let () =
   let state = "servecheck-state" in
   mkdir state;
@@ -121,7 +127,7 @@ let () =
   let oneshot_fuzz = sorted !oneshot_fuzz_rows in
 
   (* 1. two concurrent clients against one daemon *)
-  let d = Daemon.start ~jobs:2 ~dir:state () in
+  let d = start state in
   let a = ref ([], Json.Null) and b = ref ([], Json.Null) in
   let ta = Thread.create (fun () -> a := submit_collect state sweep_spec) () in
   let tb = Thread.create (fun () -> b := submit_collect state fuzz_spec) () in
@@ -172,37 +178,28 @@ let () =
   (* uninterrupted reference through the daemon machinery *)
   let ref_dir = "servecheck-state-ref" in
   mkdir ref_dir;
-  let dref = Daemon.start ~jobs:2 ~dir:ref_dir () in
+  let dref = start ref_dir in
   let ref_rows, _ = submit_collect ref_dir big_sweep in
   Daemon.stop dref;
-  (* interrupted run *)
-  let d1 = Daemon.start ~jobs:2 ~dir:state2 () in
-  let seen = Atomic.make 0 in
-  let submitter =
-    Thread.create
-      (fun () ->
-        ignore
-          (Client.with_connection (sock_of state2) (fun c ->
-               Client.submit_and_watch
-                 ~on_event:(function
-                   | Proto.Row _ -> Atomic.incr seen
-                   | _ -> ())
-                 c big_sweep)))
-      ()
-  in
-  let rec wait tries =
-    if tries = 0 then Seedfmt.fail ~tool "no rows streamed before the stop"
-    else if Atomic.get seen < 3 then begin
-      Thread.delay 0.05;
-      wait (tries - 1)
-    end
-  in
-  wait 400;
-  Daemon.stop d1;
-  Thread.join submitter;
+  (* interrupted run: the watcher stops the daemon as the third row
+     streams in.  A poll from another thread can wake after the whole
+     job has finished, leaving nothing to resume.  The stop ends the
+     watch with an error, ignored here. *)
+  let d1 = start state2 in
+  let seen = ref 0 in
+  ignore
+    (Client.with_connection (sock_of state2) (fun c ->
+         Client.submit_and_watch
+           ~on_event:(function
+             | Proto.Row _ ->
+               incr seen;
+               if !seen = 3 then Daemon.stop d1
+             | _ -> ())
+           c big_sweep));
+  if !seen < 3 then Seedfmt.fail ~tool "no rows streamed before the stop";
   (* restart: the registry re-enqueues the job, the checkpoint resumes
      it; watch it to completion *)
-  let d2 = Daemon.start ~jobs:2 ~dir:state2 () in
+  let d2 = start state2 in
   let resumed = ref [] in
   (match
      Client.with_connection (sock_of state2) (fun c ->

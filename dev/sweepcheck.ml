@@ -4,10 +4,13 @@
       reproduce the sequential run cell-for-cell;
    2. memoization — re-running the same cells through a shared compile
       cache must serve >90% of lookups without compiling (in practice
-      100%: every digest is resident after the first pass), and must
-      execute no guest: every cached artifact keeps its measurements.
-      The cold 2-domain pass may race two domains onto one artifact, so
-      only the warm pass's count is gated. *)
+      100%: every digest is resident after the first pass), must run no
+      pass pipeline (every cell's inputs resolve to their module digest),
+      and must execute no guest: every cached artifact keeps its
+      measurements.  The cold 2-domain pass may race two domains onto
+      one artifact, so only the warm pass's guest count is gated;
+   3. the disk store — a fresh cache over the store a cold pass wrote
+      must run no pipeline and compile nothing. *)
 
 open Zkopt_core
 module H = Zkopt_harness.Harness
@@ -46,6 +49,13 @@ let counting runs (b : Backend.t) : Backend.t =
     Backend.compile = (fun m -> wrap (b.Backend.compile m));
     decode = (fun m s -> Option.map wrap (b.Backend.decode m s));
   }
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
 
 let () =
   let programs = [ "fibonacci"; "factorial"; "loop-sum" ] in
@@ -100,8 +110,26 @@ let () =
   if warm_runs <> 0 then
     Seedfmt.fail ~tool "warm-cache sweep executed %d guest runs (need 0)"
       warm_runs;
+  if again.H.prepared <> 0 then
+    Seedfmt.fail ~tool "warm-cache sweep ran %d pass pipelines (need 0)"
+      again.H.prepared;
+  (* a second process over the store the first one wrote *)
+  let dir = Filename.temp_file "sweepcheck" ".store" in
+  Sys.remove dir;
+  let cold = H.run (cfg 1 (Some (Cache.create ~dir ()))) in
+  let disk = H.run (cfg 1 (Some (Cache.create ~dir ()))) in
+  if not (String.equal (canonical seq.H.points) (canonical disk.H.points)) then
+    Seedfmt.fail ~tool "warm disk-store sweep diverged from the sequential run";
+  let disk_compiles = disk.H.cache_stats.Cache.misses in
+  if disk.H.prepared <> 0 || disk_compiles <> 0 then
+    Seedfmt.fail ~tool
+      "warm disk-store sweep ran %d pass pipelines and %d compiles (need 0 \
+       and 0; the cold pass ran %d)"
+      disk.H.prepared disk_compiles cold.H.prepared;
+  rm_rf dir;
   Printf.printf
     "sweepcheck: %d cells, 2-domain run deterministic, warm-cache hit rate \
-     %.1f%%, %d warm guest runs\n"
-    cells rate warm_runs;
+     %.1f%%, %d warm guest runs, %d warm pipelines, %d warm disk-store \
+     pipelines and compiles\n"
+    cells rate warm_runs again.H.prepared (disk.H.prepared + disk_compiles);
   Seedfmt.finish tool

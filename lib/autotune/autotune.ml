@@ -21,8 +21,9 @@
     - {b Prefix-cached compilation.}  Applying a pipeline is
       left-to-right, so the module after [p1; p2; p3] extends the module
       after [p1; p2].  Partially-optimized modules are content-addressed
-      by {!Zkopt_exec.Fingerprint.of_pipeline} (program salt + pass
-      prefix) in a shared {!Zkopt_exec.Cache}: crossover children that
+      by {!Zkopt_exec.Fingerprint.of_pipeline} (the digest of the target's
+      linked, unoptimized module + pass prefix) in a shared
+      {!Zkopt_exec.Cache}: crossover children that
       inherit a parent's prefix — the common case — skip straight to the
       first novel pass.  Measured scores are additionally recorded per
       (target, structural fingerprint), so a genome whose final module
@@ -142,14 +143,15 @@ let expected_failure (e : exn) : bool =
 (* ------------------------------------------------------------------ *)
 
 (** One measurement axis of the objective.  [tname] identifies the axis
-    in score records and checkpoint rows; [pname] salts the prefix cache
-    (targets over the same program share partially-optimized modules
-    even when they price on different backends); [measure] receives a
-    fully prepared (linked, optimized, pruned, verified) module plus its
+    in score records and checkpoint rows; [build] returns a fresh
+    unoptimized module, and the digest of its linked form salts the
+    prefix cache (targets over the same module share partially-optimized
+    modules even when they price on different backends, and the same
+    program at another size shares nothing); [measure] receives a fully
+    prepared (linked, optimized, pruned, verified) module plus its
     structural fingerprint and returns cycles. *)
 type target = {
   tname : string;
-  pname : string;
   weight : float;  (** contribution to the combined fitness *)
   build : unit -> Modul.t;
   measure : fp:string -> Modul.t -> int;
@@ -157,7 +159,7 @@ type target = {
 
 (* Measure [m] on [b] through the artifact cache. *)
 let measured ?fuel ?cache (b : Backend.t) ~fp m : Backend.measurement =
-  let c = Backend.compile_cached ?cache b ~fp m in
+  let c = Backend.compile_cached ?cache b ~fp (Lazy.from_val m) in
   let r = c.Backend.measure ~vm:b.Backend.name ?fuel () in
   (match r.Backend.accounting with
   | Ok () -> ()
@@ -176,7 +178,6 @@ let backend_target ?fuel ?cache ?(weight = 1.0) ~(program : string)
   in
   {
     tname = program ^ "@" ^ b.Backend.name;
-    pname = program;
     weight;
     build;
     measure;
@@ -233,25 +234,34 @@ let cells_weighted ?fuel ?cache (b : Backend.t)
 (* Prefix-cached pipeline application                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** The module after applying [List.rev rev_prefix] to [pname]'s fresh
-    linked build, memoized per prefix in [cache].  Each extension clones
-    the cached parent before running its one new pass, so cached modules
-    are never mutated; recursion happens inside [get_or_compile], which
-    is deadlock-free because digests shorten strictly toward the root
-    (single-flight waits form a DAG).  Modules handed out by this
-    function are shared — callers must {!Zkopt_ir.Clone} before
-    mutating. *)
-let rec module_at (cache : Modul.t Cache.t) ~(pname : string)
+(* [build]'s module, linked: the root every prefix extends. *)
+let linked (build : unit -> Modul.t) : Modul.t =
+  let m = build () in
+  Zkopt_runtime.Runtime.link m;
+  m
+
+(** The prefix-cache salt of [t]: the digest of its linked, unoptimized
+    module, which is all a prefix's result depends on besides the pass
+    list.  A program name alone would let the same program at two sizes
+    share modules. *)
+let root_digest (t : target) : string = Fingerprint.of_modul (linked t.build)
+
+(** The module after applying [List.rev rev_prefix] to a fresh linked
+    build whose digest is [root], memoized per prefix in [cache].  Each
+    extension clones the cached parent before running its one new pass,
+    so cached modules are never mutated; recursion happens inside
+    [get_or_compile], which is deadlock-free because digests shorten
+    strictly toward the root (single-flight waits form a DAG).  Modules
+    handed out by this function are shared — callers must
+    {!Zkopt_ir.Clone} before mutating. *)
+let rec module_at (cache : Modul.t Cache.t) ~(root : string)
     ~(build : unit -> Modul.t) (rev_prefix : string list) : Modul.t =
-  let digest = Fingerprint.of_pipeline ~salt:pname (List.rev rev_prefix) in
+  let digest = Fingerprint.of_pipeline ~salt:root (List.rev rev_prefix) in
   Cache.get_or_compile cache ~digest ~compile:(fun () ->
       match rev_prefix with
-      | [] ->
-        let m = build () in
-        Zkopt_runtime.Runtime.link m;
-        m
+      | [] -> linked build
       | p :: rest ->
-        let m = Zkopt_ir.Clone.modul (module_at cache ~pname ~build rest) in
+        let m = Zkopt_ir.Clone.modul (module_at cache ~root ~build rest) in
         ignore (Pass.run_one ~config:Pass.standard_config p m);
         m)
 
@@ -282,8 +292,8 @@ let combine (ws : (float * int) list) : int =
 (** Evaluate one genome against every target.  Pure reads of [scores]
     (frozen during a batch) plus prefix-cache traffic; safe to run from
     many domains at once, and deterministic per genome regardless of
-    batch interleaving. *)
-let eval_child ~(pcache : Modul.t Cache.t)
+    batch interleaving.  [root t] is {!root_digest}[ t]. *)
+let eval_child ~(pcache : Modul.t Cache.t) ~(root : target -> string)
     ~(scores : (string * string, int) Hashtbl.t) ~(prune : bool)
     ~(threshold : int option) ~(targets : target list) (g : genome) : verdict
     =
@@ -291,7 +301,7 @@ let eval_child ~(pcache : Modul.t Cache.t)
   let prepared =
     List.map
       (fun t ->
-        match module_at pcache ~pname:t.pname ~build:t.build rev with
+        match module_at pcache ~root:(root t) ~build:t.build rev with
         | m -> Some (t, m, Fingerprint.of_modul m)
         | exception e when expected_failure e -> None)
       targets
@@ -331,7 +341,7 @@ let eval_child ~(pcache : Modul.t Cache.t)
             | Some c -> Some c
             | None -> (
               let rec walk rp =
-                let m = module_at pcache ~pname:t.pname ~build:t.build rp in
+                let m = module_at pcache ~root:(root t) ~build:t.build rp in
                 match
                   Hashtbl.find_opt scores (t.tname, Fingerprint.of_modul m)
                 with
@@ -536,6 +546,8 @@ let search (cfg : config) ~(targets : target list) : outcome =
     | None -> Cache.create ~capacity:1024 ()
   in
   let stats0 = Cache.stats pcache in
+  let roots = List.map (fun t -> (t.tname, root_digest t)) targets in
+  let root t = List.assoc t.tname roots in
   (* (target, structural fingerprint) -> cycles; written only between
      batches, read freely during them *)
   let scores : (string * string, int) Hashtbl.t = Hashtbl.create 256 in
@@ -618,7 +630,7 @@ let search (cfg : config) ~(targets : target list) : outcome =
       else begin
         replay_active := false;
         Drive.map pool
-          (eval_child ~pcache ~scores ~prune:cfg.prune ~threshold ~targets)
+          (eval_child ~pcache ~root ~scores ~prune:cfg.prune ~threshold ~targets)
           genomes
       end
     in

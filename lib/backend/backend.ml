@@ -20,8 +20,10 @@
       program image), so it cannot be [Marshal]ed.  The [encode] /
       [decode] pair is the disk-cache codec: [encode] serializes the
       pure-data artifact inside the closure ([None] = not disk-cacheable)
-      and [decode] rebinds closures around a deserialized artifact and a
-      freshly prepared module.
+      and [decode] rebinds closures around a deserialized artifact.  An
+      encoded artifact is self-contained (an RV32 one carries the
+      module's globals, all the machine reads of the IR), so decoding
+      needs no prepared module.
     - Exit values cross this boundary exactly once, already normalized
       to the canonical int64 encoding ({!Zkopt_core.Measure.exit64}), so
       cross-backend conformance checks are a plain [Int64.equal].
@@ -82,7 +84,7 @@ type t = {
           multi-chip trace); false for RV32 transpilation backends *)
   schema : string;
       (** codegen-family tag: backends with equal [schema] share
-          compiled artifacts (and the disk-cache namespace) *)
+          compiled artifacts, cached under [digest ^ "+" ^ schema] *)
   segment_pad : int -> int;
       (** prover padding residue added to a segment/table of [n] trace
           rows (pow2 padding above the backend's floor); the profiler's
@@ -90,7 +92,10 @@ type t = {
   compile : Modul.t -> compiled;
   decode : Modul.t -> string -> compiled option;
       (** disk-cache codec, deserialize half: rebind closures around an
-          [encode]d artifact and a structurally identical module *)
+          [encode]d artifact.  The module argument is unused (an encoded
+          artifact is self-contained, and {!compile_cached} passes an
+          empty module); the parameter stays only because the benchmark
+          wraps this field with that type. *)
 }
 
 (* [c] with a measurement memo: a completed run with no fault and no
@@ -127,15 +132,15 @@ let memoized (c : compiled) : compiled =
   in
   { c with measure; measure_cpu }
 
-let compile_cached ?cache (b : t) ~fp (m : Modul.t) : compiled =
+let compile_cached ?cache (b : t) ~fp (m : Modul.t Lazy.t) : compiled =
   match cache with
-  | None -> b.compile m
+  | None -> b.compile (Lazy.force m)
   | Some cache ->
     Zkopt_exec.Cache.get_or_compile cache
       ~digest:(fp ^ "+" ^ b.schema)
       ~codec:
         {
           Zkopt_exec.Cache.enc = (fun (c : compiled) -> c.encode ());
-          dec = (fun s -> Option.map memoized (b.decode m s));
+          dec = (fun s -> Option.map memoized (b.decode (Modul.create ()) s));
         }
-      ~compile:(fun () -> memoized (b.compile m))
+      ~compile:(fun () -> memoized (b.compile (Lazy.force m)))

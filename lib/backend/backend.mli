@@ -20,8 +20,10 @@
       program image), so it cannot be [Marshal]ed.  The [encode] /
       [decode] pair is the disk-cache codec: [encode] serializes the
       pure-data artifact inside the closure ([None] = not disk-cacheable)
-      and [decode] rebinds closures around a deserialized artifact and a
-      freshly prepared module.
+      and [decode] rebinds closures around a deserialized artifact.  An
+      encoded artifact is self-contained (an RV32 one carries the
+      module's globals, all the machine reads of the IR), so decoding
+      needs no prepared module.
     - Exit values cross this boundary exactly once, already normalized
       to the canonical int64 encoding ({!Zkopt_core.Measure.exit64}), so
       cross-backend conformance checks are a plain [Int64.equal].
@@ -84,7 +86,7 @@ type t = {
           multi-chip trace); false for RV32 transpilation backends *)
   schema : string;
       (** codegen-family tag: backends with equal [schema] share
-          compiled artifacts (and the disk-cache namespace) *)
+          compiled artifacts, cached under [digest ^ "+" ^ schema] *)
   segment_pad : int -> int;
       (** prover padding residue added to a segment/table of [n] trace
           rows (pow2 padding above the backend's floor); the profiler's
@@ -92,13 +94,20 @@ type t = {
   compile : Modul.t -> compiled;
   decode : Modul.t -> string -> compiled option;
       (** disk-cache codec, deserialize half: rebind closures around an
-          [encode]d artifact and a structurally identical module *)
+          [encode]d artifact.  The module argument is unused (an encoded
+          artifact is self-contained, and {!compile_cached} passes an
+          empty module); the parameter stays only because the benchmark
+          wraps this field with that type. *)
 }
 
-(** [compile_cached ?cache b ~fp m]: [b]'s artifact for [m], whose
-    structural fingerprint is [fp], through the compile cache under the
-    key [fp ^ "+" ^ b.schema] with the [encode]/[decode] codec.  The one
-    artifact lookup every engine shares; without [cache] it compiles.
+(** [compile_cached ?cache b ~fp m]: [b]'s artifact for the module [m],
+    whose structural fingerprint is [fp], through the compile cache
+    under the key [fp ^ "+" ^ b.schema] with the [encode]/[decode]
+    codec.  The one artifact lookup every engine shares; without
+    [cache] it compiles.  [m] is forced only to compile: an artifact in
+    memory or on disk needs no module, so a caller that resolved [fp]
+    from the cache's first level ({!Zkopt_exec.Cache.resolve}) runs no
+    pass pipeline for it.
 
     Every artifact the cache holds, compiled or decoded from disk,
     carries a measurement memo, so each distinct artifact runs once per
@@ -111,4 +120,4 @@ type t = {
     is evicted with its artifact.  Without [cache] every call
     executes. *)
 val compile_cached :
-  ?cache:compiled Zkopt_exec.Cache.t -> t -> fp:string -> Modul.t -> compiled
+  ?cache:compiled Zkopt_exec.Cache.t -> t -> fp:string -> Modul.t Lazy.t -> compiled

@@ -57,19 +57,28 @@ let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
       (fun () ->
         Some
           (Marshal.to_string
-             (c.Measure.codegen, c.Measure.static_instrs)
+             ( c.Measure.codegen,
+               c.Measure.static_instrs,
+               c.Measure.modul.Modul.globals )
              []));
   }
 
 let compile ?config (m : Modul.t) : Backend.compiled =
   of_compiled ?config (Measure.compile_ir m)
 
-let decode ?config (m : Modul.t) (s : string) : Backend.compiled option =
+(* An encoded artifact carries the module's globals, the only part of
+   the IR the machine and the CPU model read, so it decodes without the
+   module: the rebuilt one has the globals and no functions. *)
+let decode ?config (_ : Modul.t) (s : string) : Backend.compiled option =
   try
-    let (codegen : Zkopt_riscv.Codegen.t), (static_instrs : int) =
+    let ( (codegen : Zkopt_riscv.Codegen.t),
+          (static_instrs : int),
+          (globals : Modul.global list) ) =
       Marshal.from_string s 0
     in
-    Some (of_compiled ?config { Measure.modul = m; codegen; static_instrs })
+    Some
+      (of_compiled ?config
+         { Measure.modul = { Modul.globals; funcs = [] }; codegen; static_instrs })
   with _ -> None
 
 (** [backend cfg ~doc] builds a registry-shape backend for a config in

@@ -54,13 +54,18 @@ let all_71 =
   (Baseline :: List.map (fun p -> Single_pass p) Catalog.swept_passes)
   @ List.map (fun l -> Level l) Catalog.all_levels
 
+(** The pass configuration and pass list a profile runs.  {!apply} runs
+    exactly this, and the compile cache's input key digests it, so the
+    two cannot disagree. *)
+let pipeline : t -> Pass.config * string list = function
+  | Baseline -> (Pass.standard_config, [])
+  | Single_pass p -> (Pass.standard_config, [ p ])
+  | Level l -> (Catalog.level_config l, Catalog.pipeline l)
+  | Custom (ps, config) -> (config, ps)
+  | Tuned { passes; _ } -> (Pass.standard_config, passes)
+  | Zkvm_o3 -> (Pass.zkvm_config, Catalog.zkvm_o3_pipeline)
+
 (** Apply a profile to a module in place (callers clone first). *)
 let apply (t : t) (m : Zkopt_ir.Modul.t) =
-  match t with
-  | Baseline -> ()
-  | Single_pass p -> ignore (Pass.run_one ~config:Pass.standard_config p m)
-  | Level l -> Catalog.run_level l m
-  | Custom (ps, config) -> ignore (Pass.run_sequence ~config ps m)
-  | Tuned { passes; _ } ->
-    ignore (Pass.run_sequence ~config:Pass.standard_config passes m)
-  | Zkvm_o3 -> Catalog.run_zkvm_o3 m
+  let config, passes = pipeline t in
+  ignore (Pass.run_sequence ~config passes m)

@@ -1,33 +1,48 @@
-(** Content-addressed compile cache.
+(** Content-addressed compile cache with a key on inputs in front.
 
-    Compiled artifacts are keyed by the {!Fingerprint} of the optimized
-    IR module (suffixed by the owning backend's codegen-schema tag), so
-    each structurally distinct (program, profile, codegen family)
-    compilation happens once: backends that share a codegen path share
-    one artifact within a cell, profiles that leave a program untouched
-    share the baseline's artifact across cells, and an optional on-disk
-    store under [_zkcache/] memoizes across runs.
+    The cache has two levels.  The first maps a cell's {e inputs} (an
+    input key: program, size, pass configuration and pass list, built
+    by the caller with {!Fingerprint.of_pipeline}) to the
+    {!Fingerprint.of_modul} digest of the module those inputs produce
+    ({!resolve}, {!record}).  The second maps that digest, suffixed by
+    the owning backend's codegen-schema tag, to the compiled artifact
+    ({!get_or_compile}).  A caller that resolves a cell's inputs needs
+    the module only when the artifact must really be compiled, so a
+    warm cache runs no pass pipeline.  The second level keeps the dedup
+    of identical modules: backends that share a codegen path share one
+    artifact within a cell, and profiles that leave a program untouched
+    share the baseline's artifact across cells.
 
     The cache is polymorphic in the artifact type.  Backend artifacts
     hold closures (execution captures the program image) and closures
     cannot be [Marshal]ed, so the disk half works through a per-call
     {!codec}: [enc] serializes the pure data inside the artifact
     ([None] = memory-only), [dec] rebinds closures around deserialized
-    bytes.  The codec is passed per *call*, not per cache, because
-    rebinding needs call-site context (the freshly prepared module).
+    bytes.  An encoded artifact is self-contained: decoding it needs
+    nothing but its bytes.
 
     Safe for concurrent use from many domains.  A single mutex guards
-    the table; compiles run outside the lock, and an in-flight set gives
+    the tables; compiles run outside the lock, and an in-flight set gives
     single-flight semantics — when several workers want the same digest
     at once, one compiles and the rest block on a condition variable and
     pick up the result as a hit.  Sharing is sound because compilation
     is deterministic and cached artifacts are immutable after assembly.
 
-    The on-disk store is versioned by {!Fingerprint.schema}: artifacts
-    live under [dir/<schema>/<digest>], so a schema bump simply starts a
-    fresh namespace and stale artifacts are never deserialized.  Writes
-    go through a temp file + rename, making concurrent writers and
-    readers of the same digest safe (both produce identical bytes). *)
+    The optional on-disk store lives under [dir/<build id>/], where the
+    build id ({!namespace}) is a digest of the library sources computed
+    at build time, so a store written by any other build is never read.
+    Artifacts are files [dir/<build id>/<digest>], written through a
+    temp file + rename, which makes concurrent writers and readers of
+    the same digest safe (both produce identical bytes).  The first
+    level is one append-only {!Rowlog} per namespace,
+    [dir/<build id>/inputs.log]: each row holds an input key, a module
+    digest and a check digest over both, rows that fail the check are
+    skipped, and a later row for a key overrides an earlier one.  The
+    log is read on the first {!resolve}, not by {!create}, and opened
+    for appending on the first {!record}; opening cuts a torn last row,
+    so two processes sharing a store can lose a row to each other, which
+    costs a first-level miss and never a wrong digest.  The first level
+    is not bounded: an entry is two digests per distinct cell. *)
 
 type 'a codec = {
   enc : 'a -> string option;  (** [None] = this artifact is memory-only *)
@@ -73,6 +88,10 @@ type 'a t = {
   table : (string, 'a entry) Hashtbl.t;
   inflight : (string, unit) Hashtbl.t;
   dir : string option;
+  inputs : (string, string) Hashtbl.t;  (** input key -> module digest *)
+  mutable inputs_loaded : bool;  (** the disk log has been read *)
+  inputs_log : Rowlog.t option ref;
+      (** opened on the first record, closed once the cache is collected *)
   mutable tick : int;
   mutable hits : int;
   mutable disk_hits : int;
@@ -81,19 +100,29 @@ type 'a t = {
 }
 
 let create ?(capacity = 512) ?dir () : _ t =
-  {
-    mu = Mutex.create ();
-    ready = Condition.create ();
-    capacity;
-    table = Hashtbl.create 256;
-    inflight = Hashtbl.create 16;
-    dir;
-    tick = 0;
-    hits = 0;
-    disk_hits = 0;
-    misses = 0;
-    evictions = 0;
-  }
+  let inputs_log = ref None in
+  let t =
+    {
+      mu = Mutex.create ();
+      ready = Condition.create ();
+      capacity;
+      table = Hashtbl.create 256;
+      inflight = Hashtbl.create 16;
+      dir;
+      inputs = Hashtbl.create 256;
+      inputs_loaded = false;
+      inputs_log;
+      tick = 0;
+      hits = 0;
+      disk_hits = 0;
+      misses = 0;
+      evictions = 0;
+    }
+  in
+  (* [finalise_last] does not keep the cache alive past its last use,
+     so the log is closed without holding on to the artifacts *)
+  Gc.finalise_last (fun () -> Option.iter Rowlog.close !inputs_log) t;
+  t
 
 (** Entries currently resident in memory (the service status surface
     reports this next to the hit/miss/evict counters). *)
@@ -118,10 +147,11 @@ let stats t : stats =
 
 (* ---- on-disk store -------------------------------------------------- *)
 
-let schema_dirname =
-  String.map (function ':' -> '-' | c -> c) Fingerprint.schema
+(** The disk namespace: the build identity, a digest of the library
+    sources written at build time (see [buildid/dune]). *)
+let namespace = Zkopt_buildid.id
 
-let disk_path dir digest = Filename.concat (Filename.concat dir schema_dirname) digest
+let disk_path dir name = Filename.concat (Filename.concat dir namespace) name
 
 let mkdir_p path =
   let rec go p =
@@ -190,6 +220,71 @@ let insert_locked t digest art =
       | None -> Hashtbl.reset t.table
     done;
   Hashtbl.replace t.table digest { art; last_use = t.tick }
+
+(* ---- first level: input key -> module digest ------------------------ *)
+
+let inputs_name = "inputs.log"
+
+(* A log row is an input key, a module digest and a digest over both:
+   a row with any byte changed fails its check and is skipped. *)
+let row_check key digest = Digest.to_hex (Digest.string (key ^ "\t" ^ digest))
+
+let decode_input_row line =
+  match String.split_on_char '\t' line with
+  | [ key; digest; check ] when String.equal check (row_check key digest) ->
+    Some (key, digest)
+  | _ -> None
+
+(* Called with [mu] held.  An unreadable log reads as empty: the disk
+   store is an optimization, never a failure. *)
+let load_inputs_locked t =
+  if not t.inputs_loaded then begin
+    t.inputs_loaded <- true;
+    match t.dir with
+    | None -> ()
+    | Some dir -> (
+      match Rowlog.load (disk_path dir inputs_name) ~decode:decode_input_row with
+      | rows ->
+        List.iter (fun (key, digest) -> Hashtbl.replace t.inputs key digest) rows
+      | exception Sys_error _ -> ())
+  end
+
+(* Called with [mu] held.  A failed open or write loses the row: the
+   disk store is an optimization, never a failure. *)
+let append_input_locked t dir key digest =
+  try
+    let log =
+      match !(t.inputs_log) with
+      | Some log -> log
+      | None ->
+        let path = disk_path dir inputs_name in
+        mkdir_p (Filename.dirname path);
+        let log = Rowlog.open_ ~fresh:false path in
+        t.inputs_log := Some log;
+        log
+    in
+    Rowlog.append log (String.concat "\t" [ key; digest; row_check key digest ])
+  with Sys_error _ | Unix.Unix_error _ -> ()
+
+(** [resolve t ~key] is the module digest recorded for input key [key],
+    in memory or in the namespace's log (read on the first call). *)
+let resolve t ~key : string option =
+  Mutex.protect t.mu (fun () ->
+      load_inputs_locked t;
+      Hashtbl.find_opt t.inputs key)
+
+(** [record t ~key ~digest] maps input key [key] to module digest
+    [digest], replacing any earlier entry, and appends a row to the
+    namespace's log when the cache has a disk store.  Callers record
+    only a digest they computed from a module that verified. *)
+let record t ~key ~digest =
+  Mutex.protect t.mu (fun () ->
+      load_inputs_locked t;
+      if not (Option.equal String.equal (Hashtbl.find_opt t.inputs key) (Some digest))
+      then begin
+        Hashtbl.replace t.inputs key digest;
+        Option.iter (fun dir -> append_input_locked t dir key digest) t.dir
+      end)
 
 (* ---- lookup --------------------------------------------------------- *)
 

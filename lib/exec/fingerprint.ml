@@ -1,15 +1,20 @@
-(** Structural content addressing for compiled artifacts.
+(** Structural content addressing: the repo's two key kinds.
 
-    The compile cache keys on a digest of the *post-pipeline* IR module
-    plus a codegen-scheme tag: two sweep cells whose pass pipelines
-    produce structurally identical modules (a very common case — most
-    single-pass profiles leave most programs untouched) share one
-    compiled program, and an on-disk store can survive schema changes by
-    versioning on the tag.
+    {!of_modul} addresses a module in hand: a digest of the
+    *post-pipeline* IR module.  The compile cache's second level keys
+    artifacts on it plus a codegen-family tag: two sweep cells whose
+    pass pipelines produce structurally identical modules (a very common
+    case — most single-pass profiles leave most programs untouched)
+    share one compiled program.
 
-    The digest is structural, not physical: it covers globals (name,
-    initializer bytes), function signatures, attributes, block labels,
-    instructions and terminators — everything the code generator
+    {!of_pipeline} addresses a module by its inputs, before it exists: a
+    salt naming the unoptimized module plus a pass list.  The compile
+    cache's first level (the harness's input key) and the autotuner's
+    prefix cache key on it.
+
+    The module digest is structural, not physical: it covers globals
+    (name, initializer bytes), function signatures, attributes, block
+    labels, instructions and terminators — everything the code generator
     consumes — and nothing else.  In particular [Func.next_reg] (the
     fresh-register high-water mark) is excluded, and a {!Zkopt_ir.Clone}d
     module digests identically to its original because cloning preserves
@@ -17,10 +22,10 @@
 
 open Zkopt_ir
 
-(** Version tag for the canonical IR encoding below.  Codegen-family
-    versioning lives in each backend's schema tag, which cache users
-    append to the digest ([digest ^ "+" ^ backend.schema]); bump this
-    tag when the encoding itself changes. *)
+(** Tag of the canonical IR encoding below, hashed into every digest.
+    It names the encoding, not a disk namespace: the on-disk store is
+    namespaced by the build identity ({!Cache.namespace}), which changes
+    with any library source. *)
 let schema = "zkopt-exec-v2"
 
 let add_global buf (g : Modul.global) =
@@ -62,12 +67,14 @@ let encode (m : Modul.t) : string =
 (** Hex digest of a module's canonical encoding. *)
 let of_modul (m : Modul.t) : string = Digest.to_hex (Digest.string (encode m))
 
-(** Hex digest of a pass-name pipeline prefix under a salt.  This is the
-    autotuner's prefix-cache key: the module produced by building [salt]
-    (a program identity) and running [passes] in order is fully
-    determined by the pair, so genomes sharing a prefix share one
-    partially-optimized module without ever materializing it first.
-    Contrast with {!of_modul}, which addresses a module that is already
-    in hand. *)
+(** Hex digest of a pass-name pipeline under a salt.  The salt must
+    identify everything else the resulting module depends on: the
+    unoptimized module and the pass configuration.  The module produced
+    by building it and running [passes] in order is then fully
+    determined by the pair, so it can be looked up without ever being
+    materialized.  The harness's input key salts with the program, size
+    and [Pass.config]; the autotuner's prefix key salts
+    with the digest of the linked, unoptimized module.  Contrast with
+    {!of_modul}, which addresses a module that is already in hand. *)
 let of_pipeline ~(salt : string) (passes : string list) : string =
   Digest.to_hex (Digest.string (String.concat "\x00" (schema :: salt :: passes)))

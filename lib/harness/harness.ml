@@ -11,12 +11,16 @@
       results — cells are independent measurements, the one cross-cell
       dependency (the baseline-differential oracle) is honored by
       planning every program's baseline cell in a first wave;
-    - each structurally distinct compilation happens once: the optimized
-      module is digested ({!Zkopt_exec.Fingerprint}) and the assembled
-      program fetched from a content-addressed cache
-      ({!Zkopt_exec.Cache}) shared by every backend of a codegen family,
-      by profiles that leave a program untouched, and (with a disk
-      store) by successive runs; the cached artifact also keeps its
+    - each cell's pass pipeline runs once per cache, and each
+      structurally distinct compilation happens once: the compile cache
+      ({!Zkopt_exec.Cache}) first maps the cell's inputs ({!input_key}:
+      program, size, pass configuration and pass list) to the digest of
+      the module they produce ({!Zkopt_exec.Fingerprint}), then that
+      digest to the assembled program, which every backend of a codegen
+      family, every profile that leaves a program untouched, and (with
+      a disk store) every later run share.  A warm cache runs no
+      pipeline: the module is prepared only when an artifact must be
+      compiled ({!with_module}).  The cached artifact also keeps its
       unfaulted runs, so it executes once per backend and fuel;
     - every cell runs under an exception barrier ({!Cell.protect}) and
       either yields a point or lands in a quarantine list with a typed
@@ -132,6 +136,9 @@ type outcome = {
   degraded : (Error.coord * string) list;
       (** cells kept with partial metrics *)
   executed : int;  (** cells measured by this invocation *)
+  prepared : int;
+      (** pass pipelines this invocation ran (build, link, pipeline,
+          verify): one per cell on a cold cache, none on a warm one *)
   resumed : int;  (** cells loaded from the checkpoint *)
   retries : int;  (** extra attempts spent on fuel escalation *)
   completed : bool;  (** false when stopped by [limit] *)
@@ -160,9 +167,61 @@ let quarantine_report (errs : Error.t list) : string =
 
 exception Budget_exceeded of Error.t list
 
-(** Measure one cell under the harness policies.  Compilation goes
-    through the content-addressed [cache], keyed by module digest plus
-    the backend's codegen-schema tag — backends sharing a codegen family
+(** The input key of a cell: a digest of its program, size and the
+    {!Profile.pipeline} its profile runs (every [Pass.config] field, by
+    the record's bytes, and the pass list).  These inputs determine the
+    prepared module, so the compile cache's first level maps the key to
+    that module's {!Fingerprint.of_modul} digest. *)
+let input_key ~size (w : Zkopt_workloads.Workload.t) (profile : Profile.t) :
+    string =
+  let config, passes = Profile.pipeline profile in
+  let program = w.Zkopt_workloads.Workload.name in
+  Fingerprint.of_pipeline
+    ~salt:(Digest.to_hex (Digest.string (Marshal.to_string (program, size, config) [])))
+    passes
+
+(* A first-level hit whose module, once forced, digests to something
+   else: the fresh module, to measure the cell from. *)
+exception Stale of Zkopt_ir.Modul.t
+
+(** [with_module ?prepared cache ~size w profile f] is [f ~fp m] for the
+    cell's module digest [fp] and its module [m], resolved through the
+    compile cache's first level.  On a miss the module is prepared
+    ({!Measure.prepare_ir}: build, link, pipeline, verify) and
+    fingerprinted, and only then recorded under {!input_key}.  On a hit
+    [m] is prepared only if forced, which {!Backend.compile_cached} does
+    only to compile.  A forced module whose digest is not the recorded
+    one replaces the entry, and [f] runs again from the fresh module, so
+    a wrong entry costs time but never changes a result; [f] must let
+    the exception that signals it pass.  [prepared] counts the pipelines
+    run. *)
+let with_module ?(prepared = Atomic.make 0) (cache : Backend.compiled Cache.t)
+    ~size (w : Zkopt_workloads.Workload.t) (profile : Profile.t)
+    (f : fp:string -> Zkopt_ir.Modul.t Lazy.t -> 'a) : 'a =
+  let key = input_key ~size w profile in
+  let prepare () =
+    Atomic.incr prepared;
+    Measure.prepare_ir ~build:(fun () -> w.Zkopt_workloads.Workload.build size) profile
+  in
+  let fresh m =
+    let fp = Fingerprint.of_modul m in
+    Cache.record cache ~key ~digest:fp;
+    f ~fp (Lazy.from_val m)
+  in
+  match Cache.resolve cache ~key with
+  | None -> fresh (prepare ())
+  | Some fp -> (
+    let m =
+      lazy
+        (let m = prepare () in
+         if String.equal (Fingerprint.of_modul m) fp then m else raise (Stale m))
+    in
+    match f ~fp m with v -> v | exception Stale m -> fresh m)
+
+(** Measure one cell under the harness policies.  The cell's module
+    digest comes from the compile cache's first level ({!with_module}),
+    and its artifact from the second, keyed by that digest plus the
+    backend's codegen-schema tag — backends sharing a codegen family
     (risc0/sp1) share one artifact per cell.  The cached artifact keeps
     each completed unfaulted run ({!Backend.compile_cached}), so a cell
     whose artifact repeats an earlier cell's reuses its measurements at
@@ -170,11 +229,10 @@ exception Budget_exceeded of Error.t list
     run always execute.  Returns the point, the attempts consumed, and
     an optional degradation note (CPU model failed; zkVM metrics
     kept). *)
-let measure_cell (cfg : config) (cache : Backend.compiled Cache.t)
+let measure_cell ?prepared (cfg : config) (cache : Backend.compiled Cache.t)
     (w : Zkopt_workloads.Workload.t) (profile : Profile.t) :
     Cell.point * int * string option =
   let pname = Profile.name profile in
-  let build () = w.Zkopt_workloads.Workload.build cfg.size in
   let backends = backends_of cfg in
   let with_cpu =
     match profile with
@@ -183,8 +241,7 @@ let measure_cell (cfg : config) (cache : Backend.compiled Cache.t)
   in
   let (point, degraded), attempts =
     Retry.run cfg.retry (fun ~fuel ->
-        let m = Measure.prepare_ir ~build profile in
-        let digest = Fingerprint.of_modul m in
+        with_module ?prepared cache ~size:cfg.size w profile @@ fun ~fp m ->
         (* per-cell memo over the shared cache so every backend of a
            codegen family resolves its artifact exactly once per attempt *)
         let arts : (string, Backend.compiled) Hashtbl.t = Hashtbl.create 4 in
@@ -192,7 +249,7 @@ let measure_cell (cfg : config) (cache : Backend.compiled Cache.t)
           match Hashtbl.find_opt arts b.Backend.schema with
           | Some c -> c
           | None ->
-            let c = Backend.compile_cached ~cache b ~fp:digest m in
+            let c = Backend.compile_cached ~cache b ~fp m in
             Hashtbl.replace arts b.Backend.schema c;
             c
         in
@@ -209,7 +266,9 @@ let measure_cell (cfg : config) (cache : Backend.compiled Cache.t)
             | Ok () -> ()
             | Error msg -> raise (Error.Accounting msg));
             r.Backend.zk
-          with e -> raise (Error.In_vm (vm, e))
+          with
+          | Stale _ as e -> raise e
+          | e -> raise (Error.In_vm (vm, e))
         in
         let zk = List.map zk_of backends in
         (* the CPU contrast model runs off the first backend that can
@@ -297,6 +356,7 @@ let run (cfg : config) : outcome =
     match cfg.cache with Some c -> c | None -> Cache.create ()
   in
   let stats0 = Cache.stats cache in
+  let prepared = Atomic.make 0 in
   (* [mu] guards the quarantine and the counters *)
   let mu = Mutex.create () in
   let quarantined = ref [] in
@@ -329,7 +389,7 @@ let run (cfg : config) : outcome =
     in
     let rows =
       match
-        Cell.protect ~coord (fun () -> measure_cell cfg cache w profile)
+        Cell.protect ~coord (fun () -> measure_cell ~prepared cfg cache w profile)
       with
       | Error err ->
         quarantine err;
@@ -410,6 +470,7 @@ let run (cfg : config) : outcome =
     quarantined = List.rev !quarantined;
     degraded = List.rev !degraded;
     executed = o.Drive.ran;
+    prepared = Atomic.get prepared;
     resumed = o.Drive.replayed;
     retries = !retries;
     completed = o.Drive.completed;

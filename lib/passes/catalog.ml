@@ -144,5 +144,3 @@ let zkvm_o3_pipeline =
              "hot-cold-splitting" ]))
     (pipeline O3)
 
-let run_zkvm_o3 m =
-  ignore (Pass.run_sequence ~config:Pass.zkvm_config zkvm_o3_pipeline m)

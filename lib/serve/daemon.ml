@@ -117,12 +117,14 @@ let accept_loop t =
 (** Bind, listen, reload the registry, and start the scheduler
     dispatcher and the accept loop on background threads.  [dir] is the
     daemon's state directory (registry, job checkpoints); the socket
-    lives at [dir ^ "/zkbench.sock"] unless [sock] overrides it. *)
-let start ?(jobs = 4) ?sock ?(log = ignore) ~dir () : t =
+    lives at [dir ^ "/zkbench.sock"] unless [sock] overrides it.
+    [cache_dir] is the compile cache's disk store, as in
+    {!Scheduler.create} (default [Some "_zkcache"]). *)
+let start ?(jobs = 4) ?sock ?cache_dir ?(log = ignore) ~dir () : t =
   (* a dead client must be an EPIPE on its session, not process death *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  let sched = Scheduler.create ~dir ~jobs ~log () in
+  let sched = Scheduler.create ~dir ~jobs ?cache_dir ~log () in
   let sock_path =
     match sock with Some p -> p | None -> Filename.concat dir "zkbench.sock"
   in

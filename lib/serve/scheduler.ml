@@ -3,8 +3,9 @@
 
     The scheduler owns the expensive state a one-shot CLI run rebuilds
     from scratch every time — the {!Zkopt_exec.Pool} of worker domains
-    and the content-addressed {!Zkopt_exec.Cache} (in-memory
-    [Fingerprint]→artifact LRU over the shared [_zkcache/] disk store) —
+    and the content-addressed {!Zkopt_exec.Cache} (cell inputs → module
+    digest → artifact, in memory over the shared [_zkcache/] disk
+    store, so a resubmitted sweep or profile cell runs no pipeline) —
     and executes jobs pulled from a {!Jobq} priority queue on a single
     dispatcher thread.  Jobs run one at a time; {e cells} within a job
     run in parallel on the pool.  Each job's per-cell rows stream to
@@ -43,7 +44,6 @@ module Campaign = Zkopt_fuzz.Campaign
 module Pool = Zkopt_exec.Pool
 module Rowlog = Zkopt_exec.Rowlog
 module Cache = Zkopt_exec.Cache
-module Fingerprint = Zkopt_exec.Fingerprint
 module Backend = Zkopt_backend.Backend
 module Workload = Zkopt_workloads.Workload
 module Autotune = Zkopt_autotune.Autotune
@@ -59,6 +59,10 @@ type jobrec = {
   mutable nrows : int;
   mutable sinks : (string * (Proto.event -> bool)) list;
       (** (session tag, send); a sink returning [false] is dropped *)
+  mutable summary : Json.t option;
+      (** the terminal summary, once this daemon finished the job: a
+          watcher that attaches after the end (a warm job can finish
+          before its submitter's watch lands) still receives it *)
 }
 
 type t = {
@@ -208,6 +212,7 @@ let create ~dir ~jobs ?(cache_dir = Some "_zkcache") ?(cache_capacity = 512)
             rows = [];
             nrows = 0;
             sinks = [];
+            summary = None;
           }
         in
         Hashtbl.replace t.jobs j.Job.id jr;
@@ -341,12 +346,11 @@ let run_spec t (jr : jobrec) ~stop ~on_row (spec : Job.spec) : run =
     }
   | Job.Profile_cell c ->
     let w, profile, b = Job.cell_config c in
-    let build () = w.Workload.build (Job.size c.quick) in
-    let m = Measure.prepare_ir ~build profile in
-    let compiled =
-      Backend.compile_cached ~cache:t.cache b ~fp:(Fingerprint.of_modul m) m
+    let r =
+      H.with_module t.cache ~size:(Job.size c.quick) w profile (fun ~fp m ->
+          (Backend.compile_cached ~cache:t.cache b ~fp m).Backend.measure
+            ~vm:b.Backend.name ())
     in
-    let r = compiled.Backend.measure ~vm:b.Backend.name () in
     (match r.Backend.accounting with
     | Ok () -> ()
     | Error msg -> failwith ("accounting: " ^ msg));
@@ -492,6 +496,7 @@ let exec t (jr : jobrec) : exec_result =
 let finish_job t (jr : jobrec) (st : Job.state) (summary : Json.t) =
   Mutex.lock t.mu;
   jr.state <- st;
+  jr.summary <- Some summary;
   Rowlog.append t.reg (encode_terminal jr.job.Job.id st);
   let ev =
     match st with
@@ -567,6 +572,7 @@ let submit t ~client ?(priority = 10) ?budget (spec : Job.spec) :
         rows = [];
         nrows = 0;
         sinks = [];
+        summary = None;
       }
     in
     Hashtbl.replace t.jobs id jr;
@@ -612,7 +618,8 @@ let watch t ~sid (id : string) (sink : Proto.event -> bool) :
       | Job.Queued | Job.Running ->
         if replay_ok then jr.sinks <- (sid, sink) :: jr.sinks
       | Job.Finished | Job.Cancelled ->
-        ignore (sink (Proto.Done { id; summary = state_json jr.state }))
+        let summary = Option.value jr.summary ~default:(state_json jr.state) in
+        ignore (sink (Proto.Done { id; summary }))
       | Job.Failed msg -> ignore (sink (Proto.Err { msg = id ^ ": " ^ msg })));
       Ok ()
   in

@@ -76,7 +76,7 @@ let price_cell (cfg : config) ~(build : unit -> Zkopt_ir.Modul.t)
   let fp = Fingerprint.of_modul m in
   List.map
     (fun (b : Backend.t) ->
-      let c = Backend.compile_cached ?cache:cfg.cache b ~fp m in
+      let c = Backend.compile_cached ?cache:cfg.cache b ~fp (Lazy.from_val m) in
       let r = c.Backend.measure ~vm:b.Backend.name ?fuel:cfg.fuel () in
       (match r.Backend.accounting with
       | Ok () -> ()

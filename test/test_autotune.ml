@@ -62,7 +62,6 @@ let test_expected_failure_taxonomy () =
 let synthetic_target =
   {
     A.tname = "synthetic";
-    pname = "factorial";
     weight = 1.0;
     build =
       (fun () -> (Workload.find "factorial").Workload.build Workload.Quick);
@@ -236,6 +235,33 @@ let test_search_rows_jobs_independent () =
   Alcotest.(check int) "two-entry history" 2 (List.length r.A.history);
   Alcotest.(check bool) "prefix cache saw hits" true
     (o1.A.cache_stats.A.prefix.Zkopt_exec.Cache.hits > 0)
+
+(* The prefix cache keys on the unoptimized module, not on the program
+   name: a full-size search that follows a quick one on the same
+   program, through one prefix cache (as the service shares one across
+   its autotune jobs), finds what a fresh full-size search finds. *)
+let test_prefix_cache_keys_on_module () =
+  let w = Workload.find "fibonacci" in
+  let best pcache size =
+    let target =
+      A.backend_target ~program:"fibonacci"
+        ~build:(fun () -> w.Workload.build size)
+        (Zkopt_backend.Registry.find "risc0")
+    in
+    let o =
+      A.search
+        { (A.default ~seed:1 ~population:8 ~iterations:24 ()) with
+          A.prefix_cache = Some pcache }
+        ~targets:[ target ]
+    in
+    (Option.get o.A.result).A.best.A.fitness
+  in
+  let fresh = best (Zkopt_exec.Cache.create ()) Workload.Full in
+  let shared = Zkopt_exec.Cache.create () in
+  let quick = best shared Workload.Quick in
+  Alcotest.(check bool) "the two sizes give different fitness" true (quick <> fresh);
+  Alcotest.(check int) "full size after quick size on one prefix cache" fresh
+    (best shared Workload.Full)
 
 let test_search_checkpoint_resume () =
   let ckpt = Filename.temp_file "zkopt-tune" ".ckpt" in
@@ -457,6 +483,8 @@ let tests =
       test_search_rows_jobs_independent;
     Alcotest.test_case "search resumes from a sheared checkpoint" `Slow
       test_search_checkpoint_resume;
+    Alcotest.test_case "prefix cache keys on the module, not the name" `Slow
+      test_prefix_cache_keys_on_module;
     Alcotest.test_case "service tune resumes byte-identically" `Slow
       test_service_restart_resumes_byte_identical;
   ]

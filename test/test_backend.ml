@@ -190,7 +190,7 @@ let cached_factorial () =
   let cache = Zkopt_exec.Cache.create () in
   let lookup () =
     Backend.compile_cached ~cache (Registry.find "risc0")
-      ~fp:(Zkopt_exec.Fingerprint.of_modul m) m
+      ~fp:(Zkopt_exec.Fingerprint.of_modul m) (Lazy.from_val m)
   in
   (lookup (), lookup)
 

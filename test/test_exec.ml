@@ -3,7 +3,8 @@
     content-addressed cache properties (digest stability under {!Clone},
     digest sensitivity to one-instruction edits, hit/compile metric
     equality), single-flight compilation, the LRU bound, the on-disk
-    store (round trip, corruption treated as a miss), the row log's
+    store (round trip, corruption treated as a miss), the first level's
+    inputs log (round trip, a row with a flipped byte skipped), the row log's
     framing under a kill at every byte offset, and the engine run loop's
     plan-order emission. *)
 
@@ -253,6 +254,68 @@ let test_disk_cache_roundtrip () =
   Alcotest.(check int) "recompiled artifact still equal" (run a1).Measure.cycles
     (run a3).Measure.cycles
 
+(* ---- first level: the inputs log ----------------------------------- *)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [f] over a fresh temporary directory, removed afterwards *)
+let with_temp_dir f =
+  let d = Filename.temp_file "zkopt_store" "" in
+  Sys.remove d;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists d then rm_rf d) (fun () -> f d)
+
+let inputs_log dir =
+  Filename.concat (Filename.concat dir Cache.namespace) "inputs.log"
+
+(* A recorded input key survives into a fresh cache over the same
+   store, and only through the log of this build's namespace; a later
+   row for a key overrides an earlier one. *)
+let test_inputs_log_roundtrip () =
+  with_temp_dir @@ fun dir ->
+  let c1 = Cache.create ~dir () in
+  Alcotest.(check (option string)) "empty store" None (Cache.resolve c1 ~key:"k1");
+  Cache.record c1 ~key:"k1" ~digest:"d1";
+  Cache.record c1 ~key:"k2" ~digest:"d2";
+  Cache.record c1 ~key:"k1" ~digest:"d3";
+  Alcotest.(check (option string)) "in memory" (Some "d3") (Cache.resolve c1 ~key:"k1");
+  let c2 = Cache.create ~dir () in
+  Alcotest.(check (option string)) "later row wins" (Some "d3") (Cache.resolve c2 ~key:"k1");
+  Alcotest.(check (option string)) "other row" (Some "d2") (Cache.resolve c2 ~key:"k2");
+  Alcotest.(check (option string)) "memory-only cache reads no log" None
+    (Cache.resolve (Cache.create ()) ~key:"k1")
+
+(* Every single-byte flip of a one-row log, including its newline, makes
+   the row unreadable: neither the original key nor whatever the flipped
+   row now names resolves. *)
+let test_inputs_log_flipped_byte () =
+  with_temp_dir @@ fun dir ->
+  let key = Fingerprint.of_pipeline ~salt:"program" [ "licm" ]
+  and digest = Fingerprint.of_modul (Measure.prepare_ir ~build:tiny_module Profile.Baseline) in
+  Cache.record (Cache.create ~dir ()) ~key ~digest;
+  let path = inputs_log dir in
+  let row = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check (option string)) "the intact row resolves" (Some digest)
+    (Cache.resolve (Cache.create ~dir ()) ~key);
+  String.iteri
+    (fun i ch ->
+      let flipped = Bytes.of_string row in
+      Bytes.set flipped i (Char.chr (Char.code ch lxor 1));
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc flipped);
+      let named = List.hd (String.split_on_char '\t' (Bytes.to_string flipped)) in
+      let c = Cache.create ~dir () in
+      List.iter
+        (fun k ->
+          match Cache.resolve c ~key:k with
+          | None -> ()
+          | Some d -> Alcotest.failf "byte %d flipped: %S resolves to %S" i k d)
+        [ key; named ])
+    row
+
 (* ---- row log framing ------------------------------------------------ *)
 
 module Rowlog = Zkopt_exec.Rowlog
@@ -474,6 +537,9 @@ let tests =
     Alcotest.test_case "cache LRU eviction bound" `Quick test_cache_lru_eviction;
     Alcotest.test_case "disk store roundtrip and corruption" `Quick
       test_disk_cache_roundtrip;
+    Alcotest.test_case "inputs log roundtrip" `Quick test_inputs_log_roundtrip;
+    Alcotest.test_case "inputs log skips a row with a flipped byte" `Quick
+      test_inputs_log_flipped_byte;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

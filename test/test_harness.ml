@@ -558,6 +558,252 @@ let test_each_artifact_runs_once () =
   Alcotest.(check string) "and reports the same points"
     (canonical first.H.points) (canonical second.H.points)
 
+(* ---- the input key ---------------------------------------------------- *)
+
+module Pass = Zkopt_passes.Pass
+module Workload = Zkopt_workloads.Workload
+
+(* Changing any one [Pass.config] field changes the input key, and so do
+   the program, the size and the pass list; the key depends on a profile
+   only through [Profile.pipeline]. *)
+let test_input_key_covers_inputs () =
+  let c = Pass.standard_config in
+  let variants =
+    [ { c with Pass.cost_model = Pass.Zkvm_aware };
+      { c with inline_threshold = c.inline_threshold + 1 };
+      { c with inline_call_penalty = c.inline_call_penalty + 1 };
+      { c with unroll_threshold = c.unroll_threshold + 1 };
+      { c with unroll_max_factor = c.unroll_max_factor + 1 };
+      { c with unroll_only_if_smaller = not c.unroll_only_if_smaller };
+      { c with simplifycfg_select = not c.simplifycfg_select };
+      { c with select_max_side_instrs = c.select_max_side_instrs + 1 };
+      { c with div_to_shift = not c.div_to_shift };
+      { c with licm_max_hoist = c.licm_max_hoist + 1 };
+      { c with speculate = not c.speculate };
+      { c with prefetch = not c.prefetch } ]
+  in
+  (* a field added to the record needs its variant here *)
+  Alcotest.(check int) "one variant per config field" (Obj.size (Obj.repr c))
+    (List.length variants);
+  let fib = Workload.find "fibonacci" in
+  let key ?(w = fib) ?(size = Workload.Quick) ?(passes = [ "licm"; "gvn" ]) config =
+    H.input_key ~size w (Profile.Custom (passes, config))
+  in
+  let differs label k = Alcotest.(check bool) label false (String.equal (key c) k) in
+  List.iteri (fun i v -> differs (Printf.sprintf "config field %d" i) (key v)) variants;
+  differs "size" (key ~size:Workload.Full c);
+  differs "program" (key ~w:(Workload.find "factorial") c);
+  differs "pass list" (key ~passes:[ "licm" ] c);
+  differs "pass order" (key ~passes:[ "gvn"; "licm" ] c);
+  let o2 = Zkopt_passes.Catalog.O2 in
+  Alcotest.(check string) "a level keys as its pipeline"
+    (key ~passes:(Zkopt_passes.Catalog.pipeline o2) (Zkopt_passes.Catalog.level_config o2))
+    (H.input_key ~size:Workload.Quick fib (Profile.Level o2))
+
+(* Random (suite program, size, profile) cells, [Custom] profiles with
+   random configurations, each followed by a variant that changes one
+   input: the program, the size, the whole configuration or the pass
+   list.  Through one cache that has recorded the first, the variant's
+   resolved digest must be the digest of a fresh [prepare_ir] — so an
+   input the key missed makes the variant hit the first cell's entry. *)
+let prop_input_key_hit_is_fresh =
+  let open QCheck.Gen in
+  let programs = [ "fibonacci"; "factorial"; "loop-sum"; "tailcall"; "polybench-atax" ] in
+  let passes =
+    [ "mem2reg"; "inline"; "loop-unroll"; "simplifycfg"; "instcombine"; "licm";
+      "loop-rotate"; "speculative-execution"; "loop-data-prefetch"; "gvn"; "sroa";
+      "partial-inliner"; "indvars"; "early-cse" ]
+  in
+  let config =
+    map
+      (fun ((zk, it, pen, ut), (uf, small, sel, side), (div, hoist, spec, pre)) ->
+        { Pass.cost_model = (if zk then Pass.Zkvm_aware else Pass.Standard);
+          inline_threshold = it; inline_call_penalty = pen; unroll_threshold = ut;
+          unroll_max_factor = uf; unroll_only_if_smaller = small;
+          simplifycfg_select = sel; select_max_side_instrs = side;
+          div_to_shift = div; licm_max_hoist = hoist; speculate = spec;
+          prefetch = pre })
+      (triple
+         (quad bool (int_bound 400) (int_bound 50) (int_bound 300))
+         (quad (int_range 1 8) bool bool (int_bound 6))
+         (quad bool (int_bound 64) bool bool))
+  in
+  let cell =
+    triple (oneofl programs) (oneofl [ Workload.Quick; Workload.Full ])
+      (pair (list_size (int_range 1 6) (oneofl passes)) config)
+  in
+  let variant (p, size, (ps, cfg)) =
+    oneof
+      [ map (fun p' -> (p', size, (ps, cfg))) (oneofl (List.filter (( <> ) p) programs));
+        return (p, (if size = Workload.Quick then Workload.Full else Workload.Quick), (ps, cfg));
+        map (fun cfg' -> (p, size, (ps, cfg'))) config;
+        map (fun ps' -> (p, size, (ps', cfg))) (list_size (int_range 1 6) (oneofl passes)) ]
+  in
+  let show (p, size, (ps, _)) =
+    Printf.sprintf "%s/%s/%s" p
+      (if size = Workload.Quick then "quick" else "full")
+      (String.concat "," ps)
+  in
+  QCheck.Test.make ~name:"an input-key hit digests as a fresh prepare_ir" ~count:40
+    (QCheck.make ~print:(fun (a, b) -> show a ^ " then " ^ show b)
+       (cell >>= fun a -> map (fun b -> (a, b)) (variant a)))
+    (fun (a, b) ->
+      let cache = Cache.create () in
+      let resolve (p, size, (ps, cfg)) =
+        H.with_module cache ~size (Workload.find p) (Profile.Custom (ps, cfg))
+          (fun ~fp _ -> fp)
+      in
+      let fresh (p, size, (ps, cfg)) =
+        let w = Workload.find p in
+        Fingerprint.of_modul
+          (Measure.prepare_ir ~build:(fun () -> w.Workload.build size)
+             (Profile.Custom (ps, cfg)))
+      in
+      (* a random pipeline may legitimately fail to prepare (as a tuner
+         genome may): such a pair has no digest to compare *)
+      match (fresh a, fresh b) with
+      | exception e when Zkopt_autotune.Autotune.expected_failure e ->
+        QCheck.assume_fail ()
+      | fa, fb ->
+        ignore (resolve a);
+        String.equal (resolve b) fb && String.equal (resolve a) fa)
+
+(* ---- a stale or corrupt store cannot change a row --------------------- *)
+
+let rec copy_tree src dst =
+  if Sys.is_directory src then begin
+    Sys.mkdir dst 0o755;
+    Array.iter
+      (fun f -> copy_tree (Filename.concat src f) (Filename.concat dst f))
+      (Sys.readdir src)
+  end
+  else
+    Out_channel.with_open_bin dst (fun oc ->
+        Out_channel.output_string oc
+          (In_channel.with_open_bin src In_channel.input_all))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* [s] with its first occurrence of [sub] replaced by [by]. *)
+let replace_first s ~sub ~by =
+  let n = String.length sub in
+  let rec find i =
+    if i + n > String.length s then Alcotest.failf "%S not found" sub
+    else if String.equal (String.sub s i n) sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+(* Metamorphic runs over one small sweep on risc0, sp1 and valida: cache
+   off (a private cache), warm in memory, cold and warm over a disk
+   store, and that store planted four ways — written under another
+   build identity and poisoned, an inputs row with one flipped byte, a
+   row whose digest was swapped for another cell's, and a valid row
+   pointing at a digest whose artifacts are gone.  Every run must give
+   byte-identical rows, and the counts show what each run read. *)
+let test_stale_store_cannot_change_rows () =
+  Zkopt_valida.Vbackend.ensure ();
+  let size = Workload.Quick in
+  let programs = [ "loop-sum"; "fibonacci" ] in
+  let cfg cache =
+    { (subset_cfg ()) with
+      H.programs = Some programs;
+      cache = Some cache;
+      backends =
+        Some (List.map Zkopt_backend.Registry.find [ "risc0"; "sp1"; "valida" ]) }
+  in
+  let cells = List.length programs * List.length subset_profiles in
+  let run cache = H.run (cfg cache) in
+  let off = canonical (run (Cache.create ())).H.points in
+  let same label (o : H.outcome) =
+    Alcotest.(check string) (label ^ ": rows") off (canonical o.H.points)
+  in
+  let mem = Cache.create () in
+  ignore (run mem);
+  let warm_mem = run mem in
+  same "warm in memory" warm_mem;
+  Alcotest.(check int) "warm in memory: no pipeline" 0 warm_mem.H.prepared;
+  Test_exec.with_temp_dir @@ fun dir ->
+  let cold = run (Cache.create ~dir ()) in
+  same "cold over disk" cold;
+  Alcotest.(check int) "cold over disk: a pipeline per cell" cells cold.H.prepared;
+  let warm = run (Cache.create ~dir ()) in
+  same "warm over disk" warm;
+  Alcotest.(check int) "warm over disk: no pipeline" 0 warm.H.prepared;
+  Alcotest.(check int) "warm over disk: no compile" 0 warm.H.cache_stats.Cache.misses;
+  let ns = Filename.concat dir Cache.namespace in
+  (* two cells whose rows differ, [b] after [a] in plan order *)
+  let w = Workload.find "loop-sum" in
+  let a = Profile.Baseline and b = Profile.Level Zkopt_passes.Catalog.O1 in
+  let fp_a = cell_fp "loop-sum" a and fp_b = cell_fp "loop-sum" b in
+  let cycles p = (List.hd (Hashtbl.find warm.H.points ("loop-sum", Profile.name p)).Cell.zk).Measure.cycles in
+  Alcotest.(check bool) "a's and b's rows differ" false (cycles a = cycles b);
+  let artifacts_of fp =
+    Array.to_list (Sys.readdir ns)
+    |> List.filter (String.starts_with ~prefix:(fp ^ "+"))
+    |> List.sort String.compare
+  in
+  let planted name plant =
+    let d = Filename.concat dir name in
+    Sys.mkdir d 0o755;
+    plant d;
+    run (Cache.create ~dir:d ())
+  in
+  (* another build's namespace, with a's and b's artifacts swapped: were
+     it read, both cells would come back wrong *)
+  let foreign =
+    planted "foreign" (fun d ->
+        List.iter
+          (fun other ->
+            let o = Filename.concat d other in
+            copy_tree ns o;
+            List.iter2
+              (fun x y ->
+                write_file (Filename.concat o x) (read_file (Filename.concat ns y)))
+              (artifacts_of fp_a) (artifacts_of fp_b))
+          [ "0123456789abcdef0123456789abcdef"; "zkopt-exec-v2" ])
+  in
+  same "store of another build" foreign;
+  Alcotest.(check int) "store of another build: no disk hit" 0
+    foreign.H.cache_stats.Cache.disk_hits;
+  Alcotest.(check int) "store of another build: a pipeline per cell" cells
+    foreign.H.prepared;
+  let key_a = H.input_key ~size w a and key_b = H.input_key ~size w b in
+  let log d = Filename.concat (Filename.concat d Cache.namespace) "inputs.log" in
+  let row_of key s =
+    List.find (String.starts_with ~prefix:key) (String.split_on_char '\n' s)
+  in
+  (* a's row with one byte of its digest flipped, b's row with its digest
+     swapped for a's: both fail their check and are skipped *)
+  let corrupt =
+    planted "corrupt" (fun d ->
+        copy_tree ns (Filename.concat d Cache.namespace);
+        let s = read_file (log d) in
+        let ra = row_of key_a s and rb = row_of key_b s in
+        let flipped = Bytes.of_string fp_a in
+        Bytes.set flipped 5 (Char.chr (Char.code fp_a.[5] lxor 1));
+        let s = replace_first s ~sub:ra ~by:(replace_first ra ~sub:fp_a ~by:(Bytes.to_string flipped)) in
+        write_file (log d) (replace_first s ~sub:rb ~by:(replace_first rb ~sub:fp_b ~by:fp_a)))
+  in
+  same "corrupt inputs rows" corrupt;
+  Alcotest.(check int) "corrupt inputs rows: exactly those cells prepared" 2
+    corrupt.H.prepared;
+  (* a valid row sending a to b's digest, whose artifacts are gone: a is
+     measured from its fresh module, and b still gets its own artifact *)
+  let missing =
+    planted "missing" (fun d ->
+        let nsd = Filename.concat d Cache.namespace in
+        copy_tree ns nsd;
+        List.iter (fun f -> Sys.remove (Filename.concat nsd f)) (artifacts_of fp_b);
+        Cache.record (Cache.create ~dir:d ()) ~key:key_a ~digest:fp_b)
+  in
+  same "row pointing at a missing artifact" missing;
+  Alcotest.(check int) "row pointing at a missing artifact: a and b prepared" 2
+    missing.H.prepared
+
 let tests =
   [
     Alcotest.test_case "error taxonomy classification" `Quick test_classification;
@@ -582,4 +828,9 @@ let tests =
       test_parallel_kill_resume;
     Alcotest.test_case "each distinct artifact runs once per VM" `Quick
       test_each_artifact_runs_once;
+    Alcotest.test_case "input key covers every input" `Quick
+      test_input_key_covers_inputs;
+    Alcotest.test_case "a stale or corrupt store cannot change a row" `Quick
+      test_stale_store_cannot_change_rows;
+    QCheck_alcotest.to_alcotest prop_input_key_hit_is_fresh;
   ]

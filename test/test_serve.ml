@@ -258,7 +258,11 @@ let fresh_dir =
     (try Sys.mkdir d 0o755 with Sys_error _ -> ());
     d
 
-let start_daemon dir = Daemon.start ~jobs:2 ~dir ()
+(* A daemon over [dir] whose compile cache stores to [dir] too: a test
+   reads no store an earlier test or run left warm, so a job it stops
+   mid-run is not one that finishes before the stop lands. *)
+let start_daemon dir =
+  Daemon.start ~jobs:2 ~cache_dir:(Some (Filename.concat dir "zkcache")) ~dir ()
 
 let sock_of dir = Filename.concat dir "zkbench.sock"
 
