@@ -4,8 +4,9 @@
 # profiler-overhead gate (dev/profcheck.ml), and an in-sandbox sweepall
 # checkpoint/resume smoke.  The out-of-sandbox sweep below additionally
 # drives the real CLI over checkpoints on disk: a resumed run and a
-# --jobs 2 run must match an uninterrupted --jobs 1 run byte for byte,
-# and --fresh must discard the old rows.  Then the front door: a bad
+# --jobs 2 run (64 cells, then the full quick matrix) must match an
+# uninterrupted --jobs 1 run byte for byte, and --fresh must discard the
+# old rows.  Then the front door: a bad
 # name or a flag of another kind is a usage error (exit 124) naming the
 # value, and `submit sweep` through a live daemon streams the rows the
 # one-shot `sweepall` writes.
@@ -39,6 +40,15 @@ sweep --no-disk-cache --limit 64 --jobs 1 --checkpoint "$tmpdir/j1.ckpt"
 sweep --no-disk-cache --limit 64 --jobs 2 --checkpoint "$tmpdir/j2.ckpt"
 cmp "$tmpdir/j1.ckpt" "$tmpdir/j2.ckpt" \
   || fail "--jobs 2 checkpoint differs from --jobs 1"
+# the full quick matrix too (58 x 71 cells plus the header): at the end
+# of its 4,060-cell second wave, a worker whose own queue is empty takes
+# cells from its sibling's
+sweep --no-disk-cache --jobs 1 --checkpoint "$tmpdir/full1.ckpt"
+sweep --no-disk-cache --jobs 2 --checkpoint "$tmpdir/full2.ckpt"
+[ "$(wc -l < "$tmpdir/full1.ckpt")" -eq 4119 ] \
+  || fail "the full quick sweep wrote $(wc -l < "$tmpdir/full1.ckpt") lines, want 4119"
+cmp "$tmpdir/full1.ckpt" "$tmpdir/full2.ckpt" \
+  || fail "full-sweep --jobs 2 checkpoint differs from --jobs 1"
 # --fresh discards the old rows: the header plus exactly 3 new rows
 sweep --fresh --limit 3 --checkpoint "$resumed"
 [ "$(head -n 1 "$resumed")" = zkopt-ckpt-v2 ] || fail "--fresh lost the header"

@@ -8,6 +8,8 @@
       every registered backend, quick sizes) streams byte-identical
       rows at [jobs = 1] and [jobs = 4], and resumes from a sheared
       checkpoint tail to the same byte-identical stream;
+    - the input key: a warm pass over the first pass's compile cache
+      streams the same rows and runs no pass pipeline;
     - the settled objective: a fixed-seed [settled_target] autotune
       checkpoints, and resuming after its log is sheared mid-row
       replays to the same best genome.
@@ -41,20 +43,14 @@ let check_gas_fixture () =
 
 (* ---- sweep determinism + resume --------------------------------------- *)
 
-let sweep_config ?checkpoint ~jobs () =
-  let program name =
-    let w = Workload.find name in
-    (name, fun () -> w.Workload.build Workload.Quick)
-  in
-  let profile p = (Profile.name p, p) in
+let sweep_config ?checkpoint ?(cache = Cache.create ~capacity:256 ()) ~jobs
+    () =
   {
-    (Ssweep.default ~jobs ()) with
-    Ssweep.programs = [ program "factorial"; program "loop-sum" ];
-    profiles =
-      [ profile Profile.Baseline;
-        profile (Profile.Level Zkopt_passes.Catalog.O2) ];
+    (Ssweep.default ~size:Workload.Quick ~jobs ()) with
+    Ssweep.programs = [ "factorial"; "loop-sum" ];
+    profiles = [ Profile.Baseline; Profile.Level Zkopt_passes.Catalog.O2 ];
     backends = Registry.all ();
-    cache = Some (Cache.create ~capacity:256 ());
+    cache = Some cache;
     checkpoint;
   }
 
@@ -82,7 +78,8 @@ let shear path =
     close_out oc
 
 let check_sweep () =
-  let o1 = Ssweep.run (sweep_config ~jobs:1 ()) in
+  let cache = Cache.create ~capacity:256 () in
+  let o1 = Ssweep.run (sweep_config ~cache ~jobs:1 ()) in
   let o4 = Ssweep.run (sweep_config ~jobs:4 ()) in
   if o1.Ssweep.rows <> o4.Ssweep.rows then
     Seedfmt.fail ~tool ~seed
@@ -91,6 +88,15 @@ let check_sweep () =
       (List.length o4.Ssweep.rows);
   if not (o1.Ssweep.completed && o4.Ssweep.completed) then
     Seedfmt.fail ~tool ~seed "sweep did not complete";
+  (* a warm pass over the first pass's cache: every cell's inputs
+     resolve to their module digest, so no pass pipeline runs *)
+  let warm = Ssweep.run (sweep_config ~cache ~jobs:1 ()) in
+  if warm.Ssweep.rows <> o1.Ssweep.rows then
+    Seedfmt.fail ~tool ~seed "warm-cache rows diverge from the cold pass";
+  if warm.Ssweep.prepared <> 0 then
+    Seedfmt.fail ~tool ~seed
+      "warm-cache settlement sweep ran %d pass pipelines (need 0)"
+      warm.Ssweep.prepared;
   (* checkpoint, shear, resume: the resumed stream must be byte-identical
      and must actually replay from the surviving rows *)
   let ckpt = Filename.temp_file "settlecheck" ".ckpt" in
@@ -162,7 +168,8 @@ let () =
   let rows = check_sweep () in
   let fitness = check_settled_tune () in
   Printf.printf
-    "settlecheck: gas fixture exact, %d sweep rows stable across jobs and \
-     resume, settled tune best %d micro-units\n"
+    "settlecheck: gas fixture exact, %d sweep rows stable across jobs, \
+     resume and a warm cache (0 warm pipelines), settled tune best %d \
+     micro-units\n"
     rows fitness;
   Seedfmt.finish tool

@@ -67,7 +67,7 @@ let () =
   List.iter
     (fun (name, fault) ->
       let raw = Measure.run ?fault Zkopt_zkvm.Config.risc0 c in
-      match Zkopt_harness.Cell.check_accounting Zkopt_zkvm.Config.risc0 raw with
+      match Zkopt_zkvm.Vm.check_accounting Zkopt_zkvm.Config.risc0 raw with
       | Ok () -> Printf.printf "  %-24s accounting reconciles\n" name
       | Error msg -> Printf.printf "  %-24s CAUGHT: %s\n" name msg)
     [ ("healthy", None);

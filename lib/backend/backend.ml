@@ -100,8 +100,10 @@ type t = {
 
 (* [c] with a measurement memo: a completed run with no fault and no
    sink is kept, keyed by [(vm, fuel)] for [measure] and by [fuel] for
-   [measure_cpu], and an equal call is served from the table.  Faulted
-   and sinked calls always execute, and a run that raises stores
+   [measure_cpu], and an equal call is served from the table.  The key
+   is the resolved fuel, so a call that names none shares the entry of
+   one at {!Zkopt_riscv.Emulator.default_fuel}, every run's default.
+   Faulted and sinked calls always execute, and a run that raises stores
    nothing.  No run holds the lock: two domains racing on one key may
    both run it, and store the same result. *)
 let memoized (c : compiled) : compiled =
@@ -115,9 +117,11 @@ let memoized (c : compiled) : compiled =
       Mutex.protect mu (fun () -> Hashtbl.replace tbl key r);
       r
   in
+  let resolved = Option.value ~default:Zkopt_riscv.Emulator.default_fuel in
   let measure ~vm ?fault ?fuel ?sink () =
     match (fault, sink) with
-    | None, None -> remember zk (vm, fuel) (fun () -> c.measure ~vm ?fuel ())
+    | None, None ->
+      remember zk (vm, resolved fuel) (fun () -> c.measure ~vm ?fuel ())
     | _ -> c.measure ~vm ?fault ?fuel ?sink ()
   in
   let measure_cpu =
@@ -127,7 +131,7 @@ let memoized (c : compiled) : compiled =
       Some
         (fun ?fuel ?sink () ->
           match sink with
-          | None -> remember cpu fuel (fun () -> run ?fuel ())
+          | None -> remember cpu (resolved fuel) (fun () -> run ?fuel ())
           | Some _ -> run ?fuel ?sink ())
   in
   { c with measure; measure_cpu }

@@ -112,9 +112,10 @@ type t = {
     Every artifact the cache holds, compiled or decoded from disk,
     carries a measurement memo, so each distinct artifact runs once per
     backend and fuel: its [measure] keeps each completed run made with
-    no [fault] and no [sink], keyed by [vm] and the exact [fuel] option,
-    and its [measure_cpu] likewise keyed by [fuel]; an equal call
-    returns the kept result without executing.  A faulted or sinked
+    no [fault] and no [sink], keyed by [vm] and the resolved [fuel] (no
+    [fuel] keys as {!Zkopt_riscv.Emulator.default_fuel}, the default of
+    every run), and its [measure_cpu] likewise keyed by the resolved
+    [fuel]; an equal call returns the kept result without executing.  A faulted or sinked
     call always executes and is never kept, and a run that raises keeps
     nothing, so it raises again when called again.  The memo lives and
     is evicted with its artifact.  Without [cache] every call

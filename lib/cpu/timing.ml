@@ -120,7 +120,7 @@ let[@inline] fmax (x : float) y = if y > x then y else x
     instruction is charged its issue-clock advance, and the trailing
     memory-port drain is charged to the last retired pc, so the attributed
     costs sum exactly to the reported [cycles]. *)
-let run ?(params = default_params) ?(fuel = 500_000_000)
+let run ?(params = default_params) ?(fuel = Emulator.default_fuel)
     ?(sink : Machine.sink option) (cg : Codegen.t) (m : Zkopt_ir.Modul.t) :
     result =
   let prog = cg.Codegen.program in

@@ -1,18 +1,18 @@
-(** Work-stealing domain pool.
+(** Domain pool with per-worker queues.
 
-    [jobs] worker domains each own a {!Deque}; submitted tasks are dealt
-    round-robin across the deques, a worker drains its own deque in
-    submission order and steals from the back of a sibling's deque when
-    it runs dry.  All deques share one mutex/condition pair — tasks in
-    this codebase are milliseconds of compile + simulate work, so lock
-    traffic is noise — which keeps the scheduler small enough to reason
-    about the invariants that matter:
+    [jobs] worker domains each own a [Stdlib.Queue]; submitted tasks are
+    dealt round-robin across the queues, a worker drains its own queue
+    in submission order and, when it runs dry, takes the front of the
+    next non-empty sibling queue.  All queues share one mutex/condition
+    pair — tasks in this codebase are milliseconds of compile + simulate
+    work, so lock traffic is noise — which keeps the scheduler small
+    enough to reason about the invariants that matter:
 
     - every submitted task runs exactly once (no lost or duplicated
       work), unless a task raises first;
     - the first exception a task raises poisons the current wave:
-      queued tasks are dropped, in-flight tasks finish, and {!wait}
-      re-raises it on the submitting domain;
+      every worker's queue is cleared, in-flight tasks finish, and
+      {!wait} re-raises it on the submitting domain;
     - poison is scoped to the wave, not the pool: {!wait} clears it
       after re-raising and the workers stay alive, so the same pool
       serves the next wave — a long-running service multiplexes many
@@ -20,6 +20,11 @@
       cannot brick the pool for the jobs behind it;
     - with [jobs = 1] tasks execute in exact submission order, so a
       1-worker pool reproduces the old sequential sweep behavior.
+
+    One queue per worker, not one shared FIFO: dealing round-robin lets
+    the workers drift apart in the plan, while a shared FIFO keeps them
+    on adjacent cells, which race on one artifact's measurement memo
+    and execute its guest twice.
 
     The pool is reusable across waves: [submit]+[wait] any number of
     times, then [shutdown] to join the domains. *)
@@ -31,7 +36,7 @@ type t = {
   mu : Mutex.t;
   work : Condition.t;  (** new work, poison, or shutdown *)
   idle : Condition.t;  (** all submitted work finished, or poison *)
-  deques : task Deque.t array;
+  queues : task Queue.t array;  (** one per worker *)
   mutable rr : int;  (** round-robin submission cursor *)
   mutable unfinished : int;  (** submitted tasks not yet completed *)
   mutable stop : bool;
@@ -56,56 +61,45 @@ let poison_locked pool e =
     pool.poison <- Some e;
     (* queued tasks will never run; stop counting them as pending *)
     Array.iter
-      (fun d -> pool.unfinished <- pool.unfinished - Deque.clear d)
-      pool.deques;
+      (fun q ->
+        pool.unfinished <- pool.unfinished - Queue.length q;
+        Queue.clear q)
+      pool.queues;
     if pool.unfinished = 0 then Condition.broadcast pool.idle
   end
 
-(* Called with [pool.mu] held: the worker's own deque front, else steal
-   from the back of the nearest non-empty sibling. *)
+(* Called with [pool.mu] held: the front of the worker's own queue,
+   else the front of the next non-empty sibling queue. *)
 let take_locked pool id =
-  match Deque.pop_front pool.deques.(id) with
-  | Some _ as t -> t
-  | None ->
-    let rec scan k =
-      if k = pool.jobs then None
-      else
-        match Deque.pop_back pool.deques.((id + k) mod pool.jobs) with
-        | Some _ as t -> t
-        | None -> scan (k + 1)
-    in
-    scan 1
+  let rec scan k =
+    if k = pool.jobs then None
+    else
+      match Queue.take_opt pool.queues.((id + k) mod pool.jobs) with
+      | Some _ as t -> t
+      | None -> scan (k + 1)
+  in
+  scan 0
 
 let worker pool id =
+  (* called with [pool.mu] held *)
+  let rec next () =
+    if pool.stop then None
+    else
+      match take_locked pool id with
+      | Some _ as t -> t
+      | None ->
+        Condition.wait pool.work pool.mu;
+        next ()
+  in
   let rec loop () =
-    Mutex.lock pool.mu;
-    let rec next () =
-      if pool.stop then begin
-        Mutex.unlock pool.mu;
-        None
-      end
-      else
-        match take_locked pool id with
-        | Some t ->
-          Mutex.unlock pool.mu;
-          Some t
-        | None ->
-          Condition.wait pool.work pool.mu;
-          next ()
-    in
-    match next () with
+    match Mutex.protect pool.mu next with
     | None -> ()
     | Some task ->
-      (match task () with
-      | () -> ()
-      | exception e ->
-        Mutex.lock pool.mu;
-        poison_locked pool e;
-        Mutex.unlock pool.mu);
-      Mutex.lock pool.mu;
-      pool.unfinished <- pool.unfinished - 1;
-      if pool.unfinished = 0 then Condition.broadcast pool.idle;
-      Mutex.unlock pool.mu;
+      let failed = match task () with () -> None | exception e -> Some e in
+      Mutex.protect pool.mu (fun () ->
+          Option.iter (poison_locked pool) failed;
+          pool.unfinished <- pool.unfinished - 1;
+          if pool.unfinished = 0 then Condition.broadcast pool.idle);
       loop ()
   in
   loop ()
@@ -118,7 +112,7 @@ let create ~jobs : t =
       mu = Mutex.create ();
       work = Condition.create ();
       idle = Condition.create ();
-      deques = Array.init jobs (fun _ -> Deque.create ());
+      queues = Array.init jobs (fun _ -> Queue.create ());
       rr = 0;
       unfinished = 0;
       stop = false;
@@ -133,14 +127,13 @@ let create ~jobs : t =
     shut down (the poisoning exception still reaches the caller through
     {!wait}). *)
 let submit pool task =
-  Mutex.lock pool.mu;
-  if (not pool.stop) && pool.poison = None then begin
-    Deque.push pool.deques.(pool.rr) task;
-    pool.rr <- (pool.rr + 1) mod pool.jobs;
-    pool.unfinished <- pool.unfinished + 1;
-    Condition.signal pool.work
-  end;
-  Mutex.unlock pool.mu
+  Mutex.protect pool.mu (fun () ->
+      if (not pool.stop) && pool.poison = None then begin
+        Queue.push task pool.queues.(pool.rr);
+        pool.rr <- (pool.rr + 1) mod pool.jobs;
+        pool.unfinished <- pool.unfinished + 1;
+        Condition.signal pool.work
+      end)
 
 (** Block until the pool is quiescent (queued tasks done or dropped,
     in-flight tasks finished); re-raises the first exception any task

@@ -42,8 +42,3 @@ let protect ~(coord : Error.coord) (f : unit -> 'a) : ('a, Error.t) result =
       | None -> coord
     in
     Error { Error.coord; kind = Error.classify e }
-
-(** The RV32 accounting conservation oracle (see
-    {!Zkopt_zkvm.Vm.check_accounting}, where it now lives; backends
-    evaluate their own oracle inside {!Zkopt_backend.Backend.measurement}). *)
-let check_accounting = Zkopt_zkvm.Vm.check_accounting

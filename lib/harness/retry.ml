@@ -12,7 +12,12 @@ type policy = {
   growth : int;        (** fuel multiplier between attempts *)
 }
 
-let default = { max_attempts = 4; initial_fuel = 500_000_000; growth = 2 }
+let default =
+  {
+    max_attempts = 4;
+    initial_fuel = Zkopt_riscv.Emulator.default_fuel;
+    growth = 2;
+  }
 
 (** [run policy f] calls [f ~fuel] with escalating fuel until it either
     succeeds, fails deterministically, or exhausts [max_attempts].

@@ -24,7 +24,6 @@ type state = {
   mutable executed : int;
   mutable fuel : int;
   block_maps : (string, (string, Block.t) Hashtbl.t) Hashtbl.t;
-  on_store : int32 -> int64 -> unit;  (* debugging/trace hook *)
 }
 
 let trap fmt = Printf.ksprintf (fun s -> raise (Trap s)) fmt
@@ -111,9 +110,7 @@ and exec_instr st f env ~slots ~frame_base (i : Instr.t) =
     env.(dst) <- Memory.load_ty st.mem ty (Int64.to_int32 (ev addr))
   | Store { ty; addr; src } ->
     let a = Int64.to_int32 (ev addr) in
-    let v = ev src in
-    st.on_store a v;
-    Memory.store_ty st.mem ty a v
+    Memory.store_ty st.mem ty a (ev src)
   | Addr { dst; base; index; scale; offset } ->
     env.(dst) <- Eval.addr ~base:(ev base) ~index:(ev index) ~scale ~offset
   | Alloca { dst; _ } ->
@@ -142,7 +139,7 @@ and exec_instr st f env ~slots ~frame_base (i : Instr.t) =
 
 (** Run [main] of module [m].  [fuel] bounds the executed instruction
     count (default 200M). *)
-let run ?(fuel = 200_000_000) ?(on_store = fun _ _ -> ()) (m : Modul.t) : result =
+let run ?(fuel = 200_000_000) (m : Modul.t) : result =
   let mem = Memory.create () in
   let table, _end = Layout.place_globals m in
   List.iter
@@ -151,7 +148,7 @@ let run ?(fuel = 200_000_000) ?(on_store = fun _ _ -> ()) (m : Modul.t) : result
     m.globals;
   let st =
     { m; mem; globals = table; sp = Layout.stack_top; executed = 0; fuel;
-      block_maps = Hashtbl.create 8; on_store }
+      block_maps = Hashtbl.create 8 }
   in
   let f = Modul.main m in
   let return_value = run_func st f [] in

@@ -6,6 +6,8 @@ open Zkopt_ir
 exception Trap of string
 exception Out_of_fuel of int
 
+let default_fuel = 500_000_000
+
 let syscall_halt = 0
 let syscall_precompile_base = 1000
 

@@ -15,6 +15,11 @@ exception Trap of string
     genuine faults without string matching. *)
 exception Out_of_fuel of int
 
+(** The instruction budget of a run that names none: the zkVM machine,
+    the CPU model, Valida and the sweep's first attempt all default to
+    it. *)
+val default_fuel : int
+
 val syscall_halt : int
 val syscall_precompile_base : int
 

@@ -213,25 +213,18 @@ let fuzz_config (f : fuzz) : Campaign.config =
 
 (** The settlement sweep a settle spec describes. *)
 let settle_config (s : settle) : Ssweep.config =
-  let programs =
-    match s.programs with
-    | Some ns -> ns
-    | None -> List.map (fun w -> w.Workload.name) (Zkopt_workloads.Suite.all ())
-  in
-  let profiles =
-    match s.profiles with
-    | Some ns -> all Profile.of_name ns
-    | None -> settle_profiles
-  in
   {
-    (Ssweep.default ()) with
+    (Ssweep.default ~size:(size s.quick) ()) with
     Ssweep.programs =
       List.map
-        (fun n ->
-          let w = get (workload n) in
-          (n, fun () -> w.Workload.build (size s.quick)))
-        programs;
-    profiles = List.map (fun p -> (Profile.name p, p)) profiles;
+        (fun w -> w.Workload.name)
+        (match s.programs with
+        | Some ns -> all workload ns
+        | None -> Zkopt_workloads.Suite.all ());
+    profiles =
+      (match s.profiles with
+      | Some ns -> all Profile.of_name ns
+      | None -> settle_profiles);
     backends =
       (match s.backends with None -> Registry.all () | Some ns -> all backend ns);
     arity = Some s.arity;

@@ -1,24 +1,23 @@
 (** Blocking priority queue for the sweep service's scheduler.
 
-    A binary min-heap keyed by [(priority, sequence)]: lower priorities
-    pop first, and within one priority entries pop in push order (the
-    sequence number is a monotonic tiebreaker), so two clients at the
-    same priority are served first-come-first-served while an urgent
-    job overtakes a backlog of bulk work.
+    A list kept sorted by priority, holding one [Stdlib.Queue] per
+    priority: lower priorities pop first, and a push goes after every
+    entry of equal or lower priority (at the back of its priority's
+    queue), so within one priority entries pop in push order.  Two
+    clients at the same priority are served first-come-first-served
+    while an urgent job overtakes a backlog of bulk work.  A push walks
+    the distinct priorities, not the entries.
 
     [pop] blocks until an entry is available or the queue is closed;
-    [close] wakes every blocked consumer with [None], which is the
-    drain signal.  [remove] supports cancellation of queued entries.
-    All operations are safe from any thread or domain. *)
-
-type 'a item = { prio : int; seq : int; v : 'a }
+    [close] lets blocked and later [pop]s drain the remaining entries,
+    then return [None], which is the drain signal.  All operations are
+    safe from any thread or domain. *)
 
 type 'a t = {
   mu : Mutex.t;
   nonempty : Condition.t;
-  mutable heap : 'a item array;  (* slots [0, size) form the heap *)
-  mutable size : int;
-  mutable seq : int;
+  mutable entries : (int * 'a Queue.t) list;
+      (** one non-empty queue per priority, in ascending priority *)
   mutable closed : bool;
 }
 
@@ -26,128 +25,48 @@ let create () : _ t =
   {
     mu = Mutex.create ();
     nonempty = Condition.create ();
-    heap = [||];
-    size = 0;
-    seq = 0;
+    entries = [];
     closed = false;
   }
-
-let before a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
-
-let swap t i j =
-  let x = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- x
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
-  end
-
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && before t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let push_locked t ~priority v =
-  if t.size = Array.length t.heap then begin
-    let cap = max 8 (2 * t.size) in
-    let bigger = Array.make cap { prio = 0; seq = 0; v } in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end;
-  t.heap.(t.size) <- { prio = priority; seq = t.seq; v };
-  t.seq <- t.seq + 1;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
 
 (** Enqueue [v] at [priority] (lower pops sooner).  Raises
     [Invalid_argument] on a closed queue — submissions after a drain
     began are a caller bug. *)
 let push t ~priority v =
-  Mutex.lock t.mu;
-  if t.closed then begin
-    Mutex.unlock t.mu;
-    invalid_arg "Jobq.push: queue is closed"
-  end;
-  push_locked t ~priority v;
-  Condition.signal t.nonempty;
-  Mutex.unlock t.mu
-
-let pop_locked t =
-  let top = t.heap.(0) in
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    sift_down t 0
-  end;
-  top.v
-
-(** Non-blocking pop. *)
-let try_pop t : 'a option =
-  Mutex.lock t.mu;
-  let r = if t.size = 0 then None else Some (pop_locked t) in
-  Mutex.unlock t.mu;
-  r
+  (* [v] goes after every entry of equal or lower priority *)
+  let rec insert = function
+    | (p, q) :: _ as l when p = priority ->
+      Queue.push v q;
+      l
+    | ((p, _) as e) :: rest when p < priority -> e :: insert rest
+    | rest -> (priority, Queue.of_seq (Seq.return v)) :: rest
+  in
+  Mutex.protect t.mu (fun () ->
+      if t.closed then invalid_arg "Jobq.push: queue is closed";
+      t.entries <- insert t.entries;
+      Condition.signal t.nonempty)
 
 (** Blocking pop: the next entry in (priority, FIFO) order, or [None]
     once the queue is closed and empty. *)
 let pop t : 'a option =
-  Mutex.lock t.mu;
-  while t.size = 0 && not t.closed do
-    Condition.wait t.nonempty t.mu
-  done;
-  let r = if t.size = 0 then None else Some (pop_locked t) in
-  Mutex.unlock t.mu;
-  r
-
-(** Remove every queued entry matching [pred]; returns the removed
-    values (cancellation of not-yet-running jobs). *)
-let remove t (pred : 'a -> bool) : 'a list =
-  Mutex.lock t.mu;
-  let kept = ref [] and removed = ref [] in
-  for i = 0 to t.size - 1 do
-    let it = t.heap.(i) in
-    if pred it.v then removed := it.v :: !removed else kept := it :: !kept
-  done;
-  let kept = Array.of_list (List.rev !kept) in
-  Array.blit kept 0 t.heap 0 (Array.length kept);
-  t.size <- Array.length kept;
-  (* rebuild the heap property bottom-up *)
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done;
-  Mutex.unlock t.mu;
-  List.rev !removed
-
-(** Queued entries in pop order (a snapshot; does not consume). *)
-let snapshot t : 'a list =
-  Mutex.lock t.mu;
-  let items = Array.sub t.heap 0 t.size in
-  Mutex.unlock t.mu;
-  Array.to_list items
-  |> List.sort (fun a b -> compare (a.prio, a.seq) (b.prio, b.seq))
-  |> List.map (fun it -> it.v)
+  Mutex.protect t.mu (fun () ->
+      while List.is_empty t.entries && not t.closed do
+        Condition.wait t.nonempty t.mu
+      done;
+      match t.entries with
+      | [] -> None
+      | (_, q) :: rest ->
+        let v = Queue.pop q in
+        if Queue.is_empty q then t.entries <- rest;
+        Some v)
 
 let length t =
-  Mutex.lock t.mu;
-  let n = t.size in
-  Mutex.unlock t.mu;
-  n
+  Mutex.protect t.mu (fun () ->
+      List.fold_left (fun n (_, q) -> n + Queue.length q) 0 t.entries)
 
 (** Close the queue: blocked and future [pop]s drain the remaining
     entries and then return [None]. *)
 let close t =
-  Mutex.lock t.mu;
-  t.closed <- true;
-  Condition.broadcast t.nonempty;
-  Mutex.unlock t.mu
+  Mutex.protect t.mu (fun () ->
+      t.closed <- true;
+      Condition.broadcast t.nonempty)

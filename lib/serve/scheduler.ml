@@ -175,8 +175,7 @@ let id_num (id : string) : int =
     with no terminal line (queued or mid-run when the last daemon died)
     are re-enqueued in their original (priority, submission) order and
     resume from their checkpoints. *)
-let create ~dir ~jobs ?(cache_dir = Some "_zkcache") ?(cache_capacity = 512)
-    ~log () : t =
+let create ~dir ~jobs ?(cache_dir = Some "_zkcache") ~log () : t =
   mkdir_p dir;
   let path = Filename.concat dir reg_name in
   let lines = Rowlog.load path ~decode:decode_line in
@@ -186,7 +185,7 @@ let create ~dir ~jobs ?(cache_dir = Some "_zkcache") ?(cache_capacity = 512)
       dir;
       pool = Pool.create ~jobs;
       pool_jobs = jobs;
-      cache = Cache.create ~capacity:cache_capacity ?dir:cache_dir ();
+      cache = Cache.create ?dir:cache_dir ();
       tune_cache = Cache.create ~capacity:512 ();
       q = Jobq.create ();
       jobs = Hashtbl.create 32;
@@ -578,8 +577,10 @@ let submit t ~client ?(priority = 10) ?budget (spec : Job.spec) :
     Hashtbl.replace t.jobs id jr;
     t.order <- id :: t.order;
     Rowlog.append t.reg (encode_submit job);
-    Mutex.unlock t.mu;
+    (* push before unlocking: a [drain] then closes the queue only after
+       this entry is in it (lock order: [t.mu], then the queue's) *)
     Jobq.push t.q ~priority jr;
+    Mutex.unlock t.mu;
     Ok id
   end
 

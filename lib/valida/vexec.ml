@@ -280,8 +280,8 @@ let close_segment ?(fault = Zkopt_zkvm.Machine.No_fault) ?(final = false) ?sink
 (** Execute a lowered program under configuration [cfg].  The optional
     [sink] receives every accounted row with its synthetic pc (see
     {!shadow}); [fault] injects the cross-backend bug family. *)
-let run ?(fault = Zkopt_zkvm.Machine.No_fault) ?(fuel = 500_000_000) ?sink
-    (cfg : Vconfig.t) (p : Visa.program) : result =
+let run ?(fault = Zkopt_zkvm.Machine.No_fault) ?(fuel = Emulator.default_fuel)
+    ?sink (cfg : Vconfig.t) (p : Visa.program) : result =
   let st =
     {
       cfg;

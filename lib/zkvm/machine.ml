@@ -865,8 +865,8 @@ let exec_loop st sink fault fuel =
     retires arrive batched and every other event is delivered in the
     reference executor's order; with [cpu] the machine runs its CPU loop
     instead. *)
-let run ?(fault = No_fault) ?(fuel = 500_000_000) ?sink ?cpu (c : code) :
-    result =
+let run ?(fault = No_fault) ?(fuel = Emulator.default_fuel) ?sink ?cpu
+    (c : code) : result =
   let st =
     fresh_state ~priced:(Option.is_none cpu) ~buffered:(Option.is_some sink) c
   in

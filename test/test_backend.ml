@@ -202,6 +202,12 @@ let test_memo_keys_on_exact_fuel () =
   let cpu_again = Option.get again.Backend.measure_cpu in
   Alcotest.(check bool) "an equal call is served from the memo" true
     (again.Backend.measure ~vm:"risc0" () == zk && cpu_again () == cycles);
+  (* the key is the resolved fuel: naming the default is an equal call *)
+  let fuel = Zkopt_riscv.Emulator.default_fuel in
+  Alcotest.(check bool) "measure at the default fuel is served" true
+    (again.Backend.measure ~vm:"risc0" ~fuel () == zk);
+  Alcotest.(check bool) "measure_cpu at the default fuel is served" true
+    (cpu_again ~fuel () == cycles);
   (* a starved call has another key: it runs, and runs out *)
   let starves name run =
     match run () with

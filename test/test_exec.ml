@@ -1,12 +1,12 @@
-(** Multicore executor tests: work-stealing pool invariants (exactly-once
-    execution, sequential order at [jobs = 1], poison propagation),
-    content-addressed cache properties (digest stability under {!Clone},
-    digest sensitivity to one-instruction edits, hit/compile metric
-    equality), single-flight compilation, the LRU bound, the on-disk
-    store (round trip, corruption treated as a miss), the first level's
-    inputs log (round trip, a row with a flipped byte skipped), the row log's
-    framing under a kill at every byte offset, and the engine run loop's
-    plan-order emission. *)
+(** Multicore executor tests: pool invariants over per-worker queues
+    (exactly-once execution, sequential order at [jobs = 1], poison
+    propagation), content-addressed cache properties (digest stability
+    under {!Clone}, digest sensitivity to one-instruction edits,
+    hit/compile metric equality), single-flight compilation, the LRU
+    bound, the on-disk store (round trip, corruption treated as a miss),
+    the first level's inputs log (round trip, a row with a flipped byte
+    skipped), the row log's framing under a kill at every byte offset,
+    and the engine run loop's plan-order emission. *)
 
 open Zkopt_ir
 open Zkopt_core

@@ -315,18 +315,18 @@ let test_accounting_oracle () =
   let cfg = Zkopt_zkvm.Config.risc0 in
   let healthy = Measure.run cfg c in
   Alcotest.(check bool) "healthy run reconciles" true
-    (Cell.check_accounting cfg healthy = Ok ());
+    (Zkopt_zkvm.Vm.check_accounting cfg healthy = Ok ());
   let dropped =
     Measure.run ~fault:Zkopt_zkvm.Machine.Dropped_page_out cfg c
   in
   Alcotest.(check bool) "dropped page-out caught" true
-    (Result.is_error (Cell.check_accounting cfg dropped));
+    (Result.is_error (Zkopt_zkvm.Vm.check_accounting cfg dropped));
   let truncated =
     Measure.run ~fault:Zkopt_zkvm.Machine.Truncated_final_segment
       cfg c
   in
   Alcotest.(check bool) "truncated final segment caught" true
-    (Result.is_error (Cell.check_accounting cfg truncated))
+    (Result.is_error (Zkopt_zkvm.Vm.check_accounting cfg truncated))
 
 (* ---- failure budget -------------------------------------------------- *)
 

@@ -1,4 +1,5 @@
-(** Sweep-service tests: priority-queue ordering properties, wire
+(** Sweep-service tests: priority-queue ordering properties (a full
+    drain and pushes interleaved with pops, against a stable sort), wire
     protocol codec roundtrips (including the JSON parser the protocol
     rides on), and in-process daemon integration — two concurrent
     clients streaming disjoint jobs, warm-cache reuse across clients,
@@ -16,6 +17,13 @@ module Json = Zkopt_report.Json
 
 (* ---- priority queue -------------------------------------------------- *)
 
+let drain_closed q =
+  Jobq.close q;
+  let rec go acc =
+    match Jobq.pop q with Some v -> go (v :: acc) | None -> List.rev acc
+  in
+  go []
+
 let qcheck_jobq_order =
   (* popping everything yields exactly the (priority, push-order) stable
      sort of what was pushed *)
@@ -24,17 +32,36 @@ let qcheck_jobq_order =
     (fun prios ->
       let q = Jobq.create () in
       List.iteri (fun i p -> Jobq.push q ~priority:p (i, p)) prios;
-      let rec drain acc =
-        match Jobq.try_pop q with
-        | Some v -> drain (v :: acc)
-        | None -> List.rev acc
-      in
-      let popped = drain [] in
       let expected =
         List.mapi (fun i p -> (i, p)) prios
         |> List.stable_sort (fun (_, a) (_, b) -> compare a b)
       in
-      popped = expected)
+      drain_closed q = expected)
+
+let qcheck_jobq_interleaved =
+  (* pushes land in a partly drained queue: every pop returns the head of
+     the stable sort of the entries the model still holds; [None] pops
+     only when the model holds an entry, so no pop blocks *)
+  QCheck.Test.make ~name:"jobq interleaved push and pop = stable-sort model"
+    ~count:200
+    QCheck.(list_of_size Gen.(0 -- 200) (option ~ratio:0.6 (int_range 0 5)))
+    (fun ops ->
+      let q = Jobq.create () in
+      let sorted = List.stable_sort (fun (_, a) (_, b) -> compare a b) in
+      let step (model, n) = function
+        | Some p ->
+          Jobq.push q ~priority:p (n, p);
+          (model @ [ (n, p) ], n + 1)
+        | None -> (
+          match sorted model with
+          | [] -> (model, n)
+          | head :: _ ->
+            if Jobq.pop q <> Some head then
+              QCheck.Test.fail_reportf "popped out of (priority, FIFO) order";
+            (List.filter (fun e -> e <> head) model, n))
+      in
+      let model, _ = List.fold_left step ([], 0) ops in
+      Jobq.length q = List.length model && drain_closed q = sorted model)
 
 let test_jobq_blocking_and_close () =
   let q = Jobq.create () in
@@ -64,14 +91,6 @@ let test_jobq_blocking_and_close () =
   Alcotest.check_raises "push after close rejected"
     (Invalid_argument "Jobq.push: queue is closed") (fun () ->
       Jobq.push q ~priority:0 "c")
-
-let test_jobq_remove () =
-  let q = Jobq.create () in
-  List.iter (fun i -> Jobq.push q ~priority:(i mod 3) i) [ 1; 2; 3; 4; 5; 6 ];
-  let removed = Jobq.remove q (fun i -> i mod 2 = 0) in
-  Alcotest.(check (slist int compare)) "evens removed" [ 2; 4; 6 ] removed;
-  Alcotest.(check (list int)) "odds keep pop order" [ 3; 1; 5 ]
-    (Jobq.snapshot q)
 
 (* ---- codecs ----------------------------------------------------------- *)
 
@@ -691,7 +710,6 @@ let tests =
   [
     Alcotest.test_case "jobq blocking pop and close" `Quick
       test_jobq_blocking_and_close;
-    Alcotest.test_case "jobq remove rebuilds the heap" `Quick test_jobq_remove;
     Alcotest.test_case "decoders never raise" `Quick test_decoders_never_raise;
     Alcotest.test_case "spec JSON gets the shared defaults" `Quick
       test_spec_defaults;
@@ -713,6 +731,7 @@ let tests =
   @ List.map QCheck_alcotest.to_alcotest
       [
         qcheck_jobq_order;
+        qcheck_jobq_interleaved;
         qcheck_spec_roundtrip;
         qcheck_request_roundtrip;
         qcheck_event_roundtrip;

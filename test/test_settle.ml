@@ -3,8 +3,10 @@
     sumcheck round plus one MSM point per circuit doubling, aggregation
     plans obey the depth law and are monotone in segment count, the
     settlement row codec roundtrips, the three checkpoint row decoders
-    are total on torn rows, and pricing real measurements is
-    deterministic and invariant-clean across every registered backend. *)
+    are total on torn rows, pricing real measurements is deterministic
+    and invariant-clean across every registered backend, and the
+    settlement sweep runs no pass pipeline on a warm compile cache, in
+    memory or over its disk store. *)
 
 open Zkopt_ir
 module B = Builder
@@ -17,6 +19,7 @@ module Sparams = Zkopt_settle.Sparams
 module Proofsize = Zkopt_settle.Proofsize
 module Recursion = Zkopt_settle.Recursion
 module S = Zkopt_settle.Settle
+module Ssweep = Zkopt_settle.Ssweep
 
 let () = Zkopt_valida.Vbackend.ensure ()
 
@@ -351,6 +354,38 @@ let test_price_real_measurements () =
         true (r1 = r2))
     (Registry.all ())
 
+(* ---- the settlement sweep on the input key ---------------------------- *)
+
+(* A cold pass, a warm pass over its in-memory cache and a fresh cache
+   over its disk store price identical rows; only the cold pass runs a
+   pass pipeline, one per cell. *)
+let test_sweep_input_key () =
+  Test_exec.with_temp_dir @@ fun dir ->
+  let run cache =
+    Ssweep.run
+      {
+        (Ssweep.default ~size:Zkopt_workloads.Workload.Quick ()) with
+        Ssweep.programs = [ "factorial"; "loop-sum" ];
+        profiles = [ Profile.Baseline; Profile.Level Zkopt_passes.Catalog.O2 ];
+        backends = Registry.all ();
+        cache = Some cache;
+      }
+  in
+  let shared = Zkopt_exec.Cache.create ~dir () in
+  let cold = run shared in
+  let warm = run shared in
+  let disk = run (Zkopt_exec.Cache.create ~dir ()) in
+  Alcotest.(check int) "cells" 4 cold.Ssweep.cells;
+  Alcotest.(check int) "rows" (4 * List.length (Registry.all ()))
+    (List.length cold.Ssweep.rows);
+  Alcotest.(check (list string)) "warm rows" cold.Ssweep.rows warm.Ssweep.rows;
+  Alcotest.(check (list string)) "disk rows" cold.Ssweep.rows disk.Ssweep.rows;
+  Alcotest.(check (list int)) "pipelines: cold, warm, over the disk store"
+    [ 4; 0; 0 ]
+    (List.map
+       (fun (o : Ssweep.outcome) -> o.Ssweep.prepared)
+       [ cold; warm; disk ])
+
 let tests =
   [
     Alcotest.test_case "gas fixture (§1 breakdown, exact)" `Quick
@@ -370,4 +405,6 @@ let tests =
       test_sparams_prefix_fallback;
     Alcotest.test_case "pricing real measurements (all backends)" `Quick
       test_price_real_measurements;
+    Alcotest.test_case "sweep: cold, warm and disk-store rows agree" `Quick
+      test_sweep_input_key;
   ]
