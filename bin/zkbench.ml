@@ -493,6 +493,13 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc:"Run all 71 profiles on one program")
     Term.(const run $ prog_arg $ quick_arg)
 
+(* A run's compile-cache traffic and the pass pipelines it ran. *)
+let cache_summary (s : Cache.stats) ~prepared =
+  Printf.sprintf
+    "compile cache: %d mem + %d disk hits, %d compiles (%.1f%% hit rate), %d \
+     pass pipelines"
+    s.Cache.hits s.Cache.disk_hits s.Cache.misses (Cache.hit_rate_pct s) prepared
+
 let sweepall_cmd =
   let module H = Zkopt_harness.Harness in
   let module Tuned = Zkopt_autotune.Tuned in
@@ -533,12 +540,7 @@ let sweepall_cmd =
         "sweep: %d points (%d resumed from checkpoint, %d measured now, %d \
          fuel retries; %d jobs)\n"
         (Hashtbl.length o.H.points) o.H.resumed o.H.executed o.H.retries jobs;
-      let s = o.H.cache_stats in
-      Printf.printf
-        "compile cache: %d mem + %d disk hits, %d compiles (%.1f%% hit rate), \
-         %d pass pipelines\n"
-        s.Cache.hits s.Cache.disk_hits s.Cache.misses (Cache.hit_rate_pct s)
-        o.H.prepared;
+      print_endline (cache_summary o.H.cache_stats ~prepared:o.H.prepared);
       List.iter
         (fun ((c : Zkopt_harness.Error.coord), msg) ->
           Printf.printf "degraded: %s/%s: CPU model failed (%s); zkVM \
@@ -586,6 +588,7 @@ let settle_cmd =
        match ckpt with
        | Some p when Sys.file_exists p -> Sys.remove p
        | _ -> ());
+    let stats0 = Cache.stats cache in
     let o =
       Ssweep.run
         {
@@ -596,6 +599,9 @@ let settle_cmd =
           checkpoint = ckpt;
         }
     in
+    (* on stderr: stdout carries only the rows and their summary *)
+    let stats = Cache.sub_stats (Cache.stats cache) stats0 in
+    prerr_endline (cache_summary stats ~prepared:o.Ssweep.prepared);
     let reports = List.filter_map S.report_of_row o.Ssweep.rows in
     if json then
       List.iter

@@ -10,7 +10,8 @@
       measurements.  The cold 2-domain pass may race two domains onto
       one artifact, so only the warm pass's guest count is gated;
    3. the disk store — a fresh cache over the store a cold pass wrote
-      must run no pipeline and compile nothing. *)
+      must run no pipeline, compile nothing and execute no guest: the
+      store keeps every completed run of its artifacts. *)
 
 open Zkopt_core
 module H = Zkopt_harness.Harness
@@ -117,7 +118,9 @@ let () =
   let dir = Filename.temp_file "sweepcheck" ".store" in
   Sys.remove dir;
   let cold = H.run (cfg 1 (Some (Cache.create ~dir ()))) in
-  let disk = H.run (cfg 1 (Some (Cache.create ~dir ()))) in
+  Atomic.set runs 0;
+  let disk = H.run (cfg ~backends:counted 1 (Some (Cache.create ~dir ()))) in
+  let disk_runs = Atomic.get runs in
   if not (String.equal (canonical seq.H.points) (canonical disk.H.points)) then
     Seedfmt.fail ~tool "warm disk-store sweep diverged from the sequential run";
   let disk_compiles = disk.H.cache_stats.Cache.misses in
@@ -126,10 +129,14 @@ let () =
       "warm disk-store sweep ran %d pass pipelines and %d compiles (need 0 \
        and 0; the cold pass ran %d)"
       disk.H.prepared disk_compiles cold.H.prepared;
+  if disk_runs <> 0 then
+    Seedfmt.fail ~tool "warm disk-store sweep executed %d guest runs (need 0)"
+      disk_runs;
   rm_rf dir;
   Printf.printf
     "sweepcheck: %d cells, 2-domain run deterministic, warm-cache hit rate \
      %.1f%%, %d warm guest runs, %d warm pipelines, %d warm disk-store \
-     pipelines and compiles\n"
-    cells rate warm_runs again.H.prepared (disk.H.prepared + disk_compiles);
+     pipelines and compiles, %d warm disk-store guest runs\n"
+    cells rate warm_runs again.H.prepared (disk.H.prepared + disk_compiles)
+    disk_runs;
   Seedfmt.finish tool

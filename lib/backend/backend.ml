@@ -84,7 +84,10 @@ type t = {
           multi-chip trace); false for RV32 transpilation backends *)
   schema : string;
       (** codegen-family tag: backends with equal [schema] share
-          compiled artifacts, cached under [digest ^ "+" ^ schema] *)
+          compiled artifacts, cached under [digest ^ "+" ^ schema];
+          backends that share a schema and a [name] must measure
+          identically (kept runs are keyed by the artifact key and the
+          name) *)
   segment_pad : int -> int;
       (** prover padding residue added to a segment/table of [n] trace
           rows (pow2 padding above the backend's floor); the profiler's
@@ -98,40 +101,109 @@ type t = {
           wraps this field with that type. *)
 }
 
-(* [c] with a measurement memo: a completed run with no fault and no
-   sink is kept, keyed by [(vm, fuel)] for [measure] and by [fuel] for
-   [measure_cpu], and an equal call is served from the table.  The key
-   is the resolved fuel, so a call that names none shares the entry of
-   one at {!Zkopt_riscv.Emulator.default_fuel}, every run's default.
-   Faulted and sinked calls always execute, and a run that raises stores
+(* ---- kept runs as first-level values ---------------------------------- *)
+
+let ( let* ) = Option.bind
+
+(* Space-joined fields and a final "." field: a value cut anywhere
+   lacks the "." or has too few fields, so it never decodes. *)
+let join fields = String.concat " " (fields @ [ "." ])
+
+(* The fields of a value before its "." field, last first. *)
+let fields_rev s =
+  match List.rev (String.split_on_char ' ' s) with
+  | "." :: rev -> Some rev
+  | _ -> None
+
+let encode_run (r : measurement) : string =
+  join
+    (Measure.zk_fields r.zk
+    @ [ String.concat "," (List.map string_of_int r.seg_padded) ])
+
+let decode_run (s : string) : measurement option =
+  match fields_rev s with
+  | Some (segs :: rev_zk) ->
+    let* zk = Measure.zk_of_fields (List.rev rev_zk) in
+    let* seg_padded =
+      if segs = "" then Some []
+      else
+        let parts = String.split_on_char ',' segs in
+        let ns = List.filter_map int_of_string_opt parts in
+        if List.compare_lengths ns parts = 0 then Some ns else None
+    in
+    Some { zk; accounting = Ok (); faulted = false; seg_padded }
+  | _ -> None
+
+let encode_cpu_run (c : Measure.cpu_metrics) : string = join (Measure.cpu_fields c)
+
+let decode_cpu_run (s : string) : Measure.cpu_metrics option =
+  let* rev = fields_rev s in
+  Measure.cpu_of_fields (List.rev rev)
+
+(* [c], the artifact cached under [key], with a measurement memo: a
+   completed run with no fault and no sink is kept, keyed by [(vm,
+   fuel)] for [measure] and by [fuel] for [measure_cpu], and an equal
+   call is served from the table.  The key is the resolved fuel, so a
+   call that names none shares the entry of one at
+   {!Zkopt_riscv.Emulator.default_fuel}, every run's default.  A miss in
+   the table first looks in [cache]'s first level under the run key
+   ([key], the vm and the fuel; the CPU model's has no vm), where a
+   completed run with clean accounting and no fault is recorded, so a
+   fresh cache over the same disk store executes it no more.  Faulted
+   and sinked calls always execute, and a run that raises stores
    nothing.  No run holds the lock: two domains racing on one key may
-   both run it, and store the same result. *)
-let memoized (c : compiled) : compiled =
+   both run it, and store the same result.  A hit builds no run key. *)
+let memoized cache ~key (c : compiled) : compiled =
   let mu = Mutex.create () in
   let zk = Hashtbl.create 2 and cpu = Hashtbl.create 1 in
-  let remember tbl key run =
-    match Mutex.protect mu (fun () -> Hashtbl.find_opt tbl key) with
+  let remember tbl k miss =
+    match Mutex.protect mu (fun () -> Hashtbl.find_opt tbl k) with
+    | Some r -> r
+    | None ->
+      let r = miss k in
+      Mutex.protect mu (fun () -> Hashtbl.replace tbl k r);
+      r
+  in
+  let persisted run_key ~decode ~encode run =
+    match Option.bind (Zkopt_exec.Cache.resolve cache ~key:run_key) decode with
     | Some r -> r
     | None ->
       let r = run () in
-      Mutex.protect mu (fun () -> Hashtbl.replace tbl key r);
+      Option.iter
+        (fun value -> Zkopt_exec.Cache.record cache ~key:run_key ~value)
+        (encode r);
       r
+  in
+  let zk_miss (vm, fuel) =
+    persisted
+      (String.concat " " [ key; vm; string_of_int fuel ])
+      ~decode:decode_run
+      ~encode:(fun r ->
+        if r.accounting = Ok () && not r.faulted then Some (encode_run r)
+        else None)
+      (fun () -> c.measure ~vm ~fuel ())
   in
   let resolved = Option.value ~default:Zkopt_riscv.Emulator.default_fuel in
   let measure ~vm ?fault ?fuel ?sink () =
     match (fault, sink) with
-    | None, None ->
-      remember zk (vm, resolved fuel) (fun () -> c.measure ~vm ?fuel ())
+    | None, None -> remember zk (vm, resolved fuel) zk_miss
     | _ -> c.measure ~vm ?fault ?fuel ?sink ()
   in
   let measure_cpu =
     match c.measure_cpu with
     | None -> None
     | Some run ->
+      let cpu_miss fuel =
+        persisted
+          (String.concat " " [ key; string_of_int fuel ])
+          ~decode:decode_cpu_run
+          ~encode:(fun r -> Some (encode_cpu_run r))
+          (fun () -> run ~fuel ())
+      in
       Some
         (fun ?fuel ?sink () ->
           match sink with
-          | None -> remember cpu (resolved fuel) (fun () -> run ?fuel ())
+          | None -> remember cpu (resolved fuel) cpu_miss
           | Some _ -> run ?fuel ?sink ())
   in
   { c with measure; measure_cpu }
@@ -140,11 +212,12 @@ let compile_cached ?cache (b : t) ~fp (m : Modul.t Lazy.t) : compiled =
   match cache with
   | None -> b.compile (Lazy.force m)
   | Some cache ->
-    Zkopt_exec.Cache.get_or_compile cache
-      ~digest:(fp ^ "+" ^ b.schema)
+    let key = fp ^ "+" ^ b.schema in
+    let memo = memoized cache ~key in
+    Zkopt_exec.Cache.get_or_compile cache ~digest:key
       ~codec:
         {
           Zkopt_exec.Cache.enc = (fun (c : compiled) -> c.encode ());
-          dec = (fun s -> Option.map memoized (b.decode (Modul.create ()) s));
+          dec = (fun s -> Option.map memo (b.decode (Modul.create ()) s));
         }
-      ~compile:(fun () -> memoized (b.compile (Lazy.force m)))
+      ~compile:(fun () -> memo (b.compile (Lazy.force m)))

@@ -86,7 +86,12 @@ type t = {
           multi-chip trace); false for RV32 transpilation backends *)
   schema : string;
       (** codegen-family tag: backends with equal [schema] share
-          compiled artifacts, cached under [digest ^ "+" ^ schema] *)
+          compiled artifacts, cached under [digest ^ "+" ^ schema].
+          The contract: backends that share a schema and a [name] must
+          measure identically, because {!compile_cached} keeps runs
+          under the artifact key, the name and the fuel, on disk too.
+          A backend that reprices an artifact takes a private schema,
+          as [Rv32.backend ~fixed:true] does. *)
   segment_pad : int -> int;
       (** prover padding residue added to a segment/table of [n] trace
           rows (pow2 padding above the backend's floor); the profiler's
@@ -115,10 +120,39 @@ type t = {
     no [fault] and no [sink], keyed by [vm] and the resolved [fuel] (no
     [fuel] keys as {!Zkopt_riscv.Emulator.default_fuel}, the default of
     every run), and its [measure_cpu] likewise keyed by the resolved
-    [fuel]; an equal call returns the kept result without executing.  A faulted or sinked
-    call always executes and is never kept, and a run that raises keeps
-    nothing, so it raises again when called again.  The memo lives and
-    is evicted with its artifact.  Without [cache] every call
+    [fuel]; an equal call returns the kept result without executing.
+
+    The memo's table lives and is evicted with its artifact; behind it,
+    every kept run with [accounting = Ok ()] and [faulted = false] (and
+    every kept CPU-model run) is also recorded in the cache's first
+    level ({!Zkopt_exec.Cache.record}) under a run key: the artifact
+    key, [vm] and the resolved fuel (the CPU model's has no [vm]).  On
+    a miss in the table the run key is looked up there first, so a fresh
+    cache over the same disk store executes no run it kept, and neither
+    does an artifact evicted and compiled again.  The artifact key
+    already names the code (module digest and codegen family, in a disk
+    namespace that changes with any library source), so a run key needs
+    nothing else.  A hit in the table builds no run key.
+
+    A faulted or sinked call always executes and is never kept, a run
+    that raises keeps nothing, so it raises again when called again,
+    and a run whose accounting fails is kept in the table only, so a
+    fresh cache executes it again.  Without [cache] every call
     executes. *)
 val compile_cached :
   ?cache:compiled Zkopt_exec.Cache.t -> t -> fp:string -> Modul.t Lazy.t -> compiled
+
+(** {2 Kept runs as first-level values}
+
+    The text form of a run {!compile_cached} keeps in the compile
+    cache's first level: {!Zkopt_core.Measure}'s field codec joined
+    with spaces (for a zkVM run, then the comma-separated [seg_padded]),
+    and a final ["."] field.  Only a run with [accounting = Ok ()] and
+    [faulted = false] is written, so {!decode_run} restores those.  The
+    decoders are total: a cut value, a wrong field count or random bytes
+    give [None]. *)
+
+val encode_run : measurement -> string
+val decode_run : string -> measurement option
+val encode_cpu_run : Zkopt_core.Measure.cpu_metrics -> string
+val decode_cpu_run : string -> Zkopt_core.Measure.cpu_metrics option

@@ -109,3 +109,71 @@ let run_cpu ?fuel ?sink (c : compiled) : cpu_metrics =
     cache_misses = r.Zkopt_cpu.Timing.cache_misses;
     cpu_exit_value = exit64 r.Zkopt_cpu.Timing.exit_value;
   }
+
+(* ---- the metric-group codec ------------------------------------------ *)
+
+let zk_fields (z : zk_metrics) : string list =
+  [
+    z.vm;
+    string_of_int z.cycles;
+    Printf.sprintf "%h" z.exec_time_s;
+    Printf.sprintf "%h" z.prove_time_s;
+    string_of_int z.segments;
+    string_of_int z.paging_cycles;
+    string_of_int z.page_ins;
+    string_of_int z.page_outs;
+    string_of_int z.loads;
+    string_of_int z.stores;
+    Printf.sprintf "%Lx" z.exit_value;
+  ]
+
+let cpu_fields (c : cpu_metrics) : string list =
+  [
+    Printf.sprintf "%h" c.cpu_cycles;
+    Printf.sprintf "%h" c.cpu_time_s;
+    string_of_int c.mispredicts;
+    string_of_int c.cache_misses;
+    Printf.sprintf "%Lx" c.cpu_exit_value;
+  ]
+
+let ( let* ) = Option.bind
+
+let hex64 s = Int64.of_string_opt ("0x" ^ s)
+
+let zk_of_fields = function
+  | [ vm; cycles; exec; prove; segs; paging; pins; pouts; loads; stores; ev ] ->
+    let* cycles = int_of_string_opt cycles in
+    let* exec_time_s = float_of_string_opt exec in
+    let* prove_time_s = float_of_string_opt prove in
+    let* segments = int_of_string_opt segs in
+    let* paging_cycles = int_of_string_opt paging in
+    let* page_ins = int_of_string_opt pins in
+    let* page_outs = int_of_string_opt pouts in
+    let* loads = int_of_string_opt loads in
+    let* stores = int_of_string_opt stores in
+    let* exit_value = hex64 ev in
+    Some
+      {
+        vm;
+        cycles;
+        exec_time_s;
+        prove_time_s;
+        segments;
+        paging_cycles;
+        page_ins;
+        page_outs;
+        loads;
+        stores;
+        exit_value;
+      }
+  | _ -> None
+
+let cpu_of_fields = function
+  | [ cycles; time; mis; misses; ev ] ->
+    let* cpu_cycles = float_of_string_opt cycles in
+    let* cpu_time_s = float_of_string_opt time in
+    let* mispredicts = int_of_string_opt mis in
+    let* cache_misses = int_of_string_opt misses in
+    let* cpu_exit_value = hex64 ev in
+    Some { cpu_cycles; cpu_time_s; mispredicts; cache_misses; cpu_exit_value }
+  | _ -> None

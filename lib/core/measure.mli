@@ -84,3 +84,21 @@ val run_zkvm :
 
 (** The RQ3 traditional-CPU contrast model over the same RV32 image. *)
 val run_cpu : ?fuel:int -> ?sink:Zkopt_zkvm.Machine.sink -> compiled -> cpu_metrics
+
+(** {2 The metric-group codec}
+
+    One exact text codec for a metric group, as a list of fields: ints
+    in decimal, floats in hexadecimal ([%h], so every non-NaN float
+    round-trips bit for bit), exit values in [%Lx].  The sweep
+    checkpoint joins the fields with tabs; a kept run in the compile
+    cache's first level ([Backend.compile_cached]) joins
+    them with spaces.  The decoders are total: a wrong field count or an
+    unparsable field is [None], never an exception. *)
+
+val zk_fields : zk_metrics -> string list
+
+val zk_of_fields : string list -> zk_metrics option
+
+val cpu_fields : cpu_metrics -> string list
+
+val cpu_of_fields : string list -> cpu_metrics option

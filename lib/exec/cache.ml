@@ -1,17 +1,19 @@
 (** Content-addressed compile cache with a key on inputs in front.
 
-    The cache has two levels.  The first maps a cell's {e inputs} (an
-    input key: program, size, pass configuration and pass list, built
-    by the caller with {!Fingerprint.of_pipeline}) to the
-    {!Fingerprint.of_modul} digest of the module those inputs produce
-    ({!resolve}, {!record}).  The second maps that digest, suffixed by
-    the owning backend's codegen-schema tag, to the compiled artifact
-    ({!get_or_compile}).  A caller that resolves a cell's inputs needs
-    the module only when the artifact must really be compiled, so a
-    warm cache runs no pass pipeline.  The second level keeps the dedup
-    of identical modules: backends that share a codegen path share one
-    artifact within a cell, and profiles that leave a program untouched
-    share the baseline's artifact across cells.
+    The cache has two levels.  The first maps string keys to string
+    values ({!resolve}, {!record}): a cell's {e inputs} (an input key:
+    program, size, pass configuration and pass list, built by the
+    caller with {!Fingerprint.of_pipeline}) to the
+    {!Fingerprint.of_modul} digest of the module those inputs produce,
+    and a run of a cached artifact (a run key built by the backend
+    layer) to its encoded measurement.  The second maps that digest,
+    suffixed by the owning backend's codegen-schema tag, to the compiled
+    artifact ({!get_or_compile}).  A caller that resolves a cell's
+    inputs needs the module only when the artifact must really be
+    compiled, so a warm cache runs no pass pipeline.  The second level
+    keeps the dedup of identical modules: backends that share a codegen
+    path share one artifact within a cell, and profiles that leave a
+    program untouched share the baseline's artifact across cells.
 
     The cache is polymorphic in the artifact type.  Backend artifacts
     hold closures (execution captures the program image) and closures
@@ -35,14 +37,16 @@
     temp file + rename, which makes concurrent writers and readers of
     the same digest safe (both produce identical bytes).  The first
     level is one append-only {!Rowlog} per namespace,
-    [dir/<build id>/inputs.log]: each row holds an input key, a module
-    digest and a check digest over both, rows that fail the check are
-    skipped, and a later row for a key overrides an earlier one.  The
-    log is read on the first {!resolve}, not by {!create}, and opened
-    for appending on the first {!record}; opening cuts a torn last row,
-    so two processes sharing a store can lose a row to each other, which
-    costs a first-level miss and never a wrong digest.  The first level
-    is not bounded: an entry is two digests per distinct cell. *)
+    [dir/<build id>/inputs.log]: each row holds a key, a value and a
+    check digest over both, rows that fail the check are skipped, and a
+    later row for a key overrides an earlier one.  The log is read on
+    the first {!resolve}, not by {!create}, and opened for appending on
+    the first {!record}; opening cuts a torn last row, so two processes
+    sharing a store can lose a row to each other, which costs a
+    first-level miss and never a wrong value.  The first level is not
+    bounded: an entry is two digests per distinct cell and one encoded
+    run (a row of about 170 bytes) per distinct artifact, backend and
+    fuel. *)
 
 type 'a codec = {
   enc : 'a -> string option;  (** [None] = this artifact is memory-only *)
@@ -88,7 +92,7 @@ type 'a t = {
   table : (string, 'a entry) Hashtbl.t;
   inflight : (string, unit) Hashtbl.t;
   dir : string option;
-  inputs : (string, string) Hashtbl.t;  (** input key -> module digest *)
+  inputs : (string, string) Hashtbl.t;  (** first level: key -> value *)
   mutable inputs_loaded : bool;  (** the disk log has been read *)
   inputs_log : Rowlog.t option ref;
       (** opened on the first record, closed once the cache is collected *)
@@ -221,18 +225,18 @@ let insert_locked t digest art =
     done;
   Hashtbl.replace t.table digest { art; last_use = t.tick }
 
-(* ---- first level: input key -> module digest ------------------------ *)
+(* ---- first level: key -> value ---------------------------------------- *)
 
 let inputs_name = "inputs.log"
 
-(* A log row is an input key, a module digest and a digest over both:
-   a row with any byte changed fails its check and is skipped. *)
-let row_check key digest = Digest.to_hex (Digest.string (key ^ "\t" ^ digest))
+(* A log row is a key, a value and a digest over both: a row with any
+   byte changed fails its check and is skipped. *)
+let row_check key value = Digest.to_hex (Digest.string (key ^ "\t" ^ value))
 
 let decode_input_row line =
   match String.split_on_char '\t' line with
-  | [ key; digest; check ] when String.equal check (row_check key digest) ->
-    Some (key, digest)
+  | [ key; value; check ] when String.equal check (row_check key value) ->
+    Some (key, value)
   | _ -> None
 
 (* Called with [mu] held.  An unreadable log reads as empty: the disk
@@ -245,13 +249,13 @@ let load_inputs_locked t =
     | Some dir -> (
       match Rowlog.load (disk_path dir inputs_name) ~decode:decode_input_row with
       | rows ->
-        List.iter (fun (key, digest) -> Hashtbl.replace t.inputs key digest) rows
+        List.iter (fun (key, value) -> Hashtbl.replace t.inputs key value) rows
       | exception Sys_error _ -> ())
   end
 
 (* Called with [mu] held.  A failed open or write loses the row: the
    disk store is an optimization, never a failure. *)
-let append_input_locked t dir key digest =
+let append_input_locked t dir key value =
   try
     let log =
       match !(t.inputs_log) with
@@ -263,27 +267,28 @@ let append_input_locked t dir key digest =
         t.inputs_log := Some log;
         log
     in
-    Rowlog.append log (String.concat "\t" [ key; digest; row_check key digest ])
+    Rowlog.append log (String.concat "\t" [ key; value; row_check key value ])
   with Sys_error _ | Unix.Unix_error _ -> ()
 
-(** [resolve t ~key] is the module digest recorded for input key [key],
-    in memory or in the namespace's log (read on the first call). *)
+(** [resolve t ~key] is the value recorded for [key], in memory or in
+    the namespace's log (read on the first call). *)
 let resolve t ~key : string option =
   Mutex.protect t.mu (fun () ->
       load_inputs_locked t;
       Hashtbl.find_opt t.inputs key)
 
-(** [record t ~key ~digest] maps input key [key] to module digest
-    [digest], replacing any earlier entry, and appends a row to the
-    namespace's log when the cache has a disk store.  Callers record
-    only a digest they computed from a module that verified. *)
-let record t ~key ~digest =
+(** [record t ~key ~value] maps [key] to [value], replacing any earlier
+    entry, and appends a row to the namespace's log when the cache has a
+    disk store.  Neither may contain a tab or a newline.  Callers record
+    only what they computed: a digest of a module that verified, a run
+    that completed. *)
+let record t ~key ~value =
   Mutex.protect t.mu (fun () ->
       load_inputs_locked t;
-      if not (Option.equal String.equal (Hashtbl.find_opt t.inputs key) (Some digest))
+      if not (Option.equal String.equal (Hashtbl.find_opt t.inputs key) (Some value))
       then begin
-        Hashtbl.replace t.inputs key digest;
-        Option.iter (fun dir -> append_input_locked t dir key digest) t.dir
+        Hashtbl.replace t.inputs key value;
+        Option.iter (fun dir -> append_input_locked t dir key value) t.dir
       end)
 
 (* ---- lookup --------------------------------------------------------- *)

@@ -21,7 +21,9 @@
       a disk store) every later run share.  A warm cache runs no
       pipeline: the module is prepared only when an artifact must be
       compiled ({!with_module}).  The cached artifact also keeps its
-      unfaulted runs, so it executes once per backend and fuel;
+      unfaulted runs, recorded in the disk store too, so it executes
+      once per backend and fuel, and a rerun over a warm store executes
+      no guest;
     - every cell runs under an exception barrier ({!Cell.protect}) and
       either yields a point or lands in a quarantine list with a typed
       {!Error.t} — one miscompile no longer kills the remaining ~8,000
@@ -205,7 +207,7 @@ let with_module ?(prepared = Atomic.make 0) (cache : Backend.compiled Cache.t)
   in
   let fresh m =
     let fp = Fingerprint.of_modul m in
-    Cache.record cache ~key ~digest:fp;
+    Cache.record cache ~key ~value:fp;
     f ~fp (Lazy.from_val m)
   in
   match Cache.resolve cache ~key with
@@ -224,7 +226,8 @@ let with_module ?(prepared = Atomic.make 0) (cache : Backend.compiled Cache.t)
     backend's codegen-schema tag — backends sharing a codegen family
     (risc0/sp1) share one artifact per cell.  The cached artifact keeps
     each completed unfaulted run ({!Backend.compile_cached}), so a cell
-    whose artifact repeats an earlier cell's reuses its measurements at
+    whose artifact repeats an earlier cell's, in this run or in an
+    earlier run over the same disk store, reuses its measurements at
     the same fuel; a faulted backend, a starved attempt and a failing
     run always execute.  Returns the point, the attempts consumed, and
     an optional degradation note (CPU model failed; zkVM metrics

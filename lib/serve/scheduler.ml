@@ -4,8 +4,10 @@
     The scheduler owns the expensive state a one-shot CLI run rebuilds
     from scratch every time — the {!Zkopt_exec.Pool} of worker domains
     and the content-addressed {!Zkopt_exec.Cache} (cell inputs → module
-    digest → artifact, in memory over the shared [_zkcache/] disk
-    store, so a resubmitted sweep or profile cell runs no pipeline) —
+    digest → artifact, with each artifact's kept runs, in memory over
+    the shared [_zkcache/] disk store, so a resubmitted sweep or
+    profile cell runs no pipeline, and a sweep cell no guest even after
+    a restart) —
     and executes jobs pulled from a {!Jobq} priority queue on a single
     dispatcher thread.  Jobs run one at a time; {e cells} within a job
     run in parallel on the pool.  Each job's per-cell rows stream to

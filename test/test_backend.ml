@@ -259,6 +259,172 @@ let test_memo_never_serves_a_sink () =
   Alcotest.(check int64) "on_cpu_retire costs sum to cpu_cycles"
     (Int64.bits_of_float cpu_cycles) (Int64.bits_of_float !total)
 
+(* ---- kept runs in the compile cache's first level ------------------- *)
+
+(* Any float but a NaN (whose payload no text codec keeps): random bit
+   patterns, subnormals, signed zeros and infinities. *)
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [ map Int64.float_of_bits ui64;
+        oneofl [ 0.0; -0.0; infinity; neg_infinity; max_float; min_float;
+                 Float.epsilon; 4.9e-324; -4.9e-324; 1.5; 1e-310 ] ]
+    |> map (fun f -> if Float.is_nan f then 0.0 else f))
+
+let gen_zk =
+  QCheck.Gen.(
+    map
+      (fun ((vm, cycles, exec_time_s, prove_time_s),
+            (segments, paging_cycles, page_ins, page_outs),
+            (loads, stores, exit_value)) ->
+        { Measure.vm; cycles; exec_time_s; prove_time_s; segments;
+          paging_cycles; page_ins; page_outs; loads; stores; exit_value })
+      (triple
+         (quad (oneofl [ "risc0"; "sp1"; "valida"; "sp1-dense" ]) int gen_float gen_float)
+         (quad int int nat nat)
+         (triple int int ui64)))
+
+let gen_measurement =
+  QCheck.Gen.(
+    map2
+      (fun zk seg_padded ->
+        { Backend.zk; accounting = Ok (); faulted = false; seg_padded })
+      gen_zk
+      (oneof
+         [ return []; list_size (int_range 1 8) nat;
+           list_size (return 3000) int ]))
+
+let gen_cpu =
+  QCheck.Gen.(
+    map
+      (fun ((cpu_cycles, cpu_time_s), (mispredicts, cache_misses, cpu_exit_value)) ->
+        { Measure.cpu_cycles; cpu_time_s; mispredicts; cache_misses; cpu_exit_value })
+      (pair (pair gen_float gen_float) (triple int int ui64)))
+
+let bits = Int64.bits_of_float
+
+let same_zk (a : Measure.zk_metrics) (b : Measure.zk_metrics) =
+  String.equal a.Measure.vm b.Measure.vm
+  && a.Measure.cycles = b.Measure.cycles
+  && bits a.Measure.exec_time_s = bits b.Measure.exec_time_s
+  && bits a.Measure.prove_time_s = bits b.Measure.prove_time_s
+  && a.Measure.segments = b.Measure.segments
+  && a.Measure.paging_cycles = b.Measure.paging_cycles
+  && a.Measure.page_ins = b.Measure.page_ins
+  && a.Measure.page_outs = b.Measure.page_outs
+  && a.Measure.loads = b.Measure.loads
+  && a.Measure.stores = b.Measure.stores
+  && Int64.equal a.Measure.exit_value b.Measure.exit_value
+
+let same_cpu (a : Measure.cpu_metrics) (b : Measure.cpu_metrics) =
+  bits a.Measure.cpu_cycles = bits b.Measure.cpu_cycles
+  && bits a.Measure.cpu_time_s = bits b.Measure.cpu_time_s
+  && a.Measure.mispredicts = b.Measure.mispredicts
+  && a.Measure.cache_misses = b.Measure.cache_misses
+  && Int64.equal a.Measure.cpu_exit_value b.Measure.cpu_exit_value
+
+let prop_run_codecs_roundtrip =
+  QCheck.Test.make ~name:"kept-run codecs round-trip bit for bit" ~count:300
+    (QCheck.make QCheck.Gen.(pair gen_measurement gen_cpu))
+    (fun (r, c) ->
+      (match Backend.decode_run (Backend.encode_run r) with
+       | Some r' ->
+         same_zk r.Backend.zk r'.Backend.zk
+         && r'.Backend.seg_padded = r.Backend.seg_padded
+         && r'.Backend.accounting = Ok ()
+         && not r'.Backend.faulted
+       | None -> false)
+      &&
+      match Backend.decode_cpu_run (Backend.encode_cpu_run c) with
+      | Some c' -> same_cpu c c'
+      | None -> false)
+
+(* Every proper prefix of a valid value, and random bytes, decode to
+   [None]; an exception fails the property. *)
+let prop_run_decoders_total =
+  QCheck.Test.make ~name:"kept-run decoders are total" ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (map2
+              (fun r seg_padded -> { r with Backend.seg_padded })
+              gen_measurement (list_size (int_bound 4) nat))
+           gen_cpu (string_size (int_bound 200))))
+    (fun (r, c, junk) ->
+      let prefixes_fail decode v =
+        List.for_all
+          (fun i -> Option.is_none (decode (String.sub v 0 i)))
+          (List.init (String.length v) Fun.id)
+      in
+      prefixes_fail Backend.decode_run (Backend.encode_run r)
+      && prefixes_fail Backend.decode_cpu_run (Backend.encode_cpu_run c)
+      && Option.is_none (Backend.decode_run junk)
+      && Option.is_none (Backend.decode_cpu_run junk))
+
+(* A backend whose one artifact counts its runs in [runs] and returns a
+   fixed measurement with accounting [accounting]; it is disk-cacheable,
+   and its schema names the accounting so two such backends never share
+   an artifact. *)
+let synthetic ~runs ~accounting : Backend.t =
+  let schema = match accounting with Ok () -> "synthetic-ok" | Error _ -> "synthetic-err" in
+  let artifact : Backend.compiled =
+    {
+      Backend.static_instrs = 1;
+      site_of_pc = (fun _ -> None);
+      spills = [];
+      measure =
+        (fun ~vm ?fault:_ ?fuel:_ ?sink:_ () ->
+          incr runs;
+          {
+            Backend.zk =
+              { Measure.vm; cycles = 7; exec_time_s = 0.25; prove_time_s = 1.5;
+                segments = 1; paging_cycles = 2; page_ins = 1; page_outs = 0;
+                loads = 3; stores = 4; exit_value = 42L };
+            accounting;
+            faulted = false;
+            seg_padded = [ 1024 ];
+          });
+      measure_cpu = None;
+      encode = (fun () -> Some schema);
+    }
+  in
+  {
+    Backend.name = "synthetic";
+    doc = "test artifact with a fixed measurement";
+    zk_native = false;
+    schema;
+    segment_pad = (fun _ -> 0);
+    compile = (fun _ -> artifact);
+    decode = (fun _ s -> if String.equal s schema then Some artifact else None);
+  }
+
+(* A run whose accounting fails is never recorded: a fresh cache over
+   the same store executes it again, where a clean run is served. *)
+let test_failed_accounting_not_kept () =
+  Test_exec.with_temp_dir @@ fun dir ->
+  let fp = "0123456789abcdef0123456789abcdef" in
+  let measure_twice accounting =
+    let runs = ref 0 in
+    let b = synthetic ~runs ~accounting in
+    for _ = 1 to 2 do
+      let cache = Zkopt_exec.Cache.create ~dir () in
+      let c = Backend.compile_cached ~cache b ~fp (lazy (Modul.create ())) in
+      ignore (c.Backend.measure ~vm:b.Backend.name ())
+    done;
+    (!runs, fp ^ "+" ^ b.Backend.schema)
+  in
+  let ok_runs, ok_key = measure_twice (Ok ()) in
+  let err_runs, err_key = measure_twice (Error "planted") in
+  let rows = In_channel.with_open_bin (Test_exec.inputs_log dir) In_channel.input_all in
+  let rows_of key =
+    List.filter (String.starts_with ~prefix:key) (String.split_on_char '\n' rows)
+  in
+  Alcotest.(check int) "a clean run is recorded" 1 (List.length (rows_of ok_key));
+  Alcotest.(check int) "a fresh cache runs no clean run again" 1 ok_runs;
+  Alcotest.(check (list string)) "a run with failed accounting is not recorded" []
+    (rows_of err_key);
+  Alcotest.(check int) "a fresh cache executes it again" 2 err_runs
+
 let tests =
   [
     Alcotest.test_case "registry contents and schemas" `Quick
@@ -275,4 +441,8 @@ let tests =
       test_memo_keys_on_exact_fuel;
     Alcotest.test_case "memo never serves a sinked call" `Quick
       test_memo_never_serves_a_sink;
+    Alcotest.test_case "a run with failed accounting is not kept" `Quick
+      test_failed_accounting_not_kept;
+    QCheck_alcotest.to_alcotest prop_run_codecs_roundtrip;
+    QCheck_alcotest.to_alcotest prop_run_decoders_total;
   ]

@@ -279,9 +279,9 @@ let test_inputs_log_roundtrip () =
   with_temp_dir @@ fun dir ->
   let c1 = Cache.create ~dir () in
   Alcotest.(check (option string)) "empty store" None (Cache.resolve c1 ~key:"k1");
-  Cache.record c1 ~key:"k1" ~digest:"d1";
-  Cache.record c1 ~key:"k2" ~digest:"d2";
-  Cache.record c1 ~key:"k1" ~digest:"d3";
+  Cache.record c1 ~key:"k1" ~value:"d1";
+  Cache.record c1 ~key:"k2" ~value:"d2";
+  Cache.record c1 ~key:"k1" ~value:"d3";
   Alcotest.(check (option string)) "in memory" (Some "d3") (Cache.resolve c1 ~key:"k1");
   let c2 = Cache.create ~dir () in
   Alcotest.(check (option string)) "later row wins" (Some "d3") (Cache.resolve c2 ~key:"k1");
@@ -296,7 +296,7 @@ let test_inputs_log_flipped_byte () =
   with_temp_dir @@ fun dir ->
   let key = Fingerprint.of_pipeline ~salt:"program" [ "licm" ]
   and digest = Fingerprint.of_modul (Measure.prepare_ir ~build:tiny_module Profile.Baseline) in
-  Cache.record (Cache.create ~dir ()) ~key ~digest;
+  Cache.record (Cache.create ~dir ()) ~key ~value:digest;
   let path = inputs_log dir in
   let row = In_channel.with_open_bin path In_channel.input_all in
   Alcotest.(check (option string)) "the intact row resolves" (Some digest)

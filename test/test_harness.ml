@@ -697,43 +697,60 @@ let replace_first s ~sub ~by =
   let i = find 0 in
   String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
 
-(* Metamorphic runs over one small sweep on risc0, sp1 and valida: cache
-   off (a private cache), warm in memory, cold and warm over a disk
-   store, and that store planted four ways — written under another
-   build identity and poisoned, an inputs row with one flipped byte, a
-   row whose digest was swapped for another cell's, and a valid row
-   pointing at a digest whose artifacts are gone.  Every run must give
-   byte-identical rows, and the counts show what each run read. *)
+(* Metamorphic runs over one small sweep on risc0, sp1 and valida, each
+   counting the guest runs it executes beneath the memo: cache off (a
+   private cache), warm in memory, cold and warm over a disk store, and
+   that store planted six ways — written under another build identity
+   and poisoned (artifacts and kept runs swapped), an inputs row with
+   one flipped byte, a row whose digest was swapped for another cell's,
+   a valid row pointing at a digest whose artifacts are gone, a kept
+   run with one flipped byte, and a validly checked kept run that does
+   not decode.  Every run must give byte-identical rows, and the counts
+   show what each run read. *)
 let test_stale_store_cannot_change_rows () =
   Zkopt_valida.Vbackend.ensure ();
   let size = Workload.Quick in
   let programs = [ "loop-sum"; "fibonacci" ] in
+  let guests = ref 0 in
+  let backends =
+    List.map
+      (fun vm -> counting ~zk:guests ~cpu:guests (Zkopt_backend.Registry.find vm))
+      [ "risc0"; "sp1"; "valida" ]
+  in
   let cfg cache =
     { (subset_cfg ()) with
       H.programs = Some programs;
       cache = Some cache;
-      backends =
-        Some (List.map Zkopt_backend.Registry.find [ "risc0"; "sp1"; "valida" ]) }
+      backends = Some backends }
   in
   let cells = List.length programs * List.length subset_profiles in
-  let run cache = H.run (cfg cache) in
+  (* a sweep; [!guests] is then the guest runs it executed *)
+  let run cache =
+    guests := 0;
+    H.run (cfg cache)
+  in
   let off = canonical (run (Cache.create ())).H.points in
+  let all_runs = !guests in
   let same label (o : H.outcome) =
     Alcotest.(check string) (label ^ ": rows") off (canonical o.H.points)
   in
+  let executes label n = Alcotest.(check int) (label ^ ": guest runs") n !guests in
   let mem = Cache.create () in
   ignore (run mem);
   let warm_mem = run mem in
   same "warm in memory" warm_mem;
   Alcotest.(check int) "warm in memory: no pipeline" 0 warm_mem.H.prepared;
+  executes "warm in memory" 0;
   Test_exec.with_temp_dir @@ fun dir ->
   let cold = run (Cache.create ~dir ()) in
   same "cold over disk" cold;
   Alcotest.(check int) "cold over disk: a pipeline per cell" cells cold.H.prepared;
+  executes "cold over disk" all_runs;
   let warm = run (Cache.create ~dir ()) in
   same "warm over disk" warm;
   Alcotest.(check int) "warm over disk: no pipeline" 0 warm.H.prepared;
   Alcotest.(check int) "warm over disk: no compile" 0 warm.H.cache_stats.Cache.misses;
+  executes "warm over disk" 0;
   let ns = Filename.concat dir Cache.namespace in
   (* two cells whose rows differ, [b] after [a] in plan order *)
   let w = Workload.find "loop-sum" in
@@ -752,8 +769,41 @@ let test_stale_store_cannot_change_rows () =
     plant d;
     run (Cache.create ~dir:d ())
   in
-  (* another build's namespace, with a's and b's artifacts swapped: were
-     it read, both cells would come back wrong *)
+  let log d = Filename.concat (Filename.concat d Cache.namespace) "inputs.log" in
+  let rows_of path = String.split_on_char '\n' (read_file path) in
+  (* the kept runs of artifact [fp]: (the run key after [fp], value),
+     read from the rows whose key, unlike an input key, holds a space *)
+  let runs_of fp =
+    List.filter_map
+      (fun row ->
+        match String.split_on_char '\t' row with
+        | [ key; value; _ ] when String.starts_with ~prefix:(fp ^ "+") key && String.contains key ' ' ->
+          let n = String.length fp in
+          Some (String.sub key n (String.length key - n), value)
+        | _ -> None)
+      (rows_of (log dir))
+  in
+  (* log rows that pass their check, written through the cache itself *)
+  let checked_rows pairs =
+    Test_exec.with_temp_dir @@ fun tmp ->
+    let c = Cache.create ~dir:tmp () in
+    List.iter (fun (key, value) -> Cache.record c ~key ~value) pairs;
+    read_file (log tmp)
+  in
+  (* a's and b's kept runs with their values swapped, checks valid *)
+  let swapped_runs =
+    checked_rows
+      (List.concat_map
+         (fun (run, value_a) ->
+           match List.assoc_opt run (runs_of fp_b) with
+           | Some value_b -> [ (fp_a ^ run, value_b); (fp_b ^ run, value_a) ]
+           | None -> [])
+         (runs_of fp_a))
+  in
+  Alcotest.(check bool) "a and b have kept runs in common" true (swapped_runs <> "");
+  (* another build's namespace, with a's and b's artifacts and kept runs
+     swapped: were it read, both cells would come back wrong, and fewer
+     guests would run *)
   let foreign =
     planted "foreign" (fun d ->
         List.iter
@@ -763,7 +813,9 @@ let test_stale_store_cannot_change_rows () =
             List.iter2
               (fun x y ->
                 write_file (Filename.concat o x) (read_file (Filename.concat ns y)))
-              (artifacts_of fp_a) (artifacts_of fp_b))
+              (artifacts_of fp_a) (artifacts_of fp_b);
+            let olog = Filename.concat o "inputs.log" in
+            write_file olog (read_file olog ^ swapped_runs))
           [ "0123456789abcdef0123456789abcdef"; "zkopt-exec-v2" ])
   in
   same "store of another build" foreign;
@@ -771,8 +823,8 @@ let test_stale_store_cannot_change_rows () =
     foreign.H.cache_stats.Cache.disk_hits;
   Alcotest.(check int) "store of another build: a pipeline per cell" cells
     foreign.H.prepared;
+  executes "store of another build" all_runs;
   let key_a = H.input_key ~size w a and key_b = H.input_key ~size w b in
-  let log d = Filename.concat (Filename.concat d Cache.namespace) "inputs.log" in
   let row_of key s =
     List.find (String.starts_with ~prefix:key) (String.split_on_char '\n' s)
   in
@@ -791,18 +843,55 @@ let test_stale_store_cannot_change_rows () =
   same "corrupt inputs rows" corrupt;
   Alcotest.(check int) "corrupt inputs rows: exactly those cells prepared" 2
     corrupt.H.prepared;
+  executes "corrupt inputs rows" 0;
   (* a valid row sending a to b's digest, whose artifacts are gone: a is
-     measured from its fresh module, and b still gets its own artifact *)
+     measured from its fresh module, and b still gets its own artifact,
+     whose runs the store kept under the artifact's key *)
   let missing =
     planted "missing" (fun d ->
         let nsd = Filename.concat d Cache.namespace in
         copy_tree ns nsd;
         List.iter (fun f -> Sys.remove (Filename.concat nsd f)) (artifacts_of fp_b);
-        Cache.record (Cache.create ~dir:d ()) ~key:key_a ~digest:fp_b)
+        Cache.record (Cache.create ~dir:d ()) ~key:key_a ~value:fp_b)
   in
   same "row pointing at a missing artifact" missing;
   Alcotest.(check int) "row pointing at a missing artifact: a and b prepared" 2
-    missing.H.prepared
+    missing.H.prepared;
+  executes "row pointing at a missing artifact" 0;
+  (* the key and value of a's kept run on RV32 backend [vm] *)
+  let kept_a vm =
+    let prefix = "+" ^ Zkopt_backend.Rv32.schema ^ " " ^ vm ^ " " in
+    let run, value = List.find (fun (run, _) -> String.starts_with ~prefix run) (runs_of fp_a) in
+    (fp_a ^ run, value)
+  in
+  (* a's kept risc0 run with one byte of its value (a cycles digit)
+     flipped: the row fails its check, so exactly that run executes
+     again *)
+  let flipped_run =
+    planted "flipped-run" (fun d ->
+        copy_tree ns (Filename.concat d Cache.namespace);
+        let s = read_file (log d) in
+        let key, _ = kept_a "risc0" in
+        let row = row_of (key ^ "\t") s in
+        let at = String.length key + String.length "\trisc0 " in
+        let flipped = Bytes.of_string row in
+        Bytes.set flipped at (Char.chr (Char.code row.[at] lxor 1));
+        write_file (log d) (replace_first s ~sub:row ~by:(Bytes.to_string flipped)))
+  in
+  same "kept run with a flipped byte" flipped_run;
+  Alcotest.(check int) "kept run with a flipped byte: no pipeline" 0 flipped_run.H.prepared;
+  executes "kept run with a flipped byte" 1;
+  (* a's kept sp1 run replaced by a validly checked value without its
+     first field: it does not decode, so it is a miss, not an exception *)
+  let short_run =
+    planted "short-run" (fun d ->
+        copy_tree ns (Filename.concat d Cache.namespace);
+        let key, value = kept_a "sp1" in
+        let short = String.concat " " (List.tl (String.split_on_char ' ' value)) in
+        Cache.record (Cache.create ~dir:d ()) ~key ~value:short)
+  in
+  same "kept run that does not decode" short_run;
+  executes "kept run that does not decode" 1
 
 let tests =
   [
