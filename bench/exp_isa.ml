@@ -69,7 +69,7 @@ let unroll_profile =
 (* ------------------------------------------------------------------ *)
 
 let spill_count (c : Backend.compiled) =
-  List.fold_left (fun a (_, n) -> a + n) 0 c.Backend.spills
+  List.fold_left (fun a (_, n) -> a + n) 0 (c.Backend.spills ())
 
 let measure_on (b : Backend.t) ~build profile =
   let m = Measure.prepare_ir ~build profile in

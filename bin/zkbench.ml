@@ -362,7 +362,7 @@ let run_cmd =
           ((compiled b).Backend.measure ~vm:b.Backend.name ()).Backend.zk)
         backends
     in
-    let static_instrs = (compiled (List.hd backends)).Backend.static_instrs in
+    let static_instrs = (compiled (List.hd backends)).Backend.static_instrs () in
     let cpu =
       List.find_map (fun b -> (compiled b).Backend.measure_cpu) backends
       |> Option.map (fun f -> f ?fuel:None ?sink:None ())

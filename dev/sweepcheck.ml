@@ -10,8 +10,9 @@
       measurements.  The cold 2-domain pass may race two domains onto
       one artifact, so only the warm pass's guest count is gated;
    3. the disk store — a fresh cache over the store a cold pass wrote
-      must run no pipeline, compile nothing and execute no guest: the
-      store keeps every completed run of its artifacts. *)
+      must run no pipeline, compile nothing, execute no guest and decode
+      no artifact: the store keeps every completed run of its
+      artifacts, and a lookup that those runs answer reads no file. *)
 
 open Zkopt_core
 module H = Zkopt_harness.Harness
@@ -27,8 +28,9 @@ let canonical (points : (string * string, Zkopt_harness.Cell.point) Hashtbl.t) =
   |> List.sort compare |> String.concat "\n"
 
 (* [b] with every execution of its artifacts (zkVM and CPU model)
-   counted in [runs], beneath the memo the compile cache adds *)
-let counting runs (b : Backend.t) : Backend.t =
+   counted in [runs], beneath the memo the compile cache adds, and every
+   artifact it decodes from the disk store in [decodes] *)
+let counting ~runs ~decodes (b : Backend.t) : Backend.t =
   let wrap (c : Backend.compiled) =
     let measure ~vm ?fault ?fuel ?sink () =
       Atomic.incr runs;
@@ -48,7 +50,10 @@ let counting runs (b : Backend.t) : Backend.t =
   {
     b with
     Backend.compile = (fun m -> wrap (b.Backend.compile m));
-    decode = (fun m s -> Option.map wrap (b.Backend.decode m s));
+    decode =
+      (fun m s ->
+        Atomic.incr decodes;
+        Option.map wrap (b.Backend.decode m s));
   }
 
 let rec rm_rf path =
@@ -73,7 +78,7 @@ let () =
       Profile.Level Zkopt_passes.Catalog.O3;
     ]
   in
-  let runs = Atomic.make 0 in
+  let runs = Atomic.make 0 and decodes = Atomic.make 0 in
   let cfg ?backends jobs cache =
     {
       (H.default ~size:Zkopt_workloads.Workload.Quick) with
@@ -86,7 +91,7 @@ let () =
   in
   let counted =
     List.map
-      (fun vm -> counting runs (Zkopt_backend.Registry.find vm))
+      (fun vm -> counting ~runs ~decodes (Zkopt_backend.Registry.find vm))
       [ "risc0"; "sp1" ]
   in
   let cells = List.length programs * List.length profiles in
@@ -119,8 +124,9 @@ let () =
   Sys.remove dir;
   let cold = H.run (cfg 1 (Some (Cache.create ~dir ()))) in
   Atomic.set runs 0;
+  Atomic.set decodes 0;
   let disk = H.run (cfg ~backends:counted 1 (Some (Cache.create ~dir ()))) in
-  let disk_runs = Atomic.get runs in
+  let disk_runs = Atomic.get runs and disk_decodes = Atomic.get decodes in
   if not (String.equal (canonical seq.H.points) (canonical disk.H.points)) then
     Seedfmt.fail ~tool "warm disk-store sweep diverged from the sequential run";
   let disk_compiles = disk.H.cache_stats.Cache.misses in
@@ -132,11 +138,15 @@ let () =
   if disk_runs <> 0 then
     Seedfmt.fail ~tool "warm disk-store sweep executed %d guest runs (need 0)"
       disk_runs;
+  if disk_decodes <> 0 then
+    Seedfmt.fail ~tool "warm disk-store sweep decoded %d artifacts (need 0)"
+      disk_decodes;
   rm_rf dir;
   Printf.printf
     "sweepcheck: %d cells, 2-domain run deterministic, warm-cache hit rate \
      %.1f%%, %d warm guest runs, %d warm pipelines, %d warm disk-store \
-     pipelines and compiles, %d warm disk-store guest runs\n"
+     pipelines and compiles, %d warm disk-store guest runs, %d warm \
+     disk-store decodes\n"
     cells rate warm_runs again.H.prepared (disk.H.prepared + disk_compiles)
-    disk_runs;
+    disk_runs disk_decodes;
   Seedfmt.finish tool

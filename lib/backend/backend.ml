@@ -47,10 +47,10 @@ type measurement = {
 }
 
 type compiled = {
-  static_instrs : int;  (** static code size, backend instructions *)
+  static_instrs : unit -> int;  (** static code size, backend instructions *)
   site_of_pc : int32 -> (string * string) option;
       (** provenance: pc -> (function, IR block), for the profiler *)
-  spills : (string * int) list;
+  spills : unit -> (string * int) list;
       (** per-function static spill instruction counts; empty by
           construction on register-free backends — the paper's
           register-pair-spilling mechanism has nowhere to exist *)
@@ -81,7 +81,10 @@ type t = {
   doc : string;  (** one-line description for [zkbench backends] *)
   zk_native : bool;
       (** true for ISAs designed for arithmetization (no register file,
-          multi-chip trace); false for RV32 transpilation backends *)
+          multi-chip trace); false for RV32 transpilation backends.  It
+          also says whether artifacts drive the CPU model: a backend
+          that is not zk-native gives every artifact a [measure_cpu],
+          and a zk-native one gives none *)
   schema : string;
       (** codegen-family tag: backends with equal [schema] share
           compiled artifacts, cached under [digest ^ "+" ^ schema];
@@ -140,19 +143,31 @@ let decode_cpu_run (s : string) : Measure.cpu_metrics option =
   let* rev = fields_rev s in
   Measure.cpu_of_fields (List.rev rev)
 
+(* The first-level key of a run of the artifact cached under [key]:
+   the key, the backend name (the CPU model has none) and the fuel. *)
+let run_key ~key ?vm fuel =
+  String.concat " " ((key :: Option.to_list vm) @ [ string_of_int fuel ])
+
+(* The run [cache]'s first level keeps under [run_key], if it decodes. *)
+let kept cache run_key ~decode =
+  Option.bind (Zkopt_exec.Cache.resolve cache ~key:run_key) decode
+
+(* A call with no fuel runs at the default of every run. *)
+let resolved = Option.value ~default:Zkopt_riscv.Emulator.default_fuel
+
 (* [c], the artifact cached under [key], with a measurement memo: a
    completed run with no fault and no sink is kept, keyed by [(vm,
    fuel)] for [measure] and by [fuel] for [measure_cpu], and an equal
    call is served from the table.  The key is the resolved fuel, so a
    call that names none shares the entry of one at
    {!Zkopt_riscv.Emulator.default_fuel}, every run's default.  A miss in
-   the table first looks in [cache]'s first level under the run key
-   ([key], the vm and the fuel; the CPU model's has no vm), where a
-   completed run with clean accounting and no fault is recorded, so a
-   fresh cache over the same disk store executes it no more.  Faulted
-   and sinked calls always execute, and a run that raises stores
-   nothing.  No run holds the lock: two domains racing on one key may
-   both run it, and store the same result.  A hit builds no run key. *)
+   the table first looks in [cache]'s first level under the run key,
+   where a completed run with clean accounting and no fault is
+   recorded, so a fresh cache over the same disk store executes it no
+   more.  Faulted and sinked calls always execute, and a run that
+   raises stores nothing.  No run holds the lock: two domains racing on
+   one key may both run it, and store the same result.  A hit builds
+   no run key. *)
 let memoized cache ~key (c : compiled) : compiled =
   let mu = Mutex.create () in
   let zk = Hashtbl.create 2 and cpu = Hashtbl.create 1 in
@@ -165,7 +180,7 @@ let memoized cache ~key (c : compiled) : compiled =
       r
   in
   let persisted run_key ~decode ~encode run =
-    match Option.bind (Zkopt_exec.Cache.resolve cache ~key:run_key) decode with
+    match kept cache run_key ~decode with
     | Some r -> r
     | None ->
       let r = run () in
@@ -175,15 +190,12 @@ let memoized cache ~key (c : compiled) : compiled =
       r
   in
   let zk_miss (vm, fuel) =
-    persisted
-      (String.concat " " [ key; vm; string_of_int fuel ])
-      ~decode:decode_run
+    persisted (run_key ~key ~vm fuel) ~decode:decode_run
       ~encode:(fun r ->
         if r.accounting = Ok () && not r.faulted then Some (encode_run r)
         else None)
       (fun () -> c.measure ~vm ~fuel ())
   in
-  let resolved = Option.value ~default:Zkopt_riscv.Emulator.default_fuel in
   let measure ~vm ?fault ?fuel ?sink () =
     match (fault, sink) with
     | None, None -> remember zk (vm, resolved fuel) zk_miss
@@ -194,9 +206,7 @@ let memoized cache ~key (c : compiled) : compiled =
     | None -> None
     | Some run ->
       let cpu_miss fuel =
-        persisted
-          (String.concat " " [ key; string_of_int fuel ])
-          ~decode:decode_cpu_run
+        persisted (run_key ~key fuel) ~decode:decode_cpu_run
           ~encode:(fun r -> Some (encode_cpu_run r))
           (fun () -> run ~fuel ())
       in
@@ -208,16 +218,77 @@ let memoized cache ~key (c : compiled) : compiled =
   in
   { c with measure; measure_cpu }
 
+(* A stand-in for [b]'s artifact cached under [key], whose file is in
+   the disk store but not in memory.  An unfaulted, unsinked call that
+   [cache]'s first level keeps a run for is answered from it; every
+   other use fetches the artifact once with [fetch] and keeps it under
+   a mutex, never in a [Lazy], which raises [Lazy.Undefined] when two
+   domains force it at once.  Whether [measure_cpu] exists cannot wait
+   for the artifact, so it follows [b.zk_native]. *)
+let handle cache (b : t) ~key ~(fetch : unit -> compiled) : compiled =
+  let mu = Mutex.create () and art = ref None in
+  let artifact () =
+    Mutex.protect mu (fun () ->
+        match !art with
+        | Some c -> c
+        | None ->
+          let c = fetch () in
+          art := Some c;
+          c)
+  in
+  let measure ~vm ?fault ?fuel ?sink () =
+    let run () = (artifact ()).measure ~vm ?fault ?fuel ?sink () in
+    match (fault, sink) with
+    | None, None -> (
+      match
+        kept cache (run_key ~key ~vm (resolved fuel)) ~decode:decode_run
+      with
+      | Some r -> r
+      | None -> run ())
+    | _ -> run ()
+  in
+  let measure_cpu ?fuel ?sink () =
+    let run () =
+      match (artifact ()).measure_cpu with
+      | Some run -> run ?fuel ?sink ()
+      | None ->
+        invalid_arg (b.name ^ " is not zk-native, yet its artifact has no CPU model")
+    in
+    match sink with
+    | None -> (
+      match
+        kept cache (run_key ~key (resolved fuel)) ~decode:decode_cpu_run
+      with
+      | Some r -> r
+      | None -> run ())
+    | Some _ -> run ()
+  in
+  {
+    static_instrs = (fun () -> (artifact ()).static_instrs ());
+    site_of_pc = (fun pc -> (artifact ()).site_of_pc pc);
+    spills = (fun () -> (artifact ()).spills ());
+    measure;
+    measure_cpu = (if b.zk_native then None else Some measure_cpu);
+    encode = (fun () -> (artifact ()).encode ());
+  }
+
 let compile_cached ?cache (b : t) ~fp (m : Modul.t Lazy.t) : compiled =
   match cache with
   | None -> b.compile (Lazy.force m)
   | Some cache ->
     let key = fp ^ "+" ^ b.schema in
-    let memo = memoized cache ~key in
-    Zkopt_exec.Cache.get_or_compile cache ~digest:key
-      ~codec:
-        {
-          Zkopt_exec.Cache.enc = (fun (c : compiled) -> c.encode ());
-          dec = (fun s -> Option.map memo (b.decode (Modul.create ()) s));
-        }
-      ~compile:(fun () -> memo (b.compile (Lazy.force m)))
+    let lookup ?deferred () =
+      Zkopt_exec.Cache.get_or_compile ?deferred cache ~digest:key
+        ~codec:
+          {
+            Zkopt_exec.Cache.enc = (fun (c : compiled) -> c.encode ());
+            dec =
+              (fun s ->
+                Option.map (memoized cache ~key)
+                  (b.decode (Modul.create ()) s));
+          }
+        ~compile:(fun () -> memoized cache ~key (b.compile (Lazy.force m)))
+    in
+    if Zkopt_exec.Cache.defer cache ~digest:key then
+      handle cache b ~key ~fetch:(lookup ~deferred:true)
+    else lookup ()

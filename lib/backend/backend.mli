@@ -48,11 +48,14 @@ type measurement = {
           the settlement models consume *)
 }
 
+(** A compiled artifact.  Its static data are functions, because the
+    stand-in {!compile_cached} returns for an artifact that is only on
+    disk reads the artifact on their first call, not before. *)
 type compiled = {
-  static_instrs : int;  (** static code size, backend instructions *)
+  static_instrs : unit -> int;  (** static code size, backend instructions *)
   site_of_pc : int32 -> (string * string) option;
       (** provenance: pc -> (function, IR block), for the profiler *)
-  spills : (string * int) list;
+  spills : unit -> (string * int) list;
       (** per-function static spill instruction counts; empty by
           construction on register-free backends — the paper's
           register-pair-spilling mechanism has nowhere to exist *)
@@ -83,7 +86,11 @@ type t = {
   doc : string;  (** one-line description for [zkbench backends] *)
   zk_native : bool;
       (** true for ISAs designed for arithmetization (no register file,
-          multi-chip trace); false for RV32 transpilation backends *)
+          multi-chip trace); false for RV32 transpilation backends.  It
+          also says whether artifacts drive the CPU model: a backend
+          that is not zk-native gives every artifact a [measure_cpu],
+          and a zk-native one gives none.  {!compile_cached} relies on
+          this to hand out [measure_cpu] before it reads an artifact. *)
   schema : string;
       (** codegen-family tag: backends with equal [schema] share
           compiled artifacts, cached under [digest ^ "+" ^ schema].
@@ -138,7 +145,23 @@ type t = {
     that raises keeps nothing, so it raises again when called again,
     and a run whose accounting fails is kept in the table only, so a
     fresh cache executes it again.  Without [cache] every call
-    executes. *)
+    executes.
+
+    An artifact whose file is in the cache's disk store but not in
+    memory ({!Zkopt_exec.Cache.defer}, a stat) is not read: the result
+    is then a handle made for this call.  An unfaulted, unsinked
+    [measure] or [measure_cpu] call is answered from the run the first
+    level keeps under its run key, so a rerun over a warm store reads
+    and decodes no artifact.  A run the first level lacks, a faulted
+    or sinked call, or a call of [static_instrs], [spills],
+    [site_of_pc] or [encode] fetches the artifact once through the
+    lookup above (read and decode it, or compile it from this call's
+    [m]), and the handle keeps it; either way the lookup counts once
+    in the cache's stats.  A handle is never put into the
+    cache, so it forces only the module of the call that made it.  Its
+    [measure_cpu] is present iff [not b.zk_native].  An artifact in
+    memory, or with no file in the store, takes the lookup above at
+    once, as does every lookup of a cache with no store. *)
 val compile_cached :
   ?cache:compiled Zkopt_exec.Cache.t -> t -> fp:string -> Modul.t Lazy.t -> compiled
 

@@ -42,15 +42,16 @@ let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
   in
   let program = c.Measure.codegen.Zkopt_riscv.Codegen.program in
   {
-    Backend.static_instrs = c.Measure.static_instrs;
+    Backend.static_instrs = (fun () -> c.Measure.static_instrs);
     site_of_pc = (fun pc -> Zkopt_riscv.Asm.site_of_pc program pc);
     spills =
-      List.map
-        (fun (s : Zkopt_riscv.Codegen.func_stats) ->
-          ( s.Zkopt_riscv.Codegen.fname,
-            s.Zkopt_riscv.Codegen.spill_loads
-            + s.Zkopt_riscv.Codegen.spill_stores ))
-        c.Measure.codegen.Zkopt_riscv.Codegen.stats;
+      (fun () ->
+        List.map
+          (fun (s : Zkopt_riscv.Codegen.func_stats) ->
+            ( s.Zkopt_riscv.Codegen.fname,
+              s.Zkopt_riscv.Codegen.spill_loads
+              + s.Zkopt_riscv.Codegen.spill_stores ))
+          c.Measure.codegen.Zkopt_riscv.Codegen.stats);
     measure;
     measure_cpu = Some (fun ?fuel ?sink () -> Measure.run_cpu ?fuel ?sink c);
     encode =

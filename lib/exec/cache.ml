@@ -35,8 +35,19 @@
     at build time, so a store written by any other build is never read.
     Artifacts are files [dir/<build id>/<digest>], written through a
     temp file + rename, which makes concurrent writers and readers of
-    the same digest safe (both produce identical bytes).  The first
-    level is one append-only {!Rowlog} per namespace,
+    the same digest safe (both produce identical bytes).  Each file is
+    a frame: a magic number, the payload's length and its MD5, then the
+    payload ([enc]'s bytes).  A read checks all three before [dec] sees
+    a byte, and a file that fails any check is a miss, so a truncated
+    or flipped file is compiled again.
+
+    A caller that can often answer a lookup without the artifact asks
+    {!defer} first, which only stats the file, and reads it later, if
+    at all, through [get_or_compile ~deferred:true].  Either way the
+    lookup counts once in {!stats}: a deferred one as a disk hit, or as
+    whatever its fetch turns out to be.
+
+    The first level is one append-only {!Rowlog} per namespace,
     [dir/<build id>/inputs.log]: each row holds a key, a value and a
     check digest over both, rows that fail the check are skipped, and a
     later row for a key overrides an earlier one.  The log is read on
@@ -62,7 +73,9 @@ let marshal_codec () =
 
 type stats = {
   hits : int;  (** served from memory (includes single-flight waiters) *)
-  disk_hits : int;  (** deserialized from the on-disk store *)
+  disk_hits : int;
+      (** served by the on-disk store: read from it, or deferred
+          ({!defer}) and never fetched *)
   misses : int;  (** actual compiles performed *)
   evictions : int;  (** LRU entries dropped to respect [capacity] *)
 }
@@ -166,22 +179,35 @@ let mkdir_p path =
   in
   go path
 
+(* An artifact file: [magic], the payload's length as 8 big-endian
+   bytes, the payload's MD5, then the payload. *)
+let magic = "zkopt-art1"
+
+let header_len = String.length magic + 8 + 16
+
+let header payload =
+  let len = Bytes.create 8 in
+  Bytes.set_int64_be len 0 (Int64.of_int (String.length payload));
+  String.concat "" [ magic; Bytes.to_string len; Digest.string payload ]
+
+(* The payload of a framed file whose magic, length and MD5 all check:
+   its header is the one the payload makes. *)
+let unframe s =
+  let n = String.length s - header_len in
+  if n < 0 then None
+  else
+    let payload = String.sub s header_len n in
+    if String.equal (String.sub s 0 header_len) (header payload) then Some payload
+    else None
+
 let disk_load t codec digest : 'a option =
   match (t.dir, codec) with
   | None, _ | _, None -> None
   | Some dir, Some codec -> (
     let path = disk_path dir digest in
-    if not (Sys.file_exists path) then None
-    else
-      try
-        let ic = open_in_bin path in
-        let bytes =
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> In_channel.input_all ic)
-        in
-        codec.dec bytes
-      with _ -> None (* truncated/corrupt artifact: treat as a miss *))
+    match In_channel.with_open_bin path In_channel.input_all with
+    | s -> Option.bind (unframe s) codec.dec
+    | exception Sys_error _ -> None (* no file, or an unreadable one: a miss *))
 
 let disk_store t codec digest art =
   match (t.dir, codec) with
@@ -197,11 +223,11 @@ let disk_store t codec digest art =
           Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
             (Domain.self () :> int)
         in
-        let oc = open_out_bin tmp in
-        output_string oc bytes;
-        close_out oc;
+        Out_channel.with_open_bin tmp (fun oc ->
+            output_string oc (header bytes);
+            output_string oc bytes);
         Sys.rename tmp path
-    with _ -> () (* the disk store is an optimization, never a failure *))
+    with Sys_error _ -> () (* the disk store is an optimization, never a failure *))
 
 (* ---- in-memory LRU (called with [mu] held) -------------------------- *)
 
@@ -293,13 +319,34 @@ let record t ~key ~value =
 
 (* ---- lookup --------------------------------------------------------- *)
 
+(** [defer t ~digest] is [true] when a lookup of [digest] would read its
+    artifact from the disk store: the cache has a store, [digest] is not
+    resident in memory, and its file exists (a stat; the file is not
+    read).  The lookup then counts as a disk hit, and the caller fetches
+    the artifact only if it needs it, with [get_or_compile
+    ~deferred:true].  A file that exists but fails its frame is found
+    only by that fetch. *)
+let defer t ~digest : bool =
+  match t.dir with
+  | None -> false
+  | Some dir ->
+    let stored =
+      (not (Mutex.protect t.mu (fun () -> Hashtbl.mem t.table digest)))
+      && Sys.file_exists (disk_path dir digest)
+    in
+    if stored then Mutex.protect t.mu (fun () -> t.disk_hits <- t.disk_hits + 1);
+    stored
+
 (** [get_or_compile t ~digest ?codec ~compile] returns the artifact for
     [digest], compiling with [compile] only when neither memory, disk,
     nor a concurrent in-flight compile can supply it.  Without [codec]
-    the on-disk store is bypassed for this call. *)
-let get_or_compile (type a) ?codec (t : a t) ~digest ~(compile : unit -> a) :
-    a =
+    the on-disk store is bypassed for this call.  With [~deferred:true]
+    (the fetch of a lookup {!defer} counted as a disk hit) that count is
+    taken back, and the fetch counts as any lookup does. *)
+let get_or_compile (type a) ?codec ?(deferred = false) (t : a t) ~digest
+    ~(compile : unit -> a) : a =
   Mutex.lock t.mu;
+  if deferred then t.disk_hits <- t.disk_hits - 1;
   let rec acquire () =
     match Hashtbl.find_opt t.table digest with
     | Some e ->

@@ -23,7 +23,7 @@
       compiled ({!with_module}).  The cached artifact also keeps its
       unfaulted runs, recorded in the disk store too, so it executes
       once per backend and fuel, and a rerun over a warm store executes
-      no guest;
+      no guest and reads no artifact;
     - every cell runs under an exception barrier ({!Cell.protect}) and
       either yields a point or lands in a quarantine list with a typed
       {!Error.t} — one miscompile no longer kills the remaining ~8,000

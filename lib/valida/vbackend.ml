@@ -52,10 +52,10 @@ let of_program (p : Visa.program) : Backend.compiled =
     }
   in
   {
-    Backend.static_instrs = Array.length p.Visa.code;
+    Backend.static_instrs = (fun () -> Array.length p.Visa.code);
     site_of_pc = Visa.site_of_pc p;
     (* no register file -> no allocator -> spills cannot exist *)
-    spills = [];
+    spills = (fun () -> []);
     measure;
     measure_cpu = None;
     encode = (fun () -> Some (Marshal.to_string p []));

@@ -47,6 +47,33 @@ let test_registry_unknown_lists_options () =
           true (contains n))
       [ "no-such-vm"; "risc0"; "sp1"; "valida" ]
 
+(* A backend that is not zk-native gives every artifact a CPU model and a
+   zk-native one gives none: compiled, decoded from the disk store, and
+   as the handle a fresh cache over that store returns. *)
+let test_cpu_model_iff_not_zk_native () =
+  let m = Measure.prepare_ir ~build:Test_exec.tiny_module Profile.Baseline in
+  let fp = Zkopt_exec.Fingerprint.of_modul m in
+  Test_exec.with_temp_dir @@ fun dir ->
+  List.iter
+    (fun (b : Backend.t) ->
+      let c = b.Backend.compile m in
+      let decoded =
+        Option.get
+          (b.Backend.decode (Modul.create ()) (Option.get (c.Backend.encode ())))
+      in
+      let lookup () =
+        Backend.compile_cached ~cache:(Zkopt_exec.Cache.create ~dir ()) b ~fp
+          (Lazy.from_val m)
+      in
+      ignore (lookup ());
+      List.iter
+        (fun (what, (c : Backend.compiled)) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %s: CPU model iff not zk-native" b.Backend.name what)
+            (not b.Backend.zk_native) (Option.is_some c.Backend.measure_cpu))
+        [ ("compiled", c); ("decoded", decoded); ("handle", lookup ()) ])
+    (Registry.all ())
+
 (* ---- exit-value conformance ----------------------------------------- *)
 
 let programs =
@@ -157,7 +184,7 @@ let test_valida_never_spills () =
   let spill_count name =
     let b = Registry.find name in
     let c = b.Backend.compile m in
-    List.fold_left (fun a (_, n) -> a + n) 0 c.Backend.spills
+    List.fold_left (fun a (_, n) -> a + n) 0 (c.Backend.spills ())
   in
   Alcotest.(check bool) "rv32 spills under pressure" true
     (spill_count "risc0" > 0);
@@ -179,20 +206,68 @@ let test_unpriced_precompile_raises () =
 
 (* ---- the measurement memo of cached artifacts ------------------------ *)
 
-(* factorial's RV32 artifact through a fresh compile cache, and a lookup
-   that returns the same cached artifact again *)
-let cached_factorial () =
+(* factorial, prepared at the baseline *)
+let factorial () =
   let w = Zkopt_workloads.Workload.find "factorial" in
   let build () =
     w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Quick
   in
-  let m = Measure.prepare_ir ~build Profile.Baseline in
+  Measure.prepare_ir ~build Profile.Baseline
+
+(* factorial's RV32 artifact through a fresh compile cache, and a lookup
+   that returns the same cached artifact again *)
+let cached_factorial () =
+  let m = factorial () in
   let cache = Zkopt_exec.Cache.create () in
   let lookup () =
     Backend.compile_cached ~cache (Registry.find "risc0")
       ~fp:(Zkopt_exec.Fingerprint.of_modul m) (Lazy.from_val m)
   in
   (lookup (), lookup)
+
+(* Handles on factorial's RV32 artifact: [cold] is the artifact a cache
+   over a store compiled, with its unfaulted runs at the default fuel
+   (risc0, sp1 and the CPU model) kept; each [handle ()] is a lookup
+   through a fresh cache over the same store, which finds the artifact
+   only on disk.  [decodes] counts the artifacts read from the store and
+   [runs] the executions after [cold]'s. *)
+type handles = {
+  m : Modul.t;
+  key : string;  (** the artifact key *)
+  cold : Backend.compiled;
+  handle : unit -> Backend.compiled;
+  decodes : int ref;
+  runs : int ref;
+}
+
+let factorial_handles dir =
+  let m = factorial () in
+  let decodes = ref 0 and runs = ref 0 in
+  let counted = Test_harness.counting ~zk:runs ~cpu:runs (Registry.find "risc0") in
+  let b =
+    {
+      counted with
+      Backend.decode =
+        (fun m s ->
+          incr decodes;
+          counted.Backend.decode m s);
+    }
+  in
+  let fp = Zkopt_exec.Fingerprint.of_modul m in
+  let handle () =
+    Backend.compile_cached ~cache:(Zkopt_exec.Cache.create ~dir ()) b ~fp
+      (Lazy.from_val m)
+  in
+  let cold = handle () in
+  List.iter (fun vm -> ignore (cold.Backend.measure ~vm ())) [ "risc0"; "sp1" ];
+  ignore ((Option.get cold.Backend.measure_cpu) ());
+  runs := 0;
+  { m; key = fp ^ "+" ^ b.Backend.schema; cold; handle; decodes; runs }
+
+let starves name run =
+  match run () with
+  | _ -> Alcotest.failf "%s at fuel 100 must run out of fuel" name
+  | exception Zkopt_riscv.Emulator.Out_of_fuel _ -> ()
 
 let test_memo_keys_on_exact_fuel () =
   let c, lookup = cached_factorial () in
@@ -209,14 +284,73 @@ let test_memo_keys_on_exact_fuel () =
   Alcotest.(check bool) "measure_cpu at the default fuel is served" true
     (cpu_again ~fuel () == cycles);
   (* a starved call has another key: it runs, and runs out *)
-  let starves name run =
-    match run () with
-    | _ -> Alcotest.failf "%s at fuel 100 must run out of fuel" name
-    | exception Zkopt_riscv.Emulator.Out_of_fuel _ -> ()
-  in
   starves "measure" (fun () ->
       ignore (again.Backend.measure ~vm:"risc0" ~fuel:100 ()));
-  starves "measure_cpu" (fun () -> ignore (cpu_again ~fuel:100 ()))
+  starves "measure_cpu" (fun () -> ignore (cpu_again ~fuel:100 ()));
+  (* a handle answers an equal call from the kept run, reading nothing *)
+  Test_exec.with_temp_dir @@ fun dir ->
+  let h = factorial_handles dir in
+  let c = h.handle () in
+  let cpu = Option.get c.Backend.measure_cpu in
+  let cold_cpu = Option.get h.cold.Backend.measure_cpu in
+  Alcotest.(check bool) "a handle serves the kept runs" true
+    (c.Backend.measure ~vm:"risc0" () = h.cold.Backend.measure ~vm:"risc0" ()
+    && c.Backend.measure ~vm:"sp1" ~fuel () = h.cold.Backend.measure ~vm:"sp1" ()
+    && cpu () = cold_cpu ()
+    && cpu ~fuel () = cold_cpu ());
+  Alcotest.(check int) "and decodes no artifact" 0 !(h.decodes);
+  (* a starved call fetches the artifact once, runs out and keeps
+     nothing: a fresh handle executes it again *)
+  starves "a handle's measure" (fun () ->
+      ignore (c.Backend.measure ~vm:"risc0" ~fuel:100 ()));
+  starves "a handle's measure_cpu" (fun () -> ignore (cpu ~fuel:100 ()));
+  Alcotest.(check (pair int int)) "a starved handle: one fetch, two runs" (1, 2)
+    (!(h.decodes), !(h.runs));
+  let fresh = Zkopt_exec.Cache.create ~dir () in
+  Alcotest.(check (list (option string))) "no starved run is kept" [ None; None ]
+    (List.map
+       (fun key -> Zkopt_exec.Cache.resolve fresh ~key)
+       [ h.key ^ " risc0 100"; h.key ^ " 100" ]);
+  starves "a fresh handle's measure" (fun () ->
+      ignore ((h.handle ()).Backend.measure ~vm:"risc0" ~fuel:100 ()));
+  Alcotest.(check (pair int int)) "which runs again" (2, 3) (!(h.decodes), !(h.runs))
+
+(* A zkVM sink that sums retire and precompile costs into [user] and
+   page-in and page-out costs into [paging]; [check vm z] then requires
+   the sums to match the metrics [z]. *)
+let summing_sink () =
+  let user = ref 0 and paging = ref 0 in
+  let sink =
+    Zkopt_zkvm.Machine.sink
+      ~on_retires:
+        (Zkopt_zkvm.Machine.iter_retires (fun ~pc:_ _ ~cost ->
+             user := !user + cost))
+      ~on_precompile:(fun ~pc:_ ~name:_ ~cost -> user := !user + cost)
+      ~on_page_in:(fun ~pc:_ ~cost -> paging := !paging + cost)
+      ~on_page_out:(fun ~pc:_ ~cost -> paging := !paging + cost)
+      ()
+  in
+  let check vm (z : Measure.zk_metrics) =
+    Alcotest.(check bool) (vm ^ " pages") true (z.Measure.paging_cycles > 0);
+    Alcotest.(check int) (vm ^ ": retire + precompile costs")
+      (z.Measure.cycles - z.Measure.paging_cycles) !user;
+    Alcotest.(check int) (vm ^ ": page-in + page-out costs")
+      z.Measure.paging_cycles !paging
+  in
+  (sink, check)
+
+(* A CPU-model sink whose retire costs must sum to [cpu_cycles]. *)
+let check_cpu_sink label (run : ?sink:Zkopt_zkvm.Machine.sink -> unit -> _)
+    cpu_cycles =
+  let total = ref 0.0 in
+  let sink =
+    Zkopt_zkvm.Machine.sink
+      ~on_cpu_retire:(fun ~pc:_ _ ~cost -> total := !total +. cost)
+      ()
+  in
+  ignore (run ~sink ());
+  Alcotest.(check int64) (label ^ ": on_cpu_retire costs sum to cpu_cycles")
+    (Int64.bits_of_float cpu_cycles) (Int64.bits_of_float !total)
 
 let test_memo_never_serves_a_sink () =
   let c, _ = cached_factorial () in
@@ -228,36 +362,56 @@ let test_memo_never_serves_a_sink () =
   List.iter
     (fun (r : Backend.measurement) ->
       let z = r.Backend.zk in
-      let user = ref 0 and paging = ref 0 in
-      let sink =
-        Zkopt_zkvm.Machine.sink
-          ~on_retires:
-            (Zkopt_zkvm.Machine.iter_retires (fun ~pc:_ _ ~cost ->
-                 user := !user + cost))
-          ~on_precompile:(fun ~pc:_ ~name:_ ~cost -> user := !user + cost)
-          ~on_page_in:(fun ~pc:_ ~cost -> paging := !paging + cost)
-          ~on_page_out:(fun ~pc:_ ~cost -> paging := !paging + cost)
-          ()
-      in
+      let sink, check = summing_sink () in
       let vm = z.Measure.vm in
       let seen = c.Backend.measure ~vm ~sink () in
-      Alcotest.(check bool) (vm ^ " pages") true (z.Measure.paging_cycles > 0);
-      Alcotest.(check int) (vm ^ ": retire + precompile costs")
-        (z.Measure.cycles - z.Measure.paging_cycles) !user;
-      Alcotest.(check int) (vm ^ ": page-in + page-out costs")
-        z.Measure.paging_cycles !paging;
+      check vm z;
       Alcotest.(check bool) (vm ^ ": same metrics as the kept run") true
         (seen.Backend.zk = z))
     plain;
-  let total = ref 0.0 in
-  let sink =
-    Zkopt_zkvm.Machine.sink
-      ~on_cpu_retire:(fun ~pc:_ _ ~cost -> total := !total +. cost)
-      ()
+  check_cpu_sink "memo" (fun ?sink () -> cpu ?sink ()) cpu_cycles;
+  (* a handle fetches its artifact once for sinked calls, whose sinks
+     see every event; a faulted call executes *)
+  Test_exec.with_temp_dir @@ fun dir ->
+  let h = factorial_handles dir in
+  let c = h.handle () in
+  List.iter
+    (fun vm ->
+      let z = (h.cold.Backend.measure ~vm ()).Backend.zk in
+      let sink, check = summing_sink () in
+      let seen = c.Backend.measure ~vm ~sink () in
+      check ("handle " ^ vm) z;
+      Alcotest.(check bool) ("handle " ^ vm ^ ": same metrics as the kept run")
+        true (seen.Backend.zk = z))
+    [ "risc0"; "sp1" ];
+  check_cpu_sink "handle"
+    (fun ?sink () -> (Option.get c.Backend.measure_cpu) ?sink ())
+    ((Option.get h.cold.Backend.measure_cpu) ()).Measure.cpu_cycles;
+  Alcotest.(check (pair int int)) "sinked handle calls: one fetch, three runs"
+    (1, 3) (!(h.decodes), !(h.runs));
+  let faulted =
+    c.Backend.measure ~vm:"risc0" ~fault:Zkopt_zkvm.Machine.Corrupt_exit_value ()
   in
-  ignore (cpu ~sink ());
-  Alcotest.(check int64) "on_cpu_retire costs sum to cpu_cycles"
-    (Int64.bits_of_float cpu_cycles) (Int64.bits_of_float !total)
+  Alcotest.(check bool) "a faulted handle call executes" true
+    (faulted.Backend.faulted && !(h.runs) = 4);
+  (* a handle's static data are the artifact's, read on first use *)
+  let d = h.handle () in
+  Alcotest.(check int) "a fresh handle reads nothing yet" 1 !(h.decodes);
+  Alcotest.(check int) "handle static_instrs" (h.cold.Backend.static_instrs ())
+    (d.Backend.static_instrs ());
+  Alcotest.(check (list (pair string int))) "handle spills"
+    (h.cold.Backend.spills ()) (d.Backend.spills ());
+  let program =
+    (Measure.compile_ir h.m).Measure.codegen.Zkopt_riscv.Codegen.program
+  in
+  let pcs =
+    List.init
+      (Array.length program.Zkopt_riscv.Asm.code + 2)
+      (fun i -> Int32.add program.Zkopt_riscv.Asm.base (Int32.of_int (4 * (i - 1))))
+  in
+  Alcotest.(check bool) "handle site_of_pc" true
+    (List.map d.Backend.site_of_pc pcs = List.map h.cold.Backend.site_of_pc pcs);
+  Alcotest.(check int) "static data fetch the artifact once" 2 !(h.decodes)
 
 (* ---- kept runs in the compile cache's first level ------------------- *)
 
@@ -364,14 +518,14 @@ let prop_run_decoders_total =
 (* A backend whose one artifact counts its runs in [runs] and returns a
    fixed measurement with accounting [accounting]; it is disk-cacheable,
    and its schema names the accounting so two such backends never share
-   an artifact. *)
+   an artifact.  It has no CPU model, so it is zk-native. *)
 let synthetic ~runs ~accounting : Backend.t =
   let schema = match accounting with Ok () -> "synthetic-ok" | Error _ -> "synthetic-err" in
   let artifact : Backend.compiled =
     {
-      Backend.static_instrs = 1;
+      Backend.static_instrs = (fun () -> 1);
       site_of_pc = (fun _ -> None);
-      spills = [];
+      spills = (fun () -> []);
       measure =
         (fun ~vm ?fault:_ ?fuel:_ ?sink:_ () ->
           incr runs;
@@ -391,7 +545,7 @@ let synthetic ~runs ~accounting : Backend.t =
   {
     Backend.name = "synthetic";
     doc = "test artifact with a fixed measurement";
-    zk_native = false;
+    zk_native = true;
     schema;
     segment_pad = (fun _ -> 0);
     compile = (fun _ -> artifact);
@@ -431,6 +585,8 @@ let tests =
       test_registry_contents;
     Alcotest.test_case "unknown backend error lists options" `Quick
       test_registry_unknown_lists_options;
+    Alcotest.test_case "CPU model iff not zk-native" `Quick
+      test_cpu_model_iff_not_zk_native;
     Alcotest.test_case "exit values agree across backends" `Quick
       test_exit_conformance;
     Alcotest.test_case "no spill path on the zk-native ISA" `Quick

@@ -231,28 +231,45 @@ let test_disk_cache_roundtrip () =
   in
   Alcotest.(check int) "deserialized artifact executes identically"
     (run a1).Measure.cycles (run a2).Measure.cycles;
-  (* a corrupt artifact is a miss, never a failure *)
+  (* a corrupt artifact is a miss, never a failure: garbage, a file cut
+     short, or one flipped byte anywhere in the frame (magic, length,
+     MD5) or in the payload *)
   let path = ref None in
   let rec walk p =
     if Sys.is_directory p then Array.iter (fun f -> walk (Filename.concat p f)) (Sys.readdir p)
     else path := Some p
   in
   walk dir;
-  (match !path with
-  | None -> Alcotest.fail "no artifact file written"
-  | Some p ->
-    let oc = open_out_bin p in
-    output_string oc "garbage, not a marshalled artifact";
-    close_out oc);
-  let c3 = Cache.create ~dir () in
-  let a3 =
-    Cache.get_or_compile ~codec c3 ~digest ~compile:(fun () ->
-        compile_artifact m)
+  let path =
+    match !path with
+    | None -> Alcotest.fail "no artifact file written"
+    | Some p -> p
   in
-  Alcotest.(check int) "corrupt file treated as a miss" 1
-    (Cache.stats c3).Cache.misses;
-  Alcotest.(check int) "recompiled artifact still equal" (run a1).Measure.cycles
-    (run a3).Measure.cycles
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  let corrupt label bytes =
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+    let c3 = Cache.create ~dir () in
+    let a3 =
+      Cache.get_or_compile ~codec c3 ~digest ~compile:(fun () ->
+          compile_artifact m)
+    in
+    Alcotest.(check int) (label ^ ": treated as a miss") 1
+      (Cache.stats c3).Cache.misses;
+    Alcotest.(check int) (label ^ ": recompiled artifact still equal")
+      (run a1).Measure.cycles (run a3).Measure.cycles
+  in
+  corrupt "garbage" "garbage, not a marshalled artifact";
+  corrupt "truncated" (String.sub good 0 (String.length good - 1));
+  let flipped i =
+    let b = Bytes.of_string good in
+    Bytes.set b i (Char.chr (Char.code good.[i] lxor 1));
+    Bytes.to_string b
+  in
+  let header = Cache.header_len in
+  List.iter
+    (fun i -> corrupt (Printf.sprintf "byte %d flipped" i) (flipped i))
+    (List.init header Fun.id
+    @ List.init 32 (fun k -> header + (k * (String.length good - header - 1) / 31)))
 
 (* ---- first level: the inputs log ----------------------------------- *)
 

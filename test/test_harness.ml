@@ -700,12 +700,13 @@ let replace_first s ~sub ~by =
 (* Metamorphic runs over one small sweep on risc0, sp1 and valida, each
    counting the guest runs it executes beneath the memo: cache off (a
    private cache), warm in memory, cold and warm over a disk store, and
-   that store planted six ways — written under another build identity
+   that store planted seven ways — written under another build identity
    and poisoned (artifacts and kept runs swapped), an inputs row with
    one flipped byte, a row whose digest was swapped for another cell's,
    a valid row pointing at a digest whose artifacts are gone, a kept
-   run with one flipped byte, and a validly checked kept run that does
-   not decode.  Every run must give byte-identical rows, and the counts
+   run with one flipped byte, a validly checked kept run that does not
+   decode, and an artifact file with one flipped byte whose kept runs
+   are gone.  Every run must give byte-identical rows, and the counts
    show what each run read. *)
 let test_stale_store_cannot_change_rows () =
   Zkopt_valida.Vbackend.ensure ();
@@ -891,7 +892,35 @@ let test_stale_store_cannot_change_rows () =
         Cache.record (Cache.create ~dir:d ()) ~key ~value:short)
   in
   same "kept run that does not decode" short_run;
-  executes "kept run that does not decode" 1
+  executes "kept run that does not decode" 1;
+  (* a's RV32 artifact with one flipped byte, its kept runs dropped from
+     the log: a's handle must fetch the artifact, whose frame fails, so
+     exactly that artifact is compiled again from a's own module, and
+     exactly the dropped runs execute *)
+  let rv32_runs = fp_a ^ "+" ^ Zkopt_backend.Rv32.schema ^ " " in
+  let dropped = ref 0 in
+  let flipped_artifact =
+    planted "flipped-artifact" (fun d ->
+        let nsd = Filename.concat d Cache.namespace in
+        copy_tree ns nsd;
+        let art = Filename.concat nsd (fp_a ^ "+" ^ Zkopt_backend.Rv32.schema) in
+        let bytes = read_file art in
+        let at = String.length bytes / 2 in
+        let flipped = Bytes.of_string bytes in
+        Bytes.set flipped at (Char.chr (Char.code bytes.[at] lxor 1));
+        write_file art (Bytes.to_string flipped);
+        let kept, rest =
+          List.partition (String.starts_with ~prefix:rv32_runs) (rows_of (log d))
+        in
+        dropped := List.length kept;
+        write_file (log d) (String.concat "\n" rest))
+  in
+  Alcotest.(check bool) "a's RV32 artifact had kept runs" true (!dropped > 0);
+  same "artifact with a flipped byte" flipped_artifact;
+  Alcotest.(check (pair int int)) "artifact with a flipped byte: one pipeline, one compile"
+    (1, 1)
+    (flipped_artifact.H.prepared, flipped_artifact.H.cache_stats.Cache.misses);
+  executes "artifact with a flipped byte" !dropped
 
 let tests =
   [
