@@ -739,12 +739,6 @@ let tune_cmd =
              ~doc:"Write the winning sequence as a named-profile JSON file \
                    consumable by `zkbench sweepall --tuned`")
   in
-  let no_prune_arg =
-    Arg.(value & flag
-         & info [ "no-prune" ]
-             ~doc:"Disable prefix-estimate early exit (measure every \
-                   non-deduped genome)")
-  in
   let objective_arg =
     Arg.(value
          & opt
@@ -757,8 +751,7 @@ let tune_cmd =
                    cycle count) or \"settled\" (end-to-end settlement \
                    micro-cost: prover + aggregation + verification gas)")
   in
-  let run (spec : Job.autotune) jobs ckpt fresh profile_out no_prune
-      (settled, unit_name) =
+  let run (spec : Job.autotune) jobs ckpt fresh profile_out (settled, unit_name) =
     let cfg, target =
       Job.autotune_config ~cache:(Cache.create ()) ~settled spec
     in
@@ -766,7 +759,6 @@ let tune_cmd =
       {
         cfg with
         A.jobs;
-        prune = not no_prune;
         checkpoint = ckpt;
         resume = not fresh;
       }
@@ -818,7 +810,7 @@ let tune_cmd =
           $ checkpoint_arg
               ~doc:"Append per-generation rows to FILE; rerunning with the \
                     same file resumes the search" ()
-          $ fresh_arg $ profile_out_arg $ no_prune_arg $ objective_arg)
+          $ fresh_arg $ profile_out_arg $ objective_arg)
 
 let backends_cmd =
   let run () =

@@ -6,11 +6,11 @@
 # drives the real CLI over checkpoints on disk: a resumed run and a
 # --jobs 2 run (64 cells, then the full quick matrix) must match an
 # uninterrupted --jobs 1 run byte for byte, so must a cold and a warm
-# --cache-dir run (the warm one compiling nothing and running no
-# pipeline), and --fresh must discard the old rows.  Then the front door: a bad
-# name or a flag of another kind is a usage error (exit 124) naming the
-# value, and `submit sweep` through a live daemon streams the rows the
-# one-shot `sweepall` writes.
+# --cache-dir run (the warm one reading no artifact, compiling nothing
+# and running no pipeline), and --fresh must discard the old rows.  Then
+# the front door: a bad name or a flag of another kind is a usage error
+# (exit 124) naming the value, and `submit sweep` through a live daemon
+# streams the rows the one-shot `sweepall` writes.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -51,8 +51,8 @@ sweep --no-disk-cache --jobs 2 --checkpoint "$tmpdir/full2.ckpt"
 cmp "$tmpdir/full1.ckpt" "$tmpdir/full2.ckpt" \
   || fail "full-sweep --jobs 2 checkpoint differs from --jobs 1"
 # a cold and a warm pass over one disk store give the same rows; the
-# warm pass compiles nothing and runs no pipeline (and no guest: the
-# store keeps every completed run)
+# warm pass reads no artifact, compiles nothing and runs no pipeline (and
+# no guest: the store keeps every completed run)
 store_sweep() {
   dune exec bin/zkbench.exe -- sweepall --quick --jobs 1 \
     --cache-dir "$tmpdir/store" --checkpoint "$tmpdir/$1.ckpt" > "$tmpdir/$1.out"
@@ -63,7 +63,7 @@ for pass in store-cold store-warm; do
   cmp "$tmpdir/full1.ckpt" "$tmpdir/$pass.ckpt" \
     || fail "the $pass --cache-dir checkpoint differs from --no-disk-cache"
 done
-grep -q ' 0 compiles .* 0 pass pipelines$' "$tmpdir/store-warm.out" \
+grep -q ': 0 mem + 0 disk hits, 0 compiles .* 0 pass pipelines$' "$tmpdir/store-warm.out" \
   || fail "warm --cache-dir sweep: $(grep '^compile cache' "$tmpdir/store-warm.out")"
 # --fresh discards the old rows: the header plus exactly 3 new rows
 sweep --fresh --limit 3 --checkpoint "$resumed"

@@ -30,8 +30,9 @@
       is structurally identical to one already measured costs nothing
       ([dedup]), and a genome whose already-scored {e prefix} is no
       better than the current worst survivor can be discarded without
-      measuring ([prune] — a heuristic: a suffix could still help, so
-      pruning trades a little search fidelity for a lot of budget).
+      measuring ([pruned] — a heuristic: a suffix could still help, so
+      pruning trades a little search fidelity for a lot of budget; it is
+      always on).
     - {b Kill-safe checkpointing.}  Each generation appends one row per
       child plus a generation summary row; {!search} with
       [resume = true] replays completed generations from the row log
@@ -294,9 +295,8 @@ let combine (ws : (float * int) list) : int =
     many domains at once, and deterministic per genome regardless of
     batch interleaving.  [root t] is {!root_digest}[ t]. *)
 let eval_child ~(pcache : Modul.t Cache.t) ~(root : target -> string)
-    ~(scores : (string * string, int) Hashtbl.t) ~(prune : bool)
-    ~(threshold : int option) ~(targets : target list) (g : genome) : verdict
-    =
+    ~(scores : (string * string, int) Hashtbl.t) ~(threshold : int option)
+    ~(targets : target list) (g : genome) : verdict =
   let rev = List.rev g in
   let prepared =
     List.map
@@ -331,7 +331,7 @@ let eval_child ~(pcache : Modul.t Cache.t) ~(root : target -> string)
     else
       let prune_estimate =
         match threshold with
-        | Some th when prune ->
+        | Some th ->
           (* estimate each unmeasured axis from its longest already-scored
              proper prefix; if every axis has an exact score or estimate
              and the combination is no better than the worst survivor,
@@ -362,7 +362,7 @@ let eval_child ~(pcache : Modul.t Cache.t) ~(root : target -> string)
             in
             if fit >= th then Some fit else None
           else None
-        | _ -> None
+        | None -> None
       in
       match prune_estimate with
       | Some fit -> { vkind = 'p'; vfitness = fit; vscores = [] }
@@ -506,7 +506,6 @@ type config = {
   pool : Pool.t option;  (** evaluate over this (shared, warm) pool *)
   prefix_cache : Modul.t Cache.t option;
       (** share partially-optimized modules across runs *)
-  prune : bool;  (** enable prefix-estimate early exit *)
   checkpoint : string option;  (** row-log path *)
   resume : bool;  (** replay completed generations from the row log *)
   on_row : string -> unit;  (** every row, replayed and live, in order *)
@@ -522,7 +521,6 @@ let default ?(seed = 1) ?(population = 16) ?(iterations = 160) ?(jobs = 1) ()
     jobs;
     pool = None;
     prefix_cache = None;
-    prune = true;
     checkpoint = None;
     resume = false;
     on_row = ignore;
@@ -630,7 +628,7 @@ let search (cfg : config) ~(targets : target list) : outcome =
       else begin
         replay_active := false;
         Drive.map pool
-          (eval_child ~pcache ~root ~scores ~prune:cfg.prune ~threshold ~targets)
+          (eval_child ~pcache ~root ~scores ~threshold ~targets)
           genomes
       end
     in

@@ -149,27 +149,42 @@ let run_key ~key ?vm fuel =
   String.concat " " ((key :: Option.to_list vm) @ [ string_of_int fuel ])
 
 (* The run [cache]'s first level keeps under [run_key], if it decodes. *)
-let kept cache run_key ~decode =
+let kept_run cache run_key ~decode =
   Option.bind (Zkopt_exec.Cache.resolve cache ~key:run_key) decode
 
 (* A call with no fuel runs at the default of every run. *)
 let resolved = Option.value ~default:Zkopt_riscv.Emulator.default_fuel
 
-(* [c], the artifact cached under [key], with a measurement memo: a
-   completed run with no fault and no sink is kept, keyed by [(vm,
+(* [b]'s artifact cached under [key], with its runs kept: a completed
+   run with no fault and no sink is kept in a table, keyed by [(vm,
    fuel)] for [measure] and by [fuel] for [measure_cpu], and an equal
-   call is served from the table.  The key is the resolved fuel, so a
-   call that names none shares the entry of one at
+   call is served from it.  The key is the resolved fuel, so a call that
+   names none shares the entry of one at
    {!Zkopt_riscv.Emulator.default_fuel}, every run's default.  A miss in
    the table first looks in [cache]'s first level under the run key,
-   where a completed run with clean accounting and no fault is
-   recorded, so a fresh cache over the same disk store executes it no
-   more.  Faulted and sinked calls always execute, and a run that
-   raises stores nothing.  No run holds the lock: two domains racing on
-   one key may both run it, and store the same result.  A hit builds
-   no run key. *)
-let memoized cache ~key (c : compiled) : compiled =
-  let mu = Mutex.create () in
+   where a completed run with clean accounting and no fault is recorded,
+   so a fresh cache over the same disk store executes it no more.
+   Faulted and sinked calls always execute, and a run that raises keeps
+   nothing.  No run holds the lock: two domains racing on one key may
+   both run it, and keep the same result.  A hit builds no run key.
+
+   [artifact] is called only by a call that needs the artifact: a run
+   nothing keeps, a faulted or sinked call, or a use of its static data.
+   It is called under the lock and its result kept, so it returns at
+   most once; a [Lazy] would raise [Lazy.Undefined] when two domains
+   force it at once.  Whether [measure_cpu] exists cannot wait for the
+   artifact, so it follows [b.zk_native]. *)
+let kept cache (b : t) ~key (artifact : unit -> compiled) : compiled =
+  let mu = Mutex.create () and art = ref None in
+  let artifact () =
+    Mutex.protect mu (fun () ->
+        match !art with
+        | Some c -> c
+        | None ->
+          let c = artifact () in
+          art := Some c;
+          c)
+  in
   let zk = Hashtbl.create 2 and cpu = Hashtbl.create 1 in
   let remember tbl k miss =
     match Mutex.protect mu (fun () -> Hashtbl.find_opt tbl k) with
@@ -180,7 +195,7 @@ let memoized cache ~key (c : compiled) : compiled =
       r
   in
   let persisted run_key ~decode ~encode run =
-    match kept cache run_key ~decode with
+    match kept_run cache run_key ~decode with
     | Some r -> r
     | None ->
       let r = run () in
@@ -194,74 +209,28 @@ let memoized cache ~key (c : compiled) : compiled =
       ~encode:(fun r ->
         if r.accounting = Ok () && not r.faulted then Some (encode_run r)
         else None)
-      (fun () -> c.measure ~vm ~fuel ())
+      (fun () -> (artifact ()).measure ~vm ~fuel ())
   in
   let measure ~vm ?fault ?fuel ?sink () =
     match (fault, sink) with
     | None, None -> remember zk (vm, resolved fuel) zk_miss
-    | _ -> c.measure ~vm ?fault ?fuel ?sink ()
+    | _ -> (artifact ()).measure ~vm ?fault ?fuel ?sink ()
   in
-  let measure_cpu =
-    match c.measure_cpu with
-    | None -> None
-    | Some run ->
-      let cpu_miss fuel =
-        persisted (run_key ~key fuel) ~decode:decode_cpu_run
-          ~encode:(fun r -> Some (encode_cpu_run r))
-          (fun () -> run ~fuel ())
-      in
-      Some
-        (fun ?fuel ?sink () ->
-          match sink with
-          | None -> remember cpu (resolved fuel) cpu_miss
-          | Some _ -> run ?fuel ?sink ())
+  let run_cpu ?fuel ?sink () =
+    match (artifact ()).measure_cpu with
+    | Some run -> run ?fuel ?sink ()
+    | None ->
+      invalid_arg (b.name ^ " is not zk-native, yet its artifact has no CPU model")
   in
-  { c with measure; measure_cpu }
-
-(* A stand-in for [b]'s artifact cached under [key], whose file is in
-   the disk store but not in memory.  An unfaulted, unsinked call that
-   [cache]'s first level keeps a run for is answered from it; every
-   other use fetches the artifact once with [fetch] and keeps it under
-   a mutex, never in a [Lazy], which raises [Lazy.Undefined] when two
-   domains force it at once.  Whether [measure_cpu] exists cannot wait
-   for the artifact, so it follows [b.zk_native]. *)
-let handle cache (b : t) ~key ~(fetch : unit -> compiled) : compiled =
-  let mu = Mutex.create () and art = ref None in
-  let artifact () =
-    Mutex.protect mu (fun () ->
-        match !art with
-        | Some c -> c
-        | None ->
-          let c = fetch () in
-          art := Some c;
-          c)
-  in
-  let measure ~vm ?fault ?fuel ?sink () =
-    let run () = (artifact ()).measure ~vm ?fault ?fuel ?sink () in
-    match (fault, sink) with
-    | None, None -> (
-      match
-        kept cache (run_key ~key ~vm (resolved fuel)) ~decode:decode_run
-      with
-      | Some r -> r
-      | None -> run ())
-    | _ -> run ()
+  let cpu_miss fuel =
+    persisted (run_key ~key fuel) ~decode:decode_cpu_run
+      ~encode:(fun r -> Some (encode_cpu_run r))
+      (fun () -> run_cpu ~fuel ())
   in
   let measure_cpu ?fuel ?sink () =
-    let run () =
-      match (artifact ()).measure_cpu with
-      | Some run -> run ?fuel ?sink ()
-      | None ->
-        invalid_arg (b.name ^ " is not zk-native, yet its artifact has no CPU model")
-    in
     match sink with
-    | None -> (
-      match
-        kept cache (run_key ~key (resolved fuel)) ~decode:decode_cpu_run
-      with
-      | Some r -> r
-      | None -> run ())
-    | Some _ -> run ()
+    | None -> remember cpu (resolved fuel) cpu_miss
+    | Some _ -> run_cpu ?fuel ?sink ()
   in
   {
     static_instrs = (fun () -> (artifact ()).static_instrs ());
@@ -277,18 +246,16 @@ let compile_cached ?cache (b : t) ~fp (m : Modul.t Lazy.t) : compiled =
   | None -> b.compile (Lazy.force m)
   | Some cache ->
     let key = fp ^ "+" ^ b.schema in
-    let lookup ?deferred () =
-      Zkopt_exec.Cache.get_or_compile ?deferred cache ~digest:key
+    let wrap c = kept cache b ~key (Fun.const c) in
+    let lookup () =
+      Zkopt_exec.Cache.get_or_compile cache ~digest:key
         ~codec:
           {
             Zkopt_exec.Cache.enc = (fun (c : compiled) -> c.encode ());
-            dec =
-              (fun s ->
-                Option.map (memoized cache ~key)
-                  (b.decode (Modul.create ()) s));
+            dec = (fun s -> Option.map wrap (b.decode (Modul.create ()) s));
           }
-        ~compile:(fun () -> memoized cache ~key (b.compile (Lazy.force m)))
+        ~compile:(fun () -> wrap (b.compile (Lazy.force m)))
     in
-    if Zkopt_exec.Cache.defer cache ~digest:key then
-      handle cache b ~key ~fetch:(lookup ~deferred:true)
+    (* an artifact only on disk is read when a call needs it *)
+    if Zkopt_exec.Cache.stored cache ~digest:key then kept cache b ~key lookup
     else lookup ()

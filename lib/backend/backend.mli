@@ -116,52 +116,38 @@ type t = {
     whose structural fingerprint is [fp], through the compile cache
     under the key [fp ^ "+" ^ b.schema] with the [encode]/[decode]
     codec.  The one artifact lookup every engine shares; without
-    [cache] it compiles.  [m] is forced only to compile: an artifact in
-    memory or on disk needs no module, so a caller that resolved [fp]
-    from the cache's first level ({!Zkopt_exec.Cache.resolve}) runs no
-    pass pipeline for it.
+    [cache] it compiles, and every call executes.  [m] is forced only to
+    compile: an artifact in memory or on disk needs no module, so a
+    caller that resolved [fp] from the cache's first level
+    ({!Zkopt_exec.Cache.resolve}) runs no pass pipeline for it.
 
-    Every artifact the cache holds, compiled or decoded from disk,
-    carries a measurement memo, so each distinct artifact runs once per
-    backend and fuel: its [measure] keeps each completed run made with
-    no [fault] and no [sink], keyed by [vm] and the resolved [fuel] (no
-    [fuel] keys as {!Zkopt_riscv.Emulator.default_fuel}, the default of
-    every run), and its [measure_cpu] likewise keyed by the resolved
-    [fuel]; an equal call returns the kept result without executing.
+    Through a cache the result keeps its runs, so each distinct artifact
+    runs once per backend and fuel.  Its [measure] keeps each completed
+    run made with no [fault] and no [sink], keyed by [vm] and the
+    resolved [fuel] (no [fuel] keys as
+    {!Zkopt_riscv.Emulator.default_fuel}, the default of every run), and
+    its [measure_cpu] likewise keyed by the resolved [fuel]; an equal
+    call returns the kept result without executing.  A kept run with
+    [accounting = Ok ()] and [faulted = false], and every kept CPU-model
+    run, is also recorded in the cache's first level
+    ({!Zkopt_exec.Cache.record}) under a run key: the artifact key, [vm]
+    and the resolved fuel (the CPU model's has no [vm]).  A call the
+    table lacks looks there first, so a fresh cache over the same disk
+    store executes no run it kept.  A faulted or sinked call always
+    executes and is never kept, and a run that raises keeps nothing.
+    [measure_cpu] is present iff [not b.zk_native].
 
-    The memo's table lives and is evicted with its artifact; behind it,
-    every kept run with [accounting = Ok ()] and [faulted = false] (and
-    every kept CPU-model run) is also recorded in the cache's first
-    level ({!Zkopt_exec.Cache.record}) under a run key: the artifact
-    key, [vm] and the resolved fuel (the CPU model's has no [vm]).  On
-    a miss in the table the run key is looked up there first, so a fresh
-    cache over the same disk store executes no run it kept, and neither
-    does an artifact evicted and compiled again.  The artifact key
-    already names the code (module digest and codegen family, in a disk
-    namespace that changes with any library source), so a run key needs
-    nothing else.  A hit in the table builds no run key.
-
-    A faulted or sinked call always executes and is never kept, a run
-    that raises keeps nothing, so it raises again when called again,
-    and a run whose accounting fails is kept in the table only, so a
-    fresh cache executes it again.  Without [cache] every call
-    executes.
-
-    An artifact whose file is in the cache's disk store but not in
-    memory ({!Zkopt_exec.Cache.defer}, a stat) is not read: the result
-    is then a handle made for this call.  An unfaulted, unsinked
-    [measure] or [measure_cpu] call is answered from the run the first
-    level keeps under its run key, so a rerun over a warm store reads
-    and decodes no artifact.  A run the first level lacks, a faulted
-    or sinked call, or a call of [static_instrs], [spills],
-    [site_of_pc] or [encode] fetches the artifact once through the
-    lookup above (read and decode it, or compile it from this call's
-    [m]), and the handle keeps it; either way the lookup counts once
-    in the cache's stats.  A handle is never put into the
-    cache, so it forces only the module of the call that made it.  Its
-    [measure_cpu] is present iff [not b.zk_native].  An artifact in
-    memory, or with no file in the store, takes the lookup above at
-    once, as does every lookup of a cache with no store. *)
+    One wrapper keeps the runs, in one of two homes.  An artifact the
+    cache holds, compiled or decoded, carries it, and it lives and is
+    evicted with the artifact.  An artifact whose file is in the disk
+    store but not in memory ({!Zkopt_exec.Cache.stored}, a stat) is not
+    read: the result is a wrapper made for this call, which looks the
+    artifact up (read and decode it, or compile it from this call's [m])
+    only when a call needs it: a run nothing keeps, a faulted or sinked
+    call, or a use of its static data or [encode].  It is never put into
+    the cache, so it forces only the module of the call that made it.
+    The cache's stats count artifact reads only, so a rerun over a warm
+    store counts none. *)
 val compile_cached :
   ?cache:compiled Zkopt_exec.Cache.t -> t -> fp:string -> Modul.t Lazy.t -> compiled
 

@@ -41,11 +41,8 @@
     a byte, and a file that fails any check is a miss, so a truncated
     or flipped file is compiled again.
 
-    A caller that can often answer a lookup without the artifact asks
-    {!defer} first, which only stats the file, and reads it later, if
-    at all, through [get_or_compile ~deferred:true].  Either way the
-    lookup counts once in {!stats}: a deferred one as a disk hit, or as
-    whatever its fetch turns out to be.
+    A caller that can often do without the artifact asks {!stored}, a
+    stat, and looks it up only when it needs it.
 
     The first level is one append-only {!Rowlog} per namespace,
     [dir/<build id>/inputs.log]: each row holds a key, a value and a
@@ -64,18 +61,11 @@ type 'a codec = {
   dec : string -> 'a option;  (** [None] = stale/corrupt bytes: a miss *)
 }
 
-(** A codec for artifacts that are pure data (no closures). *)
-let marshal_codec () =
-  {
-    enc = (fun a -> Some (Marshal.to_string a []));
-    dec = (fun s -> try Some (Marshal.from_string s 0) with _ -> None);
-  }
-
+(** What {!get_or_compile} served, one count per call; a caller that
+    does without the artifact ({!stored}) counts nothing. *)
 type stats = {
   hits : int;  (** served from memory (includes single-flight waiters) *)
-  disk_hits : int;
-      (** served by the on-disk store: read from it, or deferred
-          ({!defer}) and never fetched *)
+  disk_hits : int;  (** read from the on-disk store *)
   misses : int;  (** actual compiles performed *)
   evictions : int;  (** LRU entries dropped to respect [capacity] *)
 }
@@ -90,7 +80,8 @@ let sub_stats a b =
     evictions = a.evictions - b.evictions;
   }
 
-(** Fraction (in %) of lookups that did not compile. *)
+(** Fraction (in %) of lookups that did not compile (100 when there
+    were none). *)
 let hit_rate_pct s =
   let total = s.hits + s.disk_hits + s.misses in
   if total = 0 then 100.0
@@ -319,34 +310,23 @@ let record t ~key ~value =
 
 (* ---- lookup --------------------------------------------------------- *)
 
-(** [defer t ~digest] is [true] when a lookup of [digest] would read its
-    artifact from the disk store: the cache has a store, [digest] is not
-    resident in memory, and its file exists (a stat; the file is not
-    read).  The lookup then counts as a disk hit, and the caller fetches
-    the artifact only if it needs it, with [get_or_compile
-    ~deferred:true].  A file that exists but fails its frame is found
-    only by that fetch. *)
-let defer t ~digest : bool =
+(** [stored t ~digest] is [true] when [digest]'s artifact is in the
+    disk store but not in memory: the cache has a store, [digest] is not
+    resident, and its file exists.  It is a stat that counts nothing; a
+    file that fails its frame is found only by a lookup. *)
+let stored t ~digest : bool =
   match t.dir with
   | None -> false
   | Some dir ->
-    let stored =
-      (not (Mutex.protect t.mu (fun () -> Hashtbl.mem t.table digest)))
-      && Sys.file_exists (disk_path dir digest)
-    in
-    if stored then Mutex.protect t.mu (fun () -> t.disk_hits <- t.disk_hits + 1);
-    stored
+    (not (Mutex.protect t.mu (fun () -> Hashtbl.mem t.table digest)))
+    && Sys.file_exists (disk_path dir digest)
 
 (** [get_or_compile t ~digest ?codec ~compile] returns the artifact for
     [digest], compiling with [compile] only when neither memory, disk,
     nor a concurrent in-flight compile can supply it.  Without [codec]
-    the on-disk store is bypassed for this call.  With [~deferred:true]
-    (the fetch of a lookup {!defer} counted as a disk hit) that count is
-    taken back, and the fetch counts as any lookup does. *)
-let get_or_compile (type a) ?codec ?(deferred = false) (t : a t) ~digest
-    ~(compile : unit -> a) : a =
+    the on-disk store is bypassed for this call. *)
+let get_or_compile (type a) ?codec (t : a t) ~digest ~(compile : unit -> a) : a =
   Mutex.lock t.mu;
-  if deferred then t.disk_hits <- t.disk_hits - 1;
   let rec acquire () =
     match Hashtbl.find_opt t.table digest with
     | Some e ->

@@ -48,8 +48,9 @@ let test_registry_unknown_lists_options () =
       [ "no-such-vm"; "risc0"; "sp1"; "valida" ]
 
 (* A backend that is not zk-native gives every artifact a CPU model and a
-   zk-native one gives none: compiled, decoded from the disk store, and
-   as the handle a fresh cache over that store returns. *)
+   zk-native one gives none: compiled, decoded from the disk store, looked
+   up through an in-memory cache, and as the stand-in a fresh cache over
+   that store returns. *)
 let test_cpu_model_iff_not_zk_native () =
   let m = Measure.prepare_ir ~build:Test_exec.tiny_module Profile.Baseline in
   let fp = Zkopt_exec.Fingerprint.of_modul m in
@@ -61,17 +62,17 @@ let test_cpu_model_iff_not_zk_native () =
         Option.get
           (b.Backend.decode (Modul.create ()) (Option.get (c.Backend.encode ())))
       in
-      let lookup () =
-        Backend.compile_cached ~cache:(Zkopt_exec.Cache.create ~dir ()) b ~fp
-          (Lazy.from_val m)
-      in
-      ignore (lookup ());
+      let lookup cache = Backend.compile_cached ~cache b ~fp (Lazy.from_val m) in
+      let on_disk () = lookup (Zkopt_exec.Cache.create ~dir ()) in
+      ignore (on_disk ());
       List.iter
         (fun (what, (c : Backend.compiled)) ->
           Alcotest.(check bool)
             (Printf.sprintf "%s, %s: CPU model iff not zk-native" b.Backend.name what)
             (not b.Backend.zk_native) (Option.is_some c.Backend.measure_cpu))
-        [ ("compiled", c); ("decoded", decoded); ("handle", lookup ()) ])
+        [ ("compiled", c); ("decoded", decoded);
+          ("in memory", lookup (Zkopt_exec.Cache.create ()));
+          ("stand-in", on_disk ()) ])
     (Registry.all ())
 
 (* ---- exit-value conformance ----------------------------------------- *)
@@ -225,22 +226,22 @@ let cached_factorial () =
   in
   (lookup (), lookup)
 
-(* Handles on factorial's RV32 artifact: [cold] is the artifact a cache
+(* Stand-ins for factorial's RV32 artifact: [cold] is the artifact a cache
    over a store compiled, with its unfaulted runs at the default fuel
-   (risc0, sp1 and the CPU model) kept; each [handle ()] is a lookup
-   through a fresh cache over the same store, which finds the artifact
-   only on disk.  [decodes] counts the artifacts read from the store and
-   [runs] the executions after [cold]'s. *)
-type handles = {
+   (risc0, sp1 and the CPU model) kept; each [stand_in ()] is a lookup
+   through a fresh cache (or [?cache]) over the same store, which finds
+   the artifact only on disk.  [decodes] counts the artifacts read from
+   the store and [runs] the executions after [cold]'s. *)
+type stand_ins = {
   m : Modul.t;
   key : string;  (** the artifact key *)
   cold : Backend.compiled;
-  handle : unit -> Backend.compiled;
+  stand_in : ?cache:Backend.compiled Zkopt_exec.Cache.t -> unit -> Backend.compiled;
   decodes : int ref;
   runs : int ref;
 }
 
-let factorial_handles dir =
+let factorial_stand_ins dir =
   let m = factorial () in
   let decodes = ref 0 and runs = ref 0 in
   let counted = Test_harness.counting ~zk:runs ~cpu:runs (Registry.find "risc0") in
@@ -254,15 +255,14 @@ let factorial_handles dir =
     }
   in
   let fp = Zkopt_exec.Fingerprint.of_modul m in
-  let handle () =
-    Backend.compile_cached ~cache:(Zkopt_exec.Cache.create ~dir ()) b ~fp
-      (Lazy.from_val m)
+  let stand_in ?(cache = Zkopt_exec.Cache.create ~dir ()) () =
+    Backend.compile_cached ~cache b ~fp (Lazy.from_val m)
   in
-  let cold = handle () in
+  let cold = stand_in () in
   List.iter (fun vm -> ignore (cold.Backend.measure ~vm ())) [ "risc0"; "sp1" ];
   ignore ((Option.get cold.Backend.measure_cpu) ());
   runs := 0;
-  { m; key = fp ^ "+" ^ b.Backend.schema; cold; handle; decodes; runs }
+  { m; key = fp ^ "+" ^ b.Backend.schema; cold; stand_in; decodes; runs }
 
 let starves name run =
   match run () with
@@ -287,32 +287,32 @@ let test_memo_keys_on_exact_fuel () =
   starves "measure" (fun () ->
       ignore (again.Backend.measure ~vm:"risc0" ~fuel:100 ()));
   starves "measure_cpu" (fun () -> ignore (cpu_again ~fuel:100 ()));
-  (* a handle answers an equal call from the kept run, reading nothing *)
+  (* a stand-in answers an equal call from the kept run, reading nothing *)
   Test_exec.with_temp_dir @@ fun dir ->
-  let h = factorial_handles dir in
-  let c = h.handle () in
+  let h = factorial_stand_ins dir in
+  let c = h.stand_in () in
   let cpu = Option.get c.Backend.measure_cpu in
   let cold_cpu = Option.get h.cold.Backend.measure_cpu in
-  Alcotest.(check bool) "a handle serves the kept runs" true
+  Alcotest.(check bool) "a stand-in serves the kept runs" true
     (c.Backend.measure ~vm:"risc0" () = h.cold.Backend.measure ~vm:"risc0" ()
     && c.Backend.measure ~vm:"sp1" ~fuel () = h.cold.Backend.measure ~vm:"sp1" ()
     && cpu () = cold_cpu ()
     && cpu ~fuel () = cold_cpu ());
   Alcotest.(check int) "and decodes no artifact" 0 !(h.decodes);
   (* a starved call fetches the artifact once, runs out and keeps
-     nothing: a fresh handle executes it again *)
-  starves "a handle's measure" (fun () ->
+     nothing: a fresh stand-in executes it again *)
+  starves "a stand-in's measure" (fun () ->
       ignore (c.Backend.measure ~vm:"risc0" ~fuel:100 ()));
-  starves "a handle's measure_cpu" (fun () -> ignore (cpu ~fuel:100 ()));
-  Alcotest.(check (pair int int)) "a starved handle: one fetch, two runs" (1, 2)
+  starves "a stand-in's measure_cpu" (fun () -> ignore (cpu ~fuel:100 ()));
+  Alcotest.(check (pair int int)) "a starved stand-in: one fetch, two runs" (1, 2)
     (!(h.decodes), !(h.runs));
   let fresh = Zkopt_exec.Cache.create ~dir () in
   Alcotest.(check (list (option string))) "no starved run is kept" [ None; None ]
     (List.map
        (fun key -> Zkopt_exec.Cache.resolve fresh ~key)
        [ h.key ^ " risc0 100"; h.key ^ " 100" ]);
-  starves "a fresh handle's measure" (fun () ->
-      ignore ((h.handle ()).Backend.measure ~vm:"risc0" ~fuel:100 ()));
+  starves "a fresh stand-in's measure" (fun () ->
+      ignore ((h.stand_in ()).Backend.measure ~vm:"risc0" ~fuel:100 ()));
   Alcotest.(check (pair int int)) "which runs again" (2, 3) (!(h.decodes), !(h.runs))
 
 (* A zkVM sink that sums retire and precompile costs into [user] and
@@ -370,36 +370,41 @@ let test_memo_never_serves_a_sink () =
         (seen.Backend.zk = z))
     plain;
   check_cpu_sink "memo" (fun ?sink () -> cpu ?sink ()) cpu_cycles;
-  (* a handle fetches its artifact once for sinked calls, whose sinks
+  (* a stand-in fetches its artifact once for sinked calls, whose sinks
      see every event; a faulted call executes *)
   Test_exec.with_temp_dir @@ fun dir ->
-  let h = factorial_handles dir in
-  let c = h.handle () in
+  let h = factorial_stand_ins dir in
+  let cache = Zkopt_exec.Cache.create ~dir () in
+  let c = h.stand_in ~cache () in
   List.iter
     (fun vm ->
       let z = (h.cold.Backend.measure ~vm ()).Backend.zk in
       let sink, check = summing_sink () in
       let seen = c.Backend.measure ~vm ~sink () in
-      check ("handle " ^ vm) z;
-      Alcotest.(check bool) ("handle " ^ vm ^ ": same metrics as the kept run")
+      check ("stand-in " ^ vm) z;
+      Alcotest.(check bool) ("stand-in " ^ vm ^ ": same metrics as the kept run")
         true (seen.Backend.zk = z))
     [ "risc0"; "sp1" ];
-  check_cpu_sink "handle"
+  check_cpu_sink "stand-in"
     (fun ?sink () -> (Option.get c.Backend.measure_cpu) ?sink ())
     ((Option.get h.cold.Backend.measure_cpu) ()).Measure.cpu_cycles;
-  Alcotest.(check (pair int int)) "sinked handle calls: one fetch, three runs"
+  Alcotest.(check (pair int int)) "sinked stand-in calls: one fetch, three runs"
     (1, 3) (!(h.decodes), !(h.runs));
   let faulted =
     c.Backend.measure ~vm:"risc0" ~fault:Zkopt_zkvm.Machine.Corrupt_exit_value ()
   in
-  Alcotest.(check bool) "a faulted handle call executes" true
+  Alcotest.(check bool) "a faulted stand-in call executes" true
     (faulted.Backend.faulted && !(h.runs) = 4);
-  (* a handle's static data are the artifact's, read on first use *)
-  let d = h.handle () in
-  Alcotest.(check int) "a fresh handle reads nothing yet" 1 !(h.decodes);
-  Alcotest.(check int) "handle static_instrs" (h.cold.Backend.static_instrs ())
+  let s = Zkopt_exec.Cache.stats cache in
+  Alcotest.(check (list int)) "the stand-in looked its artifact up once: a disk read"
+    [ 0; 1; 0 ]
+    Zkopt_exec.Cache.[ s.hits; s.disk_hits; s.misses ];
+  (* a stand-in's static data are the artifact's, read on first use *)
+  let d = h.stand_in () in
+  Alcotest.(check int) "a fresh stand-in reads nothing yet" 1 !(h.decodes);
+  Alcotest.(check int) "stand-in static_instrs" (h.cold.Backend.static_instrs ())
     (d.Backend.static_instrs ());
-  Alcotest.(check (list (pair string int))) "handle spills"
+  Alcotest.(check (list (pair string int))) "stand-in spills"
     (h.cold.Backend.spills ()) (d.Backend.spills ());
   let program =
     (Measure.compile_ir h.m).Measure.codegen.Zkopt_riscv.Codegen.program
@@ -409,7 +414,7 @@ let test_memo_never_serves_a_sink () =
       (Array.length program.Zkopt_riscv.Asm.code + 2)
       (fun i -> Int32.add program.Zkopt_riscv.Asm.base (Int32.of_int (4 * (i - 1))))
   in
-  Alcotest.(check bool) "handle site_of_pc" true
+  Alcotest.(check bool) "stand-in site_of_pc" true
     (List.map d.Backend.site_of_pc pcs = List.map h.cold.Backend.site_of_pc pcs);
   Alcotest.(check int) "static data fetch the artifact once" 2 !(h.decodes)
 
@@ -516,11 +521,16 @@ let prop_run_decoders_total =
       && Option.is_none (Backend.decode_cpu_run junk))
 
 (* A backend whose one artifact counts its runs in [runs] and returns a
-   fixed measurement with accounting [accounting]; it is disk-cacheable,
-   and its schema names the accounting so two such backends never share
-   an artifact.  It has no CPU model, so it is zk-native. *)
-let synthetic ~runs ~accounting : Backend.t =
-  let schema = match accounting with Ok () -> "synthetic-ok" | Error _ -> "synthetic-err" in
+   fixed measurement with accounting [accounting] that reports a fault iff
+   [faulted]; it is disk-cacheable, and its schema names both so two such
+   backends never share an artifact.  It has no CPU model, so it is
+   zk-native. *)
+let synthetic ?(faulted = false) ~runs ~accounting () : Backend.t =
+  let schema =
+    String.concat "-"
+      [ "synthetic"; (match accounting with Ok () -> "ok" | Error _ -> "err");
+        string_of_bool faulted ]
+  in
   let artifact : Backend.compiled =
     {
       Backend.static_instrs = (fun () -> 1);
@@ -535,7 +545,7 @@ let synthetic ~runs ~accounting : Backend.t =
                 segments = 1; paging_cycles = 2; page_ins = 1; page_outs = 0;
                 loads = 3; stores = 4; exit_value = 42L };
             accounting;
-            faulted = false;
+            faulted;
             seg_padded = [ 1024 ];
           });
       measure_cpu = None;
@@ -552,14 +562,15 @@ let synthetic ~runs ~accounting : Backend.t =
     decode = (fun _ s -> if String.equal s schema then Some artifact else None);
   }
 
-(* A run whose accounting fails is never recorded: a fresh cache over
-   the same store executes it again, where a clean run is served. *)
+(* A run whose accounting fails, or that reports a fault although none
+   was asked for, is never recorded: a fresh cache over the same store
+   executes it again, where a clean run is served. *)
 let test_failed_accounting_not_kept () =
   Test_exec.with_temp_dir @@ fun dir ->
   let fp = "0123456789abcdef0123456789abcdef" in
-  let measure_twice accounting =
+  let measure_twice ?faulted accounting =
     let runs = ref 0 in
-    let b = synthetic ~runs ~accounting in
+    let b = synthetic ?faulted ~runs ~accounting () in
     for _ = 1 to 2 do
       let cache = Zkopt_exec.Cache.create ~dir () in
       let c = Backend.compile_cached ~cache b ~fp (lazy (Modul.create ())) in
@@ -569,6 +580,7 @@ let test_failed_accounting_not_kept () =
   in
   let ok_runs, ok_key = measure_twice (Ok ()) in
   let err_runs, err_key = measure_twice (Error "planted") in
+  let faulted_runs, faulted_key = measure_twice ~faulted:true (Ok ()) in
   let rows = In_channel.with_open_bin (Test_exec.inputs_log dir) In_channel.input_all in
   let rows_of key =
     List.filter (String.starts_with ~prefix:key) (String.split_on_char '\n' rows)
@@ -577,7 +589,10 @@ let test_failed_accounting_not_kept () =
   Alcotest.(check int) "a fresh cache runs no clean run again" 1 ok_runs;
   Alcotest.(check (list string)) "a run with failed accounting is not recorded" []
     (rows_of err_key);
-  Alcotest.(check int) "a fresh cache executes it again" 2 err_runs
+  Alcotest.(check int) "a fresh cache executes it again" 2 err_runs;
+  Alcotest.(check (list string)) "a faulted run is not recorded" []
+    (rows_of faulted_key);
+  Alcotest.(check int) "a fresh cache executes it again too" 2 faulted_runs
 
 let tests =
   [

@@ -698,16 +698,17 @@ let replace_first s ~sub ~by =
   String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
 
 (* Metamorphic runs over one small sweep on risc0, sp1 and valida, each
-   counting the guest runs it executes beneath the memo: cache off (a
-   private cache), warm in memory, cold and warm over a disk store, and
-   that store planted seven ways — written under another build identity
-   and poisoned (artifacts and kept runs swapped), an inputs row with
-   one flipped byte, a row whose digest was swapped for another cell's,
-   a valid row pointing at a digest whose artifacts are gone, a kept
-   run with one flipped byte, a validly checked kept run that does not
-   decode, and an artifact file with one flipped byte whose kept runs
-   are gone.  Every run must give byte-identical rows, and the counts
-   show what each run read. *)
+   counting the guest runs it executes beneath the kept runs: no cache
+   at all, a private cache, warm in memory, cold and warm over a disk
+   store, and that store planted seven ways — written under another
+   build identity and poisoned (artifacts and kept runs swapped), an
+   inputs row with one flipped byte, a row whose digest was swapped for
+   another cell's, a valid row pointing at a digest whose artifacts are
+   gone, a kept run with one flipped byte, a validly checked kept run
+   that does not decode, and an artifact file with one flipped byte
+   whose kept runs are gone.  Every run must give byte-identical rows,
+   and the counts show what each run read; the cache's stats count
+   artifact reads only. *)
 let test_stale_store_cannot_change_rows () =
   Zkopt_valida.Vbackend.ensure ();
   let size = Workload.Quick in
@@ -730,12 +731,49 @@ let test_stale_store_cannot_change_rows () =
     guests := 0;
     H.run (cfg cache)
   in
-  let off = canonical (run (Cache.create ())).H.points in
+  let off_outcome = run (Cache.create ()) in
+  let off = canonical off_outcome.H.points in
   let all_runs = !guests in
   let same label (o : H.outcome) =
     Alcotest.(check string) (label ^ ": rows") off (canonical o.H.points)
   in
   let executes label n = Alcotest.(check int) (label ^ ": guest runs") n !guests in
+  (* no cache at all: [compile_cached] without one executes every run,
+     and each cell's zk and CPU metrics are its row's *)
+  guests := 0;
+  let cpu_cells = ref 0 in
+  List.iter
+    (fun program ->
+      let w = Workload.find program in
+      List.iter
+        (fun profile ->
+          let m = Measure.prepare_ir ~build:(fun () -> w.Workload.build size) profile in
+          let fp = Fingerprint.of_modul m in
+          let arts =
+            List.map (fun b -> (b, Backend.compile_cached b ~fp (Lazy.from_val m))) backends
+          in
+          let zk =
+            List.map
+              (fun ((b : Backend.t), (c : Backend.compiled)) ->
+                (c.Backend.measure ~vm:b.Backend.name ()).Backend.zk)
+              arts
+          in
+          let cpu =
+            match profile with
+            | Profile.Baseline | Profile.Single_pass _ ->
+              incr cpu_cells;
+              List.find_map (fun (_, (c : Backend.compiled)) -> c.Backend.measure_cpu) arts
+              |> Option.map (fun run -> run ?fuel:None ?sink:None ())
+            | _ -> None
+          in
+          let row = Hashtbl.find off_outcome.H.points (program, Profile.name profile) in
+          Alcotest.(check string)
+            (Printf.sprintf "no cache, %s %s: metrics" program (Profile.name profile))
+            (Checkpoint.encode_point row)
+            (Checkpoint.encode_point { row with Cell.zk; cpu }))
+        subset_profiles)
+    programs;
+  executes "no cache" ((cells * List.length backends) + !cpu_cells);
   let mem = Cache.create () in
   ignore (run mem);
   let warm_mem = run mem in
@@ -751,6 +789,9 @@ let test_stale_store_cannot_change_rows () =
   same "warm over disk" warm;
   Alcotest.(check int) "warm over disk: no pipeline" 0 warm.H.prepared;
   Alcotest.(check int) "warm over disk: no compile" 0 warm.H.cache_stats.Cache.misses;
+  Alcotest.(check (list int)) "warm over disk: no artifact read (hits, disk hits, compiles)"
+    [ 0; 0; 0 ]
+    Cache.[ warm.H.cache_stats.hits; warm.H.cache_stats.disk_hits; warm.H.cache_stats.misses ];
   executes "warm over disk" 0;
   let ns = Filename.concat dir Cache.namespace in
   (* two cells whose rows differ, [b] after [a] in plan order *)
@@ -920,6 +961,8 @@ let test_stale_store_cannot_change_rows () =
   Alcotest.(check (pair int int)) "artifact with a flipped byte: one pipeline, one compile"
     (1, 1)
     (flipped_artifact.H.prepared, flipped_artifact.H.cache_stats.Cache.misses);
+  Alcotest.(check int) "artifact with a flipped byte: no disk hit" 0
+    flipped_artifact.H.cache_stats.Cache.disk_hits;
   executes "artifact with a flipped byte" !dropped
 
 let tests =
