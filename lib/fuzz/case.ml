@@ -46,23 +46,24 @@ let knobs_to_string (k : Randprog.knobs) : string =
     k.Randprog.budget k.Randprog.max_depth k.Randprog.max_loop_bound
     k.Randprog.calls k.Randprog.memory k.Randprog.wide
 
+(* Total: an unknown key, a malformed pair or a value that does not
+   parse gives [None]. *)
 let knobs_of_string (s : string) : Randprog.knobs option =
-  try
-    Some
-      (List.fold_left
-         (fun (k : Randprog.knobs) kv ->
-           match String.split_on_char '=' kv with
-           | [ "budget"; v ] -> { k with Randprog.budget = int_of_string v }
-           | [ "depth"; v ] -> { k with Randprog.max_depth = int_of_string v }
-           | [ "loop"; v ] ->
-             { k with Randprog.max_loop_bound = int_of_string v }
-           | [ "calls"; v ] -> { k with Randprog.calls = bool_of_string v }
-           | [ "memory"; v ] -> { k with Randprog.memory = bool_of_string v }
-           | [ "wide"; v ] -> { k with Randprog.wide = bool_of_string v }
-           | _ -> raise Exit)
-         Randprog.default_knobs
-         (String.split_on_char ',' s))
-  with _ -> None
+  let int v f = Option.map f (int_of_string_opt v) in
+  let bool v f = Option.map f (bool_of_string_opt v) in
+  List.fold_left
+    (fun acc kv ->
+      Option.bind acc (fun (k : Randprog.knobs) ->
+          match String.split_on_char '=' kv with
+          | [ "budget"; v ] -> int v (fun n -> { k with Randprog.budget = n })
+          | [ "depth"; v ] -> int v (fun n -> { k with Randprog.max_depth = n })
+          | [ "loop"; v ] -> int v (fun n -> { k with Randprog.max_loop_bound = n })
+          | [ "calls"; v ] -> bool v (fun b -> { k with Randprog.calls = b })
+          | [ "memory"; v ] -> bool v (fun b -> { k with Randprog.memory = b })
+          | [ "wide"; v ] -> bool v (fun b -> { k with Randprog.wide = b })
+          | _ -> None))
+    (Some Randprog.default_knobs)
+    (String.split_on_char ',' s)
 
 (** ["seed:42"], ["seed:42[budget=20,...]"] (non-default knobs), or
     ["workload:factorial"].  The string is the case's program coordinate

@@ -10,12 +10,15 @@
 
     Two address APIs coexist:
     - the original [int32] API ([load8]/[store8]/[load32]/... ), kept
-      verbatim for the IR interpreter, the reference emulator and the
-      Valida frame machine;
+      verbatim for the IR interpreter and the reference emulators;
     - an unsigned-[int] API ([get8]/[set8]/[get32s]/[set32]) for the
-      decoded-stream machine ({!Zkopt_zkvm.Machine}): no [Int32] boxing
-      anywhere on the access path, loads returned sign-extended so the
-      caller's register file can stay in untagged native ints.
+      decoded machines ({!Zkopt_zkvm.Machine}, {!Zkopt_valida.Vexec}):
+      no [Int32] boxing anywhere on the access path, loads returned
+      sign-extended so the caller's register file can stay in untagged
+      native ints.
+
+    The Valida frame machine also takes whole chunks ([chunk_at]) and
+    reads and writes its [int64] cells in them unboxed.
 
     This module is purely functional storage — cost accounting (zkVM
     paging, CPU caches) is layered on top by observers. *)
@@ -70,6 +73,8 @@ let chunk_slow t n =
   c
 
 let[@inline] chunk t n = if n = t.last_idx then t.last else chunk_slow t n
+
+let chunk_at t a = chunk t (a lsr chunk_bits)
 
 (* ------------------------------------------------------------------ *)
 (* Unsigned-int access path (no Int32 on the way)                      *)

@@ -3,7 +3,8 @@
     Addresses are a 4 GiB unsigned space; storage is 4 KiB [Bytes]
     chunks behind a two-level directory with a one-entry last-chunk
     cache.  The representation is private: callers see two access APIs
-    over the same storage.
+    over the same storage, and the chunks themselves through
+    {!chunk_at}.
 
     This module is purely functional storage — cost accounting (zkVM
     paging, CPU caches) is layered on top by observers. *)
@@ -18,9 +19,9 @@ val addr_to_int : int32 -> int
 (** {1 int32-addressed API}
 
     The historical interface, used by the IR interpreter, the reference
-    emulator and the Valida frame machine.  Word accesses must be
-    4-aligned and fail with ["Memory: misaligned word access at ..."]
-    otherwise.  Loads of untouched memory read zero. *)
+    emulators and the precompiles.  Word accesses must be 4-aligned and
+    fail with ["Memory: misaligned word access at ..."] otherwise.
+    Loads of untouched memory read zero. *)
 
 val load8 : t -> int32 -> int
 val store8 : t -> int32 -> int -> unit
@@ -41,7 +42,7 @@ val init_global : t -> int32 -> Modul.init -> unit
 
 (** {1 Unsigned-int API}
 
-    The decoded-stream machine's access path: addresses are unsigned
+    The decoded machines' access path: addresses are unsigned
     native ints, no [Int32] is allocated anywhere, and word loads come
     back sign-extended (the machine's register normal form).  Alignment
     failures raise the same exception as the int32 API. *)
@@ -61,3 +62,18 @@ val set32 : t -> int -> int -> unit
 (** [store_image t base img] blits a pre-assembled little-endian image
     into memory at aligned unsigned address [base]. *)
 val store_image : t -> int -> Bytes.t -> unit
+
+(** {1 Chunk access}
+
+    The Valida frame machine's path to its 8-byte cells.  Its values are
+    [int64]; a call that returns one boxes it, so the machine caches a
+    chunk and reads and writes its words itself, unboxed. *)
+
+(** Bytes per chunk (4096); chunks start at multiples of it. *)
+val chunk_size : int
+
+(** [chunk_at t a] is the live chunk holding unsigned address [a],
+    allocated on first touch: byte [a land (chunk_size - 1)] of it is
+    guest byte [a].  Writes through it and through either API above are
+    one storage. *)
+val chunk_at : t -> int -> Bytes.t

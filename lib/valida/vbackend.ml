@@ -29,12 +29,15 @@ let zk_of_run (r : Vexec.result) : Measure.zk_metrics =
     exit_value = r.Vexec.exit_value;
   }
 
-let of_program (p : Visa.program) : Backend.compiled =
+(* The artifact is the decoded program: [of_program] decodes once, when
+   the artifact is built, and the disk store keeps the decoded form, so
+   an artifact read back runs without decoding again. *)
+let of_code (code : Vexec.code) : Backend.compiled =
   let measure ~vm ?fault ?fuel ?sink () =
     if not (String.equal vm cfg.Vconfig.name) then
       invalid_arg
         (Printf.sprintf "valida artifact cannot price backend %S" vm);
-    let r = Vexec.run ?fault ?fuel ?sink cfg p in
+    let r = Vexec.run ?fault ?fuel ?sink code in
     (* per-segment committed area = the sum of the three chips' padded
        tables, exactly as {!Vprover.prove} prices them *)
     let pad = Zkopt_zkvm.Prover.padded ~min_po2:cfg.Vconfig.min_po2 in
@@ -52,19 +55,21 @@ let of_program (p : Visa.program) : Backend.compiled =
     }
   in
   {
-    Backend.static_instrs = (fun () -> Array.length p.Visa.code);
-    site_of_pc = Visa.site_of_pc p;
+    Backend.static_instrs = (fun () -> code.Vexec.n);
+    site_of_pc = Vexec.site_of_pc code;
     (* no register file -> no allocator -> spills cannot exist *)
     spills = (fun () -> []);
     measure;
     measure_cpu = None;
-    encode = (fun () -> Some (Marshal.to_string p []));
+    encode = (fun () -> Some (Marshal.to_string code []));
   }
+
+let of_program (p : Visa.program) : Backend.compiled = of_code (Vexec.decode cfg p)
 
 let compile (m : Modul.t) : Backend.compiled = of_program (Vlower.lower m)
 
 let decode (_m : Modul.t) (s : string) : Backend.compiled option =
-  try Some (of_program (Marshal.from_string s 0)) with _ -> None
+  try Some (of_code (Marshal.from_string s 0)) with _ -> None
 
 let backend : Backend.t =
   {

@@ -87,12 +87,3 @@ type program = {
   main_frame : int;
   stats : (string * int) list;  (** per-function static instruction count *)
 }
-
-(** Provenance of a synthetic pc ([4 * instruction index]). *)
-let site_of_pc (p : program) (pc : int32) : (string * string) option =
-  let idx = Int32.to_int pc / 4 in
-  if idx < 0 || idx >= Array.length p.srcmap then None
-  else
-    match p.srcmap.(idx) with
-    | "", _ -> None
-    | f, b -> Some (f, b)

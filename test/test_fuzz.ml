@@ -28,6 +28,11 @@ let test_source_codec () =
     (Case.source_name (Case.seed 42));
   Alcotest.(check bool) "bad name rejected" true
     (Case.source_of_name "seed:abc" = None);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " rejected") true
+        (Case.source_of_name name = None))
+    [ "seed:3[budget=x]"; "seed:3[calls=maybe]"; "seed:3[nosuch=1]" ];
   (* non-default knobs change the generated program *)
   let a = Modul.instr_count (Case.build_source (Case.seed 3)) in
   let b =

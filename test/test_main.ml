@@ -8,6 +8,7 @@ let () =
       ("zkvm", Test_zkvm.tests);
       ("machine", Test_machine.tests);
       ("cpu", Test_cpu.tests);
+      ("valida", Test_valida.tests);
       ("crypto", Test_crypto.tests);
       ("infra", Test_infra.tests);
       ("workloads", Test_workloads.tests);
