@@ -129,7 +129,7 @@ let as_counted (cfg : Cfg.t) (defs : Defs.t) (l : t) : counted option =
             :: Instr.Bin { dst = t'; op = Instr.Add; a = Value.Reg iv''; b = Value.Imm step; ty = ty' }
             :: _
             when iv' = iv && t' = t && iv'' = iv && Ty.equal ty ty'
-                 && Hashtbl.find_opt defs.Defs.counts iv = Some 2
+                 && Defs.count defs iv = 2
                  && Defs.is_stable defs bound ->
             Some
               { loop = l; iv; iv_ty = ty; cmp_op = op; bound; step;

@@ -34,26 +34,32 @@ let add_global buf (g : Modul.global) =
   (match g.Modul.init with
   | Modul.Zero n ->
     Buffer.add_string buf " zero ";
-    Buffer.add_string buf (string_of_int n)
+    Printer.add_int buf n
   | Modul.Words ws ->
     Buffer.add_string buf " words";
     Array.iter
       (fun w ->
         Buffer.add_char buf ' ';
-        Buffer.add_string buf (Printf.sprintf "%lx" w))
+        Printer.add_hex32 buf w)
       ws);
   Buffer.add_char buf '\n'
 
+let add_bool buf b =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf (string_of_bool b)
+
 let add_func buf (f : Func.t) =
-  (* Printer.func covers name, params, return type, block labels,
+  (* Printer.add_func covers name, params, return type, block labels,
      instructions and terminators in a deterministic rendering; function
      attributes are not printed, so append them explicitly — they can
      steer late pipeline stages and must not collide. *)
-  Buffer.add_string buf (Printer.func f);
+  Printer.add_func buf f;
   let a = f.Func.attrs in
-  Buffer.add_string buf
-    (Printf.sprintf "attrs %b %b %b\n" a.Func.always_inline a.Func.no_inline
-       a.Func.internal)
+  Buffer.add_string buf "attrs";
+  add_bool buf a.Func.always_inline;
+  add_bool buf a.Func.no_inline;
+  add_bool buf a.Func.internal;
+  Buffer.add_char buf '\n'
 
 (** Canonical byte encoding of everything codegen-relevant in [m]. *)
 let encode (m : Modul.t) : string =

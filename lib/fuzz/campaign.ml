@@ -261,7 +261,7 @@ let shrink_and_persist (cfg : config) (c : Case.t) (d : Case.divergence) :
     match cfg.corpus with
     | None -> None
     | Some dir -> (
-      try Some (Corpus.save ~dir (entry_of steps)) with _ -> None)
+      try Some (Corpus.save ~dir (entry_of steps)) with Sys_error _ -> None)
   in
   (path, instrs)
 

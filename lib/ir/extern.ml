@@ -267,14 +267,14 @@ let run (name : string) (mem : mem) (args : int64 array) : int64 option =
     let ge a b =
       (* compare big-endian-wise over equal length *)
       let n = max (List.length a) (List.length b) in
-      let pad l = Array.init n (fun i -> try List.nth l i with _ -> 0) in
+      let pad l = Array.init n (fun i -> Option.value ~default:0 (List.nth_opt l i)) in
       let a = pad a and b = pad b in
       let rec cmp i = if i < 0 then true else if a.(i) <> b.(i) then a.(i) > b.(i) else cmp (i - 1) in
       cmp (n - 1)
     in
     let sub a b =
       let n = List.length a in
-      let pad l = Array.init n (fun i -> try List.nth l i with _ -> 0) in
+      let pad l = Array.init n (fun i -> Option.value ~default:0 (List.nth_opt l i)) in
       let a = pad a and b = pad b in
       let borrow = ref 0 in
       Array.to_list

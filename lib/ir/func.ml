@@ -75,15 +75,6 @@ let fresh_label f hint =
   in
   try_next ()
 
-(** Registers assigned anywhere in the function, with static def counts.
-    Registers with count 1 (and not a parameter) behave like SSA values. *)
-let def_counts f =
-  let counts = Hashtbl.create 64 in
-  let bump r = Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r)) in
-  List.iter (fun (r, _) -> bump r) f.params;
-  iter_instrs f (fun _ i -> Option.iter bump (Instr.def i));
-  counts
-
 (** The type of each register, reconstructed from definitions and params.
     The verifier guarantees consistency. *)
 let reg_types f =

@@ -60,7 +60,11 @@ let rec run_func st (f : Func.t) (args : int64 list) : int64 option =
   let env = Array.make (max 1 f.Func.next_reg) 0L in
   List.iteri
     (fun i (r, ty) ->
-      let v = try List.nth args i with _ -> trap "%s: missing argument %d" f.name i in
+      let v =
+        match List.nth_opt args i with
+        | Some v -> v
+        | None -> trap "%s: missing argument %d" f.name i
+      in
       env.(r) <- Eval.norm ty v)
     f.params;
   let slots, frame_size = alloca_layout f in

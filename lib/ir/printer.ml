@@ -1,75 +1,206 @@
-(** Textual rendering of IR, for debugging and golden tests. *)
+(** Textual rendering of IR, for debugging, golden tests and the
+    structural digest ({!Zkopt_exec.Fingerprint} appends {!add_func}).
 
-let value = Value.to_string
+    Everything is written straight into one [Buffer] with no [Printf] and
+    no intermediate string; the string forms ([instr], [func], [modul],
+    ...) wrap the [add_] writers.  [test/test_ir.ml] pins the bytes to
+    the [Printf] printer kept as [Zkopt_oracle.Ref_printer]: a byte that
+    moved would move every module digest and with it every compile-cache
+    key. *)
 
-let instr (i : Instr.t) =
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+(** [string_of_int n], appended. *)
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
+(** [Int64.to_string i], appended. *)
+let add_int64 buf i =
+  let n = Int64.to_int i in
+  if Int64.equal (Int64.of_int n) i then add_int buf n
+  else Buffer.add_string buf (Int64.to_string i)
+
+let rec add_hex buf n =
+  if n >= 16 then add_hex buf (n lsr 4);
+  Buffer.add_char buf (String.unsafe_get "0123456789abcdef" (n land 15))
+
+(** [Printf.sprintf "%lx" w], appended: the 32 bits of [w] as unsigned
+    lowercase hex with no leading zeros. *)
+let add_hex32 buf (w : int32) = add_hex buf (Int32.to_int w land 0xFFFF_FFFF)
+
+let add_reg buf r =
+  Buffer.add_string buf "%r";
+  add_int buf r
+
+let add_value buf (v : Value.t) =
+  match v with
+  | Reg r -> add_reg buf r
+  | Imm i -> add_int64 buf i
+  | Glob g ->
+    Buffer.add_char buf '@';
+    Buffer.add_string buf g
+
+let add_ty buf t = Buffer.add_string buf (Ty.to_string t)
+
+(* "%r<dst> = <op>" *)
+let add_def buf dst op =
+  add_reg buf dst;
+  Buffer.add_string buf " = ";
+  Buffer.add_string buf op
+
+let add_comma_value buf v =
+  Buffer.add_string buf ", ";
+  add_value buf v
+
+let add_call buf dst kind callee args =
+  (match dst with
+  | Some d -> add_def buf d kind
+  | None -> Buffer.add_string buf kind);
+  Buffer.add_string buf " @";
+  Buffer.add_string buf callee;
+  Buffer.add_char buf '(';
+  (match args with
+  | [] -> ()
+  | a :: rest ->
+    add_value buf a;
+    List.iter (add_comma_value buf) rest);
+  Buffer.add_char buf ')'
+
+let add_instr buf (i : Instr.t) =
   match i with
   | Bin { dst; ty; op; a; b } ->
-    Printf.sprintf "%%r%d = %s %s %s, %s" dst (Instr.binop_to_string op)
-      (Ty.to_string ty) (value a) (value b)
+    add_def buf dst (Instr.binop_to_string op);
+    Buffer.add_char buf ' ';
+    add_ty buf ty;
+    Buffer.add_char buf ' ';
+    add_value buf a;
+    add_comma_value buf b
   | Cmp { dst; ty; op; a; b } ->
-    Printf.sprintf "%%r%d = icmp %s %s %s, %s" dst (Instr.cmpop_to_string op)
-      (Ty.to_string ty) (value a) (value b)
+    add_def buf dst "icmp ";
+    Buffer.add_string buf (Instr.cmpop_to_string op);
+    Buffer.add_char buf ' ';
+    add_ty buf ty;
+    Buffer.add_char buf ' ';
+    add_value buf a;
+    add_comma_value buf b
   | Select { dst; ty; cond; if_true; if_false } ->
-    Printf.sprintf "%%r%d = select %s %s, %s, %s" dst (Ty.to_string ty)
-      (value cond) (value if_true) (value if_false)
+    add_def buf dst "select ";
+    add_ty buf ty;
+    Buffer.add_char buf ' ';
+    add_value buf cond;
+    add_comma_value buf if_true;
+    add_comma_value buf if_false
   | Mov { dst; ty; src } ->
-    Printf.sprintf "%%r%d = mov %s %s" dst (Ty.to_string ty) (value src)
+    add_def buf dst "mov ";
+    add_ty buf ty;
+    Buffer.add_char buf ' ';
+    add_value buf src
   | Cast { dst; op; src } ->
-    let name = match op with Instr.Zext -> "zext" | Sext -> "sext" | Trunc -> "trunc" in
-    Printf.sprintf "%%r%d = %s %s" dst name (value src)
+    add_def buf dst
+      (match op with Instr.Zext -> "zext " | Sext -> "sext " | Trunc -> "trunc ");
+    add_value buf src
   | Load { dst; ty; addr } ->
-    Printf.sprintf "%%r%d = load %s, %s" dst (Ty.to_string ty) (value addr)
+    add_def buf dst "load ";
+    add_ty buf ty;
+    add_comma_value buf addr
   | Store { ty; addr; src } ->
-    Printf.sprintf "store %s %s, %s" (Ty.to_string ty) (value src) (value addr)
+    Buffer.add_string buf "store ";
+    add_ty buf ty;
+    Buffer.add_char buf ' ';
+    add_value buf src;
+    add_comma_value buf addr
   | Addr { dst; base; index; scale; offset } ->
-    Printf.sprintf "%%r%d = addr %s + %s*%d + %d" dst (value base) (value index)
-      scale offset
-  | Alloca { dst; size } -> Printf.sprintf "%%r%d = alloca %d" dst size
-  | Call { dst; callee; args } ->
-    let args = String.concat ", " (List.map value args) in
-    (match dst with
-    | Some d -> Printf.sprintf "%%r%d = call @%s(%s)" d callee args
-    | None -> Printf.sprintf "call @%s(%s)" callee args)
-  | Precompile { dst; name; args } ->
-    let args = String.concat ", " (List.map value args) in
-    (match dst with
-    | Some d -> Printf.sprintf "%%r%d = precompile @%s(%s)" d name args
-    | None -> Printf.sprintf "precompile @%s(%s)" name args)
+    add_def buf dst "addr ";
+    add_value buf base;
+    Buffer.add_string buf " + ";
+    add_value buf index;
+    Buffer.add_char buf '*';
+    add_int buf scale;
+    Buffer.add_string buf " + ";
+    add_int buf offset
+  | Alloca { dst; size } ->
+    add_def buf dst "alloca ";
+    add_int buf size
+  | Call { dst; callee; args } -> add_call buf dst "call" callee args
+  | Precompile { dst; name; args } -> add_call buf dst "precompile" name args
 
-let term (t : Instr.term) =
+let add_term buf (t : Instr.term) =
   match t with
-  | Ret None -> "ret void"
-  | Ret (Some v) -> Printf.sprintf "ret %s" (value v)
-  | Br l -> Printf.sprintf "br %s" l
+  | Ret None -> Buffer.add_string buf "ret void"
+  | Ret (Some v) ->
+    Buffer.add_string buf "ret ";
+    add_value buf v
+  | Br l ->
+    Buffer.add_string buf "br ";
+    Buffer.add_string buf l
   | Cbr { cond; if_true; if_false } ->
-    Printf.sprintf "cbr %s, %s, %s" (value cond) if_true if_false
+    Buffer.add_string buf "cbr ";
+    add_value buf cond;
+    Buffer.add_string buf ", ";
+    Buffer.add_string buf if_true;
+    Buffer.add_string buf ", ";
+    Buffer.add_string buf if_false
 
-let block (b : Block.t) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (b.label ^ ":\n");
-  List.iter (fun i -> Buffer.add_string buf ("  " ^ instr i ^ "\n")) b.instrs;
-  Buffer.add_string buf ("  " ^ term b.term ^ "\n");
-  Buffer.contents buf
+let add_block buf (b : Block.t) =
+  Buffer.add_string buf b.label;
+  Buffer.add_string buf ":\n";
+  List.iter
+    (fun i ->
+      Buffer.add_string buf "  ";
+      add_instr buf i;
+      Buffer.add_char buf '\n')
+    b.instrs;
+  Buffer.add_string buf "  ";
+  add_term buf b.term;
+  Buffer.add_char buf '\n'
 
-let func (f : Func.t) =
-  let buf = Buffer.create 1024 in
-  let params =
-    String.concat ", "
-      (List.map (fun (r, ty) -> Printf.sprintf "%s %%r%d" (Ty.to_string ty) r) f.Func.params)
-  in
-  let ret = match f.ret with None -> "void" | Some t -> Ty.to_string t in
-  Buffer.add_string buf (Printf.sprintf "func %s @%s(%s) {\n" ret f.name params);
-  List.iter (fun b -> Buffer.add_string buf (block b)) f.blocks;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
+let add_func buf (f : Func.t) =
+  Buffer.add_string buf "func ";
+  Buffer.add_string buf (match f.ret with None -> "void" | Some t -> Ty.to_string t);
+  Buffer.add_string buf " @";
+  Buffer.add_string buf f.name;
+  Buffer.add_char buf '(';
+  List.iteri
+    (fun k (r, ty) ->
+      if k > 0 then Buffer.add_string buf ", ";
+      add_ty buf ty;
+      Buffer.add_char buf ' ';
+      add_reg buf r)
+    f.params;
+  Buffer.add_string buf ") {\n";
+  List.iter (add_block buf) f.blocks;
+  Buffer.add_string buf "}\n"
 
-let modul (m : Modul.t) =
-  let buf = Buffer.create 4096 in
+let add_modul buf (m : Modul.t) =
   List.iter
     (fun (g : Modul.global) ->
-      Buffer.add_string buf
-        (Printf.sprintf "global @%s : %d bytes\n" g.gname (Modul.global_size g)))
+      Buffer.add_string buf "global @";
+      Buffer.add_string buf g.gname;
+      Buffer.add_string buf " : ";
+      add_int buf (Modul.global_size g);
+      Buffer.add_string buf " bytes\n")
     m.globals;
-  List.iter (fun f -> Buffer.add_string buf ("\n" ^ func f)) m.funcs;
+  List.iter
+    (fun f ->
+      Buffer.add_char buf '\n';
+      add_func buf f)
+    m.funcs
+
+let to_string size add x =
+  let buf = Buffer.create size in
+  add buf x;
   Buffer.contents buf
+
+let value = to_string 16 add_value
+let instr = to_string 64 add_instr
+let term = to_string 32 add_term
+let block = to_string 256 add_block
+let func = to_string 1024 add_func
+let modul = to_string 4096 add_modul

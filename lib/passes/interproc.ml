@@ -100,7 +100,7 @@ let run_ipsccp (config : Pass.config) (m : Modul.t) =
           (fun k (p, _ty) ->
             match Hashtbl.find_opt arg_facts (f.Func.name, k) with
             | Some (`Const c)
-              when Hashtbl.find_opt defs.Defs.counts p = Some 1 ->
+              when Defs.count defs p = 1 ->
               Util.replace_uses f ~from:p ~to_:(Value.Imm c);
               changed := true
             | _ -> ())
@@ -251,7 +251,7 @@ let run_deadargelim (_config : Pass.config) (m : Modul.t) =
             (fun k (p, _) ->
               if
                 (not (Hashtbl.mem uses p))
-                && Hashtbl.find_opt defs.Defs.counts p = Some 1
+                && Defs.count defs p = 1
               then Some k
               else None)
             f.Func.params
@@ -336,18 +336,18 @@ let canonical_print (f : Func.t) =
                    | v -> v)
                  i)
           in
-          Buffer.add_string buf ("\n  " ^ Printer.instr i))
+          Buffer.add_string buf "\n  ";
+          Printer.add_instr buf i)
         b.Block.instrs;
-      Buffer.add_string buf
-        ("\n  "
-        ^ Printer.term
-            (Instr.map_term_labels canon_label
-               (Instr.map_term_values
-                  (fun v ->
-                    match v with
-                    | Value.Reg r -> Value.Reg (canon_reg r)
-                    | v -> v)
-                  b.Block.term))))
+      Buffer.add_string buf "\n  ";
+      Printer.add_term buf
+        (Instr.map_term_labels canon_label
+           (Instr.map_term_values
+              (fun v ->
+                match v with
+                | Value.Reg r -> Value.Reg (canon_reg r)
+                | v -> v)
+              b.Block.term)))
     f.Func.blocks;
   Buffer.contents buf
 

@@ -353,7 +353,7 @@ let run_loop_extract (_config : Pass.config) (m : Modul.t) =
                  loop.Loops.body;
                let live_ins = Hashtbl.create 8 in
                let outside_defs u =
-                 Option.value ~default:0 (Hashtbl.find_opt defs.Defs.counts u)
+                 Defs.count defs u
                  - Option.value ~default:0 (Hashtbl.find_opt inside_count u)
                in
                Intset.iter

@@ -231,7 +231,7 @@ let loop_invariant_value (inv : invariance) v =
   match v with
   | Value.Imm _ | Value.Glob _ -> true
   | Value.Reg r ->
-    Hashtbl.mem inv.defs.Defs.counts r && not (Hashtbl.mem inv.inside r)
+    Defs.count inv.defs r > 0 && not (Hashtbl.mem inv.inside r)
 
 (** Does the loop body contain any store, call or precompile?  (Barrier
     for load hoisting and several loop transforms.) *)

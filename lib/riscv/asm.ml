@@ -55,14 +55,9 @@ let expand_li rd (v : int32) =
     if lo = 0 then [ Isa.Lui (rd, hi) ]
     else [ Isa.Lui (rd, hi); Isa.Opi (Isa.ADDI, rd, rd, lo) ]
 
-(* Number of instruction words an item occupies.  [relaxed] marks Bc items
-   (by identity index) that need the long form. *)
-let item_size ~relaxed idx = function
-  | Label _ | Loc _ -> 0
-  | Ins _ | J _ | CallSym _ | Ret -> 1
-  | Li (_, v) -> List.length (expand_li 0 v)
-  | La _ -> 2
-  | Bc _ -> if Hashtbl.mem relaxed idx then 2 else 1
+(* Words of [expand_li v]: one unless both halves are needed. *)
+let li_size (v : int32) =
+  if fits_imm12_32 v || Int32.to_int v land 0xFFF = 0 then 1 else 2
 
 let invert_bcond = function
   | Isa.BEQ -> Isa.BNE | BNE -> BEQ | BLT -> BGE | BGE -> BLT
@@ -73,134 +68,187 @@ exception Asm_error of string
 let error fmt = Printf.ksprintf (fun s -> raise (Asm_error s)) fmt
 
 (** Assemble all units into a program image.  [globals] is the placed
-    global table (from {!Zkopt_ir.Layout.place_globals}). *)
-let assemble ~(globals : (string, int32) Hashtbl.t) ~data_end (units : unit_ list) : program =
-  let base = Zkopt_ir.Layout.code_base in
-  (* Give every item a stable index for relaxation bookkeeping. *)
-  let all_items =
-    List.concat_map (fun u -> List.map (fun it -> (u.name, it)) u.items) units
-  in
-  let indexed = List.mapi (fun i (u, it) -> (i, u, it)) all_items in
-  let relaxed = Hashtbl.create 16 in
-  let symbols = Hashtbl.create 64 in
-  Hashtbl.iter (fun k v -> Hashtbl.replace symbols k v) globals;
+    global table (from {!Zkopt_ir.Layout.place_globals}).
 
-  (* Layout: compute the address of every item and label; then check
-     branch ranges; iterate until no new relaxations appear. *)
-  let labels = Hashtbl.create 64 in
-  let addr_of_item = Hashtbl.create 256 in
+    Labels, conditional branches and units are numbered in item order.
+    Each unit's labels map to label numbers once (a label defined twice
+    takes its last definition, and units sharing a name share labels);
+    label and branch addresses and the relaxed (long-form) branches are
+    arrays over those numbers, and every pass walks the item lists in
+    order.  Layout repeats until no further branch needs relaxing.
+    [test/test_riscv.ml] pins this, failures included, to the hash-table
+    form kept as [Zkopt_oracle.Ref_asm]. *)
+let assemble ~(globals : (string, int32) Hashtbl.t) ~data_end (units : unit_ list) : program =
+  let base = Int32.to_int Zkopt_ir.Layout.code_base in
+  let tables = Hashtbl.create 16 in
+  let table_of u =
+    match Hashtbl.find_opt tables u.name with
+    | Some t -> t
+    | None ->
+      let t = Hashtbl.create 16 in
+      Hashtbl.replace tables u.name t;
+      t
+  in
+  let nlabels = ref 0 and nbranches = ref 0 in
+  List.iter
+    (fun u ->
+      let tbl = table_of u in
+      List.iter
+        (function
+          | Label l ->
+            Hashtbl.replace tbl l !nlabels;
+            incr nlabels
+          | Bc _ -> incr nbranches
+          | _ -> ())
+        u.items)
+    units;
+  let resolve u l =
+    match Hashtbl.find_opt (table_of u) l with
+    | Some j -> j
+    | None -> error "undefined label %s in %s" l u.name
+  in
+  (* each branch's target label, resolved in item order *)
+  let target = Array.make !nbranches 0 in
+  let k = ref 0 in
+  List.iter
+    (fun u ->
+      List.iter
+        (function
+          | Bc (_, _, _, l) ->
+            target.(!k) <- resolve u l;
+            incr k
+          | _ -> ())
+        u.items)
+    units;
+  let relaxed = Bytes.make !nbranches '\000' in
+  let is_relaxed b = Bytes.get relaxed b <> '\000' in
+  let label_at = Array.make !nlabels base and branch_at = Array.make !nbranches base in
+  let unit_at = Array.make (List.length units) base in
+  (* addresses of every label, branch and unit; returns the end of code *)
   let layout () =
-    Hashtbl.reset labels;
-    Hashtbl.reset addr_of_item;
-    let pc = ref (Int32.to_int base) in
-    List.iter
-      (fun (idx, uname, it) ->
-        Hashtbl.replace addr_of_item idx !pc;
-        (match it with
-        | Label l -> Hashtbl.replace labels (uname ^ "$" ^ l) !pc
-        | _ -> ());
-        pc := !pc + (4 * item_size ~relaxed idx it))
-      indexed;
-    (* function entry = address of its first item *)
-    let seen = Hashtbl.create 16 in
-    List.iter
-      (fun (idx, uname, _) ->
-        if not (Hashtbl.mem seen uname) then begin
-          Hashtbl.replace seen uname ();
-          Hashtbl.replace symbols uname (Int32.of_int (Hashtbl.find addr_of_item idx))
-        end)
-      indexed;
+    let pc = ref base and l = ref 0 and b = ref 0 in
+    List.iteri
+      (fun ui u ->
+        unit_at.(ui) <- !pc;
+        List.iter
+          (fun it ->
+            let words =
+              match it with
+              | Label _ ->
+                label_at.(!l) <- !pc;
+                incr l;
+                0
+              | Loc _ -> 0
+              | Ins _ | J _ | CallSym _ | Ret -> 1
+              | Li (_, v) -> li_size v
+              | La _ -> 2
+              | Bc _ ->
+                branch_at.(!b) <- !pc;
+                incr b;
+                if is_relaxed (!b - 1) then 2 else 1
+            in
+            pc := !pc + (4 * words))
+          u.items)
+      units;
     !pc
   in
-  let label_addr uname l =
-    match Hashtbl.find_opt labels (uname ^ "$" ^ l) with
-    | Some a -> a
-    | None -> error "undefined label %s in %s" l uname
-  in
   let rec fix () =
-    let _end = layout () in
+    let code_end = layout () in
     let grew = ref false in
-    List.iter
-      (fun (idx, uname, it) ->
-        match it with
-        | Bc (_, _, _, l) when not (Hashtbl.mem relaxed idx) ->
-          let here = Hashtbl.find addr_of_item idx in
-          let target = label_addr uname l in
-          let off = target - here in
-          if not (off >= -4096 && off <= 4094) then begin
-            Hashtbl.replace relaxed idx ();
-            grew := true
-          end
-        | _ -> ())
-      indexed;
-    if !grew then fix ()
+    for b = 0 to !nbranches - 1 do
+      if not (is_relaxed b) then begin
+        let off = label_at.(target.(b)) - branch_at.(b) in
+        if not (off >= -4096 && off <= 4094) then begin
+          Bytes.set relaxed b '\001';
+          grew := true
+        end
+      end
+    done;
+    if !grew then fix () else code_end
   in
-  fix ();
-  let code_end = layout () in
+  let code_end = fix () in
+  let symbols = Hashtbl.create 64 in
+  Hashtbl.iter (fun k v -> Hashtbl.replace symbols k v) globals;
+  (* function entry = address of its first item; the first unit of a
+     name wins, and a unit with no items names nothing *)
+  let entries = Hashtbl.create 16 in
+  List.iteri
+    (fun ui u ->
+      if u.items <> [] && not (Hashtbl.mem entries u.name) then begin
+        Hashtbl.replace entries u.name ();
+        Hashtbl.replace symbols u.name (Int32.of_int unit_at.(ui))
+      end)
+    units;
 
   (* Emission.  Every emitted word records the (function, block) site the
      last provenance marker named; units without markers map to
-     (unit, ""). *)
-  let out = ref [] in
-  let src = ref [] in
-  let cur_unit = ref "" in
-  let cur_block = ref "" in
-  let emit_at uname i =
-    if not (String.equal uname !cur_unit) then begin
-      cur_unit := uname;
-      cur_block := ""
-    end;
-    out := i :: !out;
-    src := (uname, !cur_block) :: !src
-  in
+     (unit, "").  Consecutive words of one site share one pair. *)
+  let code = Array.make ((code_end - base) / 4) (Isa.Jalr (Isa.zero, Isa.ra, 0)) in
+  let srcmap = Array.make (Array.length code) ("", "") in
+  let pos = ref 0 and b = ref 0 in
+  let cur_unit = ref "" and site = ref ("", "") in
   List.iter
-    (fun (idx, uname, it) ->
-      let here = Hashtbl.find addr_of_item idx in
-      let emit i = emit_at uname i in
-      match it with
-      | Label _ -> ()
-      | Loc b ->
-        if not (String.equal uname !cur_unit) then cur_unit := uname;
-        cur_block := b
-      | Ins i -> emit i
-      | Li (rd, v) -> List.iter emit (expand_li rd v)
-      | La (rd, sym) -> begin
-        match Hashtbl.find_opt symbols sym with
-        | None -> error "undefined symbol %s" sym
-        | Some a ->
-          let hi, lo = hi_lo a in
-          emit (Isa.Lui (rd, hi));
-          emit (Isa.Opi (Isa.ADDI, rd, rd, lo))
-      end
-      | J l ->
-        let off = label_addr uname l - here in
-        if not (off >= -1048576 && off <= 1048574) then
-          error "jump out of range in %s" uname;
-        emit (Isa.Jal (Isa.zero, off))
-      | Bc (c, rs1, rs2, l) ->
-        let target = label_addr uname l in
-        if Hashtbl.mem relaxed idx then begin
-          (* inverted branch over a jal *)
-          emit (Isa.Branch (invert_bcond c, rs1, rs2, 8));
-          let off = target - (here + 4) in
-          emit (Isa.Jal (Isa.zero, off))
+    (fun u ->
+      let uname = u.name in
+      (* the block resets on the unit's first word or marker, and only
+         when the name differs from the last one seen *)
+      let entered = ref false in
+      let enter () =
+        if not !entered then begin
+          entered := true;
+          if not (String.equal uname !cur_unit) then begin
+            cur_unit := uname;
+            site := (uname, "")
+          end
         end
-        else emit (Isa.Branch (c, rs1, rs2, target - here))
-      | CallSym sym -> begin
-        match Hashtbl.find_opt symbols sym with
-        | None -> error "undefined function %s" sym
-        | Some a -> emit (Isa.Jal (Isa.ra, Int32.to_int a - here))
-      end
-      | Ret -> emit (Isa.Jalr (Isa.zero, Isa.ra, 0)))
-    indexed;
-  ignore code_end;
-  {
-    code = Array.of_list (List.rev !out);
-    base;
-    symbols;
-    data_end;
-    srcmap = Array.of_list (List.rev !src);
-  }
+      in
+      let emit i =
+        enter ();
+        code.(!pos) <- i;
+        srcmap.(!pos) <- !site;
+        incr pos
+      in
+      let here () = base + (4 * !pos) in
+      List.iter
+        (fun it ->
+          match it with
+          | Label _ -> ()
+          | Loc blk ->
+            enter ();
+            site := (uname, blk)
+          | Ins i -> emit i
+          | Li (rd, v) -> List.iter emit (expand_li rd v)
+          | La (rd, sym) -> begin
+            match Hashtbl.find_opt symbols sym with
+            | None -> error "undefined symbol %s" sym
+            | Some a ->
+              let hi, lo = hi_lo a in
+              emit (Isa.Lui (rd, hi));
+              emit (Isa.Opi (Isa.ADDI, rd, rd, lo))
+          end
+          | J l ->
+            let off = label_at.(resolve u l) - here () in
+            if not (off >= -1048576 && off <= 1048574) then
+              error "jump out of range in %s" uname;
+            emit (Isa.Jal (Isa.zero, off))
+          | Bc (c, rs1, rs2, _) ->
+            let here = here () and tgt = label_at.(target.(!b)) in
+            if is_relaxed !b then begin
+              (* inverted branch over a jal *)
+              emit (Isa.Branch (invert_bcond c, rs1, rs2, 8));
+              emit (Isa.Jal (Isa.zero, tgt - (here + 4)))
+            end
+            else emit (Isa.Branch (c, rs1, rs2, tgt - here));
+            incr b
+          | CallSym sym -> begin
+            match Hashtbl.find_opt symbols sym with
+            | None -> error "undefined function %s" sym
+            | Some a -> emit (Isa.Jal (Isa.ra, Int32.to_int a - here ()))
+          end
+          | Ret -> emit (Isa.Jalr (Isa.zero, Isa.ra, 0)))
+        u.items)
+    units;
+  { code; base = Zkopt_ir.Layout.code_base; symbols; data_end; srcmap }
 
 (** Provenance of an instruction address: [(function, block)], or [None]
     outside the code image. *)

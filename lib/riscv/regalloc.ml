@@ -8,12 +8,6 @@
     and pass-created register pressure (licm, Fig. 9) turns into genuine
     lw/sw traffic against stack pages. *)
 
-type interval = {
-  vreg : int;
-  start_ : int;
-  stop_ : int;
-}
-
 (* t0-t2, s0-s1, s2-s9: thirteen allocatable registers.  The remaining
    GPRs are the zero/ra/sp/gp/tp fixture, the a-registers (argument
    plumbing owned by the selector), x26-x29 (assembler/linker scratch in
@@ -25,7 +19,9 @@ let pool = [ 5; 6; 7; 8; 9; 18; 19; 20; 21; 22; 23; 24; 25 ]
 let scratch0 = 30 (* t5 *)
 let scratch1 = 31 (* t6 *)
 
-let item_defs (it : Asm.item) =
+(* An item writes at most one register and reads at most two: [def_reg],
+   [use_a] and [use_b] name them, or -1, without allocating. *)
+let def_reg (it : Asm.item) =
   match it with
   | Asm.Ins (Isa.Op (_, rd, _, _))
   | Ins (Isa.Opi (_, rd, _, _))
@@ -33,24 +29,47 @@ let item_defs (it : Asm.item) =
   | Ins (Isa.Auipc (rd, _))
   | Ins (Isa.Load (_, rd, _, _))
   | Li (rd, _)
-  | La (rd, _) ->
-    [ rd ]
-  | Ins (Isa.Jal (rd, _)) | Ins (Isa.Jalr (rd, _, _)) -> [ rd ]
-  | Ins (Isa.Store _) | Ins (Isa.Branch _) | Ins Isa.Ecall -> []
-  | Label _ | J _ | Bc _ | CallSym _ | Ret | Loc _ -> []
+  | La (rd, _)
+  | Ins (Isa.Jal (rd, _))
+  | Ins (Isa.Jalr (rd, _, _)) ->
+    rd
+  | Ins (Isa.Store _) | Ins (Isa.Branch _) | Ins Isa.Ecall
+  | Label _ | J _ | Bc _ | CallSym _ | Ret | Loc _ ->
+    -1
 
-let item_uses (it : Asm.item) =
+let use_a (it : Asm.item) =
   match it with
-  | Asm.Ins (Isa.Op (_, _, rs1, rs2)) -> [ rs1; rs2 ]
-  | Ins (Isa.Opi (_, _, rs1, _)) -> [ rs1 ]
-  | Ins (Isa.Load (_, _, rs1, _)) -> [ rs1 ]
-  | Ins (Isa.Store (_, rs2, rs1, _)) -> [ rs1; rs2 ]
-  | Ins (Isa.Jalr (_, rs1, _)) -> [ rs1 ]
-  | Ins (Isa.Branch (_, rs1, rs2, _)) -> [ rs1; rs2 ]
-  | Bc (_, rs1, rs2, _) -> [ rs1; rs2 ]
+  | Asm.Ins (Isa.Op (_, _, rs1, _))
+  | Ins (Isa.Opi (_, _, rs1, _))
+  | Ins (Isa.Load (_, _, rs1, _))
+  | Ins (Isa.Store (_, _, rs1, _))
+  | Ins (Isa.Jalr (_, rs1, _))
+  | Ins (Isa.Branch (_, rs1, _, _))
+  | Bc (_, rs1, _, _) ->
+    rs1
   | Ins (Isa.Lui _) | Ins (Isa.Auipc _) | Ins (Isa.Jal _) | Ins Isa.Ecall
   | Li _ | La _ | Label _ | J _ | CallSym _ | Ret | Loc _ ->
-    []
+    -1
+
+let use_b (it : Asm.item) =
+  match it with
+  | Asm.Ins (Isa.Op (_, _, _, rs2))
+  | Ins (Isa.Store (_, rs2, _, _))
+  | Ins (Isa.Branch (_, _, rs2, _))
+  | Bc (_, _, rs2, _) ->
+    rs2
+  | Ins (Isa.Opi _) | Ins (Isa.Load _) | Ins (Isa.Jalr _) | Ins (Isa.Lui _)
+  | Ins (Isa.Auipc _) | Ins (Isa.Jal _) | Ins Isa.Ecall
+  | Li _ | La _ | Label _ | J _ | CallSym _ | Ret | Loc _ ->
+    -1
+
+let item_defs it = match def_reg it with -1 -> [] | rd -> [ rd ]
+
+let item_uses it =
+  match (use_a it, use_b it) with
+  | -1, _ -> []
+  | rs1, -1 -> [ rs1 ]
+  | rs1, rs2 -> [ rs1; rs2 ]
 
 let map_item_regs f (it : Asm.item) : Asm.item =
   match it with
@@ -70,38 +89,38 @@ let map_item_regs f (it : Asm.item) : Asm.item =
 
 let is_vreg r = r >= Isel.vreg_base
 
+(* A register's vreg index (vreg - [Isel.vreg_base]), or -1. *)
+let vidx r = if is_vreg r then r - Isel.vreg_base else -1
+
 (* ------------------------------------------------------------------ *)
-(* Machine-level liveness                                              *)
+(* Machine-level liveness and live intervals                           *)
 (* ------------------------------------------------------------------ *)
 
-module IS = Zkopt_analysis.Intset
-
-(* Split items into leader-indexed blocks and compute successor indices. *)
-let machine_blocks (items : Asm.item array) =
+(* Live intervals over item positions, as [lo]/[hi] per vreg index
+   ([lo] = max_int: the vreg never occurs).  An interval spans every
+   def and use of its vreg and every block edge it is live across.
+   Liveness is solved per vreg by walking predecessors back from the
+   blocks that read it before writing it: the same least fixpoint as
+   iterating block sets, with no set per block. *)
+let intervals (items : Asm.item array) ~dv ~ua ~ub ~nv =
   let n = Array.length items in
-  let leader = Array.make n false in
-  if n > 0 then leader.(0) <- true;
+  (* blocks: a label starts one, a jump, branch or return ends one;
+     block b covers items first.(b) .. first.(b + 1) - 1 *)
+  let block_of = Array.make n 0 and starts = ref [] and nb = ref 0 in
   Array.iteri
     (fun i it ->
-      match it with
-      | Asm.Label _ -> leader.(i) <- true
-      | J _ | Bc _ | Ret -> if i + 1 < n then leader.(i + 1) <- true
-      | _ -> ())
+      let leader =
+        i = 0
+        || (match it with Asm.Label _ -> true | _ -> false)
+        || match items.(i - 1) with Asm.J _ | Bc _ | Ret -> true | _ -> false
+      in
+      if leader then begin
+        starts := i :: !starts;
+        incr nb
+      end;
+      block_of.(i) <- !nb - 1)
     items;
-  let starts = ref [] in
-  for i = n - 1 downto 0 do
-    if leader.(i) then starts := i :: !starts
-  done;
-  let starts = Array.of_list !starts in
-  let nb = Array.length starts in
-  let block_of = Array.make n 0 in
-  Array.iteri
-    (fun bi s ->
-      let e = if bi + 1 < nb then starts.(bi + 1) else n in
-      for i = s to e - 1 do
-        block_of.(i) <- bi
-      done)
-    starts;
+  let nb = !nb and first = Array.of_list (List.rev (n :: !starts)) in
   let label_block = Hashtbl.create 16 in
   Array.iteri
     (fun i it ->
@@ -109,99 +128,83 @@ let machine_blocks (items : Asm.item array) =
       | Asm.Label l -> Hashtbl.replace label_block l block_of.(i)
       | _ -> ())
     items;
-  let succ = Array.make nb [] in
-  Array.iteri
-    (fun bi _start ->
-      let e = if bi + 1 < nb then starts.(bi + 1) else n in
-      let last = items.(e - 1) in
-      let fallthrough = if bi + 1 < nb then [ bi + 1 ] else [] in
-      succ.(bi) <-
-        (match last with
-        | Asm.J l -> [ Hashtbl.find label_block l ]
-        | Bc (_, _, _, l) -> Hashtbl.find label_block l :: fallthrough
-        | Ret -> []
-        | _ -> fallthrough))
-    starts;
-  (starts, block_of, succ)
-
-let intervals_of (items : Asm.item array) : interval list * IS.t =
-  let n = Array.length items in
-  let starts, _block_of, succ = machine_blocks items in
-  let nb = Array.length starts in
-  let block_range bi =
-    let s = starts.(bi) in
-    let e = if bi + 1 < nb then starts.(bi + 1) else n in
-    (s, e)
+  let preds = Array.make nb [] in
+  let edge b s = preds.(s) <- b :: preds.(s) in
+  for b = 0 to nb - 1 do
+    let fall () = if b + 1 < nb then edge b (b + 1) in
+    match items.(first.(b + 1) - 1) with
+    | Asm.J l -> edge b (Hashtbl.find label_block l)
+    | Bc (_, _, _, l) ->
+      edge b (Hashtbl.find label_block l);
+      fall ()
+    | Ret -> ()
+    | _ -> fall ()
+  done;
+  (* per vreg: blocks reading it before any write in the block, and
+     blocks writing it *)
+  let exposed = Array.make nv [] and defined = Array.make nv [] in
+  let seen_use = Array.make nv (-1) and seen_def = Array.make nv (-1) in
+  let lo = Array.make nv max_int and hi = Array.make nv (-1) in
+  let note v pos =
+    if pos < lo.(v) then lo.(v) <- pos;
+    if pos > hi.(v) then hi.(v) <- pos
   in
-  (* block-level liveness over vregs *)
-  let use = Array.make nb IS.empty and def = Array.make nb IS.empty in
-  for bi = 0 to nb - 1 do
-    let s, e = block_range bi in
-    for i = s to e - 1 do
-      List.iter
-        (fun r ->
-          if is_vreg r && not (IS.mem r def.(bi)) then use.(bi) <- IS.add r use.(bi))
-        (item_uses items.(i));
-      List.iter (fun r -> if is_vreg r then def.(bi) <- IS.add r def.(bi)) (item_defs items.(i))
-    done
-  done;
-  let live_in = Array.make nb IS.empty and live_out = Array.make nb IS.empty in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for bi = nb - 1 downto 0 do
-      let out =
-        List.fold_left (fun acc s -> IS.union acc live_in.(s)) IS.empty succ.(bi)
-      in
-      let inn = IS.union use.(bi) (IS.diff out def.(bi)) in
-      if not (IS.equal out live_out.(bi) && IS.equal inn live_in.(bi)) then begin
-        live_out.(bi) <- out;
-        live_in.(bi) <- inn;
-        changed := true
+  let use v b i =
+    if v >= 0 then begin
+      note v i;
+      if seen_def.(v) <> b && seen_use.(v) <> b then begin
+        seen_use.(v) <- b;
+        exposed.(v) <- b :: exposed.(v)
       end
-    done
-  done;
-  (* intervals: min/max positions over defs, uses and live block edges *)
-  let lo = Hashtbl.create 64 and hi = Hashtbl.create 64 in
-  let note r pos =
-    if is_vreg r then begin
-      (match Hashtbl.find_opt lo r with
-      | Some p when p <= pos -> ()
-      | _ -> Hashtbl.replace lo r pos);
-      match Hashtbl.find_opt hi r with
-      | Some p when p >= pos -> ()
-      | _ -> Hashtbl.replace hi r pos
     end
   in
-  Array.iteri
-    (fun i it ->
-      List.iter (fun r -> note r i) (item_defs it);
-      List.iter (fun r -> note r i) (item_uses it))
-    items;
-  for bi = 0 to nb - 1 do
-    let s, e = block_range bi in
-    IS.iter (fun r -> note r s) live_in.(bi);
-    IS.iter (fun r -> note r (e - 1)) live_out.(bi)
+  for i = 0 to n - 1 do
+    let b = block_of.(i) in
+    use ua.(i) b i;
+    use ub.(i) b i;
+    let d = dv.(i) in
+    if d >= 0 then begin
+      note d i;
+      if seen_def.(d) <> b then begin
+        seen_def.(d) <- b;
+        defined.(d) <- b :: defined.(d)
+      end
+    end
   done;
-  let call_positions = ref IS.empty in
-  Array.iteri
-    (fun i it -> match it with Asm.CallSym _ -> call_positions := IS.add i !call_positions | _ -> ())
-    items;
-  let intervals =
-    Hashtbl.fold
-      (fun r s acc -> { vreg = r; start_ = s; stop_ = Hashtbl.find hi r } :: acc)
-      lo []
-  in
-  (List.sort (fun a b -> compare (a.start_, a.vreg) (b.start_, b.vreg)) intervals,
-   !call_positions)
+  let live_in = Array.make nb (-1) and live_out = Array.make nb (-1) in
+  let defs_v = Array.make nb (-1) and stack = Array.make nb 0 in
+  for v = 0 to nv - 1 do
+    if exposed.(v) <> [] then begin
+      List.iter (fun b -> defs_v.(b) <- v) defined.(v);
+      let sp = ref 0 in
+      let enter b =
+        live_in.(b) <- v;
+        note v first.(b);
+        stack.(!sp) <- b;
+        incr sp
+      in
+      List.iter (fun b -> if live_in.(b) <> v then enter b) exposed.(v);
+      let rec back = function
+        | [] -> ()
+        | p :: rest ->
+          if live_out.(p) <> v then begin
+            live_out.(p) <- v;
+            note v (first.(p + 1) - 1)
+          end;
+          if live_in.(p) <> v && defs_v.(p) <> v then enter p;
+          back rest
+      in
+      while !sp > 0 do
+        decr sp;
+        back preds.(stack.(!sp))
+      done
+    end
+  done;
+  (lo, hi)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
-
-type assignment =
-  | Phys of int
-  | Slot of int
 
 type result = {
   items : Asm.item list;   (* physical registers only *)
@@ -210,137 +213,199 @@ type result = {
   spill_stores : int;
 }
 
-let crosses_call calls iv =
-  IS.exists (fun p -> p >= iv.start_ && p < iv.stop_) calls
+let pool_size = List.length pool
 
 (** Allocate and rewrite.  [slot_base] is the sp-relative byte offset of
-    spill slot 0 (just above the alloca area). *)
+    spill slot 0 (just above the alloca area).
+
+    Intervals are taken in (start, vreg) order.  Those live across a
+    call go to stack slots first, in that order; the rest go through
+    linear scan, whose active list is kept sorted by (stop, vreg): at
+    each start the expired prefix frees its registers in list order onto
+    a free stack, and when none is free the last active interval is
+    spilled if it ends later than the new one.  Interval bounds and
+    assignments are arrays over vreg indices.  [test/test_riscv.ml] pins
+    this to the list-and-[Hashtbl] form kept as
+    [Zkopt_oracle.Ref_regalloc]. *)
 let allocate ~slot_base (items_list : Asm.item list) : result =
   let items = Array.of_list items_list in
-  let intervals, calls = intervals_of items in
-  let assignment : (int, assignment) Hashtbl.t = Hashtbl.create 64 in
+  let n = Array.length items in
+  let dv = Array.map (fun it -> vidx (def_reg it)) items
+  and ua = Array.map (fun it -> vidx (use_a it)) items
+  and ub = Array.map (fun it -> vidx (use_b it)) items in
+  let nv = ref 0 in
+  for i = 0 to n - 1 do
+    nv := max !nv (1 + max dv.(i) (max ua.(i) ub.(i)))
+  done;
+  let nv = !nv in
+  let lo, hi = intervals items ~dv ~ua ~ub ~nv in
+  (* intervals in (start, vreg) order: a counting sort on start *)
+  let at = Array.make (n + 1) 0 in
+  for v = 0 to nv - 1 do
+    if lo.(v) < max_int then at.(lo.(v) + 1) <- at.(lo.(v) + 1) + 1
+  done;
+  for i = 1 to n do
+    at.(i) <- at.(i) + at.(i - 1)
+  done;
+  let order = Array.make at.(n) 0 in
+  for v = 0 to nv - 1 do
+    if lo.(v) < max_int then begin
+      order.(at.(lo.(v))) <- v;
+      at.(lo.(v)) <- at.(lo.(v)) + 1
+    end
+  done;
+  (* call positions, ascending *)
+  let calls = ref [] in
+  Array.iteri (fun i it -> match it with Asm.CallSym _ -> calls := i :: !calls | _ -> ()) items;
+  let calls = Array.of_list (List.rev !calls) in
+  let crosses_call v =
+    (* first call at or after the start, by bisection *)
+    let l = ref 0 and r = ref (Array.length calls) in
+    while !l < !r do
+      let m = (!l + !r) / 2 in
+      if calls.(m) < lo.(v) then l := m + 1 else r := m
+    done;
+    !l < Array.length calls && calls.(!l) < hi.(v)
+  in
+  (* assignment per vreg index: 0 none, p > 0 physical, -(s + 1) slot s *)
+  let asg = Array.make nv 0 in
   let next_slot = ref 0 in
-  let new_slot () =
-    let s = !next_slot in
-    incr next_slot;
-    s
+  let to_slot v =
+    asg.(v) <- -(!next_slot + 1);
+    incr next_slot
   in
   (* call-crossing intervals go straight to slots *)
-  let allocatable =
-    List.filter
-      (fun iv ->
-        if crosses_call calls iv then begin
-          Hashtbl.replace assignment iv.vreg (Slot (new_slot ()));
-          false
-        end
-        else true)
-      intervals
-  in
+  Array.iter (fun v -> if crosses_call v then to_slot v) order;
   (* classic linear scan on the rest *)
-  let active = ref [] in (* (stop, vreg, phys), sorted by stop *)
-  let free = ref pool in
-  let expire pos =
-    let expired, still = List.partition (fun (e, _, _) -> e < pos) !active in
-    List.iter (fun (_, _, p) -> free := p :: !free) expired;
-    active := still
+  let free = Array.of_list (List.rev pool) and nfree = ref pool_size in
+  let act_stop = Array.make pool_size 0
+  and act_v = Array.make pool_size 0
+  and act_p = Array.make pool_size 0
+  and nact = ref 0 in
+  let insert stop v p =
+    let j = ref !nact in
+    while
+      !j > 0
+      && (act_stop.(!j - 1) > stop || (act_stop.(!j - 1) = stop && act_v.(!j - 1) > v))
+    do
+      act_stop.(!j) <- act_stop.(!j - 1);
+      act_v.(!j) <- act_v.(!j - 1);
+      act_p.(!j) <- act_p.(!j - 1);
+      decr j
+    done;
+    act_stop.(!j) <- stop;
+    act_v.(!j) <- v;
+    act_p.(!j) <- p;
+    incr nact
   in
-  List.iter
-    (fun iv ->
-      expire iv.start_;
-      match !free with
-      | p :: rest ->
-        free := rest;
-        Hashtbl.replace assignment iv.vreg (Phys p);
-        active := List.sort compare ((iv.stop_, iv.vreg, p) :: !active)
-      | [] ->
-        (* spill the interval that ends last *)
-        let (e_last, v_last, p_last) = List.nth !active (List.length !active - 1) in
-        if e_last > iv.stop_ then begin
-          Hashtbl.replace assignment v_last (Slot (new_slot ()));
-          Hashtbl.replace assignment iv.vreg (Phys p_last);
-          active :=
-            List.sort compare
-              ((iv.stop_, iv.vreg, p_last)
-              :: List.filter (fun (_, v, _) -> v <> v_last) !active)
+  let expire pos =
+    let e = ref 0 in
+    while !e < !nact && act_stop.(!e) < pos do
+      free.(!nfree) <- act_p.(!e);
+      incr nfree;
+      incr e
+    done;
+    let e = !e in
+    if e > 0 then begin
+      Array.blit act_stop e act_stop 0 (!nact - e);
+      Array.blit act_v e act_v 0 (!nact - e);
+      Array.blit act_p e act_p 0 (!nact - e);
+      nact := !nact - e
+    end
+  in
+  Array.iter
+    (fun v ->
+      if asg.(v) = 0 then begin
+        expire lo.(v);
+        if !nfree > 0 then begin
+          decr nfree;
+          let p = free.(!nfree) in
+          asg.(v) <- p;
+          insert hi.(v) v p
         end
-        else Hashtbl.replace assignment iv.vreg (Slot (new_slot ())))
-    allocatable;
+        else begin
+          (* spill the interval that ends last *)
+          let last = !nact - 1 in
+          if act_stop.(last) > hi.(v) then begin
+            let p = act_p.(last) in
+            to_slot act_v.(last);
+            asg.(v) <- p;
+            nact := last;
+            insert hi.(v) v p
+          end
+          else to_slot v
+        end
+      end)
+    order;
   (* rewrite *)
+  let slot_off s = slot_base + (4 * s) in
+  let slot_of v = if v >= 0 && asg.(v) < 0 then -asg.(v) - 1 else -1 in
+  let check_slot s =
+    if s >= 0 && slot_off s > 2040 then
+      failwith
+        (Printf.sprintf "Regalloc: spill slot offset %d exceeds imm12 range"
+           (slot_off s))
+  in
+  if !next_slot > 0 && slot_off (!next_slot - 1) > 2040 then
+    (* name the first out-of-range slot in emission order *)
+    for i = 0 to n - 1 do
+      let a = ua.(i) and b = ub.(i) in
+      let a, b = if a >= 0 && b >= 0 && b < a then (b, a) else (a, b) in
+      check_slot (slot_of a);
+      if b <> a then check_slot (slot_of b);
+      check_slot (slot_of dv.(i))
+    done;
   let out = ref [] in
   let loads = ref 0 and stores = ref 0 in
   let emit it = out := it :: !out in
-  let slot_off s =
-    let off = slot_base + (4 * s) in
-    if off > 2040 then
-      failwith
-        (Printf.sprintf "Regalloc: spill slot offset %d exceeds imm12 range" off);
-    off
+  let load sc s =
+    incr loads;
+    Asm.Ins (Isa.Load (Isa.LW, sc, Isa.sp, slot_off s))
   in
-  Array.iter
-    (fun it ->
-      let uses = List.filter is_vreg (item_uses it) in
-      let defs = List.filter is_vreg (item_defs it) in
-      (* scratch mapping for spilled regs in this item *)
-      let scratch_map = Hashtbl.create 4 in
-      let next_scratch = ref [ scratch0; scratch1 ] in
-      let scratch_for v =
-        match Hashtbl.find_opt scratch_map v with
-        | Some s -> s
-        | None ->
-          (match !next_scratch with
-          | s :: rest ->
-            next_scratch := rest;
-            Hashtbl.replace scratch_map v s;
-            s
-          | [] -> failwith "Regalloc: out of scratch registers")
+  (* Items are rewritten last to first, so each is emitted after what
+     follows it: store, item, then reloads in reverse. *)
+  for i = n - 1 downto 0 do
+    let it = items.(i) in
+    let d = dv.(i) and a = ua.(i) and b = ub.(i) in
+    if d < 0 && a < 0 && b < 0 then emit it
+    else begin
+      (* reloads in ascending vreg order take scratch0, then scratch1 *)
+      let first_use, second_use =
+        if a >= 0 && b >= 0 then
+          if a = b then (a, -1) else (min a b, max a b)
+        else ((if a >= 0 then a else b), -1)
       in
-      (* reload spilled sources *)
-      List.iter
-        (fun v ->
-          match Hashtbl.find_opt assignment v with
-          | Some (Slot s) ->
-            let sc = scratch_for v in
-            incr loads;
-            emit (Asm.Ins (Isa.Load (Isa.LW, sc, Isa.sp, slot_off s)))
-          | _ -> ())
-        (List.sort_uniq compare uses);
-      (* allow the def to reuse a scratch (sources are consumed first) *)
-      let def_spills =
-        List.filter_map
-          (fun v ->
-            match Hashtbl.find_opt assignment v with
-            | Some (Slot s) -> Some (v, s)
-            | _ -> None)
-          defs
+      let s1 = slot_of first_use and s2 = slot_of second_use and sd = slot_of d in
+      let sc1 = scratch0 and sc2 = if s1 >= 0 then scratch1 else scratch0 in
+      (* a spilled def reuses its source's scratch, else takes the next
+         free one, else scratch0: sources are read before it is written *)
+      let scd =
+        if d = first_use then sc1
+        else if d = second_use then sc2
+        else if (s1 >= 0) <> (s2 >= 0) then scratch1
+        else scratch0
       in
-      List.iter
-        (fun (v, _) ->
-          (* the def may always reuse scratch0: source reads complete
-             before the destination is written *)
-          if not (Hashtbl.mem scratch_map v) then
-            match !next_scratch with
-            | s :: rest ->
-              next_scratch := rest;
-              Hashtbl.replace scratch_map v s
-            | [] -> Hashtbl.replace scratch_map v scratch0)
-        def_spills;
       let map r =
-        if not (is_vreg r) then r
+        let v = vidx r in
+        if v < 0 then r
         else
-          match Hashtbl.find_opt assignment r with
-          | Some (Phys p) -> p
-          | Some (Slot _) -> Hashtbl.find scratch_map r
-          | None -> scratch0 (* dead def of a never-used vreg *)
+          let x = asg.(v) in
+          if x > 0 then x
+          else if x < 0 then
+            if v = first_use then sc1 else if v = second_use then sc2 else scd
+          else scratch0 (* dead def of a never-used vreg *)
       in
+      if sd >= 0 then begin
+        incr stores;
+        emit (Asm.Ins (Isa.Store (Isa.SW, scd, Isa.sp, slot_off sd)))
+      end;
       emit (map_item_regs map it);
-      List.iter
-        (fun (v, s) ->
-          incr stores;
-          emit (Asm.Ins (Isa.Store (Isa.SW, Hashtbl.find scratch_map v, Isa.sp, slot_off s))))
-        def_spills)
-    items;
+      if s2 >= 0 then emit (load sc2 s2);
+      if s1 >= 0 then emit (load sc1 s1)
+    end
+  done;
   {
-    items = List.rev !out;
+    items = !out;
     spill_slots = !next_slot;
     spill_loads = !loads;
     spill_stores = !stores;

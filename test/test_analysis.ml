@@ -127,6 +127,57 @@ let test_autotune_subseq () =
   Alcotest.(check int) "ordered ab" 1 (A.count_ordered_pair "a" "b" seqs);
   Alcotest.(check int) "ordered ba" 1 (A.count_ordered_pair "b" "a" seqs)
 
+(* ---- Defs against its reference ------------------------------------ *)
+
+module Ref_defs = Zkopt_oracle.Ref_defs
+
+(* Every register of every function, from -1 to two past the largest
+   one the function mints, answers as the reference's: def count,
+   parameter flag, single-def flag, defining instruction, stability. *)
+let defs_differ (m : Modul.t) =
+  List.concat_map
+    (fun (f : Func.t) ->
+      let d = Defs.compute f and r = Ref_defs.compute f in
+      let hi = ref f.Func.next_reg in
+      Func.iter_instrs f (fun _ i -> Option.iter (fun x -> hi := max !hi (x + 1)) (Instr.def i));
+      List.filter_map
+        (fun reg ->
+          let same =
+            Defs.count d reg = Option.value ~default:0 (Hashtbl.find_opt r.Ref_defs.counts reg)
+            && Defs.is_param d reg = Ref_defs.is_param r reg
+            && Defs.is_single_def d reg = Ref_defs.is_single_def r reg
+            && Defs.def_of d reg = Ref_defs.def_of r reg
+            && Defs.is_stable d (Value.Reg reg) = Ref_defs.is_stable r (Value.Reg reg)
+          in
+          if same then None else Some (Printf.sprintf "%s: %%r%d" f.Func.name reg))
+        (List.init (!hi + 3) (fun k -> k - 1)))
+    m.Modul.funcs
+
+let prop_defs_match_reference =
+  QCheck.Test.make ~name:"defs = reference on random programs" ~count:40
+    QCheck.(int_range 1 100_000)
+    (fun seed -> defs_differ (Pin_modules.random seed) = [])
+
+let test_defs_suite () =
+  List.iter
+    (fun (what, m) -> Alcotest.(check (list string)) what [] (defs_differ m))
+    (Lazy.force Pin_modules.suite)
+
+(* [Defs.compute] is called about 22,000 times per cold [levels] pass:
+   it must allocate under 10 minor words per instruction (the hash-table
+   form took 15-19). *)
+let test_defs_allocation () =
+  List.iter
+    (fun (what, (m : Modul.t)) ->
+      let words =
+        Pin_modules.minor_words (fun () -> List.map Defs.compute m.Modul.funcs)
+      in
+      let per = words /. float_of_int (Modul.instr_count m) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per instruction < 10" what per)
+        true (per < 10.0))
+    (Pin_modules.work_cells ())
+
 let tests =
   [
     Alcotest.test_case "dominators" `Quick test_dominators;
@@ -136,4 +187,8 @@ let tests =
     Alcotest.test_case "callgraph recursion" `Quick test_callgraph_recursion;
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "autotune subsequences" `Quick test_autotune_subseq;
+    QCheck_alcotest.to_alcotest prop_defs_match_reference;
+    Alcotest.test_case "defs = reference on the suite" `Quick test_defs_suite;
+    Alcotest.test_case "defs allocate under 10 words per instruction" `Quick
+      test_defs_allocation;
   ]

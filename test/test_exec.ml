@@ -106,6 +106,58 @@ let prop_attr_digest_differs =
       f.Func.attrs.Func.no_inline <- not f.Func.attrs.Func.no_inline;
       not (String.equal (Fingerprint.of_modul m) (Fingerprint.of_modul c)))
 
+(* The module encoding as the [Printf] printer wrote it: every digest,
+   and so every compile-cache key, must keep these bytes. *)
+let printf_encode (m : Modul.t) =
+  let buf = Buffer.create 65536 in
+  Buffer.add_string buf (Fingerprint.schema ^ "\n");
+  List.iter
+    (fun (g : Modul.global) ->
+      Buffer.add_string buf ("g " ^ g.Modul.gname);
+      (match g.Modul.init with
+       | Modul.Zero n -> Buffer.add_string buf (Printf.sprintf " zero %d" n)
+       | Modul.Words ws ->
+         Buffer.add_string buf " words";
+         Array.iter (fun w -> Buffer.add_string buf (Printf.sprintf " %lx" w)) ws);
+      Buffer.add_char buf '\n')
+    m.Modul.globals;
+  List.iter
+    (fun (f : Func.t) ->
+      let a = f.Func.attrs in
+      Buffer.add_string buf (Zkopt_oracle.Ref_printer.func f);
+      Buffer.add_string buf
+        (Printf.sprintf "attrs %b %b %b\n" a.Func.always_inline a.Func.no_inline
+           a.Func.internal))
+    m.Modul.funcs;
+  Buffer.contents buf
+
+let prop_encoding_matches_printf =
+  QCheck.Test.make ~name:"module encoding = the Printf encoding" ~count:30
+    QCheck.(int_range 1 100_000)
+    (fun seed ->
+      let m = Pin_modules.random seed in
+      String.equal (Fingerprint.encode m) (printf_encode m))
+
+let test_encoding_suite () =
+  List.iter
+    (fun (what, m) ->
+      Alcotest.(check bool) what true
+        (String.equal (Fingerprint.encode m) (printf_encode m)))
+    (Lazy.force Pin_modules.suite)
+
+(* [of_modul] digests every module a cold pass prepares: it must
+   allocate under 40 minor words per instruction (the [Printf] printer
+   took 177-220). *)
+let test_fingerprint_allocation () =
+  List.iter
+    (fun (what, (m : Modul.t)) ->
+      let words = Pin_modules.minor_words (fun () -> Fingerprint.of_modul m) in
+      let per = words /. float_of_int (Modul.instr_count m) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words per instruction < 40" what per)
+        true (per < 40.0))
+    (Pin_modules.work_cells ())
+
 (* ---- cache behavior -------------------------------------------------- *)
 
 (* The cache is polymorphic; the tests use a closure-free artifact of
@@ -566,12 +618,17 @@ let tests =
     Alcotest.test_case "inputs log roundtrip" `Quick test_inputs_log_roundtrip;
     Alcotest.test_case "inputs log skips a row with a flipped byte" `Quick
       test_inputs_log_flipped_byte;
+    Alcotest.test_case "module encoding = the Printf encoding on the suite" `Quick
+      test_encoding_suite;
+    Alcotest.test_case "fingerprint allocates under 40 words per instruction"
+      `Quick test_fingerprint_allocation;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_clone_digest_stable;
         prop_one_instr_digest_differs;
         prop_attr_digest_differs;
+        prop_encoding_matches_printf;
         prop_cache_hit_matches_fresh_compile;
         prop_rowlog_shear;
         prop_drive_run;

@@ -87,6 +87,79 @@ let test_printer_roundtrip_smoke () =
   Alcotest.(check bool) "mentions icmp" true
     (Astring_contains.contains text "icmp")
 
+(* ---- Printer against its reference --------------------------------- *)
+
+module Ref_printer = Zkopt_oracle.Ref_printer
+
+(* [modul], every [func], and every instruction and terminator print the
+   reference's bytes. *)
+let printer_differs (m : Modul.t) =
+  let differ what a b = if String.equal a b then [] else [ what ] in
+  differ "modul" (Printer.modul m) (Ref_printer.modul m)
+  @ List.concat_map
+      (fun (f : Func.t) ->
+        differ f.Func.name (Printer.func f) (Ref_printer.func f)
+        @ List.concat_map
+            (fun (b : Block.t) ->
+              List.concat_map
+                (fun i -> differ (Ref_printer.instr i) (Printer.instr i) (Ref_printer.instr i))
+                b.Block.instrs
+              @ differ (Ref_printer.term b.Block.term) (Printer.term b.Block.term)
+                  (Ref_printer.term b.Block.term))
+            f.Func.blocks)
+      m.Modul.funcs
+
+let prop_printer_matches_reference =
+  QCheck.Test.make ~name:"printer = reference on random programs" ~count:40
+    QCheck.(int_range 1 100_000)
+    (fun seed -> printer_differs (Pin_modules.random seed) = [])
+
+let test_printer_suite () =
+  List.iter
+    (fun (what, m) -> Alcotest.(check (list string)) what [] (printer_differs m))
+    (Lazy.force Pin_modules.suite)
+
+(* Operands the generated programs rarely reach: extreme immediates and
+   offsets, a call with no arguments, every cast. *)
+let test_printer_edges () =
+  let r = Value.Reg 7 in
+  List.iter
+    (fun i -> check Alcotest.string "instr" (Ref_printer.instr i) (Printer.instr i))
+    [ Instr.Mov { dst = 0; ty = Ty.I64; src = Value.Imm Int64.min_int };
+      Instr.Mov { dst = 1; ty = Ty.I64; src = Value.Imm Int64.max_int };
+      Instr.Mov { dst = 2; ty = Ty.I32; src = Value.Imm (-1L) };
+      Instr.Addr { dst = 3; base = Value.Glob "g"; index = r; scale = -4; offset = min_int };
+      Instr.Alloca { dst = 4; size = max_int };
+      Instr.Call { dst = None; callee = "f"; args = [] };
+      Instr.Precompile { dst = Some 5; name = "p"; args = [ r; Value.Imm 0L; Value.Glob "h" ] };
+      Instr.Cast { dst = 6; op = Instr.Zext; src = r };
+      Instr.Cast { dst = 6; op = Instr.Sext; src = r };
+      Instr.Cast { dst = 6; op = Instr.Trunc; src = r } ];
+  List.iter
+    (fun t -> check Alcotest.string "term" (Ref_printer.term t) (Printer.term t))
+    [ Instr.Ret None; Instr.Ret (Some (Value.Imm (-5L))); Instr.Br "b";
+      Instr.Cbr { cond = r; if_true = "t"; if_false = "f" } ]
+
+(* The hand-written number writers print what [Printf] does. *)
+let prop_number_writers =
+  QCheck.Test.make ~name:"printer number writers = Printf" ~count:1000
+    QCheck.(triple int32 int64 int)
+    (fun (w, i, n) ->
+      let via add x =
+        let buf = Buffer.create 16 in
+        add buf x;
+        Buffer.contents buf
+      in
+      String.equal (via Printer.add_hex32 w) (Printf.sprintf "%lx" w)
+      && String.equal (via Printer.add_int64 i) (Int64.to_string i)
+      && String.equal (via Printer.add_int n) (string_of_int n)
+      && List.for_all
+           (fun w -> String.equal (via Printer.add_hex32 w) (Printf.sprintf "%lx" w))
+           [ 0l; 1l; -1l; Int32.min_int; Int32.max_int ]
+      && List.for_all
+           (fun n -> String.equal (via Printer.add_int n) (string_of_int n))
+           [ 0; -1; min_int; max_int ])
+
 (* ---- Memory -------------------------------------------------------- *)
 
 let test_memory_word_access () =
@@ -130,6 +203,19 @@ let test_interp_call_and_alloca () =
   Verify.check m;
   check i64t "42" 42L (Interp.checksum m)
 
+(* A call that passes fewer arguments than the callee takes traps and
+   names the callee and the first missing argument. *)
+let test_interp_missing_argument () =
+  let m = Modul.create () in
+  ignore
+    (B.define m "pair" ~params:[ Ty.I32; Ty.I32 ] ~ret:Ty.I32 (fun b ps ->
+         B.ret b (Some (B.add b (List.nth ps 0) (List.nth ps 1)))));
+  ignore
+    (B.define m "main" ~params:[] ~ret:Ty.I32 (fun b _ ->
+         B.ret b (Some (B.callv b "pair" [ B.imm 1 ]))));
+  Alcotest.check_raises "trap" (Interp.Trap "pair: missing argument 1") (fun () ->
+      ignore (Interp.run m))
+
 let tests =
   [
     Alcotest.test_case "eval div semantics" `Quick test_eval_div_semantics;
@@ -144,4 +230,11 @@ let tests =
     Alcotest.test_case "memory misaligned" `Quick test_memory_misaligned_traps;
     Alcotest.test_case "interp fuel" `Quick test_interp_fuel;
     Alcotest.test_case "interp call+alloca" `Quick test_interp_call_and_alloca;
+    Alcotest.test_case "interp missing argument traps" `Quick
+      test_interp_missing_argument;
+    QCheck_alcotest.to_alcotest prop_printer_matches_reference;
+    Alcotest.test_case "printer = reference on the suite" `Quick test_printer_suite;
+    Alcotest.test_case "printer = reference on edge operands" `Quick
+      test_printer_edges;
+    QCheck_alcotest.to_alcotest prop_number_writers;
   ]
