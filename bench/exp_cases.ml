@@ -276,7 +276,7 @@ let tab2 () =
     let cg = { Codegen.program = prog; stats = [] } in
     let r0 = Zkopt_zkvm.Vm.measure Zkopt_zkvm.Config.risc0 cg modul in
     let s1 = Zkopt_zkvm.Vm.measure Zkopt_zkvm.Config.sp1 cg modul in
-    let cpu = Zkopt_cpu.Timing.run cg modul in
+    let cpu, _ = Zkopt_cpu.Timing.run cg modul in
     (r0, s1, cpu)
   in
   let b0, b1, bc = run 1 in

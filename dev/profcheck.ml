@@ -4,14 +4,18 @@
       executor ([Zkopt_oracle.Ref_executor.run], no sink, no fault) on
       the same image: fail if it is less than [min_oracle_speedup] times
       faster, or if the two results differ at all.
-   2. The CPU timing model runs on the machine's CPU mode: fail if
+   2. The CPU timing model runs on the machine's unpriced mode: fail if
       [Measure.run_cpu] costs more than [max_cpu_ratio] times the
       no-sink machine run of the same image.
    3. The decoded Valida frame machine ([Vexec.run (Vexec.decode ...)],
       no sink) must stay well ahead of the boxed reference interpreter
       ([Zkopt_oracle.Ref_vexec.run]) on loop-sum's Valida program: fail
       if it is less than [min_valida_speedup] times faster, or if the
-      two results differ at all. *)
+      two results differ at all.
+   4. One unpriced run ([Machine.tally]) priced for risc0 and for sp1
+      ([Vm.price]) must equal the two priced runs it replaces
+      ([Vm.measure] on each config), and cost at most
+      [max_unpriced_ratio] times what they cost together. *)
 
 open Bechamel
 open Toolkit
@@ -42,6 +46,13 @@ let max_cpu_ratio = 1.7
    3.8-4.0x faster than the reference; with its loop planted to run
    twice per call it ran 1.9-2.1x faster. *)
 let min_valida_speedup = 2.8
+
+(* One unpriced run and two prices against the two priced runs they
+   replace, each side with its decode.  Over 10 runs on a 2-core Xeon
+   host the unpriced side cost 0.29-0.41x; with the unpriced loop
+   planted to run twice per call, 0.57-0.93x.  The CPU model, now on the
+   unpriced loop, cost 1.13-1.42x the no-sink machine in the same runs. *)
+let max_unpriced_ratio = 0.5
 
 let ns_per_run test =
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
@@ -90,14 +101,29 @@ let () =
     Seedfmt.finish tool
   end;
   let cpu () = Zkopt_core.Measure.run_cpu c in
-  let t_ref, t_live, t_cpu =
+  let priced () = (Vm.measure Config.risc0 cg m, Vm.measure Config.sp1 cg m) in
+  let unpriced () =
+    let t = Machine.tally (Machine.decode Config.risc0 cg m) in
+    (Vm.price Config.risc0 t, Vm.price Config.sp1 t)
+  in
+  (match (priced (), unpriced ()) with
+  | (r0, s1), (Some r0', Some s1') when r0 = r0' && s1 = s1' -> ()
+  | _ ->
+    Seedfmt.fail ~tool
+      "the unpriced run, priced for risc0 and sp1, differs from the priced \
+       runs on workload %s"
+      w.Zkopt_workloads.Workload.name;
+    Seedfmt.finish tool);
+  let t_ref, t_live, t_cpu, t_priced, t_unpriced =
     match
       least_of_four
         [ ("reference", fun () -> ignore (reference ()));
           ("live", fun () -> ignore (live ()));
-          ("cpu", fun () -> ignore (cpu ())) ]
+          ("cpu", fun () -> ignore (cpu ()));
+          ("priced", fun () -> ignore (priced ()));
+          ("unpriced", fun () -> ignore (unpriced ())) ]
     with
-    | [ r; l; c ] -> (r, l, c)
+    | [ r; l; c; p; u ] -> (r, l, c, p, u)
     | _ -> assert false
   in
   let speedup = t_ref /. t_live in
@@ -116,6 +142,14 @@ let () =
   if ratio > max_cpu_ratio then
     Seedfmt.fail ~tool "CPU model costs %.2fx the machine, limit %.1fx" ratio
       max_cpu_ratio;
+  let uratio = t_unpriced /. t_priced in
+  Printf.printf
+    "profcheck: one unpriced run priced twice %.0f ns, two priced runs %.0f \
+     ns: %.2fx (limit %.2fx)\n"
+    t_unpriced t_priced uratio max_unpriced_ratio;
+  if uratio > max_unpriced_ratio then
+    Seedfmt.fail ~tool "the unpriced run costs %.2fx the two priced runs, limit %.2fx"
+      uratio max_unpriced_ratio;
   let vcfg = Zkopt_valida.Vconfig.valida in
   let vp =
     Zkopt_valida.Vlower.lower

@@ -12,7 +12,11 @@
    3. the disk store — a fresh cache over the store a cold pass wrote
       must run no pipeline, compile nothing, execute no guest and decode
       no artifact: the store keeps every completed run of its
-      artifacts, and a lookup that those runs answer reads no file. *)
+      artifacts, and a lookup that those runs answer reads no file;
+   4. one execution per artifact — the sequential cold pass must make no
+      priced machine run and exactly [cold_unpriced_runs] unpriced ones
+      (the machine's run counters): each cell measures the CPU model
+      first and both zkVM configs price its run. *)
 
 open Zkopt_core
 module H = Zkopt_harness.Harness
@@ -22,6 +26,13 @@ module Backend = Zkopt_backend.Backend
 module Seedfmt = Zkopt_devutil.Seedfmt
 
 let tool = "sweepcheck"
+
+(* Unpriced runs of the sequential cold pass: one per distinct RV32
+   artifact of its 27 cells, 12, because no -O level cell meets an
+   artifact before the baseline or single-pass cell that shares it.
+   With the zkVM runs measured before the CPU model, the CPU model runs
+   each of its 7 artifacts again: 19. *)
+let cold_unpriced_runs = 12
 
 let canonical (points : (string * string, Zkopt_harness.Cell.point) Hashtbl.t) =
   Hashtbl.fold (fun _ p acc -> Checkpoint.encode_point p :: acc) points []
@@ -95,10 +106,19 @@ let () =
       [ "risc0"; "sp1" ]
   in
   let cells = List.length programs * List.length profiles in
+  let module Machine = Zkopt_zkvm.Machine in
+  let priced0 = Atomic.get Machine.priced_runs
+  and unpriced0 = Atomic.get Machine.unpriced_runs in
   let seq = H.run (cfg 1 None) in
+  let priced = Atomic.get Machine.priced_runs - priced0
+  and unpriced = Atomic.get Machine.unpriced_runs - unpriced0 in
   if Hashtbl.length seq.H.points <> cells then
     Seedfmt.fail ~tool "sequential run measured %d of %d cells"
       (Hashtbl.length seq.H.points) cells;
+  if priced <> 0 || unpriced <> cold_unpriced_runs then
+    Seedfmt.fail ~tool
+      "sequential cold pass made %d priced and %d unpriced runs (need 0 and %d)"
+      priced unpriced cold_unpriced_runs;
   let shared = Cache.create () in
   let par = H.run (cfg ~backends:counted 2 (Some shared)) in
   if not (String.equal (canonical seq.H.points) (canonical par.H.points)) then
@@ -143,10 +163,10 @@ let () =
       disk_decodes;
   rm_rf dir;
   Printf.printf
-    "sweepcheck: %d cells, 2-domain run deterministic, warm-cache hit rate \
-     %.1f%%, %d warm guest runs, %d warm pipelines, %d warm disk-store \
-     pipelines and compiles, %d warm disk-store guest runs, %d warm \
-     disk-store decodes\n"
-    cells rate warm_runs again.H.prepared (disk.H.prepared + disk_compiles)
-    disk_runs disk_decodes;
+    "sweepcheck: %d cells, %d priced and %d unpriced cold runs, 2-domain \
+     run deterministic, warm-cache hit rate %.1f%%, %d warm guest runs, %d \
+     warm pipelines, %d warm disk-store pipelines and compiles, %d warm \
+     disk-store guest runs, %d warm disk-store decodes\n"
+    cells priced unpriced rate warm_runs again.H.prepared
+    (disk.H.prepared + disk_compiles) disk_runs disk_decodes;
   Seedfmt.finish tool

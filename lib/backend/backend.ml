@@ -63,7 +63,12 @@ type compiled = {
     measurement;
       (** execute + price + prove for backend [vm] (a name of this
           compiled artifact's family; RV32 artifacts serve both
-          ["risc0"] and ["sp1"]); [sink] observes every accounted event *)
+          ["risc0"] and ["sp1"]); [sink] observes every accounted event.
+          An RV32 artifact executes once per fuel for both configs and
+          its CPU model: an unfaulted, unsinked call prices the tally of
+          that fuel's one unpriced run ({!Zkopt_zkvm.Vm.price}), and
+          takes the priced machine only when that run is longer than
+          one segment under [vm]'s config ([Rv32.of_compiled]) *)
   measure_cpu :
     (?fuel:int ->
     ?sink:Zkopt_zkvm.Machine.sink ->

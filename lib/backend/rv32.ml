@@ -5,11 +5,17 @@
     [risc0] and [sp1] share one compiled artifact per module digest —
     they execute the identical instruction image and differ only in how
     {!Zkopt_zkvm.Config} prices it — so {!Backend.compiled.measure}
-    resolves the config by backend name at measurement time. *)
+    resolves the config by backend name at measurement time, and the
+    artifact executes the image once for both: it keeps the tally of
+    one unpriced run per fuel ({!Zkopt_zkvm.Machine.tally}, which also
+    drives the CPU model) and prices each config from it
+    ({!Zkopt_zkvm.Vm.price}). *)
 
 open Zkopt_ir
 module Measure = Zkopt_core.Measure
 module Config = Zkopt_zkvm.Config
+module Machine = Zkopt_zkvm.Machine
+module Vm = Zkopt_zkvm.Vm
 
 let schema = "rv32-cg1"
 
@@ -17,28 +23,63 @@ let schema = "rv32-cg1"
     [?config] pins the cost config instead of resolving it from the
     backend name at measurement time — used for ad-hoc config variants
     (e.g. the fuzz engine's dense-shard §4.2 reproduction) that are not
-    in {!Config.all}. *)
+    in {!Config.all}.
+
+    An unfaulted, unsinked [measure] of an unpinned artifact prices the
+    tally of an unpriced run at its resolved fuel: the one an unsinked
+    [measure_cpu] or an earlier [measure] at that fuel made, or else a
+    new one.  A run longer than one segment under the config ([price]
+    gives [None]) takes the priced machine; so do faulted and sinked
+    calls and every call of a pinned artifact, whose configs (the dense
+    fuzz config's 2^10-cycle shards) would send almost every tally
+    there.  Pricing returns exactly the priced machine's result, and an
+    unpriced run raises what a priced one would, because every config in
+    {!Config.all} prices every precompile.  At most one tally per fuel
+    is kept, each a few words; the run's per-instruction counts are
+    dropped with the run. *)
 let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
+  let mu = Mutex.create () and tallies = Hashtbl.create 1 in
+  let keep fuel t = Mutex.protect mu (fun () -> Hashtbl.replace tallies fuel t) in
+  let tally cfg fuel =
+    match Mutex.protect mu (fun () -> Hashtbl.find_opt tallies fuel) with
+    | Some t -> t
+    | None ->
+      let t = Machine.tally ~fuel (Machine.decode cfg c.Measure.codegen c.Measure.modul) in
+      keep fuel t;
+      t
+  in
+  let resolved = Option.value ~default:Zkopt_riscv.Emulator.default_fuel in
   let measure ~vm ?fault ?fuel ?sink () =
-    let cfg =
-      match config with Some cfg -> cfg | None -> Config.by_name vm
+    let cfg = match config with Some cfg -> cfg | None -> Config.by_name vm in
+    let raw =
+      match (config, fault, sink) with
+      | None, None, None -> (
+        let fuel = resolved fuel in
+        match Vm.price cfg (tally cfg fuel) with
+        | Some raw -> raw
+        | None -> Measure.run ~fuel cfg c)
+      | _ -> Measure.run ?fault ?fuel ?sink cfg c
     in
-    let raw = Measure.run ?fault ?fuel ?sink cfg c in
     (* pad each segment as the prover does: the settlement models must
        price the trace the prover actually commits *)
     let seg_padded =
       List.map
-        (fun (s : Zkopt_zkvm.Machine.segment) ->
+        (fun (s : Machine.segment) ->
           Zkopt_zkvm.Prover.padded ~min_po2:cfg.Config.min_po2
-            (s.Zkopt_zkvm.Machine.user_cycles + s.paging_cycles))
-        raw.Zkopt_zkvm.Vm.exec.Zkopt_zkvm.Machine.segments
+            (s.Machine.user_cycles + s.paging_cycles))
+        raw.Vm.exec.Machine.segments
     in
     {
       Backend.zk = Measure.zk_of_vm raw;
-      accounting = Zkopt_zkvm.Vm.check_accounting cfg raw;
-      faulted = raw.Zkopt_zkvm.Vm.exec.Zkopt_zkvm.Machine.faulted;
+      accounting = Vm.check_accounting cfg raw;
+      faulted = raw.Vm.exec.Machine.faulted;
       seg_padded;
     }
+  in
+  let measure_cpu ?fuel ?sink () =
+    let r, t = Zkopt_cpu.Timing.run ?fuel ?sink c.Measure.codegen c.Measure.modul in
+    if Option.is_none sink && Option.is_none config then keep (resolved fuel) t;
+    Measure.cpu_of_timing r
   in
   let program = c.Measure.codegen.Zkopt_riscv.Codegen.program in
   {
@@ -53,7 +94,7 @@ let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
               + s.Zkopt_riscv.Codegen.spill_stores ))
           c.Measure.codegen.Zkopt_riscv.Codegen.stats);
     measure;
-    measure_cpu = Some (fun ?fuel ?sink () -> Measure.run_cpu ?fuel ?sink c);
+    measure_cpu = Some measure_cpu;
     encode =
       (fun () ->
         Some

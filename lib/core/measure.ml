@@ -65,11 +65,12 @@ let prepare ?(verify = true) ~(build : unit -> Modul.t) (profile : Profile.t) :
     compiled =
   compile_ir (prepare_ir ~verify ~build profile)
 
-(** The one raw zkVM measurement path: every caller — summary metrics
-    ({!run_zkvm}), harness accounting oracles, backends, the profiler —
-    goes through here, differing only in the {!Zkopt_zkvm.Machine.sink}
-    it installs.  Returns the full {!Zkopt_zkvm.Vm} result including the
-    per-segment executor trace. *)
+(** One priced zkVM run ({!Zkopt_zkvm.Vm.measure}), observed through an
+    optional {!Zkopt_zkvm.Machine.sink}.  Returns the full
+    {!Zkopt_zkvm.Vm} result including the per-segment executor trace.
+    The RV32 backend's artifacts take it only for faulted, sinked and
+    multi-segment runs and pinned configs; otherwise they price an
+    unpriced run ({!Zkopt_zkvm.Vm.price}), with the same result. *)
 let run ?fault ?fuel ?sink (cfg : Zkopt_zkvm.Config.t) (c : compiled) :
     Zkopt_zkvm.Vm.metrics =
   Zkopt_zkvm.Vm.measure ?fault ?fuel ?sink cfg c.codegen c.modul
@@ -100,8 +101,7 @@ let zk_of_vm (r : Zkopt_zkvm.Vm.metrics) : zk_metrics =
 let run_zkvm ?fault ?fuel (cfg : Zkopt_zkvm.Config.t) (c : compiled) : zk_metrics =
   zk_of_vm (run ?fault ?fuel cfg c)
 
-let run_cpu ?fuel ?sink (c : compiled) : cpu_metrics =
-  let r = Zkopt_cpu.Timing.run ?fuel ?sink c.codegen c.modul in
+let cpu_of_timing (r : Zkopt_cpu.Timing.result) : cpu_metrics =
   {
     cpu_cycles = r.Zkopt_cpu.Timing.cycles;
     cpu_time_s = r.Zkopt_cpu.Timing.time_s;
@@ -109,6 +109,9 @@ let run_cpu ?fuel ?sink (c : compiled) : cpu_metrics =
     cache_misses = r.Zkopt_cpu.Timing.cache_misses;
     cpu_exit_value = exit64 r.Zkopt_cpu.Timing.exit_value;
   }
+
+let run_cpu ?fuel ?sink (c : compiled) : cpu_metrics =
+  cpu_of_timing (fst (Zkopt_cpu.Timing.run ?fuel ?sink c.codegen c.modul))
 
 (* ---- the metric-group codec ------------------------------------------ *)
 

@@ -2,10 +2,13 @@
     profile -> prune -> verify -> compile -> execute on each zkVM cost
     model (and the CPU model for RQ3), collecting the paper's metrics.
 
-    Execution funnels through exactly two raw paths — {!run} (zkVM,
-    decoded-stream machine) and {!run_cpu} (CPU timing model) — both
-    observed through an optional {!Zkopt_zkvm.Machine.sink}.  Everything
-    else here is preparation (IR pipeline, codegen) or metric shaping. *)
+    Execution here takes two paths — {!run} (a priced zkVM run on the
+    decoded-stream machine) and {!run_cpu} (the CPU timing model on its
+    unpriced run) — both observed through an optional
+    {!Zkopt_zkvm.Machine.sink}.  The RV32 backend's artifacts also price
+    zkVM metrics from an unpriced run ([Zkopt_zkvm.Vm.price]), so one
+    execution serves both configs and the CPU model.  Everything else
+    here is preparation (IR pipeline, codegen) or metric shaping. *)
 
 open Zkopt_ir
 
@@ -54,11 +57,14 @@ val compile_ir : Modul.t -> compiled
 val prepare :
   ?verify:bool -> build:(unit -> Modul.t) -> Profile.t -> compiled
 
-(** The one raw zkVM measurement path: every caller — summary metrics
-    ({!run_zkvm}), harness accounting oracles, backends, the profiler —
-    goes through here, differing only in the sink it installs.  Returns
-    the full {!Zkopt_zkvm.Vm} result including the per-segment executor
-    trace. *)
+(** One priced zkVM run ({!Zkopt_zkvm.Vm.measure}): summary metrics
+    ({!run_zkvm}), the harness's accounting oracles and the profiler
+    call it, differing only in the sink they install.  Returns the full
+    {!Zkopt_zkvm.Vm} result including the per-segment executor trace.
+    The RV32 backend's artifacts call it only for faulted, sinked and
+    multi-segment runs and for pinned configs; otherwise they price an
+    unpriced run ({!Zkopt_zkvm.Vm.price}), which returns the same
+    result. *)
 val run :
   ?fault:Zkopt_zkvm.Machine.fault ->
   ?fuel:int ->
@@ -84,6 +90,9 @@ val run_zkvm :
 
 (** The RQ3 traditional-CPU contrast model over the same RV32 image. *)
 val run_cpu : ?fuel:int -> ?sink:Zkopt_zkvm.Machine.sink -> compiled -> cpu_metrics
+
+(** Shape a CPU-model result into its metric group. *)
+val cpu_of_timing : Zkopt_cpu.Timing.result -> cpu_metrics
 
 (** {2 The metric-group codec}
 

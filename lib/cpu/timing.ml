@@ -14,12 +14,16 @@
     preserves the *direction and rough magnitude* of optimization effects
     without building a second backend.
 
-    The instruction stream comes from the decoded machine's CPU mode
-    ({!Zkopt_zkvm.Machine.cpu}): each retire arrives as an instruction
+    The instruction stream comes from the decoded machine's unpriced
+    mode ({!Zkopt_zkvm.Machine.tally}, observed through
+    {!Zkopt_zkvm.Machine.cpu}): each retire arrives as an instruction
     index plus one dynamic fact (an effective address, a branch outcome,
-    a precompile index).  Per-instruction tables — use and def
-    registers, latency class, base latency — are built once per run, and
-    the fold over the stream allocates nothing per instruction.
+    a precompile index).  That run's tally comes back with the result,
+    so both zkVM configs can be priced from it ([Zkopt_zkvm.Vm.price])
+    without executing the program again.  Per-instruction tables — use
+    and def registers, latency class, base latency — are built once per
+    run, and the fold over the stream allocates nothing per
+    instruction.
     [test/oracle/ref_cpu.ml] keeps the historical driver, the boxed
     emulator under closure hooks, as the oracle [test/test_cpu.ml] holds
     this fold to, bit for bit. *)
@@ -113,7 +117,8 @@ type clocks = {
    1.7x slower (1.47 vs 0.87 ms on a 2-core x86-64 container). *)
 let[@inline] fmax (x : float) y = if y > x then y else x
 
-(** Replay module [m] (compiled as [cg]) through the CPU model.
+(** Replay module [m] (compiled as [cg]) through the CPU model.  Returns
+    the model's result and the tally of the unpriced run that drove it.
 
     [sink] optionally attributes CPU cycles to the pc that spent them
     (through {!Zkopt_zkvm.Machine.sink}'s [on_cpu_retire] channel): each
@@ -122,7 +127,7 @@ let[@inline] fmax (x : float) y = if y > x then y else x
     costs sum exactly to the reported [cycles]. *)
 let run ?(params = default_params) ?(fuel = Emulator.default_fuel)
     ?(sink : Machine.sink option) (cg : Codegen.t) (m : Zkopt_ir.Modul.t) :
-    result =
+    result * Machine.tally =
   let prog = cg.Codegen.program in
   let code = prog.Asm.code in
   let n = Array.length code in
@@ -237,9 +242,10 @@ let run ?(params = default_params) ?(fuel = Emulator.default_fuel)
         s.Machine.on_cpu_retire ~pc:(pc_of idx) code.(idx)
           ~cost:(k.clock -. before)
   in
-  (* the CPU mode prices nothing, so any config decodes the same run *)
-  let r =
-    Machine.run ~fuel ~cpu:{ Machine.on_retire; on_extern }
+  (* the unpriced run reads only the page size of the config it is
+     decoded under, and risc0 and sp1 share theirs *)
+  let t =
+    Machine.tally ~fuel ~cpu:{ Machine.on_retire; on_extern }
       (Machine.decode Zkopt_zkvm.Config.risc0 cg m)
   in
   let cycles = fmax k.clock k.mem_busy_until in
@@ -248,12 +254,13 @@ let run ?(params = default_params) ?(fuel = Emulator.default_fuel)
     s.Machine.on_cpu_retire ~pc:(pc_of !last) code.(!last)
       ~cost:(cycles -. k.clock)
   | _ -> ());
-  {
-    cycles;
-    time_s = cycles /. (params.ghz *. 1e9);
-    retired = r.Machine.retired;
-    cache_hits = cache.Cache.hits;
-    cache_misses = cache.Cache.misses;
-    mispredicts = pred.Predictor.mispredicts;
-    exit_value = r.Machine.exit_value;
-  }
+  ( {
+      cycles;
+      time_s = cycles /. (params.ghz *. 1e9);
+      retired = t.Machine.retired;
+      cache_hits = cache.Cache.hits;
+      cache_misses = cache.Cache.misses;
+      mispredicts = pred.Predictor.mispredicts;
+      exit_value = t.Machine.exit_value;
+    },
+    t )

@@ -273,30 +273,41 @@ let measure_cell ?prepared (cfg : config) (cache : Backend.compiled Cache.t)
           | Stale _ as e -> raise e
           | e -> raise (Error.In_vm (vm, e))
         in
-        let zk = List.map zk_of backends in
         (* the CPU contrast model runs off the first backend that can
            drive it (an RV32 instruction stream); a zk-native-only sweep
-           simply has no CPU column *)
-        let run_cpu =
+           simply has no CPU column.  It runs first: its run is the one
+           the RV32 artifact prices both zkVM configs from.  Its failure
+           is handled after the zkVM runs, so a cell fails as it would
+           if they ran first. *)
+        let cpu_run =
+          let run () =
+            match
+              List.find_map
+                (fun (b : Backend.t) -> (compiled_for b).Backend.measure_cpu)
+                backends
+            with
+            | Some run -> Some (run ~fuel ())
+            | None -> None
+          in
           if not with_cpu then None
           else
-            List.find_map
-              (fun (b : Backend.t) -> (compiled_for b).Backend.measure_cpu)
-              backends
+            match run () with
+            | m -> Option.map Result.ok m
+            | exception (Stale _ as e) -> raise e
+            | exception e -> Some (Error e)
         in
+        let zk = List.map zk_of backends in
         let cpu, degraded =
-          match run_cpu with
+          match cpu_run with
           | None -> (None, None)
-          | Some run -> (
-            match run ~fuel () with
-            | m -> (Some m, None)
-            | exception Zkopt_riscv.Emulator.Out_of_fuel f ->
-              (* transient: let the retry policy escalate the budget *)
-              raise (Error.In_vm ("cpu", Zkopt_riscv.Emulator.Out_of_fuel f))
-            | exception e ->
-              (* deterministic CPU-model failure: degrade gracefully and
-                 keep the zkVM metrics rather than losing the cell *)
-              (None, Some (Printexc.to_string e)))
+          | Some (Ok m) -> (Some m, None)
+          | Some (Error (Zkopt_riscv.Emulator.Out_of_fuel f)) ->
+            (* transient: let the retry policy escalate the budget *)
+            raise (Error.In_vm ("cpu", Zkopt_riscv.Emulator.Out_of_fuel f))
+          | Some (Error e) ->
+            (* deterministic CPU-model failure: degrade gracefully and
+               keep the zkVM metrics rather than losing the cell *)
+            (None, Some (Printexc.to_string e))
         in
         ( {
             Cell.program = w.Zkopt_workloads.Workload.name;

@@ -41,12 +41,26 @@ type t = {
   exec_overhead_ns : float;
 }
 
-let instr_cost t (i : Isa.t) =
+(** The cost table.  Every instruction falls in one cost class, and a
+    config prices a class, not an instruction: the priced machine's
+    decoded cost words ({!instr_cost}) and the pricing of an unpriced
+    run's per-class retire counts ([Vm.price]) both read it here. *)
+let n_cost_classes = 4
+
+let cost_class (i : Isa.t) =
   match i with
-  | Isa.Op ((Isa.DIV | DIVU | REM | REMU), _, _, _) -> t.div_cost
-  | Op ((Isa.MUL | MULH | MULHSU | MULHU), _, _, _) -> t.mul_cost
-  | Load _ | Store _ -> t.mem_cost
+  | Isa.Op ((Isa.DIV | DIVU | REM | REMU), _, _, _) -> 1
+  | Op ((Isa.MUL | MULH | MULHSU | MULHU), _, _, _) -> 2
+  | Load _ | Store _ -> 3
+  | _ -> 0
+
+let class_cost t = function
+  | 1 -> t.div_cost
+  | 2 -> t.mul_cost
+  | 3 -> t.mem_cost
   | _ -> t.default_cost
+
+let instr_cost t (i : Isa.t) = class_cost t (cost_class i)
 
 (** Cycle price of a precompile call.  Unknown names raise: every
     precompile a config can execute must be priced explicitly, so a typo

@@ -25,9 +25,12 @@
       indirect calls; with one, retires are delivered in batches and every
       non-retire event is ordered exactly as the reference executor
       ordered its attribution callbacks;
-    - the CPU mode ({!cpu}), also chosen at {!run} entry, executes the
-      same semantics with nothing priced and reports each retire's one
-      dynamic fact to the CPU timing model.
+    - the machine has two loops: the priced one ({!run}) and an unpriced
+      one ({!tally}) that executes the same semantics, touches the same
+      pages and prices nothing.  It counts what the cost rules read, so
+      [Vm.price] turns one unpriced run into any config's metrics while
+      the run fits one segment, and it reports each retire's one dynamic
+      fact to an optional observer, the CPU timing model ({!cpu}).
 
     The boxed reference emulator and the hook-driven reference executor
     live in the test-only oracle library ([test/oracle/]).
@@ -414,6 +417,13 @@ let[@inline] touch_data st sink ~write a =
     st.data_dirty <- write
   end
 
+(* Fetch's touch of the page of [pc], which becomes the code cache. *)
+let touch_code st sink pc =
+  let p = page_of st pc in
+  touch_page st sink ~write:false p;
+  st.code_lo <- p * st.page_bytes;
+  st.code_hi <- st.code_lo + st.page_bytes
+
 let close_segment ~fault ~final st sink =
   (match sink with Some s -> flush st s | None -> ());
   let outs = st.dirty_n in
@@ -526,7 +536,7 @@ let do_ecall st sink =
       (extern_mem st (fun ~write a -> touch_data st sink ~write a))
   end
 
-(* Instruction semantics shared by the zk step and the CPU step; inlined,
+(* Instruction semantics shared by the priced and unpriced steps; inlined,
    so neither loop pays a call for them. *)
 
 (* register-register ALU *)
@@ -670,12 +680,7 @@ let step st sink fault_silent =
   if idx < 0 || idx >= c.n then pc_out_of_range pc;
   st.cur_pc <- pc;
   (* fetch touches the code page (one-page cache fast path) *)
-  if pc < st.code_lo || pc >= st.code_hi then begin
-    let p = page_of st pc in
-    touch_page st sink ~write:false p;
-    st.code_lo <- p * st.page_bytes;
-    st.code_hi <- st.code_lo + st.page_bytes
-  end;
+  if pc < st.code_lo || pc >= st.code_hi then touch_code st sink pc;
   let ck = Array.unsafe_get c.costk idx in
   let cost = ck lsr 2 in
   (match sink with
@@ -736,7 +741,7 @@ let step st sink fault_silent =
       st.pc <- next
 
 (* ------------------------------------------------------------------ *)
-(* CPU mode                                                            *)
+(* The unpriced mode                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type cpu = {
@@ -744,72 +749,97 @@ type cpu = {
   on_extern : write:bool -> int -> unit;
 }
 
-(* The zk step's semantics with nothing priced: no cost words, paging or
-   segments, so the run is the same under every config.  Each retire is
-   reported after it executes, with its one dynamic fact. *)
-let step_cpu st (cpu : cpu) =
+type tally = {
+  exit_value : int32;
+  retired : int;
+  class_retires : int array;      (* by Config.cost_class *)
+  loads : int;
+  stores : int;
+  branches : int;
+  precompile_calls : (string * int) list;  (* in first-call order *)
+  pages_touched : int;
+  pages_dirtied : int;
+  page_bytes : int;
+}
+
+let priced_runs = Atomic.make 0
+let unpriced_runs = Atomic.make 0
+
+let[@inline] notify (cpu : cpu option) idx fact =
+  match cpu with Some o -> o.on_retire idx fact | None -> ()
+
+(* The zk step's semantics and data-page touches with nothing priced: no
+   cost words, segments or sink.  Each retire is counted by instruction
+   index, which also gives the pages fetch touched once the run ends,
+   and reported after it executes, with its one dynamic fact. *)
+let step_unpriced st counts calls first cpu =
   let c = st.c in
   let pc = st.pc in
   let idx = sext32 (pc - c.base) / 4 in
   if idx < 0 || idx >= c.n then pc_out_of_range pc;
-  st.retired <- st.retired + 1;
+  Array.unsafe_set counts idx (Array.unsafe_get counts idx + 1);
   let op = Array.unsafe_get c.ops idx in
   let next = pc + 4 in
   if op < op_base_ri then begin
     alu_rr st c idx op;
     st.pc <- next;
-    cpu.on_retire idx 0
+    notify cpu idx 0
   end
   else if op < op_lui then begin
     alu_ri st c idx op;
     st.pc <- next;
-    cpu.on_retire idx 0
+    notify cpu idx 0
   end
   else
     match op with
     | 27 | 28 | 29 | 30 ->
       upper_or_jump st c idx op pc;
-      cpu.on_retire idx 0
+      notify cpu idx 0
     | 31 | 32 | 33 | 34 | 35 | 36 ->
       if taken st c idx op then begin
         st.pc <- (pc + Array.unsafe_get c.x3 idx) land u32;
-        cpu.on_retire idx 1
+        notify cpu idx 1
       end
       else begin
         st.pc <- next;
-        cpu.on_retire idx 0
+        notify cpu idx 0
       end
     | 37 | 38 | 39 | 40 | 41 ->
       let addr = mem_addr st c idx in
+      touch_data st None ~write:false addr;
       load st c idx op addr;
       st.pc <- next;
-      cpu.on_retire idx addr
+      notify cpu idx addr
     | 42 | 43 | 44 ->
       let addr = mem_addr st c idx in
+      touch_data st None ~write:true addr;
       store st c idx op addr;
       st.pc <- next;
-      cpu.on_retire idx addr
+      notify cpu idx addr
     | _ (* 45 Ecall *) ->
       let i = syscall st in
-      if i >= 0 then run_precompile st i (extern_mem st cpu.on_extern);
+      if i >= 0 then begin
+        if calls.(i) = 0 then first := i :: !first;
+        calls.(i) <- calls.(i) + 1;
+        let note =
+          match cpu with
+          | None -> fun ~write a -> touch_data st None ~write a
+          | Some o ->
+            fun ~write a ->
+              touch_data st None ~write a;
+              o.on_extern ~write a
+        in
+        run_precompile st i (extern_mem st note)
+      end;
       st.pc <- next;
-      cpu.on_retire idx i
-
-let cpu_loop st cpu fuel =
-  let budget = ref fuel in
-  while not st.halted do
-    if !budget <= 0 then raise (Emulator.Out_of_fuel fuel);
-    decr budget;
-    step_cpu st cpu
-  done
+      notify cpu idx i
 
 (* ------------------------------------------------------------------ *)
 (* Run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Only the mode chosen at entry gets its state: the page directories
-   when pricing (not in the CPU mode), the retire buffer with a sink. *)
-let fresh_state ~priced ~buffered (c : code) : st =
+(* A fresh machine for [c]; the retire buffer only when a sink reads it. *)
+let fresh_state ~buffered (c : code) : st =
   let mem = Memory.create () in
   Memory.store_image mem c.base c.image;
   List.iter (fun (addr, init) -> Memory.init_global mem addr init) c.globals;
@@ -824,10 +854,7 @@ let fresh_state ~priced ~buffered (c : code) : st =
     end
     else -1
   in
-  let top =
-    if priced then ((u32 / page_bytes) + 1 + (prow_size - 1)) / prow_size
-    else 0
-  in
+  let top = ((u32 / page_bytes) + 1 + (prow_size - 1)) / prow_size in
   let buf = if buffered then buf_cap else 0 in
   {
     c; mem; regs; pc = c.entry; halted = false; exit_value = 0; retired = 0;
@@ -846,6 +873,53 @@ let fresh_state ~priced ~buffered (c : code) : st =
     buf_n = 0;
   }
 
+(** Execute [c] unpriced.  The run never leaves its first epoch, so the
+    page counters the priced machine keeps per segment count distinct
+    pages over the whole run: [page_ins] those touched, [dirty_n] those
+    dirtied.  The per-instruction retire counts are folded into the
+    tally's per-class and per-kind counts once, at the end, where each
+    retired instruction's fetch also touches its page. *)
+let tally ?(fuel = Emulator.default_fuel) ?cpu (c : code) : tally =
+  Atomic.incr unpriced_runs;
+  let st = fresh_state ~buffered:false c in
+  let counts = Array.make c.n 0 in
+  let calls = Array.make (Array.length Emulator.precompile_signatures) 0 in
+  let first = ref [] in
+  let budget = ref fuel in
+  while not st.halted do
+    if !budget <= 0 then raise (Emulator.Out_of_fuel fuel);
+    decr budget;
+    step_unpriced st counts calls first cpu
+  done;
+  let class_retires = Array.make Config.n_cost_classes 0 in
+  let loads = ref 0 and stores = ref 0 and branches = ref 0 in
+  Array.iteri
+    (fun i k ->
+      if k > 0 then begin
+        let pc = c.base + (4 * i) in
+        if pc < st.code_lo || pc >= st.code_hi then touch_code st None pc;
+        let cl = Config.cost_class c.isa.(i) in
+        class_retires.(cl) <- class_retires.(cl) + k;
+        let kind = c.costk.(i) land 3 in
+        if kind = k_load then loads := !loads + k
+        else if kind = k_store then stores := !stores + k
+        else if kind = k_branch then branches := !branches + k
+      end)
+    counts;
+  {
+    exit_value = Int32.of_int st.exit_value;
+    retired = fuel - !budget;
+    class_retires;
+    loads = !loads;
+    stores = !stores;
+    branches = !branches;
+    precompile_calls =
+      List.rev_map (fun i -> (fst Emulator.precompile_signatures.(i), calls.(i))) !first;
+    pages_touched = st.page_ins;
+    pages_dirtied = st.dirty_n;
+    page_bytes = st.page_bytes;
+  }
+
 let exec_loop st sink fault fuel =
   let fault_silent = fault = Silent_halt_on_boundary_jalr in
   let budget = ref fuel in
@@ -860,21 +934,16 @@ let exec_loop st sink fault fuel =
   done;
   close_segment ~fault ~final:true st sink
 
-(** Execute pre-decoded [c].  The mode is selected here, once: without a
-    sink the loop makes zero per-instruction indirect calls; with one,
-    retires arrive batched and every other event is delivered in the
-    reference executor's order; with [cpu] the machine runs its CPU loop
-    instead. *)
-let run ?(fault = No_fault) ?(fuel = Emulator.default_fuel) ?sink ?cpu
-    (c : code) : result =
-  let st =
-    fresh_state ~priced:(Option.is_none cpu) ~buffered:(Option.is_some sink) c
-  in
-  (match (cpu, sink) with
-  | Some cpu, None when fault = No_fault -> cpu_loop st cpu fuel
-  | Some _, _ -> invalid_arg "Machine.run: the CPU mode takes no sink or fault"
-  | None, None -> exec_loop st None fault fuel
-  | None, Some s -> (
+(** Execute pre-decoded [c], priced.  Without a sink the loop makes zero
+    per-instruction indirect calls; with one, retires arrive batched and
+    every other event is delivered in the reference executor's order. *)
+let run ?(fault = No_fault) ?(fuel = Emulator.default_fuel) ?sink (c : code) :
+    result =
+  Atomic.incr priced_runs;
+  let st = fresh_state ~buffered:(Option.is_some sink) c in
+  (match sink with
+  | None -> exec_loop st None fault fuel
+  | Some s -> (
     (* deliver buffered retires even when the guest traps or runs out of
        fuel: the reference path reported events eagerly, so a consumer
        observing a partial run must still see every retired instruction *)

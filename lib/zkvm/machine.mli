@@ -6,8 +6,9 @@
     words in [int] arrays), then executed ({!run}) with untagged
     native-int registers, unsigned-int addressing and epoch-stamped page
     residency — no [Int32] allocation and no hashing anywhere in the hot
-    loop.  A {!cpu} mode runs the same semantics unpriced for the CPU
-    timing model.  It is the library's one RV32 interpreter.  Accounting
+    loop.  An unpriced mode ({!tally}) runs the same semantics without
+    pricing them; it counts what pricing needs and drives the CPU timing
+    model.  It is the library's one RV32 interpreter.  Accounting
     is bit-for-bit identical to the test-only reference executor
     ([Ref_executor.run] in [test/oracle/]); [test/test_machine.ml]
     enforces the equivalence, including under every injected {!fault}. *)
@@ -85,7 +86,7 @@ type retire_batch =
     [on_cpu_retire] is the CPU timing model's channel (float cost in
     model cycles): [Zkopt_cpu.Timing.run] calls it once per retire, and
     once more for the trailing memory drain, while it folds a {!cpu}
-    stream; the zk loops never call it. *)
+    stream; the machine's loops never call it. *)
 type sink = {
   on_retires : retire_batch -> unit;
   on_precompile : pc:int32 -> name:string -> cost:int -> unit;
@@ -123,7 +124,26 @@ type code
     [Zkopt_riscv.Emulator.Trap] when the program has no [main]. *)
 val decode : Config.t -> Codegen.t -> Modul.t -> code
 
-(** {1 The CPU mode} *)
+(** {1 Two modes}
+
+    The machine has two loops over decoded code, and each run takes one.
+    The priced loop ({!run}) charges every cost word, page event and
+    segment of the config [code] was decoded under.  The unpriced loop
+    ({!tally}) executes the same instructions and touches the same pages,
+    raises the same traps and [Out_of_fuel], but charges nothing: it
+    counts what the cost rules read, so [Vm.price] can turn one unpriced
+    run into any config's metrics while the run fits one segment under
+    that config. *)
+
+(** {2 The priced mode} *)
+
+(** Execute pre-decoded code on a fresh machine.  Accounting, trap
+    messages and fault behavior are bit-for-bit those of the reference
+    executor ([Ref_executor.run] in [test/oracle/]); a sink observes them
+    without perturbing them. *)
+val run : ?fault:fault -> ?fuel:int -> ?sink:sink -> code -> result
+
+(** {2 The unpriced mode} *)
 
 (** The stream the CPU timing model folds ([Zkopt_cpu.Timing.run]).
 
@@ -143,19 +163,40 @@ type cpu = {
   on_extern : write:bool -> int -> unit;
 }
 
-(** {1 Run} *)
+(** What an unpriced run counts: everything the cost rules read, in
+    O(1) words.  A page is counted once however it was reached: by
+    fetch, by the address of a load or store, or by a word a
+    precompile's extern code reads or writes.  Extern accesses touch
+    and dirty pages but are not loads or stores. *)
+type tally = {
+  exit_value : int32;
+  retired : int;
+  class_retires : int array;
+      (** retires per cost class, indexed by {!Config.cost_class} *)
+  loads : int;
+  stores : int;
+  branches : int;  (** branches and jumps, as {!result} counts them *)
+  precompile_calls : (string * int) list;
+      (** calls per precompile called, by name, in the order of each
+          one's first call *)
+  pages_touched : int;  (** distinct pages touched *)
+  pages_dirtied : int;  (** distinct pages dirtied *)
+  page_bytes : int;  (** the page size of the config [code] was decoded under *)
+}
 
-(** Execute pre-decoded code on a fresh machine.  Accounting, trap
-    messages and fault behavior are bit-for-bit those of the reference
-    executor ([Ref_executor.run] in [test/oracle/]); a sink observes them
-    without perturbing them.
+(** Execute pre-decoded code on a fresh machine, unpriced, and report
+    each retire to [cpu] if given.  Only the page size of the config
+    [code] was decoded under enters the run.  It raises what {!run}
+    raises on the same code and fuel, except for a precompile that the
+    config does not price: {!run} raises [Invalid_argument] at its call,
+    and [Vm.price] does when it prices the tally. *)
+val tally : ?fuel:int -> ?cpu:cpu -> code -> tally
 
-    [cpu] selects the CPU mode, once, at entry: the machine executes the
-    same instructions and raises the same traps and [Out_of_fuel], but
-    prices nothing — no cost words, paging or segments, so neither the
-    run nor its stream depends on the config [c] was decoded under — and
-    reports each retire to [cpu].  Its result carries only [exit_value]
-    and [retired]; every other count is zero.  The CPU mode takes no
-    [sink] and no [fault] ([Invalid_argument]). *)
-val run :
-  ?fault:fault -> ?fuel:int -> ?sink:sink -> ?cpu:cpu -> code -> result
+(** {2 Run counters}
+
+    Runs since the program started, bumped once at the entry of each
+    {!run} and each {!tally}, whether the run completes or raises.
+    Tests and gates read them to count executions. *)
+
+val priced_runs : int Atomic.t
+val unpriced_runs : int Atomic.t

@@ -22,9 +22,8 @@ let exec_time_s (cfg : Config.t) (r : Machine.result) =
   +. cfg.Config.exec_overhead_ns)
   *. 1e-9
 
-let measure ?fault ?fuel ?sink (cfg : Config.t) (cg : Codegen.t)
-    (m : Modul.t) : metrics =
-  let exec = Machine.run ?fault ?fuel ?sink (Machine.decode cfg cg m) in
+(* The metrics of a priced run under [cfg]. *)
+let of_exec (cfg : Config.t) (exec : Machine.result) : metrics =
   let prove = Prover.prove cfg exec in
   {
     vm = cfg.Config.name;
@@ -36,6 +35,60 @@ let measure ?fault ?fuel ?sink (cfg : Config.t) (cg : Codegen.t)
     exit_value = exec.Machine.exit_value;
     exec;
   }
+
+let measure ?fault ?fuel ?sink (cfg : Config.t) (cg : Codegen.t)
+    (m : Modul.t) : metrics =
+  of_exec cfg (Machine.run ?fault ?fuel ?sink (Machine.decode cfg cg m))
+
+(** Price an unpriced run ({!Machine.tally}) under [cfg]: exactly what
+    {!measure} returns for the same code and fuel with no fault and no
+    sink, whenever that run is one segment.  [None] when it may not be:
+    the tally's page size is not [cfg]'s, or its user cycles under [cfg]
+    reach [cfg.segment_limit].  The priced machine closes a segment once
+    its user cycles reach the limit after a retire, and they never fall
+    within a segment, so a total below the limit is exactly one segment:
+    every page touched is paged in once and every page dirtied is paged
+    out once, at its close.  The first precompile called that [cfg] does
+    not price raises {!Config.precompile_cost}'s [Invalid_argument], as
+    the priced machine does at that call. *)
+let price (cfg : Config.t) (t : Machine.tally) : metrics option =
+  if t.Machine.page_bytes <> cfg.Config.page_bytes then None
+  else begin
+    let user = ref 0 and calls = ref 0 in
+    Array.iteri
+      (fun k n -> user := !user + (n * Config.class_cost cfg k))
+      t.Machine.class_retires;
+    List.iter
+      (fun (name, n) ->
+        user := !user + (n * Config.precompile_cost cfg name);
+        calls := !calls + n)
+      t.Machine.precompile_calls;
+    let user = !user in
+    if user >= cfg.Config.segment_limit then None
+    else begin
+      let paging =
+        (t.Machine.pages_touched * cfg.Config.page_in_cost)
+        + (t.Machine.pages_dirtied * cfg.Config.page_out_cost)
+      in
+      Some
+        (of_exec cfg
+           {
+             Machine.exit_value = t.Machine.exit_value;
+             total_cycles = user + paging;
+             user_cycles = user;
+             paging_cycles = paging;
+             page_ins = t.Machine.pages_touched;
+             page_outs = t.Machine.pages_dirtied;
+             segments = [ { Machine.user_cycles = user; paging_cycles = paging } ];
+             retired = t.Machine.retired;
+             loads = t.Machine.loads;
+             stores = t.Machine.stores;
+             branches = t.Machine.branches;
+             precompile_calls = !calls;
+             faulted = false;
+           })
+    end
+  end
 
 (** Accounting conservation oracles over a raw executor result.  In a
     healthy executor both identities hold exactly:

@@ -45,3 +45,18 @@ let minor_words f =
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (f ()));
   Gc.minor_words () -. before
+
+(** Every word [f] allocates: minor words plus the words allocated
+    straight on the major heap ([Gc.counters]: minor + major - promoted).
+    {!minor_words} misses blocks over 256 words, which OCaml allocates
+    there, so a bound on a loop that may allocate large arrays counts
+    these.  [Gc.counters] reports statistics sampled at minor
+    collections, so the minor heap is emptied before [f] and after it:
+    without that, the counts lag by whatever the minor heap holds. *)
+let allocated_words f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)

@@ -18,7 +18,7 @@ module Machine = Zkopt_zkvm.Machine
 module Config = Zkopt_zkvm.Config
 module Workload = Zkopt_workloads.Workload
 
-let model ?fuel ?sink cg m = Timing.run ?fuel ?sink cg m
+let model ?fuel ?sink cg m = fst (Timing.run ?fuel ?sink cg m)
 let oracle ?fuel ?sink cg m = Zkopt_oracle.Ref_cpu.run ?fuel ?sink cg m
 
 (* Both drivers share exception types; capture them so starvation and
@@ -156,8 +156,8 @@ let precompile_programs =
   [ "sha2-bench"; "sha3-bench"; "merkle"; "sha2-chain"; "sha3-chain"; "rsp";
     "ecdsa-verify"; "eddsa-verify"; "keccak256" ]
 
-(* The machine's CPU stream for [c] decoded under [cfg]: exit value,
-   retired count, events reported and a hash over all of them. *)
+(* The machine's CPU stream for [c] decoded under [cfg]: the unpriced
+   run's tally, events reported and a hash over all of them. *)
 let stream cfg (c : Measure.compiled) =
   let h = ref 0 and events = ref 0 in
   let mix v =
@@ -170,8 +170,8 @@ let stream cfg (c : Measure.compiled) =
       on_extern = (fun ~write addr -> mix (if write then -1 else -2); mix addr);
     }
   in
-  let r = Machine.run ~cpu (Machine.decode cfg c.Measure.codegen c.Measure.modul) in
-  (r.Machine.exit_value, r.Machine.retired, !events, !h)
+  let t = Machine.tally ~cpu (Machine.decode cfg c.Measure.codegen c.Measure.modul) in
+  (t, !events, !h)
 
 let test_precompile_programs () =
   Alcotest.(check (list string)) "the programs that call a precompile"
@@ -181,8 +181,8 @@ let test_precompile_programs () =
           (fun (w : Workload.t) ->
             if w.Workload.uses_precompiles then Some w.Workload.name else None)
           (Workload.all ())));
-  (* a config that prices no precompile: the zk loop fails on it, the
-     CPU mode must not notice it *)
+  (* a config that prices no precompile: the priced loop fails on it,
+     the unpriced one must not notice it *)
   let unpriced = { Config.risc0 with Config.name = "unpriced"; precompile_costs = [] } in
   List.iter
     (fun name ->
@@ -210,18 +210,22 @@ let test_precompile_programs () =
     precompile_programs
 
 (* A return of per-instruction allocation shows here without timing
-   noise: the fold must allocate fewer minor words than it retires
-   instructions. *)
+   noise: the fold must allocate fewer words than it retires
+   instructions, counting the blocks that go straight to the major
+   heap. *)
 let test_allocation () =
   let w = Workload.find "npb-is" in
   let c = Measure.prepare ~build:(fun () -> w.Workload.build Workload.Quick) Profile.Baseline in
-  let before = Gc.minor_words () in
-  let r = Timing.run c.Measure.codegen c.Measure.modul in
-  let words = Gc.minor_words () -. before in
+  let retired = ref 0 in
+  let words =
+    Pin_modules.allocated_words (fun () ->
+        let r, _ = Timing.run c.Measure.codegen c.Measure.modul in
+        retired := r.Timing.retired)
+  in
   Alcotest.(check bool)
-    (Printf.sprintf "%.0f minor words < %d retired" words r.Timing.retired)
+    (Printf.sprintf "%.0f words < %d retired" words !retired)
     true
-    (words < float_of_int r.Timing.retired)
+    (words < float_of_int !retired)
 
 let tests =
   [

@@ -558,6 +558,40 @@ let test_each_artifact_runs_once () =
   Alcotest.(check string) "and reports the same points"
     (canonical first.H.points) (canonical second.H.points)
 
+(* A cold sequential pass over baseline and single-pass cells, whose
+   runs stay in one segment, executes each distinct RV32 artifact once,
+   unpriced: a cell measures the CPU model first, and that run's tally
+   prices both zkVM configs, so the priced machine never runs. *)
+let test_cold_pass_runs_unpriced () =
+  let programs = [ "fibonacci"; "factorial"; "loop-sum" ] in
+  let profiles =
+    Profile.Baseline
+    :: List.map
+         (fun p -> Profile.Single_pass p)
+         [ "licm"; "mem2reg"; "gvn"; "inline"; "simplifycfg"; "adce" ]
+  in
+  let distinct =
+    List.concat_map (fun prog -> List.map (cell_fp prog) profiles) programs
+    |> List.sort_uniq compare |> List.length
+  in
+  let module Machine = Zkopt_zkvm.Machine in
+  let runs () = (Atomic.get Machine.priced_runs, Atomic.get Machine.unpriced_runs) in
+  let p0, u0 = runs () in
+  let o =
+    H.run
+      {
+        (H.default ~size:Zkopt_workloads.Workload.Quick) with
+        H.programs = Some programs;
+        profiles = Some profiles;
+      }
+  in
+  let p1, u1 = runs () in
+  Alcotest.(check int) "every cell measured"
+    (List.length programs * List.length profiles)
+    (Hashtbl.length o.H.points);
+  Alcotest.(check (pair int int)) "(priced, unpriced) runs = (0, distinct artifacts)"
+    (0, distinct) (p1 - p0, u1 - u0)
+
 (* ---- the input key ---------------------------------------------------- *)
 
 module Pass = Zkopt_passes.Pass
@@ -987,6 +1021,8 @@ let tests =
       test_parallel_faults_exactly_once;
     Alcotest.test_case "parallel kill/resume determinism" `Quick
       test_parallel_kill_resume;
+    Alcotest.test_case "a cold pass runs each artifact once, unpriced" `Quick
+      test_cold_pass_runs_unpriced;
     Alcotest.test_case "each distinct artifact runs once per VM" `Quick
       test_each_artifact_runs_once;
     Alcotest.test_case "input key covers every input" `Quick

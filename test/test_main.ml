@@ -7,6 +7,7 @@ let () =
       ("passes", Test_passes.tests);
       ("zkvm", Test_zkvm.tests);
       ("machine", Test_machine.tests);
+      ("price", Test_price.tests);
       ("cpu", Test_cpu.tests);
       ("valida", Test_valida.tests);
       ("crypto", Test_crypto.tests);

@@ -374,8 +374,9 @@ let test_suite_sinks () =
     programs
 
 (* A return of per-instruction allocation shows here without timing
-   noise: a no-sink run must allocate fewer minor words than it retires
-   instructions (the boxed reference allocates about 55 per retire).
+   noise: a no-sink run must allocate fewer words than it retires
+   instructions, counting blocks that go straight to the major heap (the
+   boxed reference allocates about 55 per retire).
    loop-sum is one loop; npb-ep calls a function 800 times.  Programs
    whose hot loop divides are left out: division still boxes through
    {!Eval.binop}. *)
@@ -402,14 +403,15 @@ let test_allocation () =
       in
       ignore (Vexec.run ~sink:count_calls code);
       Alcotest.(check int) (name ^ ": calls") want_calls !calls;
-      let before = Gc.minor_words () in
-      let r = Vexec.run code in
-      let words = Gc.minor_words () -. before in
+      let retired = ref 0 in
+      let words =
+        Pin_modules.allocated_words (fun () ->
+            retired := (Vexec.run code).Vexec.retired)
+      in
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %.0f minor words < %d retired" name words
-           r.Vexec.retired)
+        (Printf.sprintf "%s: %.0f words < %d retired" name words !retired)
         true
-        (words < float_of_int r.Vexec.retired))
+        (words < float_of_int !retired))
     [ ("loop-sum", 0); ("npb-ep", 800) ]
 
 let tests =
