@@ -356,6 +356,11 @@ let run_cmd =
     let cache = Cache.create () and fp = Zkopt_exec.Fingerprint.of_modul m in
     let compiled b = Backend.compile_cached ~cache b ~fp (Lazy.from_val m) in
     let backends = Registry.all () in
+    (* the CPU model first: the RV32 backends price its run *)
+    let cpu =
+      List.find_map (fun b -> (compiled b).Backend.measure_cpu) backends
+      |> Option.map (fun f -> f ?fuel:None ?sink:None ())
+    in
     let zks =
       List.map
         (fun (b : Backend.t) ->
@@ -363,10 +368,6 @@ let run_cmd =
         backends
     in
     let static_instrs = (compiled (List.hd backends)).Backend.static_instrs () in
-    let cpu =
-      List.find_map (fun b -> (compiled b).Backend.measure_cpu) backends
-      |> Option.map (fun f -> f ?fuel:None ?sink:None ())
-    in
     if json then
       print_endline
         (Json.to_string

@@ -19,6 +19,15 @@ module Vm = Zkopt_zkvm.Vm
 
 let schema = "rv32-cg1"
 
+(* What an artifact keeps of its unpriced run at one fuel. *)
+type kept = Tally of Machine.tally | Long  (* more than [longest] retires *)
+
+(* Every instruction costs at least one cycle under every config in
+   {!Config.all} (a [test_price] case checks it), so a run of more
+   retires than the longest segment limit reaches every limit. *)
+let longest =
+  List.fold_left (fun l (cfg : Config.t) -> max l cfg.Config.segment_limit) 0 Config.all
+
 (** Wrap an assembled RV32 compilation as a family-shared artifact.
     [?config] pins the cost config instead of resolving it from the
     backend name at measurement time — used for ad-hoc config variants
@@ -36,17 +45,27 @@ let schema = "rv32-cg1"
     unpriced run raises what a priced one would, because every config in
     {!Config.all} prices every precompile.  At most one tally per fuel
     is kept, each a few words; the run's per-instruction counts are
-    dropped with the run. *)
+    dropped with the run.  An unpriced run that [measure] starts stops
+    after [longest] retires, past which no config could price it, and
+    the artifact keeps only that fact: a longer run then costs its
+    priced runs plus [longest] unpriced retires, not a whole run. *)
 let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
-  let mu = Mutex.create () and tallies = Hashtbl.create 1 in
-  let keep fuel t = Mutex.protect mu (fun () -> Hashtbl.replace tallies fuel t) in
-  let tally cfg fuel =
-    match Mutex.protect mu (fun () -> Hashtbl.find_opt tallies fuel) with
-    | Some t -> t
+  let mu = Mutex.create () and runs = Hashtbl.create 1 in
+  let keep fuel k = Mutex.protect mu (fun () -> Hashtbl.replace runs fuel k) in
+  let unpriced cfg fuel =
+    match Mutex.protect mu (fun () -> Hashtbl.find_opt runs fuel) with
+    | Some k -> k
     | None ->
-      let t = Machine.tally ~fuel (Machine.decode cfg c.Measure.codegen c.Measure.modul) in
-      keep fuel t;
-      t
+      let code = Machine.decode cfg c.Measure.codegen c.Measure.modul in
+      let k =
+        if fuel <= longest then Tally (Machine.tally ~fuel code)
+        else
+          match Machine.tally ~fuel:longest code with
+          | t -> Tally t
+          | exception Zkopt_riscv.Emulator.Out_of_fuel _ -> Long
+      in
+      keep fuel k;
+      k
   in
   let resolved = Option.value ~default:Zkopt_riscv.Emulator.default_fuel in
   let measure ~vm ?fault ?fuel ?sink () =
@@ -55,9 +74,10 @@ let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
       match (config, fault, sink) with
       | None, None, None -> (
         let fuel = resolved fuel in
-        match Vm.price cfg (tally cfg fuel) with
-        | Some raw -> raw
-        | None -> Measure.run ~fuel cfg c)
+        match unpriced cfg fuel with
+        | Tally t -> (
+          match Vm.price cfg t with Some raw -> raw | None -> Measure.run ~fuel cfg c)
+        | Long -> Measure.run ~fuel cfg c)
       | _ -> Measure.run ?fault ?fuel ?sink cfg c
     in
     (* pad each segment as the prover does: the settlement models must
@@ -78,7 +98,7 @@ let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
   in
   let measure_cpu ?fuel ?sink () =
     let r, t = Zkopt_cpu.Timing.run ?fuel ?sink c.Measure.codegen c.Measure.modul in
-    if Option.is_none sink && Option.is_none config then keep (resolved fuel) t;
+    if Option.is_none sink && Option.is_none config then keep (resolved fuel) (Tally t);
     Measure.cpu_of_timing r
   in
   let program = c.Measure.codegen.Zkopt_riscv.Codegen.program in

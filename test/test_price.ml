@@ -232,13 +232,13 @@ let test_one_run_per_fuel () =
          | _ -> Alcotest.fail "fuel 100 must starve"
          | exception Emulator.Out_of_fuel 100 -> ()))
 
-(* a loop whose run spans two risc0 segments and one sp1 segment *)
-let long_loop () =
+(* a loop of [n] iterations, each a few retires *)
+let loop n () =
   let m = Modul.create () in
   ignore
     (Builder.define m "main" ~params:[] ~ret:Ty.I32 (fun b _ ->
          let s = Builder.var b Ty.I32 (Builder.imm 0) in
-         Builder.for_ b ~from:(Builder.imm 0) ~bound:(Builder.imm 200_000) (fun i ->
+         Builder.for_ b ~from:(Builder.imm 0) ~bound:(Builder.imm n) (fun i ->
              Builder.set b Ty.I32 s (Builder.add b (Value.Reg s) i));
          Builder.ret b (Some (Value.Reg s))));
   m
@@ -261,8 +261,9 @@ let test_priced_machine_calls () =
     (runs (fun () ->
          ignore (cpu_of a ~sink:(Machine.sink ()) ());
          ignore (a.Backend.measure ~vm:"risc0" ())));
-  (* more than one segment: the tally is kept, the price falls back *)
-  let c = Measure.prepare ~build:long_loop Profile.Baseline in
+  (* a run spanning two risc0 segments and one sp1 segment: the tally
+     is kept, and risc0's price falls back *)
+  let c = Measure.prepare ~build:(loop 200_000) Profile.Baseline in
   let a = Rv32.of_compiled c in
   let ((r0, s1), _, _) as counted =
     runs (fun () ->
@@ -275,7 +276,29 @@ let test_priced_machine_calls () =
   check_runs "a multi-segment risc0 run" ~priced:1 ~unpriced:1 counted;
   check_priced "multi-segment risc0" Config.risc0 c r0;
   check_priced "one-segment sp1" Config.sp1 c s1;
-  (* under 2^10-cycle segments no tally of this loop has a price *)
+  (* a run past every config's segment limit: the unpriced run that
+     risc0's call starts stops at the longest limit, and both configs
+     take the priced machine *)
+  Alcotest.(check bool) "every instruction costs a cycle under every config"
+    true
+    (List.for_all
+       (fun cfg ->
+         List.for_all (fun k -> Config.class_cost cfg k >= 1)
+           (List.init Config.n_cost_classes Fun.id))
+       Config.all);
+  let c' = Measure.prepare ~build:(loop 600_000) Profile.Baseline in
+  let a = Rv32.of_compiled c' in
+  let ((r0', s1'), _, _) as counted =
+    runs (fun () ->
+        let r0 = a.Backend.measure ~vm:"risc0" () in
+        (r0, a.Backend.measure ~vm:"sp1" ()))
+  in
+  check_runs "a run past every segment limit" ~priced:2 ~unpriced:1 counted;
+  Alcotest.(check bool) "it is longer than every limit" true
+    (s1'.Backend.zk.Measure.segments > 1);
+  check_priced "long risc0" Config.risc0 c' r0';
+  check_priced "long sp1" Config.sp1 c' s1';
+  (* under 2^10-cycle segments no tally of the first loop has a price *)
   let t = Machine.tally (Machine.decode Config.sp1 c.Measure.codegen c.Measure.modul) in
   Alcotest.(check bool) "no price under 2^10-cycle segments" true
     (Vm.price short t = None);
