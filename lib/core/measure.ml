@@ -33,10 +33,12 @@ type compiled = {
 }
 
 (** The IR half of {!prepare}: build a fresh module, link the runtime
-    (so the whole image is optimized together, like LTO), run the
-    profile's pass pipeline, prune unreachable functions, verify.  Split
-    out so a compile cache can digest the optimized module before paying
-    for code generation. *)
+    functions it can reach ({!Zkopt_runtime.Runtime.link}: what it calls,
+    the helpers of its 64-bit div/rem and shifts, and [memset_w] for
+    loop-idiom), run the profile's pass pipeline over program and
+    runtime together, prune unreachable functions, verify.  Split out so
+    a compile cache can digest the optimized module before paying for
+    code generation. *)
 let prepare_ir ?(verify = true) ~(build : unit -> Modul.t)
     (profile : Profile.t) : Modul.t =
   let m = build () in

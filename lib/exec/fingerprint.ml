@@ -61,17 +61,36 @@ let add_func buf (f : Func.t) =
   add_bool buf a.Func.internal;
   Buffer.add_char buf '\n'
 
-(** Canonical byte encoding of everything codegen-relevant in [m]. *)
-let encode (m : Modul.t) : string =
-  let buf = Buffer.create 65536 in
+(* Each domain encodes into one buffer it keeps, and digests the
+   encoding from bytes it keeps: an encoding outgrows the 256 words of a
+   minor-heap block, so a fresh buffer or a fresh copy of it per call is
+   allocated straight on the major heap. *)
+type scratch = { buf : Buffer.t; mutable bytes : Bytes.t }
+
+let scratch =
+  Domain.DLS.new_key (fun () -> { buf = Buffer.create 65536; bytes = Bytes.empty })
+
+(* [m]'s encoding, in this domain's buffer *)
+let fill (m : Modul.t) : scratch =
+  let s = Domain.DLS.get scratch in
+  let buf = s.buf in
+  Buffer.clear buf;
   Buffer.add_string buf schema;
   Buffer.add_char buf '\n';
   List.iter (add_global buf) m.Modul.globals;
   List.iter (add_func buf) m.Modul.funcs;
-  Buffer.contents buf
+  s
+
+(** Canonical byte encoding of everything codegen-relevant in [m]. *)
+let encode (m : Modul.t) : string = Buffer.contents (fill m).buf
 
 (** Hex digest of a module's canonical encoding. *)
-let of_modul (m : Modul.t) : string = Digest.to_hex (Digest.string (encode m))
+let of_modul (m : Modul.t) : string =
+  let s = fill m in
+  let n = Buffer.length s.buf in
+  if Bytes.length s.bytes < n then s.bytes <- Bytes.create (2 * n);
+  Buffer.blit s.buf 0 s.bytes 0 n;
+  Digest.to_hex (Digest.subbytes s.bytes 0 n)
 
 (** Hex digest of a pass-name pipeline under a salt.  The salt must
     identify everything else the resulting module depends on: the

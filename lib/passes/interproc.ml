@@ -115,7 +115,8 @@ let run_ipsccp (config : Pass.config) (m : Modul.t) =
 (* ------------------------------------------------------------------ *)
 
 (* functions the backend calls implicitly when lowering 64-bit division
-   and variable shifts; they must survive DCE whenever such IR exists *)
+   and variable shifts ([Runtime.helpers]); they must survive DCE
+   whenever such IR exists *)
 let implicit_runtime_roots (m : Modul.t) =
   let roots = ref [] in
   let add n = if not (List.mem n !roots) then roots := n :: !roots in
@@ -123,17 +124,9 @@ let implicit_runtime_roots (m : Modul.t) =
     (fun (f : Func.t) ->
       Func.iter_instrs f (fun _ i ->
           match i with
-          | Instr.Bin { ty = Ty.I64; op; b; _ } -> begin
-            match (op, b) with
-            | Instr.Div, _ -> add "__divdi3"; add "__udivdi3"
-            | Instr.Rem, _ -> add "__moddi3"; add "__umoddi3"
-            | Instr.Udiv, _ -> add "__udivdi3"
-            | Instr.Urem, _ -> add "__umoddi3"
-            | Instr.Shl, Value.Reg _ -> add "__ashldi3"
-            | Instr.Lshr, Value.Reg _ -> add "__lshrdi3"
-            | Instr.Ashr, Value.Reg _ -> add "__ashrdi3"
-            | _ -> ()
-          end
+          | Instr.Bin { ty = Ty.I64; op = Shl | Lshr | Ashr; b = Imm _ | Glob _; _ } -> ()
+          | Instr.Bin { ty = Ty.I64; op; _ } ->
+            List.iter add (Zkopt_runtime.Runtime.helpers op)
           | _ -> ()))
     m.Modul.funcs;
   !roots

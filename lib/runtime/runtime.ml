@@ -1,10 +1,13 @@
-(** Guest runtime library, written in the IR itself.
+(** Guest runtime library, written in the IR itself, and its linker.
 
     The code generator lowers 64-bit division/remainder and variable
     64-bit shifts to calls to these functions (mirroring compiler-rt's
-    __divdi3 family), so the driver links them into every module and
-    prunes the unused ones.  The soft SHA-256 compression is used by the
-    benchmarks that deliberately avoid precompiles.
+    __divdi3 family), loop-idiom turns store loops into [memset_w] calls,
+    and the workloads call the rest by name (word copies, the soft
+    SHA-256 compression for the benchmarks that avoid precompiles, and
+    softfloat).  {!link} adds to a module only the members it can reach,
+    the way a static linker pulls archive members, so the pass pipeline
+    never optimizes runtime code that the final globaldce would delete.
 
     Implementation constraint: these bodies may use 64-bit IR operations
     only where the selector expands them inline (add/sub/mul/logic and
@@ -40,7 +43,7 @@ let define_shift m name ~emit_cases =
          emit_cases b ~x ~n ~lo ~hi ~res;
          B.ret b (Some (Value.Reg res))))
 
-let shifts m =
+let ashldi3 m =
   define_shift m "__ashldi3" ~emit_cases:(fun b ~x ~n ~lo ~hi ~res ->
       ignore x;
       let is_zero = B.icmp b Instr.Eq n (B.imm 0) in
@@ -59,7 +62,9 @@ let shifts m =
               let nh = B.shl b lo n' in
               B.set b i64 res (join b ~lo:(B.imm 0) ~hi:nh))
             ())
-        ());
+        ())
+
+let lshrdi3 m =
   define_shift m "__lshrdi3" ~emit_cases:(fun b ~x ~n ~lo ~hi ~res ->
       ignore x;
       let is_zero = B.icmp b Instr.Eq n (B.imm 0) in
@@ -78,7 +83,9 @@ let shifts m =
               let nl = B.lshr b hi n' in
               B.set b i64 res (join b ~lo:nl ~hi:(B.imm 0)))
             ())
-        ());
+        ())
+
+let ashrdi3 m =
   define_shift m "__ashrdi3" ~emit_cases:(fun b ~x ~n ~lo ~hi ~res ->
       ignore x;
       let is_zero = B.icmp b Instr.Eq n (B.imm 0) in
@@ -121,13 +128,15 @@ let emit_udivmod b ~num ~den ~want_rem =
         ());
   if want_rem then Value.Reg r else Value.Reg q
 
-let udiv_funcs m =
+let udivdi3 m =
   ignore
     (B.define m "__udivdi3" ~params:[ i64; i64 ] ~ret:i64 (fun b ps ->
          let a = List.nth ps 0 and d = List.nth ps 1 in
          let dz = B.icmp ~ty:i64 b Instr.Eq d (B.imm 0) in
          B.if_ b dz ~then_:(fun () -> B.ret b (Some (B.imm64 (-1L)))) ();
-         B.ret b (Some (emit_udivmod b ~num:a ~den:d ~want_rem:false))));
+         B.ret b (Some (emit_udivmod b ~num:a ~den:d ~want_rem:false))))
+
+let umoddi3 m =
   ignore
     (B.define m "__umoddi3" ~params:[ i64; i64 ] ~ret:i64 (fun b ps ->
          let a = List.nth ps 0 and d = List.nth ps 1 in
@@ -135,12 +144,12 @@ let udiv_funcs m =
          B.if_ b dz ~then_:(fun () -> B.ret b (Some a)) ();
          B.ret b (Some (emit_udivmod b ~num:a ~den:d ~want_rem:true))))
 
-let sdiv_funcs m =
-  let abs64 b v =
-    let neg = B.icmp ~ty:i64 b Instr.Slt v (B.imm 0) in
-    let negated = B.sub ~ty:i64 b (B.imm 0) v in
-    (B.select ~ty:i64 b neg negated v, neg)
-  in
+let abs64 b v =
+  let neg = B.icmp ~ty:i64 b Instr.Slt v (B.imm 0) in
+  let negated = B.sub ~ty:i64 b (B.imm 0) v in
+  (B.select ~ty:i64 b neg negated v, neg)
+
+let divdi3 m =
   ignore
     (B.define m "__divdi3" ~params:[ i64; i64 ] ~ret:i64 (fun b ps ->
          let a = List.nth ps 0 and d = List.nth ps 1 in
@@ -151,7 +160,9 @@ let sdiv_funcs m =
          let qu = B.callv b "__udivdi3" [ au; du ] in
          let sign = B.xor b aneg dneg in
          let qneg = B.sub ~ty:i64 b (B.imm 0) qu in
-         B.ret b (Some (B.select ~ty:i64 b sign qneg qu))));
+         B.ret b (Some (B.select ~ty:i64 b sign qneg qu))))
+
+let moddi3 m =
   ignore
     (B.define m "__moddi3" ~params:[ i64; i64 ] ~ret:i64 (fun b ps ->
          let a = List.nth ps 0 and d = List.nth ps 1 in
@@ -165,13 +176,15 @@ let sdiv_funcs m =
 
 (* -- word memset/memcpy (loop-idiom targets) ------------------------ *)
 
-let mem_funcs m =
+let memset_w m =
   ignore
     (B.define m "memset_w" ~params:[ Ty.Ptr; i32; i32 ] (fun b ps ->
          let dst = List.nth ps 0 and v = List.nth ps 1 and n = List.nth ps 2 in
          B.for_ b ~from:(B.imm 0) ~bound:n (fun i ->
              B.store b ~addr:(B.addr b dst ~index:i) v);
-         B.ret b None));
+         B.ret b None))
+
+let memcpy_w m =
   ignore
     (B.define m "memcpy_w" ~params:[ Ty.Ptr; Ty.Ptr; i32 ] (fun b ps ->
          let dst = List.nth ps 0 and src = List.nth ps 1 and n = List.nth ps 2 in
@@ -182,8 +195,13 @@ let mem_funcs m =
 
 (* -- soft SHA-256 compression (no precompile) ------------------------ *)
 
-let sha256_soft m =
-  let k_table = B.global_words m "__sha256_k" Extern.sha256_k in
+(* The round constants.  {!link} adds them whenever the module has
+   neither the table nor the function, linked or not, so that the data
+   layout does not depend on which members a module reaches. *)
+let sha256_k m = ignore (B.global_words m "__sha256_k" Extern.sha256_k)
+
+let sha256_compress_soft m =
+  let k_table = Value.Glob "__sha256_k" in
   ignore
     (B.define m "sha256_compress_soft" ~params:[ Ty.Ptr; Ty.Ptr ] (fun b ps ->
          let state = List.nth ps 0 and block = List.nth ps 1 in
@@ -240,24 +258,24 @@ let sha256_soft m =
 (* Used by the FP-emulation-cost experiments.  NaN/Inf/subnormals are out
    of scope (DESIGN.md); the property tests compare against host floats
    on normal values only. *)
-let softfloat m =
-  let unpack b x =
-    (* sign (I32 0/1), exponent (I32), mantissa with implicit bit (I64) *)
-    let sign = B.trunc b (B.lshr ~ty:i64 b x (B.imm 63)) in
-    let expo = B.and_ b (B.trunc b (B.lshr ~ty:i64 b x (B.imm 52))) (B.imm 0x7FF) in
-    let mant = B.and_ ~ty:i64 b x (B.imm64 0xF_FFFF_FFFF_FFFFL) in
-    let is_zero = B.icmp b Instr.Eq expo (B.imm 0) in
-    let with_implicit = B.or_ ~ty:i64 b mant (B.imm64 0x10_0000_0000_0000L) in
-    let mant = B.select ~ty:i64 b is_zero (B.imm 0) with_implicit in
-    (sign, expo, mant)
-  in
-  let pack b ~sign ~expo ~mant =
-    (* mant has the implicit bit at position 52 *)
-    let m52 = B.and_ ~ty:i64 b mant (B.imm64 0xF_FFFF_FFFF_FFFFL) in
-    let e = B.shl ~ty:i64 b (B.zext b expo) (B.imm 52) in
-    let s = B.shl ~ty:i64 b (B.zext b sign) (B.imm 63) in
-    B.or_ ~ty:i64 b s (B.or_ ~ty:i64 b e m52)
-  in
+let unpack b x =
+  (* sign (I32 0/1), exponent (I32), mantissa with implicit bit (I64) *)
+  let sign = B.trunc b (B.lshr ~ty:i64 b x (B.imm 63)) in
+  let expo = B.and_ b (B.trunc b (B.lshr ~ty:i64 b x (B.imm 52))) (B.imm 0x7FF) in
+  let mant = B.and_ ~ty:i64 b x (B.imm64 0xF_FFFF_FFFF_FFFFL) in
+  let is_zero = B.icmp b Instr.Eq expo (B.imm 0) in
+  let with_implicit = B.or_ ~ty:i64 b mant (B.imm64 0x10_0000_0000_0000L) in
+  let mant = B.select ~ty:i64 b is_zero (B.imm 0) with_implicit in
+  (sign, expo, mant)
+
+let pack b ~sign ~expo ~mant =
+  (* mant has the implicit bit at position 52 *)
+  let m52 = B.and_ ~ty:i64 b mant (B.imm64 0xF_FFFF_FFFF_FFFFL) in
+  let e = B.shl ~ty:i64 b (B.zext b expo) (B.imm 52) in
+  let s = B.shl ~ty:i64 b (B.zext b sign) (B.imm 63) in
+  B.or_ ~ty:i64 b s (B.or_ ~ty:i64 b e m52)
+
+let f64_mul m =
   ignore
     (B.define m "f64_mul" ~params:[ i64; i64 ] ~ret:i64 (fun b ps ->
          let x = List.nth ps 0 and y = List.nth ps 1 in
@@ -286,7 +304,9 @@ let softfloat m =
              B.set b i64 mant (B.lshr ~ty:i64 b (Value.Reg mant) (B.imm 1));
              B.set b i32 expo (B.add b (Value.Reg expo) (B.imm 1)))
            ();
-         B.ret b (Some (pack b ~sign ~expo:(Value.Reg expo) ~mant:(Value.Reg mant)))));
+         B.ret b (Some (pack b ~sign ~expo:(Value.Reg expo) ~mant:(Value.Reg mant)))))
+
+let f64_add m =
   ignore
     (B.define m "f64_add" ~params:[ i64; i64 ] ~ret:i64 (fun b ps ->
          let x = List.nth ps 0 and y = List.nth ps 1 in
@@ -336,36 +356,88 @@ let softfloat m =
          B.ret b
            (Some (pack b ~sign:(Value.Reg sign) ~expo:(Value.Reg expo) ~mant:(Value.Reg mant)))))
 
-(* Runtime functions are ABI entry points: the backend materializes calls
-   to them during lowering and the loop-idiom pass creates memset_w calls,
-   so interprocedural passes must not rewrite their signatures. *)
-let mark_external (m : Modul.t) names =
+(* -- the linker ------------------------------------------------------ *)
+
+(** One runtime function: its name, the runtime functions its body calls
+    and its definer, which adds it to a module. *)
+type member = { name : string; calls : string list; define : Modul.t -> unit }
+
+(** Every runtime function, in the order {!link} defines them. *)
+let members =
+  [ { name = "__ashldi3"; calls = []; define = ashldi3 };
+    { name = "__lshrdi3"; calls = []; define = lshrdi3 };
+    { name = "__ashrdi3"; calls = []; define = ashrdi3 };
+    { name = "__udivdi3"; calls = []; define = udivdi3 };
+    { name = "__umoddi3"; calls = []; define = umoddi3 };
+    { name = "__divdi3"; calls = [ "__udivdi3" ]; define = divdi3 };
+    { name = "__moddi3"; calls = [ "__umoddi3" ]; define = moddi3 };
+    { name = "memset_w"; calls = []; define = memset_w };
+    { name = "memcpy_w"; calls = []; define = memcpy_w };
+    { name = "sha256_compress_soft"; calls = []; define = sha256_compress_soft };
+    { name = "f64_mul"; calls = []; define = f64_mul };
+    { name = "f64_add"; calls = [ "__lshrdi3" ]; define = f64_add } ]
+
+(** The runtime functions the code generator calls for a 64-bit [op]:
+    always for division and remainder, and for a shift whose amount is
+    not an immediate.  globaldce roots them; {!link} takes them for every
+    64-bit shift, because consthoist turns immediates of magnitude 2048
+    or more into registers. *)
+let helpers : Instr.binop -> string list = function
+  | Instr.Div -> [ "__divdi3"; "__udivdi3" ]
+  | Rem -> [ "__moddi3"; "__umoddi3" ]
+  | Udiv -> [ "__udivdi3" ]
+  | Urem -> [ "__umoddi3" ]
+  | Shl -> [ "__ashldi3" ]
+  | Lshr -> [ "__lshrdi3" ]
+  | Ashr -> [ "__ashrdi3" ]
+  | Add | Sub | Mul | Mulhu | And | Or | Xor -> []
+
+(** Runtime functions are ABI entry points: the backend materializes
+    calls to them during lowering and loop-idiom creates [memset_w]
+    calls, so interprocedural passes must not rewrite their signatures. *)
+let mark_external (m : Modul.t) =
   List.iter
-    (fun n ->
-      match Modul.find_func m n with
+    (fun e ->
+      match Modul.find_func m e.name with
       | Some f -> f.Func.attrs.Func.internal <- false
       | None -> ())
-    names
+    members
 
-(** Add every runtime function (and its support globals) to [m].  Names
-    already present are skipped, so workloads may provide specialized
-    versions. *)
+(** Add to [m] the runtime functions it can reach: the closure over the
+    members' own calls of every name a function of [m] calls, the
+    {!helpers} of every 64-bit operation in [m], and [memset_w], which
+    loop-idiom calls and acts only when it is present.  No pass adds any
+    other runtime call, or a 64-bit division or shift where there was
+    none, so a member left out here is one the final globaldce would
+    delete.  The final module is the whole library's except where a
+    pass picks among functions: loop-extract outlines the first
+    extractable loop in module order, so a pipeline running it twice may
+    outline a live loop where, beside the whole library, it outlined a
+    dead runtime one.  Names already present are skipped, so workloads
+    may provide specialized versions. *)
 let link (m : Modul.t) =
+  let wanted = Hashtbl.create 16 in
+  let rec want name =
+    if not (Hashtbl.mem wanted name) then begin
+      Hashtbl.replace wanted name ();
+      match List.find_opt (fun e -> String.equal e.name name) members with
+      | Some e -> List.iter want e.calls
+      | None -> ()
+    end
+  in
+  want "memset_w";
+  List.iter
+    (fun f ->
+      Func.iter_instrs f (fun _ i ->
+          match i with
+          | Instr.Call { callee; _ } -> want callee
+          | Instr.Bin { ty = Ty.I64; op; _ } -> List.iter want (helpers op)
+          | _ -> ()))
+    m.Modul.funcs;
   let have name = Modul.find_func m name <> None in
-  if not (have "__ashldi3") then shifts m;
-  if not (have "__udivdi3") then udiv_funcs m;
-  if not (have "__divdi3") then sdiv_funcs m;
-  if not (have "memset_w") then mem_funcs m;
   if not (have "sha256_compress_soft") && Modul.find_global m "__sha256_k" = None
-  then sha256_soft m;
-  if not (have "f64_mul") then softfloat m;
+  then sha256_k m;
+  List.iter
+    (fun e -> if Hashtbl.mem wanted e.name && not (have e.name) then e.define m)
+    members;
   mark_external m
-    [ "__ashldi3"; "__lshrdi3"; "__ashrdi3"; "__udivdi3"; "__umoddi3";
-      "__divdi3"; "__moddi3"; "memset_w"; "memcpy_w"; "sha256_compress_soft";
-      "f64_mul"; "f64_add" ]
-
-(** Names of all runtime functions (for pruning and tests). *)
-let names =
-  [ "__ashldi3"; "__lshrdi3"; "__ashrdi3"; "__udivdi3"; "__umoddi3";
-    "__divdi3"; "__moddi3"; "memset_w"; "memcpy_w"; "sha256_compress_soft";
-    "f64_mul"; "f64_add" ]

@@ -39,20 +39,14 @@ let work_cells () =
       ("sha256", Profile.Baseline);
       ("npb-is", Profile.Zkvm_o3) ]
 
-(** Minor words [f] allocates: a count that repeats exactly, so a
-    return of per-item allocation shows without timing noise. *)
-let minor_words f =
-  let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (f ()));
-  Gc.minor_words () -. before
-
-(** Every word [f] allocates: minor words plus the words allocated
-    straight on the major heap ([Gc.counters]: minor + major - promoted).
-    {!minor_words} misses blocks over 256 words, which OCaml allocates
-    there, so a bound on a loop that may allocate large arrays counts
-    these.  [Gc.counters] reports statistics sampled at minor
-    collections, so the minor heap is emptied before [f] and after it:
-    without that, the counts lag by whatever the minor heap holds. *)
+(** Every word [f] allocates, a count that repeats exactly, so a return
+    of per-item allocation shows without timing noise: minor words plus
+    the words allocated straight on the major heap ([Gc.counters]:
+    minor + major - promoted).  [Gc.minor_words] alone misses blocks
+    over 256 words, which OCaml allocates there.  [Gc.counters] reports
+    statistics sampled at minor collections, so the minor heap is
+    emptied before [f] and after it: without that, the counts lag by
+    whatever the minor heap holds. *)
 let allocated_words f =
   Gc.minor ();
   let minor0, promoted0, major0 = Gc.counters () in

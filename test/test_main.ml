@@ -5,6 +5,7 @@ let () =
       ("analysis", Test_analysis.tests);
       ("riscv", Test_riscv.tests);
       ("passes", Test_passes.tests);
+      ("runtime", Test_runtime.tests);
       ("zkvm", Test_zkvm.tests);
       ("machine", Test_machine.tests);
       ("price", Test_price.tests);

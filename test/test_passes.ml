@@ -305,9 +305,9 @@ let prop_matches_reference =
 (* Every module a suite program at Quick gives licm and adce: its baseline
    module, and the module each of the six levels and -O3(zkvm) passes to
    its first licm and to its first adce.  Both passes treat each function
-   on its own and read no config field but the cap, and the linked
-   runtime is most of every module, so a function already checked under
-   the same pass and cap is skipped. *)
+   on its own and read no config field but the cap, and the same runtime
+   functions are linked into many modules, so a function already checked
+   under the same pass and cap is skipped. *)
 let test_suite_matches_reference () =
   let pipelines =
     List.map
