@@ -115,8 +115,10 @@ let run_ipsccp (config : Pass.config) (m : Modul.t) =
 (* ------------------------------------------------------------------ *)
 
 (* functions the backend calls implicitly when lowering 64-bit division
-   and variable shifts ([Runtime.helpers]); they must survive DCE
-   whenever such IR exists *)
+   and shifts by a non-immediate amount ([Runtime.helper]); they must
+   survive DCE whenever such IR exists.  Each helper is rooted with the
+   runtime functions it calls as linked, which stay even once inline has
+   copied them into it. *)
 let implicit_runtime_roots (m : Modul.t) =
   let roots = ref [] in
   let add n = if not (List.mem n !roots) then roots := n :: !roots in
@@ -124,9 +126,11 @@ let implicit_runtime_roots (m : Modul.t) =
     (fun (f : Func.t) ->
       Func.iter_instrs f (fun _ i ->
           match i with
-          | Instr.Bin { ty = Ty.I64; op = Shl | Lshr | Ashr; b = Imm _ | Glob _; _ } -> ()
+          | Instr.Bin { ty = Ty.I64; op = Shl | Lshr | Ashr; b = Imm _; _ } -> ()
           | Instr.Bin { ty = Ty.I64; op; _ } ->
-            List.iter add (Zkopt_runtime.Runtime.helpers op)
+            Option.iter
+              (fun h -> List.iter add (Zkopt_runtime.Runtime.closure h))
+              (Zkopt_runtime.Runtime.helper op)
           | _ -> ()))
     m.Modul.funcs;
   !roots

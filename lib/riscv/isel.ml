@@ -7,8 +7,9 @@
     the generated code, as they are with a real -O0-style backend.
 
     64-bit IR values are expanded to register pairs; 64-bit division and
-    variable shifts call the {!Zkopt_runtime} helper functions (which the
-    driver links into every module). *)
+    variable shifts call the runtime function
+    {!Zkopt_runtime.Runtime.helper} names for the operation, which the
+    runtime link adds to every module that has such an operation. *)
 
 open Zkopt_ir
 
@@ -157,7 +158,8 @@ let cmp32_into ctx (op : Instr.cmpop) dst ra rb =
 (* ------------------------------------------------------------------ *)
 
 let bin64 ctx (op : Instr.binop) (dlo, dhi) a b =
-  let runtime_call name =
+  let runtime_call () =
+    let name = Option.get (Zkopt_runtime.Runtime.helper op) in
     let alo, ahi = val64 ctx a in
     let blo, bhi = val64 ctx b in
     emit_mv ctx 10 alo; emit_mv ctx 11 ahi;
@@ -208,10 +210,7 @@ let bin64 ctx (op : Instr.binop) (dlo, dhi) a b =
     emit_op ctx rop dlo alo blo;
     emit_op ctx rop dhi ahi bhi
   | Mulhu -> raise (Unsupported "i64 mulhu (use i32 or widen explicitly)")
-  | Div -> runtime_call "__divdi3"
-  | Rem -> runtime_call "__moddi3"
-  | Udiv -> runtime_call "__udivdi3"
-  | Urem -> runtime_call "__umoddi3"
+  | Div | Rem | Udiv | Urem -> runtime_call ()
   | Shl | Lshr | Ashr -> begin
     match imm_of b with
     | Some c ->
@@ -250,14 +249,7 @@ let bin64 ctx (op : Instr.binop) (dlo, dhi) a b =
           emit_opi ctx Isa.SRAI dhi ahi 31
         | _ -> assert false
       end
-    | None ->
-      let name =
-        match op with
-        | Instr.Shl -> "__ashldi3"
-        | Lshr -> "__lshrdi3"
-        | _ -> "__ashrdi3"
-      in
-      runtime_call name
+    | None -> runtime_call ()
   end
 
 let cmp64 ctx (op : Instr.cmpop) dst a b =

@@ -377,20 +377,33 @@ let members =
     { name = "f64_mul"; calls = []; define = f64_mul };
     { name = "f64_add"; calls = [ "__lshrdi3" ]; define = f64_add } ]
 
-(** The runtime functions the code generator calls for a 64-bit [op]:
-    always for division and remainder, and for a shift whose amount is
-    not an immediate.  globaldce roots them; {!link} takes them for every
-    64-bit shift, because consthoist turns immediates of magnitude 2048
-    or more into registers. *)
-let helpers : Instr.binop -> string list = function
-  | Instr.Div -> [ "__divdi3"; "__udivdi3" ]
-  | Rem -> [ "__moddi3"; "__umoddi3" ]
-  | Udiv -> [ "__udivdi3" ]
-  | Urem -> [ "__umoddi3" ]
-  | Shl -> [ "__ashldi3" ]
-  | Lshr -> [ "__lshrdi3" ]
-  | Ashr -> [ "__ashrdi3" ]
-  | Add | Sub | Mul | Mulhu | And | Or | Xor -> []
+(** The member named [name], if the runtime has one. *)
+let member name = List.find_opt (fun e -> String.equal e.name name) members
+
+(** [name] and the runtime functions its member calls, transitively. *)
+let closure name =
+  let rec go acc name =
+    if List.mem name acc then acc
+    else
+      match member name with
+      | Some e -> List.fold_left go (name :: acc) e.calls
+      | None -> name :: acc
+  in
+  List.rev (go [] name)
+
+(** The runtime function the code generator calls for a 64-bit [op]:
+    for every division and remainder, and for a shift whose amount is not
+    an immediate (a shift by an immediate is lowered inline).  Its
+    {!closure} adds the unsigned helper a signed division calls. *)
+let helper : Instr.binop -> string option = function
+  | Instr.Div -> Some "__divdi3"
+  | Rem -> Some "__moddi3"
+  | Udiv -> Some "__udivdi3"
+  | Urem -> Some "__umoddi3"
+  | Shl -> Some "__ashldi3"
+  | Lshr -> Some "__lshrdi3"
+  | Ashr -> Some "__ashrdi3"
+  | Add | Sub | Mul | Mulhu | And | Or | Xor -> None
 
 (** Runtime functions are ABI entry points: the backend materializes
     calls to them during lowering and loop-idiom creates [memset_w]
@@ -405,25 +418,35 @@ let mark_external (m : Modul.t) =
 
 (** Add to [m] the runtime functions it can reach: the closure over the
     members' own calls of every name a function of [m] calls, the
-    {!helpers} of every 64-bit operation in [m], and [memset_w], which
-    loop-idiom calls and acts only when it is present.  No pass adds any
-    other runtime call, or a 64-bit division or shift where there was
-    none, so a member left out here is one the final globaldce would
-    delete.  The final module is the whole library's except where a
-    pass picks among functions: loop-extract outlines the first
-    extractable loop in module order, so a pipeline running it twice may
-    outline a live loop where, beside the whole library, it outlined a
-    dead runtime one.  Names already present are skipped, so workloads
-    may provide specialized versions. *)
+    {!helper} of every 64-bit division, remainder and shift in [m],
+    whatever the shift's amount, and [memset_w], which loop-idiom calls
+    and acts only when it is present.
+
+    A member left out here is one the final globaldce would delete,
+    because passes keep to three rules.  No pass adds a call to a
+    runtime function other than [memset_w].  No pass adds a 64-bit
+    division or remainder: div-rem-pairs and peephole only rewrite or
+    remove the ones a module has.  The only 64-bit shifts a pass adds
+    are peephole's strength reductions of a multiply or unsigned divide
+    by 2^k, by the immediate k < 64, which the code generator lowers
+    inline; and no pass turns the amount of a 64-bit shift into a
+    register (consthoist hoists immediates only out of 32-bit
+    operations).  Taking the helper of every shift keeps the link exact
+    should a pass start to.  The members' own bodies use 64-bit
+    operations only where the selector expands them inline, so their
+    [calls] are all they need.
+
+    The final module is the whole library's except where a pass picks
+    among functions: loop-extract outlines the first extractable loop in
+    module order, so a pipeline running it twice may outline a live loop
+    where, beside the whole library, it outlined a dead runtime one.
+    Names already present are skipped, so workloads may provide
+    specialized versions. *)
 let link (m : Modul.t) =
   let wanted = Hashtbl.create 16 in
-  let rec want name =
-    if not (Hashtbl.mem wanted name) then begin
-      Hashtbl.replace wanted name ();
-      match List.find_opt (fun e -> String.equal e.name name) members with
-      | Some e -> List.iter want e.calls
-      | None -> ()
-    end
+  let want name =
+    if not (Hashtbl.mem wanted name) then
+      List.iter (fun n -> Hashtbl.replace wanted n ()) (closure name)
   in
   want "memset_w";
   List.iter
@@ -431,7 +454,7 @@ let link (m : Modul.t) =
       Func.iter_instrs f (fun _ i ->
           match i with
           | Instr.Call { callee; _ } -> want callee
-          | Instr.Bin { ty = Ty.I64; op; _ } -> List.iter want (helpers op)
+          | Instr.Bin { ty = Ty.I64; op; _ } -> Option.iter want (helper op)
           | _ -> ()))
     m.Modul.funcs;
   let have name = Modul.find_func m name <> None in

@@ -8,11 +8,7 @@
 open Zkopt_ir
 module R = Zkopt_runtime.Runtime
 
-let define m names =
-  List.iter
-    (fun name ->
-      (List.find (fun (e : R.member) -> String.equal e.R.name name) R.members).R.define m)
-    names
+let define m names = List.iter (fun name -> (Option.get (R.member name)).R.define m) names
 
 let link (m : Modul.t) =
   let have name = Modul.find_func m name <> None in

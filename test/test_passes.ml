@@ -224,7 +224,10 @@ let test_globaldce_keeps_runtime () =
     (B.define m "main" ~params:[] ~ret:Ty.I32 (fun b _ ->
          let q = B.udiv ~ty:Ty.I64 b (B.imm64 123456789L) (B.imm 7) in
          B.ret b (Some (B.trunc b q))));
-  Zkopt_runtime.Runtime.link m;
+  (* every runtime function, so that globaldce has dead ones to drop *)
+  Zkopt_oracle.Ref_runtime.link m;
+  Alcotest.(check bool) "sha soft linked" true
+    (Modul.find_func m "sha256_compress_soft" <> None);
   ignore (Pass.run_one ~config:cfg "globaldce" m);
   Alcotest.(check bool) "udivdi3 kept" true (Modul.find_func m "__udivdi3" <> None);
   Alcotest.(check bool) "sha soft dropped" true
@@ -294,7 +297,7 @@ let prop_matches_reference =
     QCheck.(int_range 1 100_000)
     (fun seed ->
       let m = Randprog.generate ~seed () in
-      Zkopt_runtime.Runtime.link m;
+      Zkopt_oracle.Ref_runtime.link m;
       List.for_all
         (fun config ->
           List.for_all
@@ -305,9 +308,10 @@ let prop_matches_reference =
 (* Every module a suite program at Quick gives licm and adce: its baseline
    module, and the module each of the six levels and -O3(zkvm) passes to
    its first licm and to its first adce.  Both passes treat each function
-   on its own and read no config field but the cap, and the same runtime
-   functions are linked into many modules, so a function already checked
-   under the same pass and cap is skipped. *)
+   on its own and read no config field but the cap, and the linked
+   runtime is most of every module, so a function already checked under
+   the same pass and cap is skipped.  The whole runtime library is
+   linked, so that both passes see every runtime function. *)
 let test_suite_matches_reference () =
   let pipelines =
     List.map
@@ -329,7 +333,7 @@ let test_suite_matches_reference () =
     (fun (w : Zkopt_workloads.Workload.t) ->
       let name = w.Zkopt_workloads.Workload.name in
       let base = w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Quick in
-      Zkopt_runtime.Runtime.link base;
+      Zkopt_oracle.Ref_runtime.link base;
       List.iter (fun pass -> check (name ^ " baseline") cfg pass base) [ "licm"; "adce" ];
       List.iter
         (fun (what, config, passes) ->
@@ -412,7 +416,7 @@ let prop_pass_preserves_semantics pass_name =
     QCheck.(int_range 1 100_000)
     (fun seed ->
       let base = Randprog.generate ~seed () in
-      Zkopt_runtime.Runtime.link base;
+      Zkopt_oracle.Ref_runtime.link base;
       let expected = Interp.checksum base in
       let m = Clone.modul base in
       ignore (Pass.run_one ~config:cfg pass_name m);
@@ -424,7 +428,7 @@ let prop_pipeline_matches_machine =
     QCheck.(pair (int_range 1 100_000) (int_range 0 5))
     (fun (seed, lvl_idx) ->
       let base = Randprog.generate ~seed () in
-      Zkopt_runtime.Runtime.link base;
+      Zkopt_oracle.Ref_runtime.link base;
       let expected = Interp.checksum base in
       let m = Clone.modul base in
       Catalog.run_level (List.nth Catalog.all_levels lvl_idx) m;

@@ -189,6 +189,39 @@ let test_link_sets () =
       | None -> ())
     (runtime_funcs m)
 
+(* The shifts a pass adds need no helper: strength-reduction turns a
+   64-bit multiply or unsigned divide by 2^k into a shift by the
+   immediate k, which the code generator lowers inline, and consthoist
+   hoists 4096 but leaves the operands of 64-bit operations alone. *)
+let test_added_shifts () =
+  let m =
+    linked (fun () ->
+        let m = Modul.create () in
+        ignore
+          (B.define m "main" ~params:[] ~ret:Ty.I32 (fun b _ ->
+               let x = ref (B.imm64 0x1234_5678L) in
+               for _ = 1 to 3 do
+                 x := B.mul ~ty:Ty.I64 b !x (B.imm 4096)
+               done;
+               B.ret b (Some (B.trunc b (B.udiv ~ty:Ty.I64 b !x (B.imm 4096))))));
+        m)
+  in
+  let expected = Interp.checksum m in
+  List.iter
+    (fun p -> Alcotest.(check bool) p true (Zkopt_passes.Pass.run_one p m))
+    [ "consthoist"; "strength-reduction" ];
+  Verify.check m;
+  let amounts = ref [] in
+  Func.iter_instrs (Modul.main m) (fun _ i ->
+      match i with
+      | Instr.Bin { ty = Ty.I64; op = Shl | Lshr | Ashr; b; _ } ->
+        amounts := Value.to_string b :: !amounts
+      | _ -> ());
+  Alcotest.(check (list string)) "shift amounts" [ "12"; "12"; "12"; "12" ] !amounts;
+  Alcotest.(check (list string)) "linked" [ "__udivdi3"; "memset_w" ] (runtime_funcs m);
+  let got, _ = Zkopt_oracle.Ref_emulator.run_module m in
+  Alcotest.(check int64) "runs" expected (Eval.norm32 (Int64.of_int32 got))
+
 (* Each member's [calls] lists the runtime functions its body calls. *)
 let test_member_calls () =
   List.iter
@@ -206,14 +239,20 @@ let test_member_calls () =
     R.members
 
 (* The work the link saves: the 15 programs of the benchmark's [levels]
-   workload link 7,869 instructions when every runtime function is
-   linked. *)
+   workload (every fourth suite program) link 7,869 instructions when
+   every runtime function is linked. *)
+let levels_programs =
+  [ "bigmem"; "loop-sum"; "sha256"; "npb-bt"; "npb-is"; "polybench-2mm";
+    "polybench-bicg"; "polybench-deriche"; "polybench-floyd-warshall";
+    "polybench-gramschmidt"; "polybench-lu"; "polybench-seidel-2d";
+    "polybench-trisolv"; "spec-619"; "fibonacci" ]
+
 let test_levels_link_size () =
+  ignore (Zkopt_workloads.Suite.all ());
   let total =
     List.fold_left
       (fun n prog -> n + Modul.instr_count (linked (quick (W.find prog))))
-      0
-      (Perfbench.Inputs.levels_programs ())
+      0 levels_programs
   in
   Alcotest.(check bool)
     (Printf.sprintf "levels programs link %d instructions <= 2935" total)
@@ -226,6 +265,7 @@ let tests =
     Alcotest.test_case "repeated loop-extract is the documented difference" `Quick
       test_repeated_loop_extract;
     Alcotest.test_case "link sets" `Quick test_link_sets;
+    Alcotest.test_case "shifts a pass adds need no helper" `Quick test_added_shifts;
     Alcotest.test_case "member table lists each body's calls" `Quick test_member_calls;
     Alcotest.test_case "levels programs link at most 2935 instructions" `Quick
       test_levels_link_size;
