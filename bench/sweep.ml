@@ -35,8 +35,9 @@ let profile_names = List.map Profile.name Profile.all_71
     {!Harness.Budget_exceeded}.
     [jobs] worker domains execute cells in parallel (results are
     identical at any job count); [cache] shares compiled artifacts
-    across profiles, backends of a codegen family, and — with a
-    disk-backed cache — across runs.  [backends] selects the measured
+    across profiles and backends of a codegen family, and — with a
+    disk-backed cache — module digests and kept runs across runs.
+    [backends] selects the measured
     backend columns (default: registry risc0 + sp1). *)
 let run ?(progress = true) ?checkpoint ?(resume = true)
     ?(faultplan = Zkopt_harness.Faultplan.none) ?(failure_budget = 32)

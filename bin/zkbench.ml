@@ -202,8 +202,10 @@ let cache_arg =
   let dir =
     Arg.(value & opt string "_zkcache"
          & info [ "cache-dir" ] ~docv:"DIR"
-             ~doc:"On-disk compile-cache directory, shared across runs; a \
-                   build reads only what the same library sources wrote")
+             ~doc:"On-disk compile-cache directory, shared across runs: \
+                   module digests and kept runs (artifacts stay in \
+                   memory); a build reads only what the same library \
+                   sources wrote")
   in
   let no_disk =
     Arg.(value & flag

@@ -5,9 +5,10 @@
 # checkpoint/resume smoke.  The out-of-sandbox sweep below additionally
 # drives the real CLI over checkpoints on disk: a resumed run and a
 # --jobs 2 run (64 cells, then the full quick matrix) must match an
-# uninterrupted --jobs 1 run byte for byte, so must a cold and a warm
-# --cache-dir run (the warm one reading no artifact, compiling nothing
-# and running no pipeline), and --fresh must discard the old rows.  Then
+# uninterrupted --jobs 1 run byte for byte (which compiles each distinct
+# artifact once), so must a cold and a warm --cache-dir run (the cold
+# one leaving a one-file store, the warm one compiling nothing and
+# running no pipeline), and --fresh must discard the old rows.  Then
 # the front door: a bad name or a flag of another kind is a usage error
 # (exit 124) naming the value, and `submit sweep` through a live daemon
 # streams the rows the one-shot `sweepall` writes.
@@ -43,21 +44,31 @@ cmp "$tmpdir/j1.ckpt" "$tmpdir/j2.ckpt" \
   || fail "--jobs 2 checkpoint differs from --jobs 1"
 # the full quick matrix too (58 x 71 cells plus the header): at the end
 # of its 4,060-cell second wave, a worker whose own queue is empty takes
-# cells from its sibling's
-sweep --no-disk-cache --jobs 1 --checkpoint "$tmpdir/full1.ckpt"
+# cells from its sibling's.  The sequential run compiles each of its
+# 1,296 distinct artifacts once: one the LRU evicted is answered from
+# its kept runs
+dune exec bin/zkbench.exe -- sweepall --quick --no-disk-cache --jobs 1 \
+  --checkpoint "$tmpdir/full1.ckpt" > "$tmpdir/full1.out"
 sweep --no-disk-cache --jobs 2 --checkpoint "$tmpdir/full2.ckpt"
 [ "$(wc -l < "$tmpdir/full1.ckpt")" -eq 4119 ] \
   || fail "the full quick sweep wrote $(wc -l < "$tmpdir/full1.ckpt") lines, want 4119"
+grep -q ' disk hits, 1296 compiles ' "$tmpdir/full1.out" \
+  || fail "--no-disk-cache --jobs 1 sweep: $(grep '^compile cache' "$tmpdir/full1.out")"
 cmp "$tmpdir/full1.ckpt" "$tmpdir/full2.ckpt" \
   || fail "full-sweep --jobs 2 checkpoint differs from --jobs 1"
 # a cold and a warm pass over one disk store give the same rows; the
-# warm pass reads no artifact, compiles nothing and runs no pipeline (and
-# no guest: the store keeps every completed run)
+# store is one file, its namespace's inputs.log (artifacts live in
+# memory only), and the warm pass compiles nothing and runs no pipeline
+# (and no guest: the log keeps every completed run)
 store_sweep() {
   dune exec bin/zkbench.exe -- sweepall --quick --jobs 1 \
     --cache-dir "$tmpdir/store" --checkpoint "$tmpdir/$1.ckpt" > "$tmpdir/$1.out"
 }
 store_sweep store-cold
+set -- "$tmpdir"/store/*
+[ "$#" -eq 1 ] || fail "the cold --cache-dir sweep made $# namespaces, want 1"
+[ "$(ls -A "$1")" = inputs.log ] \
+  || fail "the cold --cache-dir store holds $(ls -A "$1" | wc -l) files, want inputs.log only"
 store_sweep store-warm
 for pass in store-cold store-warm; do
   cmp "$tmpdir/full1.ckpt" "$tmpdir/$pass.ckpt" \

@@ -9,10 +9,11 @@
       and must execute no guest: every cached artifact keeps its
       measurements.  The cold 2-domain pass may race two domains onto
       one artifact, so only the warm pass's guest count is gated;
-   3. the disk store — a fresh cache over the store a cold pass wrote
-      must run no pipeline, compile nothing, execute no guest and decode
-      no artifact: the store keeps every completed run of its
-      artifacts, and a lookup that those runs answer reads no file;
+   3. the disk store — the store a cold pass wrote must be one file,
+      its namespace's [inputs.log] (artifacts live in memory only), and
+      a fresh cache over it must run no pipeline, compile nothing and
+      execute no guest: the log keeps every completed run of the
+      artifacts, and a call those runs answer needs no artifact;
    4. one execution per artifact — the sequential cold pass must make no
       priced machine run and exactly [cold_unpriced_runs] unpriced ones
       (the machine's run counters): each cell measures the CPU model
@@ -39,9 +40,8 @@ let canonical (points : (string * string, Zkopt_harness.Cell.point) Hashtbl.t) =
   |> List.sort compare |> String.concat "\n"
 
 (* [b] with every execution of its artifacts (zkVM and CPU model)
-   counted in [runs], beneath the memo the compile cache adds, and every
-   artifact it decodes from the disk store in [decodes] *)
-let counting ~runs ~decodes (b : Backend.t) : Backend.t =
+   counted in [runs], beneath the memo the compile cache adds *)
+let counting ~runs (b : Backend.t) : Backend.t =
   let wrap (c : Backend.compiled) =
     let measure ~vm ?fault ?fuel ?sink () =
       Atomic.incr runs;
@@ -58,14 +58,7 @@ let counting ~runs ~decodes (b : Backend.t) : Backend.t =
     in
     { c with Backend.measure; measure_cpu }
   in
-  {
-    b with
-    Backend.compile = (fun m -> wrap (b.Backend.compile m));
-    decode =
-      (fun m s ->
-        Atomic.incr decodes;
-        Option.map wrap (b.Backend.decode m s));
-  }
+  { b with Backend.compile = (fun m -> wrap (b.Backend.compile m)) }
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -89,7 +82,7 @@ let () =
       Profile.Level Zkopt_passes.Catalog.O3;
     ]
   in
-  let runs = Atomic.make 0 and decodes = Atomic.make 0 in
+  let runs = Atomic.make 0 in
   let cfg ?backends jobs cache =
     {
       (H.default ~size:Zkopt_workloads.Workload.Quick) with
@@ -102,7 +95,7 @@ let () =
   in
   let counted =
     List.map
-      (fun vm -> counting ~runs ~decodes (Zkopt_backend.Registry.find vm))
+      (fun vm -> counting ~runs (Zkopt_backend.Registry.find vm))
       [ "risc0"; "sp1" ]
   in
   let cells = List.length programs * List.length profiles in
@@ -143,10 +136,13 @@ let () =
   let dir = Filename.temp_file "sweepcheck" ".store" in
   Sys.remove dir;
   let cold = H.run (cfg 1 (Some (Cache.create ~dir ()))) in
+  let store = Array.to_list (Sys.readdir (Filename.concat dir Cache.namespace)) in
+  if store <> [ "inputs.log" ] then
+    Seedfmt.fail ~tool "the cold pass's store holds %d files (need 1, inputs.log): %s"
+      (List.length store) (String.concat " " store);
   Atomic.set runs 0;
-  Atomic.set decodes 0;
   let disk = H.run (cfg ~backends:counted 1 (Some (Cache.create ~dir ()))) in
-  let disk_runs = Atomic.get runs and disk_decodes = Atomic.get decodes in
+  let disk_runs = Atomic.get runs in
   if not (String.equal (canonical seq.H.points) (canonical disk.H.points)) then
     Seedfmt.fail ~tool "warm disk-store sweep diverged from the sequential run";
   let disk_compiles = disk.H.cache_stats.Cache.misses in
@@ -158,15 +154,12 @@ let () =
   if disk_runs <> 0 then
     Seedfmt.fail ~tool "warm disk-store sweep executed %d guest runs (need 0)"
       disk_runs;
-  if disk_decodes <> 0 then
-    Seedfmt.fail ~tool "warm disk-store sweep decoded %d artifacts (need 0)"
-      disk_decodes;
   rm_rf dir;
   Printf.printf
     "sweepcheck: %d cells, %d priced and %d unpriced cold runs, 2-domain \
      run deterministic, warm-cache hit rate %.1f%%, %d warm guest runs, %d \
-     warm pipelines, %d warm disk-store pipelines and compiles, %d warm \
-     disk-store guest runs, %d warm disk-store decodes\n"
-    cells priced unpriced rate warm_runs again.H.prepared
-    (disk.H.prepared + disk_compiles) disk_runs disk_decodes;
+     warm pipelines, a %d-file store, %d warm disk-store pipelines and \
+     compiles, %d warm disk-store guest runs\n"
+    cells priced unpriced rate warm_runs again.H.prepared (List.length store)
+    (disk.H.prepared + disk_compiles) disk_runs;
   Seedfmt.finish tool

@@ -16,14 +16,12 @@
       cache keys on [digest ^ "+" ^ schema], so one {!compiled} serves
       every backend of the family, and {!compiled.measure} dispatches on
       the backend name it is asked to price for.
-    - {!compiled} holds closures (it must: execution captures the
-      program image), so it cannot be [Marshal]ed.  The [encode] /
-      [decode] pair is the disk-cache codec: [encode] serializes the
-      pure-data artifact inside the closure ([None] = not disk-cacheable)
-      and [decode] rebinds closures around a deserialized artifact.  An
-      encoded artifact is self-contained (an RV32 one carries the
-      module's globals, all the machine reads of the IR), so decoding
-      needs no prepared module.
+    - {!compiled} holds closures (execution captures the program
+      image), and it lives in memory only.  The compile cache's disk
+      store holds its first level (input keys to module digests, and
+      kept runs), never an artifact; {!compile_cached} answers a call
+      from kept runs, and compiles an artifact that is not in memory at
+      the first call that needs it.
     - Exit values cross this boundary exactly once, already normalized
       to the canonical int64 encoding ({!Zkopt_core.Measure.exit64}), so
       cross-backend conformance checks are a plain [Int64.equal].
@@ -77,8 +75,6 @@ type compiled = {
     option;
       (** the RQ3 traditional-CPU contrast model, where the backend's
           instruction stream can drive it; [None] otherwise *)
-  encode : unit -> string option;
-      (** disk-cache codec, serialize half; [None] = memory-only *)
 }
 
 type t = {
@@ -102,11 +98,9 @@ type t = {
           padding dimension mirrors the backend's prover with this *)
   compile : Modul.t -> compiled;
   decode : Modul.t -> string -> compiled option;
-      (** disk-cache codec, deserialize half: rebind closures around an
-          [encode]d artifact.  The module argument is unused (an encoded
-          artifact is self-contained, and {!compile_cached} passes an
-          empty module); the parameter stays only because the benchmark
-          wraps this field with that type. *)
+      (** unused: every backend sets it to [fun _ _ -> None], and no
+          artifact is read back from bytes.  The field stays only
+          because the benchmark wraps it with this type. *)
 }
 
 (* ---- kept runs as first-level values ---------------------------------- *)
@@ -168,7 +162,8 @@ let resolved = Option.value ~default:Zkopt_riscv.Emulator.default_fuel
    {!Zkopt_riscv.Emulator.default_fuel}, every run's default.  A miss in
    the table first looks in [cache]'s first level under the run key,
    where a completed run with clean accounting and no fault is recorded,
-   so a fresh cache over the same disk store executes it no more.
+   so neither an evicted artifact nor a fresh cache over the same disk
+   store executes it again.
    Faulted and sinked calls always execute, and a run that raises keeps
    nothing.  No run holds the lock: two domains racing on one key may
    both run it, and keep the same result.  A hit builds no run key.
@@ -243,7 +238,6 @@ let kept cache (b : t) ~key (artifact : unit -> compiled) : compiled =
     spills = (fun () -> (artifact ()).spills ());
     measure;
     measure_cpu = (if b.zk_native then None else Some measure_cpu);
-    encode = (fun () -> (artifact ()).encode ());
   }
 
 let compile_cached ?cache (b : t) ~fp (m : Modul.t Lazy.t) : compiled =
@@ -251,16 +245,11 @@ let compile_cached ?cache (b : t) ~fp (m : Modul.t Lazy.t) : compiled =
   | None -> b.compile (Lazy.force m)
   | Some cache ->
     let key = fp ^ "+" ^ b.schema in
-    let wrap c = kept cache b ~key (Fun.const c) in
     let lookup () =
-      Zkopt_exec.Cache.get_or_compile cache ~digest:key
-        ~codec:
-          {
-            Zkopt_exec.Cache.enc = (fun (c : compiled) -> c.encode ());
-            dec = (fun s -> Option.map wrap (b.decode (Modul.create ()) s));
-          }
-        ~compile:(fun () -> wrap (b.compile (Lazy.force m)))
+      Zkopt_exec.Cache.get_or_compile cache ~digest:key ~compile:(fun () ->
+          let c = b.compile (Lazy.force m) in
+          kept cache b ~key (Fun.const c))
     in
-    (* an artifact only on disk is read when a call needs it *)
-    if Zkopt_exec.Cache.stored cache ~digest:key then kept cache b ~key lookup
-    else lookup ()
+    (* an artifact not in memory is compiled when a call needs it *)
+    if Zkopt_exec.Cache.mem cache ~digest:key then lookup ()
+    else kept cache b ~key lookup

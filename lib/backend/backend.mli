@@ -16,14 +16,12 @@
       cache keys on [digest ^ "+" ^ schema], so one {!compiled} serves
       every backend of the family, and {!compiled.measure} dispatches on
       the backend name it is asked to price for.
-    - {!compiled} holds closures (it must: execution captures the
-      program image), so it cannot be [Marshal]ed.  The [encode] /
-      [decode] pair is the disk-cache codec: [encode] serializes the
-      pure-data artifact inside the closure ([None] = not disk-cacheable)
-      and [decode] rebinds closures around a deserialized artifact.  An
-      encoded artifact is self-contained (an RV32 one carries the
-      module's globals, all the machine reads of the IR), so decoding
-      needs no prepared module.
+    - {!compiled} holds closures (execution captures the program
+      image), and it lives in memory only.  The compile cache's disk
+      store holds its first level (input keys to module digests, and
+      kept runs), never an artifact; {!compile_cached} answers a call
+      from kept runs, and compiles an artifact that is not in memory at
+      the first call that needs it.
     - Exit values cross this boundary exactly once, already normalized
       to the canonical int64 encoding ({!Zkopt_core.Measure.exit64}), so
       cross-backend conformance checks are a plain [Int64.equal].
@@ -49,8 +47,8 @@ type measurement = {
 }
 
 (** A compiled artifact.  Its static data are functions, because the
-    stand-in {!compile_cached} returns for an artifact that is only on
-    disk reads the artifact on their first call, not before. *)
+    stand-in {!compile_cached} returns for an artifact that is not in
+    memory compiles the artifact on their first call, not before. *)
 type compiled = {
   static_instrs : unit -> int;  (** static code size, backend instructions *)
   site_of_pc : int32 -> (string * string) option;
@@ -82,8 +80,6 @@ type compiled = {
     option;
       (** the RQ3 traditional-CPU contrast model, where the backend's
           instruction stream can drive it; [None] otherwise *)
-  encode : unit -> string option;
-      (** disk-cache codec, serialize half; [None] = memory-only *)
 }
 
 type t = {
@@ -110,21 +106,18 @@ type t = {
           padding dimension mirrors the backend's prover with this *)
   compile : Modul.t -> compiled;
   decode : Modul.t -> string -> compiled option;
-      (** disk-cache codec, deserialize half: rebind closures around an
-          [encode]d artifact.  The module argument is unused (an encoded
-          artifact is self-contained, and {!compile_cached} passes an
-          empty module); the parameter stays only because the benchmark
-          wraps this field with that type. *)
+      (** unused: every backend sets it to [fun _ _ -> None], and no
+          artifact is read back from bytes.  The field stays only
+          because the benchmark wraps it with this type. *)
 }
 
 (** [compile_cached ?cache b ~fp m]: [b]'s artifact for the module [m],
     whose structural fingerprint is [fp], through the compile cache
-    under the key [fp ^ "+" ^ b.schema] with the [encode]/[decode]
-    codec.  The one artifact lookup every engine shares; without
-    [cache] it compiles, and every call executes.  [m] is forced only to
-    compile: an artifact in memory or on disk needs no module, so a
-    caller that resolved [fp] from the cache's first level
-    ({!Zkopt_exec.Cache.resolve}) runs no pass pipeline for it.
+    under the key [fp ^ "+" ^ b.schema].  The one artifact lookup every
+    engine shares; without [cache] it compiles, and every call executes.
+    [m] is forced only to compile, so a caller that resolved [fp] from
+    the cache's first level ({!Zkopt_exec.Cache.resolve}) runs no pass
+    pipeline for a call that kept runs answer.
 
     Through a cache the result keeps its runs, so each distinct artifact
     runs once per backend and fuel.  Its [measure] keeps each completed
@@ -137,22 +130,24 @@ type t = {
     run, is also recorded in the cache's first level
     ({!Zkopt_exec.Cache.record}) under a run key: the artifact key, [vm]
     and the resolved fuel (the CPU model's has no [vm]).  A call the
-    table lacks looks there first, so a fresh cache over the same disk
-    store executes no run it kept.  A faulted or sinked call always
-    executes and is never kept, and a run that raises keeps nothing.
-    [measure_cpu] is present iff [not b.zk_native].
+    table lacks looks there first, so neither an evicted artifact nor a
+    fresh cache over the same disk store executes a run it kept.  A
+    faulted or sinked call always executes and is never kept, and a run
+    that raises keeps nothing.  [measure_cpu] is present iff
+    [not b.zk_native].
 
-    One wrapper keeps the runs, in one of two homes.  An artifact the
-    cache holds, compiled or decoded, carries it, and it lives and is
-    evicted with the artifact.  An artifact whose file is in the disk
-    store but not in memory ({!Zkopt_exec.Cache.stored}, a stat) is not
-    read: the result is a wrapper made for this call, which looks the
-    artifact up (read and decode it, or compile it from this call's [m])
+    One wrapper keeps the runs, in one of two homes.  An artifact
+    resident in the cache's memory ({!Zkopt_exec.Cache.mem}, which
+    counts nothing) is returned as the cache holds it: a counted hit,
+    whose wrapper lives and is evicted with the artifact.  Any other
+    artifact (never compiled, or evicted) is not compiled yet: the
+    result is a wrapper made for this call, which looks the artifact up
+    (or compiles it from this call's [m] and puts it into the cache)
     only when a call needs it: a run nothing keeps, a faulted or sinked
-    call, or a use of its static data or [encode].  It is never put into
-    the cache, so it forces only the module of the call that made it.
-    The cache's stats count artifact reads only, so a rerun over a warm
-    store counts none. *)
+    call, or a use of its static data.  The wrapper itself is never put
+    into the cache, so it forces only the module of the call that made
+    it.  The cache's stats count those lookups only, so a rerun over a
+    warm store counts none. *)
 val compile_cached :
   ?cache:compiled Zkopt_exec.Cache.t -> t -> fp:string -> Modul.t Lazy.t -> compiled
 

@@ -115,33 +115,10 @@ let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
           c.Measure.codegen.Zkopt_riscv.Codegen.stats);
     measure;
     measure_cpu = Some measure_cpu;
-    encode =
-      (fun () ->
-        Some
-          (Marshal.to_string
-             ( c.Measure.codegen,
-               c.Measure.static_instrs,
-               c.Measure.modul.Modul.globals )
-             []));
   }
 
 let compile ?config (m : Modul.t) : Backend.compiled =
   of_compiled ?config (Measure.compile_ir m)
-
-(* An encoded artifact carries the module's globals, the only part of
-   the IR the machine and the CPU model read, so it decodes without the
-   module: the rebuilt one has the globals and no functions. *)
-let decode ?config (_ : Modul.t) (s : string) : Backend.compiled option =
-  try
-    let ( (codegen : Zkopt_riscv.Codegen.t),
-          (static_instrs : int),
-          (globals : Modul.global list) ) =
-      Marshal.from_string s 0
-    in
-    Some
-      (of_compiled ?config
-         { Measure.modul = { Modul.globals; funcs = [] }; codegen; static_instrs })
-  with _ -> None
 
 (** [backend cfg ~doc] builds a registry-shape backend for a config in
     {!Config.all}; [~fixed:true] instead pins [cfg] into the artifact
@@ -157,5 +134,5 @@ let backend ?(fixed = false) (cfg : Config.t) ~doc : Backend.t =
     segment_pad =
       (fun n -> Zkopt_zkvm.Prover.padded ~min_po2:cfg.Config.min_po2 n - n);
     compile = compile ?config;
-    decode = decode ?config;
+    decode = (fun _ _ -> None);
   }

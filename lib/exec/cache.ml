@@ -15,13 +15,12 @@
     path share one artifact within a cell, and profiles that leave a
     program untouched share the baseline's artifact across cells.
 
-    The cache is polymorphic in the artifact type.  Backend artifacts
-    hold closures (execution captures the program image) and closures
-    cannot be [Marshal]ed, so the disk half works through a per-call
-    {!codec}: [enc] serializes the pure data inside the artifact
-    ([None] = memory-only), [dec] rebinds closures around deserialized
-    bytes.  An encoded artifact is self-contained: decoding it needs
-    nothing but its bytes.
+    The second level lives in memory only: a bounded LRU table,
+    polymorphic in the artifact type (backend artifacts hold closures),
+    and nothing writes an artifact to disk.  A caller that can often do
+    without the artifact asks {!mem}, which counts nothing, and looks the
+    artifact up only when it needs it.  {!stats} counts the lookups:
+    memory hits and compiles ([disk_hits] is always 0).
 
     Safe for concurrent use from many domains.  A single mutex guards
     the tables; compiles run outside the lock, and an in-flight set gives
@@ -30,42 +29,27 @@
     pick up the result as a hit.  Sharing is sound because compilation
     is deterministic and cached artifacts are immutable after assembly.
 
-    The optional on-disk store lives under [dir/<build id>/], where the
-    build id ({!namespace}) is a digest of the library sources computed
-    at build time, so a store written by any other build is never read.
-    Artifacts are files [dir/<build id>/<digest>], written through a
-    temp file + rename, which makes concurrent writers and readers of
-    the same digest safe (both produce identical bytes).  Each file is
-    a frame: a magic number, the payload's length and its MD5, then the
-    payload ([enc]'s bytes).  A read checks all three before [dec] sees
-    a byte, and a file that fails any check is a miss, so a truncated
-    or flipped file is compiled again.
-
-    A caller that can often do without the artifact asks {!stored}, a
-    stat, and looks it up only when it needs it.
-
-    The first level is one append-only {!Rowlog} per namespace,
-    [dir/<build id>/inputs.log]: each row holds a key, a value and a
-    check digest over both, rows that fail the check are skipped, and a
-    later row for a key overrides an earlier one.  The log is read on
-    the first {!resolve}, not by {!create}, and opened for appending on
-    the first {!record}; opening cuts a torn last row, so two processes
-    sharing a store can lose a row to each other, which costs a
-    first-level miss and never a wrong value.  The first level is not
-    bounded: an entry is two digests per distinct cell and one encoded
-    run (a row of about 170 bytes) per distinct artifact, backend and
-    fuel. *)
-
-type 'a codec = {
-  enc : 'a -> string option;  (** [None] = this artifact is memory-only *)
-  dec : string -> 'a option;  (** [None] = stale/corrupt bytes: a miss *)
-}
+    The optional on-disk store holds the first level only: one
+    append-only {!Rowlog} per namespace, [dir/<build id>/inputs.log],
+    where the build id ({!namespace}) is a digest of the library sources
+    computed at build time, so a store written by any other build is
+    never read.  Each row holds a key, a value and a check digest over
+    both, rows that fail the check are skipped, and a later row for a
+    key overrides an earlier one.  The log is read on the first
+    {!resolve}, not by {!create}, and opened for appending on the first
+    {!record}; opening cuts a torn last row, so two processes sharing a
+    store can lose a row to each other, which costs a first-level miss
+    and never a wrong value.  The first level is not bounded: an entry
+    is two digests per distinct cell and one encoded run (a row of about
+    170 bytes) per distinct artifact, backend and fuel. *)
 
 (** What {!get_or_compile} served, one count per call; a caller that
-    does without the artifact ({!stored}) counts nothing. *)
+    does without the artifact ({!mem}) counts nothing. *)
 type stats = {
   hits : int;  (** served from memory (includes single-flight waiters) *)
-  disk_hits : int;  (** read from the on-disk store *)
+  disk_hits : int;
+      (** always 0: no artifact is read from disk.  The field stays
+          because reports and the service status print it. *)
   misses : int;  (** actual compiles performed *)
   evictions : int;  (** LRU entries dropped to respect [capacity] *)
 }
@@ -83,9 +67,8 @@ let sub_stats a b =
 (** Fraction (in %) of lookups that did not compile (100 when there
     were none). *)
 let hit_rate_pct s =
-  let total = s.hits + s.disk_hits + s.misses in
-  if total = 0 then 100.0
-  else 100.0 *. float_of_int (s.hits + s.disk_hits) /. float_of_int total
+  let total = s.hits + s.misses in
+  if total = 0 then 100.0 else 100.0 *. float_of_int s.hits /. float_of_int total
 
 type 'a entry = { art : 'a; mutable last_use : int }
 
@@ -102,7 +85,6 @@ type 'a t = {
       (** opened on the first record, closed once the cache is collected *)
   mutable tick : int;
   mutable hits : int;
-  mutable disk_hits : int;
   mutable misses : int;
   mutable evictions : int;
 }
@@ -122,7 +104,6 @@ let create ?(capacity = 512) ?dir () : _ t =
       inputs_log;
       tick = 0;
       hits = 0;
-      disk_hits = 0;
       misses = 0;
       evictions = 0;
     }
@@ -141,17 +122,8 @@ let resident t : int =
   n
 
 let stats t : stats =
-  Mutex.lock t.mu;
-  let s =
-    {
-      hits = t.hits;
-      disk_hits = t.disk_hits;
-      misses = t.misses;
-      evictions = t.evictions;
-    }
-  in
-  Mutex.unlock t.mu;
-  s
+  Mutex.protect t.mu (fun () ->
+      { hits = t.hits; disk_hits = 0; misses = t.misses; evictions = t.evictions })
 
 (* ---- on-disk store -------------------------------------------------- *)
 
@@ -159,7 +131,8 @@ let stats t : stats =
     sources written at build time (see [buildid/dune]). *)
 let namespace = Zkopt_buildid.id
 
-let disk_path dir name = Filename.concat (Filename.concat dir namespace) name
+(* The store's one file. *)
+let log_path dir = Filename.concat (Filename.concat dir namespace) "inputs.log"
 
 let mkdir_p path =
   let rec go p =
@@ -169,56 +142,6 @@ let mkdir_p path =
     end
   in
   go path
-
-(* An artifact file: [magic], the payload's length as 8 big-endian
-   bytes, the payload's MD5, then the payload. *)
-let magic = "zkopt-art1"
-
-let header_len = String.length magic + 8 + 16
-
-let header payload =
-  let len = Bytes.create 8 in
-  Bytes.set_int64_be len 0 (Int64.of_int (String.length payload));
-  String.concat "" [ magic; Bytes.to_string len; Digest.string payload ]
-
-(* The payload of a framed file whose magic, length and MD5 all check:
-   its header is the one the payload makes. *)
-let unframe s =
-  let n = String.length s - header_len in
-  if n < 0 then None
-  else
-    let payload = String.sub s header_len n in
-    if String.equal (String.sub s 0 header_len) (header payload) then Some payload
-    else None
-
-let disk_load t codec digest : 'a option =
-  match (t.dir, codec) with
-  | None, _ | _, None -> None
-  | Some dir, Some codec -> (
-    let path = disk_path dir digest in
-    match In_channel.with_open_bin path In_channel.input_all with
-    | s -> Option.bind (unframe s) codec.dec
-    | exception Sys_error _ -> None (* no file, or an unreadable one: a miss *))
-
-let disk_store t codec digest art =
-  match (t.dir, codec) with
-  | None, _ | _, None -> ()
-  | Some dir, Some codec -> (
-    try
-      match codec.enc art with
-      | None -> ()
-      | Some bytes ->
-        let path = disk_path dir digest in
-        mkdir_p (Filename.dirname path);
-        let tmp =
-          Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-            (Domain.self () :> int)
-        in
-        Out_channel.with_open_bin tmp (fun oc ->
-            output_string oc (header bytes);
-            output_string oc bytes);
-        Sys.rename tmp path
-    with Sys_error _ -> () (* the disk store is an optimization, never a failure *))
 
 (* ---- in-memory LRU (called with [mu] held) -------------------------- *)
 
@@ -244,8 +167,6 @@ let insert_locked t digest art =
 
 (* ---- first level: key -> value ---------------------------------------- *)
 
-let inputs_name = "inputs.log"
-
 (* A log row is a key, a value and a digest over both: a row with any
    byte changed fails its check and is skipped. *)
 let row_check key value = Digest.to_hex (Digest.string (key ^ "\t" ^ value))
@@ -264,7 +185,7 @@ let load_inputs_locked t =
     match t.dir with
     | None -> ()
     | Some dir -> (
-      match Rowlog.load (disk_path dir inputs_name) ~decode:decode_input_row with
+      match Rowlog.load (log_path dir) ~decode:decode_input_row with
       | rows ->
         List.iter (fun (key, value) -> Hashtbl.replace t.inputs key value) rows
       | exception Sys_error _ -> ())
@@ -278,7 +199,7 @@ let append_input_locked t dir key value =
       match !(t.inputs_log) with
       | Some log -> log
       | None ->
-        let path = disk_path dir inputs_name in
+        let path = log_path dir in
         mkdir_p (Filename.dirname path);
         let log = Rowlog.open_ ~fresh:false path in
         t.inputs_log := Some log;
@@ -310,22 +231,14 @@ let record t ~key ~value =
 
 (* ---- lookup --------------------------------------------------------- *)
 
-(** [stored t ~digest] is [true] when [digest]'s artifact is in the
-    disk store but not in memory: the cache has a store, [digest] is not
-    resident, and its file exists.  It is a stat that counts nothing; a
-    file that fails its frame is found only by a lookup. *)
-let stored t ~digest : bool =
-  match t.dir with
-  | None -> false
-  | Some dir ->
-    (not (Mutex.protect t.mu (fun () -> Hashtbl.mem t.table digest)))
-    && Sys.file_exists (disk_path dir digest)
+(** [mem t ~digest] is [true] when [digest]'s artifact is resident in
+    memory.  It counts nothing and touches no LRU stamp. *)
+let mem t ~digest : bool = Mutex.protect t.mu (fun () -> Hashtbl.mem t.table digest)
 
-(** [get_or_compile t ~digest ?codec ~compile] returns the artifact for
-    [digest], compiling with [compile] only when neither memory, disk,
-    nor a concurrent in-flight compile can supply it.  Without [codec]
-    the on-disk store is bypassed for this call. *)
-let get_or_compile (type a) ?codec (t : a t) ~digest ~(compile : unit -> a) : a =
+(** [get_or_compile t ~digest ~compile] returns the artifact for
+    [digest], compiling with [compile] only when neither memory nor a
+    concurrent in-flight compile can supply it. *)
+let get_or_compile (type a) (t : a t) ~digest ~(compile : unit -> a) : a =
   Mutex.lock t.mu;
   let rec acquire () =
     match Hashtbl.find_opt t.table digest with
@@ -349,30 +262,20 @@ let get_or_compile (type a) ?codec (t : a t) ~digest ~(compile : unit -> a) : a 
   | `Hit art ->
     Mutex.unlock t.mu;
     art
-  | `Mine -> (
+  | `Mine ->
     Mutex.unlock t.mu;
-    let finish ~from_disk art =
-      Mutex.lock t.mu;
-      if from_disk then t.disk_hits <- t.disk_hits + 1
-      else t.misses <- t.misses + 1;
-      insert_locked t digest art;
+    let release () =
       Hashtbl.remove t.inflight digest;
-      Condition.broadcast t.ready;
-      Mutex.unlock t.mu;
-      art
+      Condition.broadcast t.ready
     in
-    match disk_load t codec digest with
-    | Some art -> finish ~from_disk:true art
-    | None -> (
-      match compile () with
-      | art ->
-        let art = finish ~from_disk:false art in
-        disk_store t codec digest art;
-        art
-      | exception e ->
-        (* release waiters: one of them will take over the compile *)
-        Mutex.lock t.mu;
-        Hashtbl.remove t.inflight digest;
-        Condition.broadcast t.ready;
-        Mutex.unlock t.mu;
-        raise e))
+    (match compile () with
+     | art ->
+       Mutex.protect t.mu (fun () ->
+           t.misses <- t.misses + 1;
+           insert_locked t digest art;
+           release ());
+       art
+     | exception e ->
+       (* release waiters: one of them will take over the compile *)
+       Mutex.protect t.mu release;
+       raise e)

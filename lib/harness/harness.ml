@@ -20,10 +20,11 @@
       family, every profile that leaves a program untouched, and (with
       a disk store) every later run share.  A warm cache runs no
       pipeline: the module is prepared only when an artifact must be
-      compiled ({!with_module}).  The cached artifact also keeps its
-      unfaulted runs, recorded in the disk store too, so it executes
-      once per backend and fuel, and a rerun over a warm store executes
-      no guest and reads no artifact;
+      compiled ({!with_module}).  Artifacts live in memory only; each
+      keeps its unfaulted runs, recorded in the disk store too, so it
+      executes once per backend and fuel, an evicted artifact is
+      answered from its kept runs, and a rerun over a warm store
+      executes no guest and compiles nothing;
     - every cell runs under an exception barrier ({!Cell.protect}) and
       either yields a point or lands in a quarantine list with a typed
       {!Error.t} — one miscompile no longer kills the remaining ~8,000
@@ -193,10 +194,14 @@ exception Stale of Zkopt_ir.Modul.t
     fingerprinted, and only then recorded under {!input_key}.  On a hit
     [m] is prepared only if forced, which {!Backend.compile_cached} does
     only to compile.  A forced module whose digest is not the recorded
-    one replaces the entry, and [f] runs again from the fresh module, so
-    a wrong entry costs time but never changes a result; [f] must let
-    the exception that signals it pass.  [prepared] counts the pipelines
-    run. *)
+    one replaces the entry, and [f] runs again from the fresh module; [f]
+    must let the exception that signals it pass.  Nothing forces [m]
+    while kept runs answer the cell's calls, so an entry that names
+    another cell's digest, and whose kept runs answer every call the
+    cell makes, gives that cell's rows.  The guarantee is the log's row
+    check: it catches a corrupt entry (a flipped byte, a torn row), and
+    only a writer in this build's namespace can write a checked but
+    wrong one.  [prepared] counts the pipelines run. *)
 let with_module ?(prepared = Atomic.make 0) (cache : Backend.compiled Cache.t)
     ~size (w : Zkopt_workloads.Workload.t) (profile : Profile.t)
     (f : fp:string -> Zkopt_ir.Modul.t Lazy.t -> 'a) : 'a =

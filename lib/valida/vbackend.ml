@@ -30,9 +30,9 @@ let zk_of_run (r : Vexec.result) : Measure.zk_metrics =
   }
 
 (* The artifact is the decoded program: [of_program] decodes once, when
-   the artifact is built, and the disk store keeps the decoded form, so
-   an artifact read back runs without decoding again. *)
-let of_code (code : Vexec.code) : Backend.compiled =
+   the artifact is built, so its runs start from the decoded form. *)
+let of_program (p : Visa.program) : Backend.compiled =
+  let code = Vexec.decode cfg p in
   let measure ~vm ?fault ?fuel ?sink () =
     if not (String.equal vm cfg.Vconfig.name) then
       invalid_arg
@@ -61,15 +61,9 @@ let of_code (code : Vexec.code) : Backend.compiled =
     spills = (fun () -> []);
     measure;
     measure_cpu = None;
-    encode = (fun () -> Some (Marshal.to_string code []));
   }
 
-let of_program (p : Visa.program) : Backend.compiled = of_code (Vexec.decode cfg p)
-
 let compile (m : Modul.t) : Backend.compiled = of_program (Vlower.lower m)
-
-let decode (_m : Modul.t) (s : string) : Backend.compiled option =
-  try Some (of_code (Marshal.from_string s 0)) with _ -> None
 
 let backend : Backend.t =
   {
@@ -79,7 +73,7 @@ let backend : Backend.t =
     schema;
     segment_pad = Vprover.table_pad cfg;
     compile;
-    decode;
+    decode = (fun _ _ -> None);
   }
 
 let () = Registry.register backend

@@ -39,9 +39,8 @@
       operands as byte offsets below [fp], constants as offsets into one
       pool, each instruction's static chip rows packed in one word, and
       call-site tables.  The decoded form is the whole artifact (the
-      backend keeps no [Visa.program] and the disk store keeps this
-      form), at about 10 words per instruction against the program's
-      17;
+      backend keeps no [Visa.program]), at about 10 words per
+      instruction against the program's 17;
     - values stay [int64], as in the reference, but unboxed: cells are
       read and written as 8-byte little-endian words of a cached 4 KiB
       memory chunk ({!Zkopt_ir.Memory.chunk_at}), heap words through a

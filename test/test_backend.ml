@@ -48,31 +48,28 @@ let test_registry_unknown_lists_options () =
       [ "no-such-vm"; "risc0"; "sp1"; "valida" ]
 
 (* A backend that is not zk-native gives every artifact a CPU model and a
-   zk-native one gives none: compiled, decoded from the disk store, looked
-   up through an in-memory cache, and as the stand-in a fresh cache over
-   that store returns. *)
+   zk-native one gives none: compiled, as the stand-in a cache returns for
+   an artifact it does not hold, and as the artifact a cache holds in
+   memory. *)
 let test_cpu_model_iff_not_zk_native () =
   let m = Measure.prepare_ir ~build:Test_exec.tiny_module Profile.Baseline in
   let fp = Zkopt_exec.Fingerprint.of_modul m in
-  Test_exec.with_temp_dir @@ fun dir ->
   List.iter
     (fun (b : Backend.t) ->
-      let c = b.Backend.compile m in
-      let decoded =
-        Option.get
-          (b.Backend.decode (Modul.create ()) (Option.get (c.Backend.encode ())))
-      in
-      let lookup cache = Backend.compile_cached ~cache b ~fp (Lazy.from_val m) in
-      let on_disk () = lookup (Zkopt_exec.Cache.create ~dir ()) in
-      ignore (on_disk ());
+      let cache = Zkopt_exec.Cache.create () in
+      let lookup () = Backend.compile_cached ~cache b ~fp (Lazy.from_val m) in
+      let stand_in = lookup () in
+      (* its static data compile the artifact into the cache *)
+      ignore (stand_in.Backend.static_instrs ());
+      Alcotest.(check bool) (b.Backend.name ^ ": resident after first use") true
+        (Zkopt_exec.Cache.mem cache ~digest:(fp ^ "+" ^ b.Backend.schema));
       List.iter
         (fun (what, (c : Backend.compiled)) ->
           Alcotest.(check bool)
             (Printf.sprintf "%s, %s: CPU model iff not zk-native" b.Backend.name what)
             (not b.Backend.zk_native) (Option.is_some c.Backend.measure_cpu))
-        [ ("compiled", c); ("decoded", decoded);
-          ("in memory", lookup (Zkopt_exec.Cache.create ()));
-          ("stand-in", on_disk ()) ])
+        [ ("compiled", b.Backend.compile m); ("stand-in", stand_in);
+          ("in memory", lookup ()) ])
     (Registry.all ())
 
 (* ---- exit-value conformance ----------------------------------------- *)
@@ -229,29 +226,29 @@ let cached_factorial () =
 (* Stand-ins for factorial's RV32 artifact: [cold] is the artifact a cache
    over a store compiled, with its unfaulted runs at the default fuel
    (risc0, sp1 and the CPU model) kept; each [stand_in ()] is a lookup
-   through a fresh cache (or [?cache]) over the same store, which finds
-   the artifact only on disk.  [decodes] counts the artifacts read from
-   the store and [runs] the executions after [cold]'s. *)
+   through a fresh cache (or [?cache]) over the same store, which does
+   not hold the artifact in memory.  [compiles] counts the artifacts
+   compiled and [runs] the executions after [cold]'s. *)
 type stand_ins = {
   m : Modul.t;
   key : string;  (** the artifact key *)
   cold : Backend.compiled;
   stand_in : ?cache:Backend.compiled Zkopt_exec.Cache.t -> unit -> Backend.compiled;
-  decodes : int ref;
+  compiles : int ref;
   runs : int ref;
 }
 
 let factorial_stand_ins dir =
   let m = factorial () in
-  let decodes = ref 0 and runs = ref 0 in
+  let compiles = ref 0 and runs = ref 0 in
   let counted = Test_harness.counting ~zk:runs ~cpu:runs (Registry.find "risc0") in
   let b =
     {
       counted with
-      Backend.decode =
-        (fun m s ->
-          incr decodes;
-          counted.Backend.decode m s);
+      Backend.compile =
+        (fun m ->
+          incr compiles;
+          counted.Backend.compile m);
     }
   in
   let fp = Zkopt_exec.Fingerprint.of_modul m in
@@ -261,8 +258,9 @@ let factorial_stand_ins dir =
   let cold = stand_in () in
   List.iter (fun vm -> ignore (cold.Backend.measure ~vm ())) [ "risc0"; "sp1" ];
   ignore ((Option.get cold.Backend.measure_cpu) ());
+  compiles := 0;
   runs := 0;
-  { m; key = fp ^ "+" ^ b.Backend.schema; cold; stand_in; decodes; runs }
+  { m; key = fp ^ "+" ^ b.Backend.schema; cold; stand_in; compiles; runs }
 
 let starves name run =
   match run () with
@@ -287,7 +285,7 @@ let test_memo_keys_on_exact_fuel () =
   starves "measure" (fun () ->
       ignore (again.Backend.measure ~vm:"risc0" ~fuel:100 ()));
   starves "measure_cpu" (fun () -> ignore (cpu_again ~fuel:100 ()));
-  (* a stand-in answers an equal call from the kept run, reading nothing *)
+  (* a stand-in answers an equal call from the kept run, compiling nothing *)
   Test_exec.with_temp_dir @@ fun dir ->
   let h = factorial_stand_ins dir in
   let c = h.stand_in () in
@@ -298,14 +296,14 @@ let test_memo_keys_on_exact_fuel () =
     && c.Backend.measure ~vm:"sp1" ~fuel () = h.cold.Backend.measure ~vm:"sp1" ()
     && cpu () = cold_cpu ()
     && cpu ~fuel () = cold_cpu ());
-  Alcotest.(check int) "and decodes no artifact" 0 !(h.decodes);
-  (* a starved call fetches the artifact once, runs out and keeps
+  Alcotest.(check int) "and compiles no artifact" 0 !(h.compiles);
+  (* a starved call compiles the artifact once, runs out and keeps
      nothing: a fresh stand-in executes it again *)
   starves "a stand-in's measure" (fun () ->
       ignore (c.Backend.measure ~vm:"risc0" ~fuel:100 ()));
   starves "a stand-in's measure_cpu" (fun () -> ignore (cpu ~fuel:100 ()));
-  Alcotest.(check (pair int int)) "a starved stand-in: one fetch, two runs" (1, 2)
-    (!(h.decodes), !(h.runs));
+  Alcotest.(check (pair int int)) "a starved stand-in: one compile, two runs" (1, 2)
+    (!(h.compiles), !(h.runs));
   let fresh = Zkopt_exec.Cache.create ~dir () in
   Alcotest.(check (list (option string))) "no starved run is kept" [ None; None ]
     (List.map
@@ -313,7 +311,7 @@ let test_memo_keys_on_exact_fuel () =
        [ h.key ^ " risc0 100"; h.key ^ " 100" ]);
   starves "a fresh stand-in's measure" (fun () ->
       ignore ((h.stand_in ()).Backend.measure ~vm:"risc0" ~fuel:100 ()));
-  Alcotest.(check (pair int int)) "which runs again" (2, 3) (!(h.decodes), !(h.runs))
+  Alcotest.(check (pair int int)) "which runs again" (2, 3) (!(h.compiles), !(h.runs))
 
 (* A zkVM sink that sums retire and precompile costs into [user] and
    page-in and page-out costs into [paging]; [check vm z] then requires
@@ -370,7 +368,7 @@ let test_memo_never_serves_a_sink () =
         (seen.Backend.zk = z))
     plain;
   check_cpu_sink "memo" (fun ?sink () -> cpu ?sink ()) cpu_cycles;
-  (* a stand-in fetches its artifact once for sinked calls, whose sinks
+  (* a stand-in compiles its artifact once for sinked calls, whose sinks
      see every event; a faulted call executes *)
   Test_exec.with_temp_dir @@ fun dir ->
   let h = factorial_stand_ins dir in
@@ -388,20 +386,20 @@ let test_memo_never_serves_a_sink () =
   check_cpu_sink "stand-in"
     (fun ?sink () -> (Option.get c.Backend.measure_cpu) ?sink ())
     ((Option.get h.cold.Backend.measure_cpu) ()).Measure.cpu_cycles;
-  Alcotest.(check (pair int int)) "sinked stand-in calls: one fetch, three runs"
-    (1, 3) (!(h.decodes), !(h.runs));
+  Alcotest.(check (pair int int)) "sinked stand-in calls: one compile, three runs"
+    (1, 3) (!(h.compiles), !(h.runs));
   let faulted =
     c.Backend.measure ~vm:"risc0" ~fault:Zkopt_zkvm.Machine.Corrupt_exit_value ()
   in
   Alcotest.(check bool) "a faulted stand-in call executes" true
     (faulted.Backend.faulted && !(h.runs) = 4);
   let s = Zkopt_exec.Cache.stats cache in
-  Alcotest.(check (list int)) "the stand-in looked its artifact up once: a disk read"
-    [ 0; 1; 0 ]
+  Alcotest.(check (list int)) "the stand-in looked its artifact up once: a compile"
+    [ 0; 0; 1 ]
     Zkopt_exec.Cache.[ s.hits; s.disk_hits; s.misses ];
-  (* a stand-in's static data are the artifact's, read on first use *)
+  (* a stand-in's static data are the artifact's, compiled on first use *)
   let d = h.stand_in () in
-  Alcotest.(check int) "a fresh stand-in reads nothing yet" 1 !(h.decodes);
+  Alcotest.(check int) "a fresh stand-in compiles nothing yet" 1 !(h.compiles);
   Alcotest.(check int) "stand-in static_instrs" (h.cold.Backend.static_instrs ())
     (d.Backend.static_instrs ());
   Alcotest.(check (list (pair string int))) "stand-in spills"
@@ -416,7 +414,7 @@ let test_memo_never_serves_a_sink () =
   in
   Alcotest.(check bool) "stand-in site_of_pc" true
     (List.map d.Backend.site_of_pc pcs = List.map h.cold.Backend.site_of_pc pcs);
-  Alcotest.(check int) "static data fetch the artifact once" 2 !(h.decodes)
+  Alcotest.(check int) "static data compile the artifact once" 2 !(h.compiles)
 
 (* ---- kept runs in the compile cache's first level ------------------- *)
 
@@ -522,8 +520,8 @@ let prop_run_decoders_total =
 
 (* A backend whose one artifact counts its runs in [runs] and returns a
    fixed measurement with accounting [accounting] that reports a fault iff
-   [faulted]; it is disk-cacheable, and its schema names both so two such
-   backends never share an artifact.  It has no CPU model, so it is
+   [faulted]; its schema names both so two such backends never share an
+   artifact.  It has no CPU model, so it is
    zk-native. *)
 let synthetic ?(faulted = false) ~runs ~accounting () : Backend.t =
   let schema =
@@ -549,7 +547,6 @@ let synthetic ?(faulted = false) ~runs ~accounting () : Backend.t =
             seg_padded = [ 1024 ];
           });
       measure_cpu = None;
-      encode = (fun () -> Some schema);
     }
   in
   {
@@ -559,7 +556,7 @@ let synthetic ?(faulted = false) ~runs ~accounting () : Backend.t =
     schema;
     segment_pad = (fun _ -> 0);
     compile = (fun _ -> artifact);
-    decode = (fun _ s -> if String.equal s schema then Some artifact else None);
+    decode = (fun _ _ -> None);
   }
 
 (* A run whose accounting fails, or that reports a fault although none

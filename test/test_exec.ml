@@ -254,85 +254,6 @@ let test_cache_lru_eviction () =
   Alcotest.(check int) "hit on resident digest" 1 s.Cache.hits;
   Alcotest.(check int) "misses" 4 s.Cache.misses
 
-(* A disk codec for an artifact that is pure data.  It catches nothing:
-   the cache checks a file's frame before [dec] sees a byte, so a
-   corrupt file that reached [dec] would fail this test. *)
-let marshal_codec () =
-  {
-    Cache.enc = (fun a -> Some (Marshal.to_string a []));
-    dec = (fun s -> Some (Marshal.from_string s 0));
-  }
-
-let test_disk_cache_roundtrip () =
-  let dir = Filename.temp_file "zkopt_cache" "" in
-  Sys.remove dir;
-  let m = Measure.prepare_ir ~build:tiny_module Profile.Baseline in
-  let digest = Fingerprint.of_modul m in
-  let codec = marshal_codec () in
-  (* run 1 compiles and persists *)
-  let c1 = Cache.create ~dir () in
-  let a1 =
-    Cache.get_or_compile ~codec c1 ~digest ~compile:(fun () ->
-        compile_artifact m)
-  in
-  Alcotest.(check int) "first run compiles" 1 (Cache.stats c1).Cache.misses;
-  (* run 2 (fresh process state) must load from disk, not compile *)
-  let c2 = Cache.create ~dir () in
-  let a2 =
-    Cache.get_or_compile ~codec c2 ~digest ~compile:(fun () ->
-        Alcotest.fail "second run must hit the disk store")
-  in
-  Alcotest.(check int) "disk hit" 1 (Cache.stats c2).Cache.disk_hits;
-  let run (art : artifact) =
-    Measure.run_zkvm Zkopt_zkvm.Config.sp1
-      {
-        Measure.modul = m;
-        codegen = art.codegen;
-        static_instrs = art.static_instrs;
-      }
-  in
-  Alcotest.(check int) "deserialized artifact executes identically"
-    (run a1).Measure.cycles (run a2).Measure.cycles;
-  (* a corrupt artifact is a miss, never a failure: garbage, a file cut
-     short, or one flipped byte anywhere in the frame (magic, length,
-     MD5) or in the payload *)
-  let path = ref None in
-  let rec walk p =
-    if Sys.is_directory p then Array.iter (fun f -> walk (Filename.concat p f)) (Sys.readdir p)
-    else path := Some p
-  in
-  walk dir;
-  let path =
-    match !path with
-    | None -> Alcotest.fail "no artifact file written"
-    | Some p -> p
-  in
-  let good = In_channel.with_open_bin path In_channel.input_all in
-  let corrupt label bytes =
-    Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
-    let c3 = Cache.create ~dir () in
-    let a3 =
-      Cache.get_or_compile ~codec c3 ~digest ~compile:(fun () ->
-          compile_artifact m)
-    in
-    Alcotest.(check int) (label ^ ": treated as a miss") 1
-      (Cache.stats c3).Cache.misses;
-    Alcotest.(check int) (label ^ ": recompiled artifact still equal")
-      (run a1).Measure.cycles (run a3).Measure.cycles
-  in
-  corrupt "garbage" "garbage, not a marshalled artifact";
-  corrupt "truncated" (String.sub good 0 (String.length good - 1));
-  let flipped i =
-    let b = Bytes.of_string good in
-    Bytes.set b i (Char.chr (Char.code good.[i] lxor 1));
-    Bytes.to_string b
-  in
-  let header = Cache.header_len in
-  List.iter
-    (fun i -> corrupt (Printf.sprintf "byte %d flipped" i) (flipped i))
-    (List.init header Fun.id
-    @ List.init 32 (fun k -> header + (k * (String.length good - header - 1) / 31)))
-
 (* ---- first level: the inputs log ----------------------------------- *)
 
 let rec rm_rf path =
@@ -614,8 +535,6 @@ let tests =
     Alcotest.test_case "cache single-flight compilation" `Quick
       test_cache_single_flight;
     Alcotest.test_case "cache LRU eviction bound" `Quick test_cache_lru_eviction;
-    Alcotest.test_case "disk store roundtrip and corruption" `Quick
-      test_disk_cache_roundtrip;
     Alcotest.test_case "inputs log roundtrip" `Quick test_inputs_log_roundtrip;
     Alcotest.test_case "inputs log skips a row with a flipped byte" `Quick
       test_inputs_log_flipped_byte;

@@ -494,11 +494,7 @@ let counting ~zk ~cpu (b : Backend.t) : Backend.t =
     in
     { c with Backend.measure; measure_cpu }
   in
-  {
-    b with
-    Backend.compile = (fun m -> wrap (b.Backend.compile m));
-    decode = (fun m s -> Option.map wrap (b.Backend.decode m s));
-  }
+  { b with Backend.compile = (fun m -> wrap (b.Backend.compile m)) }
 
 let test_each_artifact_runs_once () =
   let programs = [ "fibonacci"; "factorial"; "loop-sum" ] in
@@ -557,6 +553,56 @@ let test_each_artifact_runs_once () =
     (!zk + !cpu);
   Alcotest.(check string) "and reports the same points"
     (canonical first.H.points) (canonical second.H.points)
+
+(* A cache that holds one artifact evicts each one as the next is
+   compiled, so every cell that repeats an earlier cell's artifact finds
+   it evicted.  Its kept runs answer it: the sweep compiles each distinct
+   artifact once and runs it once per VM, and its rows are those of a
+   sweep through a cache that evicts nothing.  Every cell is a CPU cell,
+   so every call a repeated artifact gets was kept by its first cell. *)
+let test_evicted_artifact_answered_from_kept_runs () =
+  let programs = [ "fibonacci"; "factorial"; "loop-sum" ] in
+  let profiles =
+    Profile.Baseline
+    :: List.map
+         (fun p -> Profile.Single_pass p)
+         [ "licm"; "mem2reg"; "gvn"; "inline"; "simplifycfg"; "adce" ]
+  in
+  let cells =
+    List.concat_map (fun prog -> List.map (fun p -> (prog, p)) profiles) programs
+  in
+  let distinct =
+    List.map (fun (p, prof) -> cell_fp p prof) cells |> List.sort_uniq compare |> List.length
+  in
+  let zk = ref 0 and cpu = ref 0 in
+  let vms = [ "risc0"; "sp1" ] in
+  let cfg cache =
+    {
+      (H.default ~size:Zkopt_workloads.Workload.Quick) with
+      H.programs = Some programs;
+      profiles = Some profiles;
+      cache;
+      backends =
+        Some
+          (List.map
+             (fun vm -> counting ~zk ~cpu (Zkopt_backend.Registry.find vm))
+             vms);
+    }
+  in
+  let reference = H.run (cfg None) in
+  zk := 0;
+  cpu := 0;
+  let o = H.run (cfg (Some (Cache.create ~capacity:1 ()))) in
+  Alcotest.(check bool) "some cells repeat an earlier cell's artifact" true
+    (distinct < List.length cells);
+  Alcotest.(check bool) "the cache evicted artifacts" true
+    (o.H.cache_stats.Cache.evictions > 0);
+  Alcotest.(check int) "compiles = distinct artifacts" distinct
+    o.H.cache_stats.Cache.misses;
+  Alcotest.(check (pair int int)) "guest runs = distinct artifacts x VMs, CPU runs = distinct"
+    (distinct * List.length vms, distinct) (!zk, !cpu);
+  Alcotest.(check string) "rows = a sweep whose cache evicts nothing"
+    (canonical reference.H.points) (canonical o.H.points)
 
 (* A cold sequential pass over baseline and single-pass cells, whose
    runs stay in one segment, executes each distinct RV32 artifact once,
@@ -734,15 +780,15 @@ let replace_first s ~sub ~by =
 (* Metamorphic runs over one small sweep on risc0, sp1 and valida, each
    counting the guest runs it executes beneath the kept runs: no cache
    at all, a private cache, warm in memory, cold and warm over a disk
-   store, and that store planted seven ways — written under another
-   build identity and poisoned (artifacts and kept runs swapped), an
-   inputs row with one flipped byte, a row whose digest was swapped for
-   another cell's, a valid row pointing at a digest whose artifacts are
-   gone, a kept run with one flipped byte, a validly checked kept run
-   that does not decode, and an artifact file with one flipped byte
-   whose kept runs are gone.  Every run must give byte-identical rows,
-   and the counts show what each run read; the cache's stats count
-   artifact reads only. *)
+   store, and that store planted eight ways — written under another
+   build identity and poisoned (kept runs swapped), an inputs row with
+   one flipped byte, a row whose digest was swapped for another cell's,
+   a valid row naming another cell's digest (with that digest's kept
+   runs, and without them), a kept run with one flipped byte, a validly
+   checked kept run that does not decode, and an artifact whose kept
+   runs are gone.  Every run must give byte-identical rows, and the
+   counts show what each run read: pipelines, compiles (the cache's
+   misses) and guest runs. *)
 let test_stale_store_cannot_change_rows () =
   Zkopt_valida.Vbackend.ensure ();
   let size = Workload.Quick in
@@ -819,26 +865,23 @@ let test_stale_store_cannot_change_rows () =
   same "cold over disk" cold;
   Alcotest.(check int) "cold over disk: a pipeline per cell" cells cold.H.prepared;
   executes "cold over disk" all_runs;
+  let ns = Filename.concat dir Cache.namespace in
+  Alcotest.(check (array string)) "cold over disk: the store is one file"
+    [| "inputs.log" |] (Sys.readdir ns);
   let warm = run (Cache.create ~dir ()) in
   same "warm over disk" warm;
   Alcotest.(check int) "warm over disk: no pipeline" 0 warm.H.prepared;
   Alcotest.(check int) "warm over disk: no compile" 0 warm.H.cache_stats.Cache.misses;
-  Alcotest.(check (list int)) "warm over disk: no artifact read (hits, disk hits, compiles)"
+  Alcotest.(check (list int)) "warm over disk: no artifact lookup (hits, disk hits, compiles)"
     [ 0; 0; 0 ]
     Cache.[ warm.H.cache_stats.hits; warm.H.cache_stats.disk_hits; warm.H.cache_stats.misses ];
   executes "warm over disk" 0;
-  let ns = Filename.concat dir Cache.namespace in
   (* two cells whose rows differ, [b] after [a] in plan order *)
   let w = Workload.find "loop-sum" in
   let a = Profile.Baseline and b = Profile.Level Zkopt_passes.Catalog.O1 in
   let fp_a = cell_fp "loop-sum" a and fp_b = cell_fp "loop-sum" b in
   let cycles p = (List.hd (Hashtbl.find warm.H.points ("loop-sum", Profile.name p)).Cell.zk).Measure.cycles in
   Alcotest.(check bool) "a's and b's rows differ" false (cycles a = cycles b);
-  let artifacts_of fp =
-    Array.to_list (Sys.readdir ns)
-    |> List.filter (String.starts_with ~prefix:(fp ^ "+"))
-    |> List.sort String.compare
-  in
   let planted name plant =
     let d = Filename.concat dir name in
     Sys.mkdir d 0o755;
@@ -877,19 +920,15 @@ let test_stale_store_cannot_change_rows () =
          (runs_of fp_a))
   in
   Alcotest.(check bool) "a and b have kept runs in common" true (swapped_runs <> "");
-  (* another build's namespace, with a's and b's artifacts and kept runs
-     swapped: were it read, both cells would come back wrong, and fewer
-     guests would run *)
+  (* another build's namespace, with a's and b's kept runs swapped: were
+     it read, both cells would come back wrong, and fewer guests would
+     run *)
   let foreign =
     planted "foreign" (fun d ->
         List.iter
           (fun other ->
             let o = Filename.concat d other in
             copy_tree ns o;
-            List.iter2
-              (fun x y ->
-                write_file (Filename.concat o x) (read_file (Filename.concat ns y)))
-              (artifacts_of fp_a) (artifacts_of fp_b);
             let olog = Filename.concat o "inputs.log" in
             write_file olog (read_file olog ^ swapped_runs))
           [ "0123456789abcdef0123456789abcdef"; "zkopt-exec-v2" ])
@@ -920,20 +959,51 @@ let test_stale_store_cannot_change_rows () =
   Alcotest.(check int) "corrupt inputs rows: exactly those cells prepared" 2
     corrupt.H.prepared;
   executes "corrupt inputs rows" 0;
-  (* a valid row sending a to b's digest, whose artifacts are gone: a is
-     measured from its fresh module, and b still gets its own artifact,
-     whose runs the store kept under the artifact's key *)
-  let missing =
-    planted "missing" (fun d ->
-        let nsd = Filename.concat d Cache.namespace in
-        copy_tree ns nsd;
-        List.iter (fun f -> Sys.remove (Filename.concat nsd f)) (artifacts_of fp_b);
-        Cache.record (Cache.create ~dir:d ()) ~key:key_a ~value:fp_b)
+  (* [d]'s copy of the store with the kept runs whose key starts with
+     [prefix] dropped: the number dropped *)
+  let drop_runs d ~prefix =
+    let is_run row =
+      match String.split_on_char '\t' row with
+      | key :: _ -> String.starts_with ~prefix key && String.contains key ' '
+      | [] -> false
+    in
+    let kept, rest = List.partition is_run (rows_of (log d)) in
+    write_file (log d) (String.concat "\n" rest);
+    List.length kept
   in
-  same "row pointing at a missing artifact" missing;
-  Alcotest.(check int) "row pointing at a missing artifact: a and b prepared" 2
-    missing.H.prepared;
-  executes "row pointing at a missing artifact" 0;
+  (* A valid row sending a to b's digest.  The row passes its check, so
+     nothing but a's calls can catch it: a call that b's kept runs answer
+     forces no module, and a cell all of whose calls they answered would
+     get b's row.  The row check catches corruption; only a writer in
+     this build's namespace can write a checked but wrong row.  Here a is
+     the baseline, whose first call is a CPU-model run, and b, an -O1
+     cell, kept none: that call compiles b's digest from a's module,
+     whose digest is not b's, so a is measured from its fresh module,
+     from a's own kept runs. *)
+  let misdirected name ~drop_b =
+    let dropped = ref 0 in
+    let o =
+      planted name (fun d ->
+          copy_tree ns (Filename.concat d Cache.namespace);
+          if drop_b then dropped := drop_runs d ~prefix:(fp_b ^ "+");
+          Cache.record (Cache.create ~dir:d ()) ~key:key_a ~value:fp_b)
+    in
+    same name o;
+    (o, !dropped)
+  in
+  (* b's kept runs answer b: only a's module is prepared, and nothing is
+     compiled or run *)
+  let to_b, _ = misdirected "row naming another cell's digest" ~drop_b:false in
+  Alcotest.(check (list int)) "row naming another cell's digest: pipelines, compiles, guest runs"
+    [ 1; 0; 0 ]
+    [ to_b.H.prepared; to_b.H.cache_stats.Cache.misses; !guests ];
+  (* with b's kept runs gone, b is compiled (on RV32 and valida) from its
+     own module, and exactly b's runs execute *)
+  let to_gone, dropped_b = misdirected "row naming a digest without kept runs" ~drop_b:true in
+  Alcotest.(check bool) "b had kept runs" true (dropped_b > 0);
+  Alcotest.(check (list int)) "row naming a digest without kept runs: pipelines, compiles, guest runs"
+    [ 2; 2; dropped_b ]
+    [ to_gone.H.prepared; to_gone.H.cache_stats.Cache.misses; !guests ];
   (* the key and value of a's kept run on RV32 backend [vm] *)
   let kept_a vm =
     let prefix = "+" ^ Zkopt_backend.Rv32.schema ^ " " ^ vm ^ " " in
@@ -942,7 +1012,7 @@ let test_stale_store_cannot_change_rows () =
   in
   (* a's kept risc0 run with one byte of its value (a cycles digit)
      flipped: the row fails its check, so exactly that run executes
-     again *)
+     again, on a's artifact compiled from a's own module *)
   let flipped_run =
     planted "flipped-run" (fun d ->
         copy_tree ns (Filename.concat d Cache.namespace);
@@ -955,7 +1025,9 @@ let test_stale_store_cannot_change_rows () =
         write_file (log d) (replace_first s ~sub:row ~by:(Bytes.to_string flipped)))
   in
   same "kept run with a flipped byte" flipped_run;
-  Alcotest.(check int) "kept run with a flipped byte: no pipeline" 0 flipped_run.H.prepared;
+  Alcotest.(check (pair int int)) "kept run with a flipped byte: one pipeline, one compile"
+    (1, 1)
+    (flipped_run.H.prepared, flipped_run.H.cache_stats.Cache.misses);
   executes "kept run with a flipped byte" 1;
   (* a's kept sp1 run replaced by a validly checked value without its
      first field: it does not decode, so it is a miss, not an exception *)
@@ -967,37 +1039,25 @@ let test_stale_store_cannot_change_rows () =
         Cache.record (Cache.create ~dir:d ()) ~key ~value:short)
   in
   same "kept run that does not decode" short_run;
+  Alcotest.(check (pair int int)) "kept run that does not decode: one pipeline, one compile"
+    (1, 1)
+    (short_run.H.prepared, short_run.H.cache_stats.Cache.misses);
   executes "kept run that does not decode" 1;
-  (* a's RV32 artifact with one flipped byte, its kept runs dropped from
-     the log: a's handle must fetch the artifact, whose frame fails, so
-     exactly that artifact is compiled again from a's own module, and
-     exactly the dropped runs execute *)
-  let rv32_runs = fp_a ^ "+" ^ Zkopt_backend.Rv32.schema ^ " " in
+  (* a's RV32 kept runs dropped from the log: a's handle must compile the
+     artifact, from a's own module, and exactly the dropped runs execute *)
   let dropped = ref 0 in
-  let flipped_artifact =
-    planted "flipped-artifact" (fun d ->
-        let nsd = Filename.concat d Cache.namespace in
-        copy_tree ns nsd;
-        let art = Filename.concat nsd (fp_a ^ "+" ^ Zkopt_backend.Rv32.schema) in
-        let bytes = read_file art in
-        let at = String.length bytes / 2 in
-        let flipped = Bytes.of_string bytes in
-        Bytes.set flipped at (Char.chr (Char.code bytes.[at] lxor 1));
-        write_file art (Bytes.to_string flipped);
-        let kept, rest =
-          List.partition (String.starts_with ~prefix:rv32_runs) (rows_of (log d))
-        in
-        dropped := List.length kept;
-        write_file (log d) (String.concat "\n" rest))
+  let dropped_runs =
+    planted "dropped-runs" (fun d ->
+        copy_tree ns (Filename.concat d Cache.namespace);
+        dropped := drop_runs d ~prefix:(fp_a ^ "+" ^ Zkopt_backend.Rv32.schema ^ " "))
   in
   Alcotest.(check bool) "a's RV32 artifact had kept runs" true (!dropped > 0);
-  same "artifact with a flipped byte" flipped_artifact;
-  Alcotest.(check (pair int int)) "artifact with a flipped byte: one pipeline, one compile"
-    (1, 1)
-    (flipped_artifact.H.prepared, flipped_artifact.H.cache_stats.Cache.misses);
-  Alcotest.(check int) "artifact with a flipped byte: no disk hit" 0
-    flipped_artifact.H.cache_stats.Cache.disk_hits;
-  executes "artifact with a flipped byte" !dropped
+  same "artifact without kept runs" dropped_runs;
+  Alcotest.(check (list int)) "artifact without kept runs: pipelines, compiles, disk hits"
+    [ 1; 1; 0 ]
+    Cache.[ dropped_runs.H.prepared; dropped_runs.H.cache_stats.misses;
+            dropped_runs.H.cache_stats.disk_hits ];
+  executes "artifact without kept runs" !dropped
 
 let tests =
   [
@@ -1025,6 +1085,8 @@ let tests =
       test_cold_pass_runs_unpriced;
     Alcotest.test_case "each distinct artifact runs once per VM" `Quick
       test_each_artifact_runs_once;
+    Alcotest.test_case "an evicted artifact is answered from its kept runs" `Quick
+      test_evicted_artifact_answered_from_kept_runs;
     Alcotest.test_case "input key covers every input" `Quick
       test_input_key_covers_inputs;
     Alcotest.test_case "a stale or corrupt store cannot change a row" `Quick
