@@ -3,9 +3,9 @@
     propagation), content-addressed cache properties (digest stability
     under {!Clone}, digest sensitivity to one-instruction edits,
     hit/compile metric equality), single-flight compilation, the LRU
-    bound, the on-disk store (round trip, corruption treated as a miss),
-    the first level's inputs log (round trip, a row with a flipped byte
-    skipped), the row log's framing under a kill at every byte offset,
+    bound, the on-disk store (the first level's inputs log only, no
+    artifact written or read back), the inputs log (round trip, a row
+    with a flipped byte skipped), the row log's framing under a kill at every byte offset,
     and the engine run loop's plan-order emission. *)
 
 open Zkopt_ir
@@ -162,7 +162,7 @@ let test_fingerprint_allocation () =
 (* ---- cache behavior -------------------------------------------------- *)
 
 (* The cache is polymorphic; the tests use a closure-free artifact of
-   pure data so the default marshalling codec covers the disk store. *)
+   pure data. *)
 type artifact = { codegen : Zkopt_riscv.Codegen.t; static_instrs : int }
 
 let compile_artifact m : artifact =
@@ -288,6 +288,37 @@ let test_inputs_log_roundtrip () =
   Alcotest.(check (option string)) "other row" (Some "d2") (Cache.resolve c2 ~key:"k2");
   Alcotest.(check (option string)) "memory-only cache reads no log" None
     (Cache.resolve (Cache.create ()) ~key:"k1")
+
+(* A cache over a disk store writes one file, its namespace's inputs
+   log, and reads no artifact back: a second cache over the same store
+   resolves the recorded key but compiles the artifact again. *)
+let test_store_first_level_only () =
+  with_temp_dir @@ fun dir ->
+  let m = Measure.prepare_ir ~build:tiny_module Profile.Baseline in
+  let digest = Fingerprint.of_modul m in
+  let key = Fingerprint.of_pipeline ~salt:"program" [ "licm" ] in
+  let compiles = ref 0 in
+  let lookup c =
+    ignore
+      (Cache.get_or_compile c ~digest ~compile:(fun () ->
+           incr compiles;
+           compile_artifact m))
+  in
+  let c1 = Cache.create ~dir () in
+  lookup c1;
+  Cache.record c1 ~key ~value:digest;
+  let listing d = List.sort compare (Array.to_list (Sys.readdir d)) in
+  Alcotest.(check (list string)) "one namespace" [ Cache.namespace ] (listing dir);
+  Alcotest.(check (list string)) "one file" [ "inputs.log" ]
+    (listing (Filename.concat dir Cache.namespace));
+  let c2 = Cache.create ~dir () in
+  Alcotest.(check (option string)) "the key resolves" (Some digest)
+    (Cache.resolve c2 ~key);
+  lookup c2;
+  Alcotest.(check int) "compiled once per cache" 2 !compiles;
+  let s = Cache.stats c2 in
+  Alcotest.(check (list int)) "hits, disk hits, misses" [ 0; 0; 1 ]
+    [ s.Cache.hits; s.Cache.disk_hits; s.Cache.misses ]
 
 (* Every single-byte flip of a one-row log, including its newline, makes
    the row unreadable: neither the original key nor whatever the flipped
@@ -535,6 +566,8 @@ let tests =
     Alcotest.test_case "cache single-flight compilation" `Quick
       test_cache_single_flight;
     Alcotest.test_case "cache LRU eviction bound" `Quick test_cache_lru_eviction;
+    Alcotest.test_case "disk store keeps the first level only" `Quick
+      test_store_first_level_only;
     Alcotest.test_case "inputs log roundtrip" `Quick test_inputs_log_roundtrip;
     Alcotest.test_case "inputs log skips a row with a flipped byte" `Quick
       test_inputs_log_flipped_byte;
