@@ -19,18 +19,16 @@ open Zkopt_report
 module P = Zkopt_prof.Profile
 module Diff = Zkopt_prof.Diff
 module Render = Zkopt_prof.Render
-module Driver = Zkopt_prof.Driver
+module Backend = Zkopt_backend.Backend
 
-let profile_pair ~build ~base_profile ~opt_profile cfg =
-  let base_c = Measure.prepare ~build base_profile in
-  let opt_c = Measure.prepare ~build opt_profile in
-  let _, base_p =
-    Driver.profile_all ~label:(Profile.name base_profile) cfg base_c
+(* Every case profiles on risc0, zkVM and CPU dimensions in one profile. *)
+let profile_pair ~build ~base_profile ~opt_profile =
+  let b = Zkopt_backend.Registry.find "risc0" in
+  let profile p =
+    let c = b.Backend.compile (Measure.prepare_ir ~build p) in
+    snd (Zkopt_prof.Driver.profile_backend ~label:(Profile.name p) b c)
   in
-  let _, opt_p =
-    Driver.profile_all ~label:(Profile.name opt_profile) cfg opt_c
-  in
-  (base_p, opt_p)
+  (profile base_profile, profile opt_profile)
 
 let top_entry dim ~base ~cand =
   match Diff.by_dim dim ~base ~cand with
@@ -56,7 +54,6 @@ let licm () =
     profile_pair ~build ~base_profile:Profile.Baseline
       ~opt_profile:
         (Profile.Custom ([ "licm" ], Zkopt_passes.Pass.standard_config))
-      Zkopt_zkvm.Config.risc0
   in
   Render.diff ~top:5 ~base ~cand ();
   note_top P.Exec ~base ~cand;
@@ -108,7 +105,6 @@ let inline_spills () =
   let base, cand =
     profile_pair ~build ~base_profile:Profile.Baseline
       ~opt_profile:(Profile.Custom ([ "inline" ], cfg_inl))
-      Zkopt_zkvm.Config.risc0
   in
   Render.diff ~top:5 ~base ~cand ();
   note_top P.Exec ~base ~cand;
@@ -137,7 +133,6 @@ let simplifycfg () =
   let base, cand =
     profile_pair ~build ~base_profile:Profile.Baseline
       ~opt_profile:(Profile.Single_pass "simplifycfg")
-      Zkopt_zkvm.Config.risc0
   in
   Render.diff ~top:5 ~base ~cand ();
   note_top P.Exec ~base ~cand;

@@ -73,12 +73,7 @@ let unroll_profile =
 
 let measure (b : Backend.t) ~n profile =
   let m = Measure.prepare_ir ~build:(kernel ~n) profile in
-  let c = b.Backend.compile m in
-  let r = c.Backend.measure ~vm:b.Backend.name () in
-  (match r.Backend.accounting with
-  | Ok () -> ()
-  | Error e -> failwith (b.Backend.name ^ ": accounting: " ^ e));
-  r
+  (b.Backend.compile m).Backend.measure ~vm:b.Backend.name ()
 
 let user_cycles (r : Backend.measurement) =
   r.Backend.zk.Measure.cycles - r.Backend.zk.Measure.paging_cycles

@@ -73,7 +73,7 @@ let () =
   let sweep =
     if needs_sweep then begin
       Printf.eprintf "running the 58x71 profile sweep (%d jobs)...\n%!" jobs;
-      let s = Sweep.run ~jobs ~size () in
+      let s = Sweep.run ~jobs ~size in
       Printf.eprintf "sweep done in %.1fs\n%!" (Unix.gettimeofday () -. t0);
       Some s
     end

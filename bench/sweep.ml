@@ -2,15 +2,15 @@
     plus the CPU model for the baseline and single-pass profiles (RQ3).
     Results are computed once and shared by every RQ1/RQ2/RQ3 block.
 
-    The default backend list is the paper's risc0 + sp1 pair; cross-ISA
-    experiments ([exp_isa]) pass an explicit list that includes the
-    zk-native valida backend.
+    It measures the paper's risc0 + sp1 pair; the cross-ISA experiment
+    ([exp_isa]) measures its own cases on risc0, sp1 and the zk-native
+    valida backend.
 
     The sweep itself runs on the fault-tolerant harness ([lib/harness]):
     a cell that miscompiles, traps, or fails an accounting oracle is
     quarantined with a typed error instead of aborting the remaining
-    ~8,000 cells, fuel exhaustion retries with an escalating budget, and
-    an optional checkpoint file makes a killed sweep resumable. *)
+    ~8,000 cells, and fuel exhaustion retries with an escalating
+    budget. *)
 
 open Zkopt_core
 module Harness = Zkopt_harness.Harness
@@ -27,36 +27,16 @@ type t = {
 
 let profile_names = List.map Profile.name Profile.all_71
 
-(** Run the full sweep.  [checkpoint] streams completed points to an
-    append-only file and skips cells already recorded there, so an
-    interrupted campaign continues where it stopped ([resume = false]
-    discards the file's rows instead).  Failed cells land in
-    [quarantined]; more than [failure_budget] of them aborts with
-    {!Harness.Budget_exceeded}.
-    [jobs] worker domains execute cells in parallel (results are
-    identical at any job count); [cache] shares compiled artifacts
-    across profiles and backends of a codegen family, and — with a
-    disk-backed cache — module digests and kept runs across runs.
-    [backends] selects the measured
-    backend columns (default: registry risc0 + sp1). *)
-let run ?(progress = true) ?checkpoint ?(resume = true)
-    ?(faultplan = Zkopt_harness.Faultplan.none) ?(failure_budget = 32)
-    ?(jobs = 1) ?cache ?backends ~size () : t =
-  let cfg =
-    {
-      (Harness.default ~size) with
-      Harness.progress;
-      checkpoint;
-      resume;
-      faultplan;
-      failure_budget;
-      jobs;
-      cache;
-      backends;
-    }
+(** Run the full sweep with progress on stderr.  Failed cells land in
+    [quarantined]; more than the harness's default failure budget of
+    them aborts with {!Harness.Budget_exceeded}.  [jobs] worker domains
+    execute cells in parallel (results are identical at any job
+    count). *)
+let run ~jobs ~size : t =
+  let o =
+    Harness.run { (Harness.default ~size) with Harness.progress = true; jobs }
   in
-  let o = Harness.run cfg in
-  if progress && o.Harness.quarantined <> [] then
+  if o.Harness.quarantined <> [] then
     Printf.eprintf "%s\n%!" (Harness.quarantine_report o.Harness.quarantined);
   {
     points = o.Harness.points;
@@ -67,14 +47,10 @@ let run ?(progress = true) ?checkpoint ?(resume = true)
 
 let get t program profile = Hashtbl.find t.points (program, profile)
 
-(** Backend selectors.  The classic pair keeps its short variant names;
-    [`Vm name] addresses any backend column in the point. *)
-type vm = [ `R0 | `Sp1 | `Vm of string ]
+(** Backend selectors: the sweep's two columns. *)
+type vm = [ `R0 | `Sp1 ]
 
-let vm_name : vm -> string = function
-  | `R0 -> "risc0"
-  | `Sp1 -> "sp1"
-  | `Vm s -> s
+let vm_name : vm -> string = function `R0 -> "risc0" | `Sp1 -> "sp1"
 
 let zk (p : point) (name : string) = Cell.zk p name
 let zk_of (p : point) (vm : vm) = Cell.zk p (vm_name vm)

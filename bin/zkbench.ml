@@ -830,10 +830,7 @@ let backends_cmd =
 
 let asm_cmd =
   let run prog quick profile =
-    let m = builder prog quick () in
-    Zkopt_runtime.Runtime.link m;
-    Profile.apply profile m;
-    ignore (Zkopt_passes.Pass.run_one "globaldce" m);
+    let m = Measure.prepare_ir ~build:(builder prog quick) profile in
     List.iter
       (fun f ->
         let unit_, _ = Zkopt_riscv.Codegen.lower_func m f in

@@ -48,6 +48,7 @@ module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
 module Error = Zkopt_harness.Error
 module Backend = Zkopt_backend.Backend
+module Measure = Zkopt_core.Measure
 module Modul = Zkopt_ir.Modul
 
 type genome = string list
@@ -161,11 +162,7 @@ type target = {
 (* Measure [m] on [b] through the artifact cache. *)
 let measured ?fuel ?cache (b : Backend.t) ~fp m : Backend.measurement =
   let c = Backend.compile_cached ?cache b ~fp (Lazy.from_val m) in
-  let r = c.Backend.measure ~vm:b.Backend.name ?fuel () in
-  (match r.Backend.accounting with
-  | Ok () -> ()
-  | Error msg -> raise (Error.Accounting msg));
-  r
+  c.Backend.measure ~vm:b.Backend.name ?fuel ()
 
 (** A target pricing [program] on backend [b], optionally compiling
     through the shared artifact [cache] (keyed structurally, so two
@@ -175,7 +172,7 @@ let measured ?fuel ?cache (b : Backend.t) ~fp m : Backend.measurement =
 let backend_target ?fuel ?cache ?(weight = 1.0) ~(program : string)
     ~(build : unit -> Modul.t) (b : Backend.t) : target =
   let measure ~fp m =
-    (measured ?fuel ?cache b ~fp m).Backend.zk.Zkopt_core.Measure.cycles
+    (measured ?fuel ?cache b ~fp m).Backend.zk.Measure.cycles
   in
   {
     tname = program ^ "@" ^ b.Backend.name;
@@ -215,10 +212,7 @@ let cells_weighted ?fuel ?cache (b : Backend.t)
   let baselines =
     List.map
       (fun t ->
-        let m = t.build () in
-        Zkopt_runtime.Runtime.link m;
-        ignore (Pass.run_one "globaldce" m);
-        Zkopt_ir.Verify.check m;
+        let m = Measure.prepare_ir ~build:t.build Zkopt_core.Profile.Baseline in
         float_of_int (t.measure ~fp:(Fingerprint.of_modul m) m))
       raw
   in

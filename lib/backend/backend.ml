@@ -25,17 +25,16 @@
     - Exit values cross this boundary exactly once, already normalized
       to the canonical int64 encoding ({!Zkopt_core.Measure.exit64}), so
       cross-backend conformance checks are a plain [Int64.equal].
-    - [accounting] carries the backend's own conservation check (trace
-      totals must reconcile with the per-segment journal), evaluated at
-      measurement time where the raw trace is still in hand. *)
+    - {!compiled.measure} runs the backend's own conservation check
+      (trace totals must reconcile with the per-segment journal) where
+      the raw trace is still in hand, and raises {!Accounting} when it
+      fails, so every measurement a caller sees has reconciled. *)
 
 open Zkopt_ir
 module Measure = Zkopt_core.Measure
 
 type measurement = {
   zk : Measure.zk_metrics;
-  accounting : (unit, string) result;
-      (** the backend's cost-conservation oracle over this run's trace *)
   faulted : bool;  (** an injected executor fault fired during the run *)
   seg_padded : int list;
       (** per-segment padded trace area (committed rows after the
@@ -43,6 +42,10 @@ type measurement = {
           over its tables), in execution order — the proof-size input
           the settlement models consume *)
 }
+
+(** Raised by {!compiled.measure} when a run's trace fails the
+    backend's cost-conservation oracle; the message is the oracle's. *)
+exception Accounting of string
 
 type compiled = {
   static_instrs : unit -> int;  (** static code size, backend instructions *)
@@ -62,6 +65,7 @@ type compiled = {
       (** execute + price + prove for backend [vm] (a name of this
           compiled artifact's family; RV32 artifacts serve both
           ["risc0"] and ["sp1"]); [sink] observes every accounted event.
+          Raises {!Accounting} when the run's trace does not reconcile.
           An RV32 artifact executes once per fuel for both configs and
           its CPU model: an unfaulted, unsinked call prices the tally of
           that fuel's one unpriced run ({!Zkopt_zkvm.Vm.price}), and
@@ -133,7 +137,7 @@ let decode_run (s : string) : measurement option =
         let ns = List.filter_map int_of_string_opt parts in
         if List.compare_lengths ns parts = 0 then Some ns else None
     in
-    Some { zk; accounting = Ok (); faulted = false; seg_padded }
+    Some { zk; faulted = false; seg_padded }
   | _ -> None
 
 let encode_cpu_run (c : Measure.cpu_metrics) : string = join (Measure.cpu_fields c)
@@ -161,12 +165,12 @@ let resolved = Option.value ~default:Zkopt_riscv.Emulator.default_fuel
    names none shares the entry of one at
    {!Zkopt_riscv.Emulator.default_fuel}, every run's default.  A miss in
    the table first looks in [cache]'s first level under the run key,
-   where a completed run with clean accounting and no fault is recorded,
-   so neither an evicted artifact nor a fresh cache over the same disk
-   store executes it again.
-   Faulted and sinked calls always execute, and a run that raises keeps
-   nothing.  No run holds the lock: two domains racing on one key may
-   both run it, and keep the same result.  A hit builds no run key.
+   where a completed run that reports no fault is recorded, so neither
+   an evicted artifact nor a fresh cache over the same disk store
+   executes it again.  Faulted and sinked calls always execute, and a
+   run that raises (one whose accounting fails, say) keeps nothing.  No
+   run holds the lock: two domains racing on one key may both run it,
+   and keep the same result.  A hit builds no run key.
 
    [artifact] is called only by a call that needs the artifact: a run
    nothing keeps, a faulted or sinked call, or a use of its static data.
@@ -206,9 +210,7 @@ let kept cache (b : t) ~key (artifact : unit -> compiled) : compiled =
   in
   let zk_miss (vm, fuel) =
     persisted (run_key ~key ~vm fuel) ~decode:decode_run
-      ~encode:(fun r ->
-        if r.accounting = Ok () && not r.faulted then Some (encode_run r)
-        else None)
+      ~encode:(fun r -> if r.faulted then None else Some (encode_run r))
       (fun () -> (artifact ()).measure ~vm ~fuel ())
   in
   let measure ~vm ?fault ?fuel ?sink () =

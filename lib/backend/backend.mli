@@ -25,9 +25,10 @@
     - Exit values cross this boundary exactly once, already normalized
       to the canonical int64 encoding ({!Zkopt_core.Measure.exit64}), so
       cross-backend conformance checks are a plain [Int64.equal].
-    - [accounting] carries the backend's own conservation check (trace
-      totals must reconcile with the per-segment journal), evaluated at
-      measurement time where the raw trace is still in hand.
+    - {!compiled.measure} runs the backend's own conservation check
+      (trace totals must reconcile with the per-segment journal) where
+      the raw trace is still in hand, and raises {!Accounting} when it
+      fails, so every measurement a caller sees has reconciled.
     - Every execution path — zkVM pricing and the CPU contrast model —
       observes through one {!Zkopt_zkvm.Machine.sink}; backends never
       expose bespoke callback surfaces. *)
@@ -36,8 +37,6 @@ open Zkopt_ir
 
 type measurement = {
   zk : Zkopt_core.Measure.zk_metrics;
-  accounting : (unit, string) result;
-      (** the backend's cost-conservation oracle over this run's trace *)
   faulted : bool;  (** an injected executor fault fired during the run *)
   seg_padded : int list;
       (** per-segment padded trace area (committed rows after the
@@ -45,6 +44,10 @@ type measurement = {
           over its tables), in execution order — the proof-size input
           the settlement models consume *)
 }
+
+(** Raised by {!compiled.measure} when a run's trace fails the
+    backend's cost-conservation oracle; the message is the oracle's. *)
+exception Accounting of string
 
 (** A compiled artifact.  Its static data are functions, because the
     stand-in {!compile_cached} returns for an artifact that is not in
@@ -67,6 +70,7 @@ type compiled = {
       (** execute + price + prove for backend [vm] (a name of this
           compiled artifact's family; RV32 artifacts serve both
           ["risc0"] and ["sp1"]); [sink] observes every accounted event.
+          Raises {!Accounting} when the run's trace does not reconcile.
           An RV32 artifact executes once per fuel for both configs and
           its CPU model: an unfaulted, unsinked call prices the tally of
           that fuel's one unpriced run ({!Zkopt_zkvm.Vm.price}), and
@@ -126,15 +130,14 @@ type t = {
     {!Zkopt_riscv.Emulator.default_fuel}, the default of every run), and
     its [measure_cpu] likewise keyed by the resolved [fuel]; an equal
     call returns the kept result without executing.  A kept run with
-    [accounting = Ok ()] and [faulted = false], and every kept CPU-model
-    run, is also recorded in the cache's first level
-    ({!Zkopt_exec.Cache.record}) under a run key: the artifact key, [vm]
-    and the resolved fuel (the CPU model's has no [vm]).  A call the
-    table lacks looks there first, so neither an evicted artifact nor a
-    fresh cache over the same disk store executes a run it kept.  A
-    faulted or sinked call always executes and is never kept, and a run
-    that raises keeps nothing.  [measure_cpu] is present iff
-    [not b.zk_native].
+    [faulted = false], and every kept CPU-model run, is also recorded in
+    the cache's first level ({!Zkopt_exec.Cache.record}) under a run
+    key: the artifact key, [vm] and the resolved fuel (the CPU model's
+    has no [vm]).  A call the table lacks looks there first, so neither
+    an evicted artifact nor a fresh cache over the same disk store
+    executes a run it kept.  A faulted or sinked call always executes
+    and is never kept, and a run that raises ({!Accounting}, say) keeps
+    nothing.  [measure_cpu] is present iff [not b.zk_native].
 
     One wrapper keeps the runs, in one of two homes.  An artifact
     resident in the cache's memory ({!Zkopt_exec.Cache.mem}, which
@@ -156,8 +159,8 @@ val compile_cached :
     The text form of a run {!compile_cached} keeps in the compile
     cache's first level: {!Zkopt_core.Measure}'s field codec joined
     with spaces (for a zkVM run, then the comma-separated [seg_padded]),
-    and a final ["."] field.  Only a run with [accounting = Ok ()] and
-    [faulted = false] is written, so {!decode_run} restores those.  The
+    and a final ["."] field.  Only a run with [faulted = false] is
+    written, so {!decode_run} restores that.  The
     decoders are total: a cut value, a wrong field count or random bytes
     give [None]. *)
 

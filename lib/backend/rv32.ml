@@ -80,6 +80,9 @@ let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
         | Long -> Measure.run ~fuel cfg c)
       | _ -> Measure.run ?fault ?fuel ?sink cfg c
     in
+    Result.iter_error
+      (fun msg -> raise (Backend.Accounting msg))
+      (Vm.check_accounting cfg raw);
     (* pad each segment as the prover does: the settlement models must
        price the trace the prover actually commits *)
     let seg_padded =
@@ -91,7 +94,6 @@ let of_compiled ?config (c : Measure.compiled) : Backend.compiled =
     in
     {
       Backend.zk = Measure.zk_of_vm raw;
-      accounting = Vm.check_accounting cfg raw;
       faulted = raw.Vm.exec.Machine.faulted;
       seg_padded;
     }

@@ -112,8 +112,8 @@ let cpu_of_timing (r : Zkopt_cpu.Timing.result) : cpu_metrics =
     cpu_exit_value = exit64 r.Zkopt_cpu.Timing.exit_value;
   }
 
-let run_cpu ?fuel ?sink (c : compiled) : cpu_metrics =
-  cpu_of_timing (fst (Zkopt_cpu.Timing.run ?fuel ?sink c.codegen c.modul))
+let run_cpu ?fuel (c : compiled) : cpu_metrics =
+  cpu_of_timing (fst (Zkopt_cpu.Timing.run ?fuel c.codegen c.modul))
 
 (* ---- the metric-group codec ------------------------------------------ *)
 

@@ -3,9 +3,9 @@
     model (and the CPU model for RQ3), collecting the paper's metrics.
 
     Execution here takes two paths — {!run} (a priced zkVM run on the
-    decoded-stream machine) and {!run_cpu} (the CPU timing model on its
-    unpriced run) — both observed through an optional
-    {!Zkopt_zkvm.Machine.sink}.  The RV32 backend's artifacts also price
+    decoded-stream machine, observed through an optional
+    {!Zkopt_zkvm.Machine.sink}) and {!run_cpu} (the CPU timing model on
+    its unpriced run).  The RV32 backend's artifacts also price
     zkVM metrics from an unpriced run ([Zkopt_zkvm.Vm.price]), so one
     execution serves both configs and the CPU model.  Everything else
     here is preparation (IR pipeline, codegen) or metric shaping. *)
@@ -59,9 +59,8 @@ val compile_ir : Modul.t -> compiled
 val prepare :
   ?verify:bool -> build:(unit -> Modul.t) -> Profile.t -> compiled
 
-(** One priced zkVM run ({!Zkopt_zkvm.Vm.measure}): summary metrics
-    ({!run_zkvm}), the harness's accounting oracles and the profiler
-    call it, differing only in the sink they install.  Returns the full
+(** One priced zkVM run ({!Zkopt_zkvm.Vm.measure}), observed through an
+    optional {!Zkopt_zkvm.Machine.sink}.  Returns the full
     {!Zkopt_zkvm.Vm} result including the per-segment executor trace.
     The RV32 backend's artifacts call it only for faulted, sinked and
     multi-segment runs and for pinned configs; otherwise they price an
@@ -91,7 +90,7 @@ val run_zkvm :
   zk_metrics
 
 (** The RQ3 traditional-CPU contrast model over the same RV32 image. *)
-val run_cpu : ?fuel:int -> ?sink:Zkopt_zkvm.Machine.sink -> compiled -> cpu_metrics
+val run_cpu : ?fuel:int -> compiled -> cpu_metrics
 
 (** Shape a CPU-model result into its metric group. *)
 val cpu_of_timing : Zkopt_cpu.Timing.result -> cpu_metrics

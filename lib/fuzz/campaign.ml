@@ -196,7 +196,7 @@ type summary = {
 (* The injected fault relevant to this case, if any — recorded in the
    corpus entry so replay re-injects it. *)
 let fault_for (plan : Faultplan.t) (c : Case.t) :
-    (string * Faultplan.kind) option =
+    (string * Zkopt_zkvm.Machine.fault) option =
   let src = Case.source_name c.Case.source in
   let spec = c.Case.pipeline.Case.spec in
   List.find_map
@@ -211,9 +211,10 @@ let fault_for (plan : Faultplan.t) (c : Case.t) :
       else None)
     (Faultplan.sites plan)
 
-(* Minimize a diverged case and (optionally) persist it.  Every failure
-   mode in here is quarantined: worst case the finding is recorded
-   unminimized. *)
+(* Minimize a diverged case and (optionally) persist it.  A source that
+   fails to build, or a corpus directory that cannot be written, leaves
+   the finding unminimized or unsaved; nothing else here raises, because
+   [Case.run] turns every stage's exception into a verdict. *)
 let shrink_and_persist (cfg : config) (c : Case.t) (d : Case.divergence) :
     string option * int option =
   let key = Case.divergence_key d in
@@ -245,12 +246,10 @@ let shrink_and_persist (cfg : config) (c : Case.t) (d : Case.divergence) :
             Case.run ~faultplan:cfg.faultplan ~fuel:shrink_fuel c ~base:m
           with
           | Case.Diverged d' -> String.equal (Case.divergence_key d') key
-          | Case.Agree | (exception _) -> false
+          | Case.Agree -> false
         in
-        (try
-           let m, steps = Minimize.minimize ~repro base in
-           Some (Minimize.instr_count m, steps)
-         with _ -> None)
+        let m, steps = Minimize.minimize ~repro base in
+        Some (Minimize.instr_count m, steps)
   in
   let instrs, steps =
     match minimized with

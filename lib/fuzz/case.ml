@@ -256,11 +256,7 @@ let run ?(faultplan = Faultplan.none) ?(fuel = default_fuel) (t : t)
               Faultplan.executor_fault faultplan ~program:src
                 ~profile:t.pipeline.spec ~vm:b.Backend.name
             in
-            let r = c.Backend.measure ~vm:b.Backend.name ?fault ~fuel () in
-            (match r.Backend.accounting with
-            | Ok () -> ()
-            | Error msg -> raise (Error.Accounting msg));
-            r
+            c.Backend.measure ~vm:b.Backend.name ?fault ~fuel ()
           with
           | exception e -> diverge (Vm b.Backend.name) e
           | r -> (

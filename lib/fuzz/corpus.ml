@@ -37,7 +37,7 @@ type entry = {
   source : Case.source;
   pipeline : Case.pipeline;
   backends : string list;  (** backend names, resolved on replay *)
-  fault : (string * Faultplan.kind) option;
+  fault : (string * Zkopt_zkvm.Machine.fault) option;
       (** injected executor fault, as [(vm, kind)]; the site coordinates
           are the entry's own source/pipeline *)
   key : string;  (** {!Case.divergence_key} of the original finding *)

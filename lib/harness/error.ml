@@ -32,8 +32,8 @@ type t = { coord : coord; kind : kind }
 (** Raised by the harness's differential checksum oracle. *)
 exception Divergence of { expected : int64; got : int64; oracle : string }
 
-(** Raised by the harness's accounting conservation oracle. *)
-exception Accounting of string
+(** Raised by a backend's accounting conservation oracle. *)
+exception Accounting = Zkopt_backend.Backend.Accounting
 
 (** Wrapper used by the harness to tag an exception with the VM whose
     measurement raised it; [classify] unwraps it transparently. *)

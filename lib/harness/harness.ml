@@ -34,8 +34,8 @@
     - two oracles guard every measured cell: the differential checksum
       oracle (every backend vs. the head backend within the cell, and
       profile-vs-baseline across cells) and each backend's own
-      accounting conservation oracle
-      ({!Zkopt_backend.Backend.measurement});
+      accounting conservation oracle, which its artifacts' [measure]
+      runs ({!Zkopt_backend.Backend.Accounting});
     - completed points stream to an append-only checkpoint
       ({!Zkopt_exec.Rowlog}, {!Checkpoint} codec) in plan order, so the
       log is byte-identical at any [jobs], and a resumed run replays
@@ -269,11 +269,7 @@ let measure_cell ?prepared (cfg : config) (cache : Backend.compiled Cache.t)
               Faultplan.executor_fault cfg.faultplan ~program:w.name
                 ~profile:pname ~vm
             in
-            let r = c.Backend.measure ~vm ?fault ~fuel () in
-            (match r.Backend.accounting with
-            | Ok () -> ()
-            | Error msg -> raise (Error.Accounting msg));
-            r.Backend.zk
+            (c.Backend.measure ~vm ?fault ~fuel ()).Backend.zk
           with
           | Stale _ as e -> raise e
           | e -> raise (Error.In_vm (vm, e))

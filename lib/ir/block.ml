@@ -13,7 +13,3 @@ let create ?(instrs = []) ?(term = Instr.Ret None) label =
 let successors b = Instr.successors b.term
 
 let instr_count b = List.length b.instrs
-
-(* Iterate over instructions including an index, used by passes that need
-   stable positions within a block. *)
-let iteri f b = List.iteri f b.instrs

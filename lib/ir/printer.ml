@@ -198,9 +198,7 @@ let to_string size add x =
   add buf x;
   Buffer.contents buf
 
-let value = to_string 16 add_value
 let instr = to_string 64 add_instr
 let term = to_string 32 add_term
-let block = to_string 256 add_block
 let func = to_string 1024 add_func
 let modul = to_string 4096 add_modul

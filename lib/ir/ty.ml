@@ -17,4 +17,3 @@ let equal (a : t) (b : t) = a = b
 let size_bytes = function I32 | Ptr -> 4 | I64 -> 8
 
 let to_string = function I32 -> "i32" | I64 -> "i64" | Ptr -> "ptr"
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -29,5 +29,3 @@ let to_string = function
   | Reg r -> Printf.sprintf "%%r%d" r
   | Imm i -> Int64.to_string i
   | Glob g -> "@" ^ g
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)

@@ -21,11 +21,6 @@ type t = {
 
 let create ~site_of_pc profile = { site_of_pc; profile; stack = [] }
 
-(** Collector over an assembled RV32 program (the pre-backend entry
-    point, kept for direct callers). *)
-let of_program prog profile =
-  create ~site_of_pc:(fun pc -> Asm.site_of_pc prog pc) profile
-
 let site_at c pc =
   match c.site_of_pc pc with
   | Some (f, b) -> Site.make f b

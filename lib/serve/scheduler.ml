@@ -352,9 +352,6 @@ let run_spec t (jr : jobrec) ~stop ~on_row (spec : Job.spec) : run =
           (Backend.compile_cached ~cache:t.cache b ~fp m).Backend.measure
             ~vm:b.Backend.name ())
     in
-    (match r.Backend.accounting with
-    | Ok () -> ()
-    | Error msg -> failwith ("accounting: " ^ msg));
     on_row
       (Checkpoint.encode_point
          {

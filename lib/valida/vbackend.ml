@@ -38,6 +38,9 @@ let of_program (p : Visa.program) : Backend.compiled =
       invalid_arg
         (Printf.sprintf "valida artifact cannot price backend %S" vm);
     let r = Vexec.run ?fault ?fuel ?sink code in
+    Result.iter_error
+      (fun msg -> raise (Backend.Accounting msg))
+      (Vexec.check_accounting r);
     (* per-segment committed area = the sum of the three chips' padded
        tables, exactly as {!Vprover.prove} prices them *)
     let pad = Zkopt_zkvm.Prover.padded ~min_po2:cfg.Vconfig.min_po2 in
@@ -49,7 +52,6 @@ let of_program (p : Visa.program) : Backend.compiled =
     in
     {
       Backend.zk = zk_of_run r;
-      accounting = Vexec.check_accounting r;
       faulted = r.Vexec.faulted;
       seg_padded;
     }

@@ -805,10 +805,10 @@ let close_segment st ~fault ~final ~at_pc (sink : Machine.sink option) =
   | None -> ());
   let cpu, alu, mem =
     match fault with
-    | Machine.Truncated_final_segment when final && segment_rows seg > 1 ->
+    | Some Machine.Truncated_final_segment when final && segment_rows seg > 1 ->
       st.faulted <- true;
       (seg.cpu_rows / 2, seg.alu_rows / 2, seg.mem_rows / 2)
-    | Machine.Dropped_page_out when seg.mem_rows > 1 ->
+    | Some Machine.Dropped_page_out when seg.mem_rows > 1 ->
       (* multi-chip analogue of the write-back accounting bug: half the
          memory chip's rows vanish from the totals at segment close *)
       st.faulted <- true;
@@ -848,7 +848,7 @@ let[@inline] boundary st c ~fault ~limit sink idx =
     && (st.seg_cpu >= limit || st.seg_alu >= limit || st.seg_mem >= limit)
   then begin
     close_segment st ~fault ~final:false ~at_pc:(pc32 idx) sink;
-    if fault = Machine.Silent_halt_on_boundary_jalr
+    if fault = Some Machine.Silent_halt_on_boundary_jalr
        && Array.unsafe_get c.ops idx = op_ret
     then begin
       (* the continuation boundary landed on a return: the buggy
@@ -898,7 +898,7 @@ let loop_sinked st c (s : Machine.sink) ~fault fuel =
     call; with one, every retire, precompile and segment is reported
     with its synthetic pc (see {!shadow}); [fault] injects the
     cross-backend bug family. *)
-let run ?(fault = Machine.No_fault) ?(fuel = Emulator.default_fuel) ?sink
+let run ?fault ?(fuel = Emulator.default_fuel) ?sink
     (c : code) : result =
   let st =
     {
@@ -936,7 +936,7 @@ let run ?(fault = Machine.No_fault) ?(fuel = Emulator.default_fuel) ?sink
   close_segment st ~fault ~final:true ~at_pc:(pc32 st.pc) sink;
   let exit_value =
     match fault with
-    | Machine.Corrupt_exit_value ->
+    | Some Machine.Corrupt_exit_value ->
       st.faulted <- true;
       Int64.logxor (Int64.of_int st.exit) 0x5A5A_5A5AL
     | _ -> Int64.of_int st.exit

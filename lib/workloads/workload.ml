@@ -36,5 +36,3 @@ let all () =
   |> List.sort (fun a b -> compare (a.suite, a.name) (b.suite, b.name))
 
 let by_suite suite = List.filter (fun w -> String.equal w.suite suite) (all ())
-
-let names () = List.map (fun w -> w.name) (all ())

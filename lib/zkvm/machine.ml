@@ -42,7 +42,6 @@ open Zkopt_ir
 open Zkopt_riscv
 
 type fault =
-  | No_fault
   | Silent_halt_on_boundary_jalr
       (** §4.2: a shard boundary on an indirect jump silently drops the
           rest of the execution; checksum diverges. *)
@@ -424,16 +423,18 @@ let touch_code st sink pc =
   st.code_lo <- p * st.page_bytes;
   st.code_hi <- st.code_lo + st.page_bytes
 
-let close_segment ~fault ~final st sink =
+(* Close the open segment.  [drop] injects {!Dropped_page_out} and
+   [truncate] {!Truncated_final_segment}; the run decides both once. *)
+let close_segment ~drop ~truncate st sink =
   (match sink with Some s -> flush st s | None -> ());
   let outs = st.dirty_n in
   let charged =
-    match fault with
-    | Dropped_page_out ->
+    if drop then begin
       let charged = (outs + 1) / 2 in
       if charged < outs then st.faulted <- true;
       charged
-    | _ -> outs
+    end
+    else outs
   in
   st.paging <- st.paging + (charged * st.out_cost);
   (match sink with
@@ -451,11 +452,11 @@ let close_segment ~fault ~final st sink =
     s.on_segment ~pc:(Int32.of_int st.cur_pc) ~user:st.user ~paging:st.paging
   | None -> ());
   st.segs <- { user_cycles = st.user; paging_cycles = st.paging } :: st.segs;
-  (match fault with
-  | Truncated_final_segment when final && st.user > 1 ->
+  if truncate && st.user > 1 then begin
     st.faulted <- true;
     st.total_user <- st.total_user + (st.user / 2)
-  | _ -> st.total_user <- st.total_user + st.user);
+  end
+  else st.total_user <- st.total_user + st.user;
   st.total_paging <- st.total_paging + st.paging;
   st.user <- 0;
   st.paging <- 0;
@@ -921,7 +922,8 @@ let tally ?(fuel = Emulator.default_fuel) ?cpu (c : code) : tally =
   }
 
 let exec_loop st sink fault fuel =
-  let fault_silent = fault = Silent_halt_on_boundary_jalr in
+  let fault_silent = fault = Some Silent_halt_on_boundary_jalr
+  and drop = fault = Some Dropped_page_out in
   let budget = ref fuel in
   while (not st.halted) && not st.silent do
     if !budget <= 0 then raise (Emulator.Out_of_fuel fuel);
@@ -929,16 +931,15 @@ let exec_loop st sink fault fuel =
     step st sink fault_silent;
     if st.pending && not st.silent then begin
       st.pending <- false;
-      close_segment ~fault ~final:false st sink
+      close_segment ~drop ~truncate:false st sink
     end
   done;
-  close_segment ~fault ~final:true st sink
+  close_segment ~drop ~truncate:(fault = Some Truncated_final_segment) st sink
 
 (** Execute pre-decoded [c], priced.  Without a sink the loop makes zero
     per-instruction indirect calls; with one, retires arrive batched and
     every other event is delivered in the reference executor's order. *)
-let run ?(fault = No_fault) ?(fuel = Emulator.default_fuel) ?sink (c : code) :
-    result =
+let run ?fault ?(fuel = Emulator.default_fuel) ?sink (c : code) : result =
   Atomic.incr priced_runs;
   let st = fresh_state ~buffered:(Option.is_some sink) c in
   (match sink with
@@ -953,7 +954,7 @@ let run ?(fault = No_fault) ?(fuel = Emulator.default_fuel) ?sink (c : code) :
       raise e));
   let exit_value =
     match fault with
-    | Corrupt_exit_value ->
+    | Some Corrupt_exit_value ->
       st.faulted <- true;
       Int32.logxor (Int32.of_int st.exit_value) 0x5A5A5A5Al
     | _ -> Int32.of_int st.exit_value

@@ -17,7 +17,6 @@ open Zkopt_ir
 open Zkopt_riscv
 
 type fault =
-  | No_fault
   | Silent_halt_on_boundary_jalr
       (** §4.2: a shard boundary on an indirect jump silently drops the
           rest of the execution; checksum diverges. *)

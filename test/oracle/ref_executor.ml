@@ -58,12 +58,12 @@ let touch_attr (s : Machine.sink) st ~write addr =
   if write && not (Hashtbl.mem st.dirty page) then
     Hashtbl.replace st.dirty page st.cur_pc
 
-let close_segment ?(fault = Machine.No_fault) ?(final = false) ?sink st =
+let close_segment ?fault ?(final = false) ?sink st =
   let outs = Hashtbl.length st.dirty in
   let out_cost = st.cfg.Config.page_out_cost in
   let charged =
     match fault with
-    | Machine.Dropped_page_out ->
+    | Some Machine.Dropped_page_out ->
       let charged = (outs + 1) / 2 in
       if charged < outs then st.faulted <- true;
       charged
@@ -92,7 +92,7 @@ let close_segment ?(fault = Machine.No_fault) ?(final = false) ?sink st =
   st.segs <-
     { Machine.user_cycles = st.user; paging_cycles = st.paging } :: st.segs;
   (match fault with
-  | Machine.Truncated_final_segment when final && st.user > 1 ->
+  | Some Machine.Truncated_final_segment when final && st.user > 1 ->
     st.faulted <- true;
     st.total_user <- st.total_user + (st.user / 2)
   | _ -> st.total_user <- st.total_user + st.user);
@@ -105,7 +105,7 @@ let close_segment ?(fault = Machine.No_fault) ?(final = false) ?sink st =
 (** Execute module [m] (already compiled to [cg]) under configuration
     [cfg].  Same contract as
     [Machine.run ?fault ?fuel ?sink (Machine.decode cfg cg m)]. *)
-let run ?(fault = Machine.No_fault) ?(fuel = 500_000_000) ?sink
+let run ?fault ?(fuel = 500_000_000) ?sink
     (cfg : Config.t) (cg : Codegen.t) (m : Modul.t) : Machine.result =
   let st =
     {
@@ -134,7 +134,7 @@ let run ?(fault = Machine.No_fault) ?(fuel = 500_000_000) ?sink
     if st.user >= cfg.Config.segment_limit then begin
       boundary_pending := true;
       match (fault, ins) with
-      | Machine.Silent_halt_on_boundary_jalr, Isa.Jalr _ ->
+      | Some Machine.Silent_halt_on_boundary_jalr, Isa.Jalr _ ->
         (* the shard boundary landed on an indirect jump (a function
            return): the buggy executor drops the rest of the execution
            on the floor yet still emits a provable, verifying trace *)
@@ -191,13 +191,13 @@ let run ?(fault = Machine.No_fault) ?(fuel = 500_000_000) ?sink
     Ref_emulator.step emu;
     if !boundary_pending && not !silent_halt then begin
       boundary_pending := false;
-      close_segment ~fault ?sink st
+      close_segment ?fault ?sink st
     end
   done;
-  close_segment ~fault ~final:true ?sink st;
+  close_segment ?fault ~final:true ?sink st;
   let exit_value =
     match fault with
-    | Machine.Corrupt_exit_value ->
+    | Some Machine.Corrupt_exit_value ->
       st.faulted <- true;
       Int32.logxor emu.Ref_emulator.exit_value 0x5A5A5A5Al
     | _ -> emu.Ref_emulator.exit_value

@@ -240,7 +240,7 @@ let step st =
     next ());
   (ins, !alu, !memr, !memw, !prec)
 
-let close_segment ?(fault = Zkopt_zkvm.Machine.No_fault) ?(final = false) ?sink
+let close_segment ?fault ?(final = false) ?sink
     ~at_pc st =
   let seg = { cpu_rows = st.seg_cpu; alu_rows = st.seg_alu; mem_rows = st.seg_mem } in
   st.segs <- seg :: st.segs;
@@ -252,10 +252,10 @@ let close_segment ?(fault = Zkopt_zkvm.Machine.No_fault) ?(final = false) ?sink
   | None -> ());
   let cpu, alu, mem =
     match fault with
-    | Zkopt_zkvm.Machine.Truncated_final_segment when final && segment_rows seg > 1 ->
+    | Some Zkopt_zkvm.Machine.Truncated_final_segment when final && segment_rows seg > 1 ->
       st.faulted <- true;
       (seg.cpu_rows / 2, seg.alu_rows / 2, seg.mem_rows / 2)
-    | Zkopt_zkvm.Machine.Dropped_page_out when seg.mem_rows > 1 ->
+    | Some Zkopt_zkvm.Machine.Dropped_page_out when seg.mem_rows > 1 ->
       (* multi-chip analogue of the write-back accounting bug: half the
          memory chip's rows vanish from the totals at segment close *)
       st.faulted <- true;
@@ -272,7 +272,7 @@ let close_segment ?(fault = Zkopt_zkvm.Machine.No_fault) ?(final = false) ?sink
 (** Execute a lowered program under configuration [cfg].  The optional
     [sink] receives every accounted row with its synthetic pc (see
     {!shadow}); [fault] injects the cross-backend bug family. *)
-let run ?(fault = Zkopt_zkvm.Machine.No_fault) ?(fuel = Emulator.default_fuel)
+let run ?fault ?(fuel = Emulator.default_fuel)
     ?sink (cfg : Vconfig.t) (p : Visa.program) : result =
   let st =
     {
@@ -332,9 +332,9 @@ let run ?(fault = Zkopt_zkvm.Machine.No_fault) ?(fuel = Emulator.default_fuel)
          || st.seg_alu >= cfg.Vconfig.table_limit
          || st.seg_mem >= cfg.Vconfig.table_limit)
     then begin
-      close_segment ~fault ?sink ~at_pc:(pc32 idx) st;
+      close_segment ?fault ?sink ~at_pc:(pc32 idx) st;
       match (fault, ins) with
-      | Zkopt_zkvm.Machine.Silent_halt_on_boundary_jalr, Visa.Ret _ ->
+      | Some Zkopt_zkvm.Machine.Silent_halt_on_boundary_jalr, Visa.Ret _ ->
         (* the continuation boundary landed on a return: the buggy
            executor stops mid-run yet reports a verifying trace *)
         st.faulted <- true;
@@ -342,10 +342,10 @@ let run ?(fault = Zkopt_zkvm.Machine.No_fault) ?(fuel = Emulator.default_fuel)
       | _ -> ()
     end
   done;
-  close_segment ~fault ~final:true ?sink ~at_pc:(pc32 st.pc) st;
+  close_segment ?fault ~final:true ?sink ~at_pc:(pc32 st.pc) st;
   let exit_value =
     match fault with
-    | Zkopt_zkvm.Machine.Corrupt_exit_value ->
+    | Some Zkopt_zkvm.Machine.Corrupt_exit_value ->
       st.faulted <- true;
       Int64.logxor st.exit_value 0x5A5A_5A5AL
     | _ -> st.exit_value

@@ -9,6 +9,9 @@ open Zkopt_core
 module B = Builder
 module Backend = Zkopt_backend.Backend
 module Registry = Zkopt_backend.Registry
+module Faultplan = Zkopt_harness.Faultplan
+module Machine = Zkopt_zkvm.Machine
+module Vexec = Zkopt_valida.Vexec
 
 let () = Zkopt_valida.Vbackend.ensure ()
 
@@ -127,10 +130,6 @@ let test_exit_conformance () =
               (fun (b : Backend.t) ->
                 let c = b.Backend.compile m in
                 let r = c.Backend.measure ~vm:b.Backend.name () in
-                (match r.Backend.accounting with
-                | Ok () -> ()
-                | Error e ->
-                  Alcotest.failf "%s/%s accounting: %s" name b.Backend.name e);
                 r.Backend.zk.Measure.exit_value)
               (Registry.all ())
           in
@@ -445,7 +444,7 @@ let gen_measurement =
   QCheck.Gen.(
     map2
       (fun zk seg_padded ->
-        { Backend.zk; accounting = Ok (); faulted = false; seg_padded })
+        { Backend.zk; faulted = false; seg_padded })
       gen_zk
       (oneof
          [ return []; list_size (int_range 1 8) nat;
@@ -488,7 +487,6 @@ let prop_run_codecs_roundtrip =
        | Some r' ->
          same_zk r.Backend.zk r'.Backend.zk
          && r'.Backend.seg_padded = r.Backend.seg_padded
-         && r'.Backend.accounting = Ok ()
          && not r'.Backend.faulted
        | None -> false)
       &&
@@ -518,11 +516,11 @@ let prop_run_decoders_total =
       && Option.is_none (Backend.decode_run junk)
       && Option.is_none (Backend.decode_cpu_run junk))
 
-(* A backend whose one artifact counts its runs in [runs] and returns a
-   fixed measurement with accounting [accounting] that reports a fault iff
-   [faulted]; its schema names both so two such backends never share an
-   artifact.  It has no CPU model, so it is
-   zk-native. *)
+(* A backend whose one artifact counts its runs in [runs] and then
+   raises [Backend.Accounting msg] if [accounting] is [Error msg], or
+   returns a fixed measurement that reports a fault iff [faulted]; its
+   schema names both so two such backends never share an artifact.  It
+   has no CPU model, so it is zk-native. *)
 let synthetic ?(faulted = false) ~runs ~accounting () : Backend.t =
   let schema =
     String.concat "-"
@@ -537,12 +535,12 @@ let synthetic ?(faulted = false) ~runs ~accounting () : Backend.t =
       measure =
         (fun ~vm ?fault:_ ?fuel:_ ?sink:_ () ->
           incr runs;
+          Result.iter_error (fun msg -> raise (Backend.Accounting msg)) accounting;
           {
             Backend.zk =
               { Measure.vm; cycles = 7; exec_time_s = 0.25; prove_time_s = 1.5;
                 segments = 1; paging_cycles = 2; page_ins = 1; page_outs = 0;
                 loads = 3; stores = 4; exit_value = 42L };
-            accounting;
             faulted;
             seg_padded = [ 1024 ];
           });
@@ -571,7 +569,9 @@ let test_failed_accounting_not_kept () =
     for _ = 1 to 2 do
       let cache = Zkopt_exec.Cache.create ~dir () in
       let c = Backend.compile_cached ~cache b ~fp (lazy (Modul.create ())) in
-      ignore (c.Backend.measure ~vm:b.Backend.name ())
+      match c.Backend.measure ~vm:b.Backend.name () with
+      | _ -> ()
+      | exception Backend.Accounting _ -> ()
     done;
     (!runs, fp ^ "+" ^ b.Backend.schema)
   in
@@ -590,6 +590,88 @@ let test_failed_accounting_not_kept () =
   Alcotest.(check (list string)) "a faulted run is not recorded" []
     (rows_of faulted_key);
   Alcotest.(check int) "a fresh cache executes it again too" 2 faulted_runs
+
+(* ---- the accounting oracle ------------------------------------------ *)
+
+(* The message [check] gives a run the injected fault must unbalance. *)
+let failure what = function
+  | Ok () -> Alcotest.failf "%s: the fault must unbalance the run" what
+  | Error msg -> msg
+
+(* [run ()] must raise [Backend.Accounting want]. *)
+let raises_accounting what want run =
+  match run () with
+  | _ -> Alcotest.failf "%s: an unbalanced run must raise" what
+  | exception Backend.Accounting msg -> Alcotest.(check string) what want msg
+
+(* An artifact's [measure] is the one accounting oracle: a run whose
+   trace does not reconcile raises with the executor's own check's
+   message, through a cache or not, and a fault the accounting cannot
+   see returns a balanced, faulted run that is never recorded. *)
+let test_unbalanced_run_raises () =
+  Test_exec.with_temp_dir @@ fun dir ->
+  let m =
+    Measure.prepare_ir ~build:(fun () -> Test_harness.touch_pages_program 16)
+      Profile.Baseline
+  in
+  let fp = Zkopt_exec.Fingerprint.of_modul m in
+  let cache = Zkopt_exec.Cache.create ~dir () in
+  let artifacts name =
+    let b = Registry.find name in
+    [ ("uncached", Backend.compile_cached b ~fp (lazy m));
+      ("cached", Backend.compile_cached ~cache b ~fp (lazy m)) ]
+  in
+  let c = Measure.compile_ir m and cfg = Zkopt_zkvm.Config.risc0 in
+  List.iter
+    (fun fault ->
+      let what = "risc0 " ^ Faultplan.kind_name fault in
+      let want =
+        failure what (Zkopt_zkvm.Vm.check_accounting cfg (Measure.run ~fault cfg c))
+      in
+      List.iter
+        (fun (how, a) ->
+          raises_accounting (what ^ ", " ^ how) want (fun () ->
+              a.Backend.measure ~vm:"risc0" ~fault ()))
+        (artifacts "risc0"))
+    [ Machine.Dropped_page_out; Machine.Truncated_final_segment ];
+  let code =
+    Vexec.decode Zkopt_valida.Vconfig.valida (Zkopt_valida.Vlower.lower m)
+  in
+  let fault = Machine.Dropped_page_out in
+  let want = failure "valida" (Vexec.check_accounting (Vexec.run ~fault code)) in
+  List.iter
+    (fun (how, a) ->
+      raises_accounting ("valida, " ^ how) want (fun () ->
+          a.Backend.measure ~vm:"valida" ~fault ()))
+    (artifacts "valida");
+  List.iter
+    (fun (how, a) ->
+      let r = a.Backend.measure ~vm:"risc0" ~fault:Machine.Corrupt_exit_value () in
+      Alcotest.(check bool) ("a corrupt exit value balances, reported: " ^ how)
+        true r.Backend.faulted)
+    (artifacts "risc0");
+  let clean = List.assoc "cached" (artifacts "risc0") in
+  ignore (clean.Backend.measure ~vm:"risc0" ());
+  let rows =
+    In_channel.with_open_bin (Test_exec.inputs_log dir) In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:fp)
+  in
+  Alcotest.(check int) "of all these runs only the clean one is recorded" 1
+    (List.length rows)
+
+(* Corpus entries name their injected fault ([fault: risc0:corrupt-exit-value]
+   in corpus/*.bug), so every name is fixed and parses back. *)
+let test_fault_names_roundtrip () =
+  Alcotest.(check (list string)) "fault names"
+    [ "silent-halt-on-boundary-jalr"; "dropped-page-out";
+      "truncated-final-segment"; "corrupt-exit-value" ]
+    (List.map Faultplan.kind_name Faultplan.all_kinds);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (Faultplan.kind_name k ^ " round-trips") true
+        (Faultplan.kind_of_name (Faultplan.kind_name k) = Some k))
+    Faultplan.all_kinds
 
 let tests =
   [
@@ -611,6 +693,9 @@ let tests =
       test_memo_never_serves_a_sink;
     Alcotest.test_case "a run with failed accounting is not kept" `Quick
       test_failed_accounting_not_kept;
+    Alcotest.test_case "an unbalanced run raises Accounting" `Quick
+      test_unbalanced_run_raises;
+    Alcotest.test_case "fault names round-trip" `Quick test_fault_names_roundtrip;
     QCheck_alcotest.to_alcotest prop_run_codecs_roundtrip;
     QCheck_alcotest.to_alcotest prop_run_decoders_total;
   ]

@@ -9,6 +9,7 @@ module Minimize = Zkopt_fuzz.Minimize
 module Corpus = Zkopt_fuzz.Corpus
 module Campaign = Zkopt_fuzz.Campaign
 module Faultplan = Zkopt_harness.Faultplan
+module Machine = Zkopt_zkvm.Machine
 
 let risc0 = Case.resolve_backend "risc0"
 
@@ -126,7 +127,7 @@ let corrupt_case seed =
       [
         ( { Faultplan.program = Case.source_name case.Case.source;
             profile = "baseline"; vm = "risc0" },
-          Faultplan.Corrupt_exit_value );
+          Machine.Corrupt_exit_value );
       ]
   in
   (case, fp)
@@ -229,7 +230,7 @@ let test_failure_budget () =
          (fun s ->
            ( { Faultplan.program = Case.source_name s;
                profile = "baseline"; vm = "risc0" },
-             Faultplan.Corrupt_exit_value ))
+             Machine.Corrupt_exit_value ))
          sources)
   in
   let s =
@@ -255,7 +256,7 @@ let test_fault_end_to_end () =
     Faultplan.inject
       [
         ( { Faultplan.program = "seed:5"; profile = "O1"; vm = "risc0" },
-          Faultplan.Corrupt_exit_value );
+          Machine.Corrupt_exit_value );
       ]
   in
   let s =

@@ -11,6 +11,7 @@ module Error = Zkopt_harness.Error
 module Retry = Zkopt_harness.Retry
 module Checkpoint = Zkopt_harness.Checkpoint
 module Faultplan = Zkopt_harness.Faultplan
+module Machine = Zkopt_zkvm.Machine
 module Backend = Zkopt_backend.Backend
 module Cache = Zkopt_exec.Cache
 module Fingerprint = Zkopt_exec.Fingerprint
@@ -244,9 +245,9 @@ let test_fault_isolation () =
     Faultplan.inject
       [
         ( { Faultplan.program = "factorial"; profile = "licm"; vm = "sp1" },
-          Faultplan.Truncated_final_segment );
+          Machine.Truncated_final_segment );
         ( { Faultplan.program = "fibonacci"; profile = "baseline"; vm = "risc0" },
-          Faultplan.Corrupt_exit_value );
+          Machine.Corrupt_exit_value );
       ]
   in
   let faulty = H.run { (subset_cfg ()) with H.faultplan = plan } in
@@ -279,7 +280,7 @@ let test_miscompile_quarantined_not_fatal () =
     Faultplan.inject
       [
         ( { Faultplan.program = "factorial"; profile = "licm"; vm = "risc0" },
-          Faultplan.Corrupt_exit_value );
+          Machine.Corrupt_exit_value );
       ]
   in
   let o = H.run { (subset_cfg ()) with H.faultplan = plan } in
@@ -335,9 +336,9 @@ let test_failure_budget () =
     Faultplan.inject
       [
         ( { Faultplan.program = "fibonacci"; profile = "baseline"; vm = "risc0" },
-          Faultplan.Corrupt_exit_value );
+          Machine.Corrupt_exit_value );
         ( { Faultplan.program = "factorial"; profile = "baseline"; vm = "risc0" },
-          Faultplan.Corrupt_exit_value );
+          Machine.Corrupt_exit_value );
       ]
   in
   match
@@ -353,12 +354,12 @@ let test_faultplan_selector () =
   let axes =
     Faultplan.random ~seed:11 ~count:4 ~programs:subset_programs
       ~profiles:[ "baseline"; "licm" ] ~vms:[ "risc0"; "sp1" ]
-      ~kinds:[ Faultplan.Dropped_page_out; Faultplan.Corrupt_exit_value ]
+      ~kinds:[ Machine.Dropped_page_out; Machine.Corrupt_exit_value ]
   in
   let again =
     Faultplan.random ~seed:11 ~count:4 ~programs:subset_programs
       ~profiles:[ "baseline"; "licm" ] ~vms:[ "risc0"; "sp1" ]
-      ~kinds:[ Faultplan.Dropped_page_out; Faultplan.Corrupt_exit_value ]
+      ~kinds:[ Machine.Dropped_page_out; Machine.Corrupt_exit_value ]
   in
   Alcotest.(check int) "4 sites" 4 (List.length (Faultplan.sites axes));
   Alcotest.(check bool) "same seed, same plan" true
@@ -431,7 +432,7 @@ let test_parallel_faults_exactly_once () =
     let plan =
       Faultplan.random ~seed:(100 + trial) ~count:3 ~programs:subset_programs
         ~profiles:names ~vms:[ "risc0"; "sp1" ]
-        ~kinds:[ Faultplan.Dropped_page_out; Faultplan.Corrupt_exit_value ]
+        ~kinds:[ Machine.Dropped_page_out; Machine.Corrupt_exit_value ]
     in
     let o = H.run { (subset_cfg ()) with H.faultplan = plan; jobs } in
     let measured = Hashtbl.fold (fun k _ acc -> k :: acc) o.H.points []

@@ -23,11 +23,11 @@ module Workload = Zkopt_workloads.Workload
 
 let all_faults =
   [
-    (Machine.No_fault, "none");
-    (Machine.Silent_halt_on_boundary_jalr, "silent-halt");
-    (Machine.Dropped_page_out, "dropped-page-out");
-    (Machine.Truncated_final_segment, "truncated-final");
-    (Machine.Corrupt_exit_value, "corrupt-exit");
+    (None, "none");
+    (Some Machine.Silent_halt_on_boundary_jalr, "silent-halt");
+    (Some Machine.Dropped_page_out, "dropped-page-out");
+    (Some Machine.Truncated_final_segment, "truncated-final");
+    (Some Machine.Corrupt_exit_value, "corrupt-exit");
   ]
 
 let compile seed =
@@ -87,8 +87,8 @@ let prop_matches_reference =
         (fun cfg ->
           List.for_all
             (fun (fault, fname) ->
-              let want = outcome ~fault Ref_executor.run cfg c in
-              let got = outcome ~fault machine cfg c in
+              let want = outcome ?fault Ref_executor.run cfg c in
+              let got = outcome ?fault machine cfg c in
               same want got
               || QCheck.Test.fail_reportf
                    "seed %d / %s / fault %s:\n  reference: %s\n  machine:   %s"
@@ -235,13 +235,13 @@ let test_precompile_programs () =
                       (Profile.name profile) cfg.Config.name fname
                   in
                   check_same what
-                    (outcome ~fault Ref_executor.run cfg c)
-                    (outcome ~fault machine cfg c);
+                    (outcome ?fault Ref_executor.run cfg c)
+                    (outcome ?fault machine cfg c);
                   let want_t, want_sink = tally_sink () in
                   let got_t, got_sink = tally_sink () in
                   check_same (what ^ " with a sink")
-                    (outcome ~fault ~sink:want_sink Ref_executor.run cfg c)
-                    (outcome ~fault ~sink:got_sink machine cfg c);
+                    (outcome ?fault ~sink:want_sink Ref_executor.run cfg c)
+                    (outcome ?fault ~sink:got_sink machine cfg c);
                   if want_t <> got_t then
                     Alcotest.failf
                       "%s: sink tallies differ\n  reference: %s\n  machine:   %s"

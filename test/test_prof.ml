@@ -10,11 +10,19 @@ open Zkopt_core
 module B = Builder
 module P = Zkopt_prof.Profile
 module Site = Zkopt_prof.Site
+module Backend = Zkopt_backend.Backend
 
 let small_risc0 =
   (* a tiny segment limit so random programs close several segments and
      the per-segment attribution paths all run *)
   { Zkopt_zkvm.Config.risc0 with Zkopt_zkvm.Config.segment_limit = 1 lsl 12 }
+
+(* Profile [build] under [profile] on backend [b]: the artifact, the
+   measurement and the profile. *)
+let profiled b ~build profile =
+  let c = b.Backend.compile (Measure.prepare_ir ~build profile) in
+  let r, p = Zkopt_prof.Driver.profile_backend ~label:"t" b c in
+  (c, r, p)
 
 (* ---- conservation properties -------------------------------------- *)
 
@@ -27,12 +35,12 @@ let prop_zk_conservation =
       let profile =
         if seed mod 2 = 0 then Profile.Baseline else Profile.Single_pass "licm"
       in
-      let c = Measure.prepare ~build profile in
-      let m, p =
-        Zkopt_prof.Driver.profile_zkvm ~label:"t" small_risc0 c
-      in
-      let e = m.Zkopt_zkvm.Vm.exec in
       let cfg = small_risc0 in
+      let _, r, p =
+        profiled (Zkopt_backend.Rv32.backend ~fixed:true cfg ~doc:"") ~build
+          profile
+      in
+      let z = r.Backend.zk in
       let exec_sum = int_of_float (P.total p P.Exec) in
       let pin_sum = int_of_float (P.total p P.Paging_in) in
       let pout_sum = int_of_float (P.total p P.Paging_out) in
@@ -40,17 +48,13 @@ let prop_zk_conservation =
       let folded_sum =
         List.fold_left (fun a (_, v) -> a + v) 0 (P.folded_lines p)
       in
-      let prove = Zkopt_zkvm.Prover.prove cfg e in
-      exec_sum = e.Zkopt_zkvm.Machine.user_cycles
+      exec_sum = z.Measure.cycles - z.Measure.paging_cycles
       && folded_sum = exec_sum
-      && pin_sum
-         = e.Zkopt_zkvm.Machine.page_ins * cfg.Zkopt_zkvm.Config.page_in_cost
-      && pout_sum
-         = e.Zkopt_zkvm.Machine.page_outs * cfg.Zkopt_zkvm.Config.page_out_cost
-      && pin_sum + pout_sum = e.Zkopt_zkvm.Machine.paging_cycles
+      && pin_sum = z.Measure.page_ins * cfg.Zkopt_zkvm.Config.page_in_cost
+      && pout_sum = z.Measure.page_outs * cfg.Zkopt_zkvm.Config.page_out_cost
+      && pin_sum + pout_sum = z.Measure.paging_cycles
       && residue_sum
-         = prove.Zkopt_zkvm.Prover.padded_cycles_total
-           - e.Zkopt_zkvm.Machine.total_cycles)
+         = List.fold_left ( + ) 0 r.Backend.seg_padded - z.Measure.cycles)
 
 let prop_cpu_conservation =
   QCheck.Test.make ~name:"attributed CPU cycles sum to the model's total"
@@ -58,9 +62,10 @@ let prop_cpu_conservation =
     QCheck.(int_range 1 100_000)
     (fun seed ->
       let build () = Randprog.generate ~seed () in
-      let c = Measure.prepare ~build Profile.Baseline in
-      let m, p = Zkopt_prof.Driver.profile_cpu ~label:"t" c in
-      let total = m.Measure.cpu_cycles in
+      let c, _, p =
+        profiled (Zkopt_backend.Registry.find "risc0") ~build Profile.Baseline
+      in
+      let total = ((Option.get c.Backend.measure_cpu) ()).Measure.cpu_cycles in
       let attributed = P.total p P.Cpu in
       Float.abs (attributed -. total) <= 1e-6 *. Float.max 1.0 total)
 
@@ -181,16 +186,15 @@ let test_profiled_run_matches_unprofiled () =
   (* installing the sink must not change the measurement *)
   let w = Zkopt_workloads.Workload.find "loop-sum" in
   let build () = w.Zkopt_workloads.Workload.build Zkopt_workloads.Workload.Quick in
-  let c = Measure.prepare ~build Profile.Baseline in
-  let plain = Measure.run_zkvm Zkopt_zkvm.Config.risc0 c in
-  let m, _ =
-    Zkopt_prof.Driver.profile_zkvm ~label:"t" Zkopt_zkvm.Config.risc0 c
+  let c, m, _ =
+    profiled (Zkopt_backend.Registry.find "risc0") ~build Profile.Baseline
   in
-  Alcotest.(check int) "cycles" plain.Measure.cycles m.Zkopt_zkvm.Vm.cycles;
+  let plain = (c.Backend.measure ~vm:"risc0" ()).Backend.zk in
+  Alcotest.(check int) "cycles" plain.Measure.cycles m.Backend.zk.Measure.cycles;
   Alcotest.(check int) "paging" plain.Measure.paging_cycles
-    m.Zkopt_zkvm.Vm.paging_cycles;
+    m.Backend.zk.Measure.paging_cycles;
   Alcotest.(check int) "segments" plain.Measure.segments
-    m.Zkopt_zkvm.Vm.segments
+    m.Backend.zk.Measure.segments
 
 let tests =
   [

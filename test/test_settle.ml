@@ -141,7 +141,6 @@ let measurement ~vm ~prove_us ~seg_padded ~cycles : Backend.measurement =
         stores = 0;
         exit_value = 0L;
       };
-    accounting = Ok ();
     faulted = false;
     seg_padded;
   }

@@ -27,11 +27,11 @@ module Workload = Zkopt_workloads.Workload
 
 let all_faults =
   [
-    (Machine.No_fault, "none");
-    (Machine.Silent_halt_on_boundary_jalr, "silent-halt");
-    (Machine.Dropped_page_out, "dropped-rows");
-    (Machine.Truncated_final_segment, "truncated-final");
-    (Machine.Corrupt_exit_value, "corrupt-exit");
+    (None, "none");
+    (Some Machine.Silent_halt_on_boundary_jalr, "silent-halt");
+    (Some Machine.Dropped_page_out, "dropped-rows");
+    (Some Machine.Truncated_final_segment, "truncated-final");
+    (Some Machine.Corrupt_exit_value, "corrupt-exit");
   ]
 
 (* Tables fill after 64 rows: a few dozen instructions per segment. *)
@@ -143,7 +143,7 @@ let prop_matches_reference =
           List.for_all
             (fun (fault, fname) ->
               match
-                disagreement ~fault
+                disagreement ?fault
                   (Printf.sprintf "seed %d budget %d / %s / fault %s" seed budget
                      cfg.Vconfig.name fname)
                   cfg p
@@ -315,19 +315,19 @@ let test_suite_programs () =
                     Printf.sprintf "%s %s / %s / fault %s" w.Workload.name
                       (Profile.name profile) cfg.Vconfig.name fname
                   in
-                  let want = outcome (fun () -> Ref_vexec.run ~fault cfg p) in
+                  let want = outcome (fun () -> Ref_vexec.run ?fault cfg p) in
                   let got =
-                    outcome (fun () -> Vexec.run ~fault (Vexec.decode cfg p))
+                    outcome (fun () -> Vexec.run ?fault (Vexec.decode cfg p))
                   in
                   if not (same want got) then
                     Alcotest.failf "%s:\n  reference: %s\n  machine:   %s" what
                       (show want) (show got);
                   match (got, fault) with
-                  | Done r, Machine.No_fault ->
+                  | Done r, None ->
                     if List.length r.Vexec.segments > 1 then incr multi
-                  | Done r, Machine.Silent_halt_on_boundary_jalr ->
+                  | Done r, Some Machine.Silent_halt_on_boundary_jalr ->
                     if r.Vexec.faulted then incr silent
-                  | Done r, Machine.Dropped_page_out ->
+                  | Done r, Some Machine.Dropped_page_out ->
                     if r.Vexec.faulted then incr dropped
                   | _ -> ())
                 all_faults)
@@ -365,7 +365,7 @@ let test_suite_sinks () =
           List.iter
             (fun (fault, fname) ->
               Option.iter Alcotest.fail
-                (disagreement ~fault
+                (disagreement ?fault
                    (Printf.sprintf "%s %s / fault %s" name (Profile.name profile)
                       fname)
                    small p))
